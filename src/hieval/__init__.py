@@ -37,7 +37,6 @@ _EXPORTS = {
     "RiskRanking": "risk",
     "crm_rerank": "risk",
     "expected_costs": "risk",
-    "hie_then_crm": "risk",
     "EvalReport": "metrics",
     "top1_accuracy": "metrics",
     "avg_mistake_severity": "metrics",

@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
         if ks:
             p.add_argument("--k", default="1,5,20", help="comma list of k values")
         if method:
-            p.add_argument("--method", choices=["argmax", "hie", "hie-self", "crm", "hie-crm", "cascade"])
+            p.add_argument("--method", help="decision rule; an unknown name lists the valid ones")
         if outfile:
             p.add_argument("--out", help="output file path")
 
@@ -68,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="apply a decision rule and write scores plus predictions")
     add_common(p, method=True, outfile=True)
     p.add_argument("--preds-out", help="predictions path (default: OUT.preds.txt)")
-    p.set_defaults(method="argmax")
 
     p = sub.add_parser("eval", help="evaluate one method against labels")
     add_common(p, labels=True, ks=True, method=True, outfile=True)
@@ -98,26 +97,14 @@ def run(argv=None) -> int:
     from . import commands
     from .errors import DataError, InputError
 
-    handlers = {
-        "validate": commands.cmd_validate,
-        "infer": commands.cmd_infer,
-        "eval": commands.cmd_eval,
-        "compare": commands.cmd_compare,
-        "costs": commands.cmd_costs,
-        "synth": commands.cmd_synth,
-    }
     try:
         # infer requires --out even though other commands treat it as optional
         if args.command == "infer" and not args.out:
             raise InputError("infer requires --out")
-        return handlers[args.command](args, sys.stdout)
+        return getattr(commands, f"cmd_{args.command}")(args, sys.stdout)
     except InputError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 2
     except DataError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 3
-
-
-def main(argv=None) -> int:
-    return run(argv)

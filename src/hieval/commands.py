@@ -9,6 +9,7 @@ rather than accuracy; report files keep accuracy at full precision.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +19,16 @@ from .errors import DuplicateMethod, InputError
 from .metrics import EvalReport, eval_report
 from .scores import LOGITS, PROBABILITIES, ScoreMatrix, argmax_rows, as_probabilities
 
-METHODS = ("argmax", "hie", "hie-self", "crm", "hie-crm", "cascade")
+# Every decision rule is a level source (where the coarse factor comes from)
+# times a rank rule (order classes by score or by expected LCA cost).
+METHODS = {
+    "argmax": (None, "score"),
+    "hie": ("coarse", "score"),
+    "hie-self": ("self", "score"),
+    "crm": (None, "cost"),
+    "hie-crm": ("coarse", "cost"),
+    "cascade": ("levels", "score"),
+}
 
 _KIND_FLAG = {"logits": LOGITS, "probs": PROBABILITIES, None: None}
 
@@ -43,103 +53,110 @@ def parse_levels(entries) -> list[tuple[int, str]]:
             d = int(depth)
         except ValueError:
             raise InputError(f"--level depth must be an integer, got {depth!r}") from None
+        if any(d == seen for seen, _ in out):
+            # Cascading would multiply that level's factor in twice.
+            raise InputError(f"--level depth {d} given twice")
         out.append((d, path))
     return out
 
 
+def check_methods(methods: list[str]) -> None:
+    if not methods:
+        raise InputError("--methods must list at least one method")
+    seen = set()
+    for m in methods:
+        if m in seen:
+            raise DuplicateMethod(f"method {m!r} listed twice")
+        seen.add(m)
+        if m not in METHODS:
+            raise InputError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
+
+
+@dataclass
 class MethodInputs:
     """Everything a decision rule may need, loaded and aligned once."""
 
-    def __init__(self, t: tx.Taxonomy, fine: ScoreMatrix | None = None,
-                 coarse: ScoreMatrix | None = None,
-                 levels: list[tuple[int, ScoreMatrix]] | None = None):
-        self.taxonomy = t
-        self.fine = fine
-        self.coarse = coarse
-        self.levels = levels or []
+    taxonomy: tx.Taxonomy
+    fine: ScoreMatrix | None
+    coarse: ScoreMatrix | None
+    levels: list[tuple[int, ScoreMatrix]]
 
 
 def load_method_inputs(args) -> MethodInputs:
     t = fileio.load_hierarchy(args.hierarchy)
+    level_paths = parse_levels(getattr(args, "level", None))
+    for depth, _ in level_paths:
+        if depth == t.max_depth:
+            # The deepest level holds only leaves; cascading it would square the fine row.
+            raise InputError(f"--level depth {depth} is the leaf depth; leaf scores go in --fine")
     kind = _KIND_FLAG[getattr(args, "kind", None)]
-    fine = coarse = None
-    if getattr(args, "fine", None):
-        raw = fileio.load_scores(args.fine, declared_kind=kind)
-        fine = as_probabilities(fileio.align_columns(raw, t, "leaf"))
-    if getattr(args, "coarse", None):
-        raw = fileio.load_scores(args.coarse, declared_kind=kind)
-        coarse = as_probabilities(fileio.align_columns(raw, t, "coarse"))
-    levels = []
-    for depth, path in parse_levels(getattr(args, "level", None)):
-        raw = fileio.load_scores(path, declared_kind=kind)
-        levels.append((depth, as_probabilities(fileio.align_columns(raw, t, depth))))
-    return MethodInputs(t, fine, coarse, levels)
+
+    def load(path, level):
+        if path:
+            raw = fileio.load_scores(path, declared_kind=kind)
+            return as_probabilities(fileio.align_columns(raw, t, level))
+
+    fine = load(getattr(args, "fine", None), "leaf")
+    coarse = load(getattr(args, "coarse", None), "coarse")
+    return MethodInputs(t, fine, coarse, [(d, load(path, d)) for d, path in level_paths])
 
 
-def apply_method(method: str, inputs: MethodInputs):
-    """Run one decision rule; returns (ranking_source, writable_matrix).
-
-    ranking_source feeds eval_report (a probability matrix or a risk
-    ranking); writable_matrix is what ``infer`` serializes. Risk methods
-    serialize negated risks as logits so that generic descending-score
-    ranking reproduces the ascending-risk order downstream.
-    """
-    t = inputs.taxonomy
-    if inputs.fine is None:
-        raise InputError(f"method {method} requires --fine")
-    fine = inputs.fine
-    if method == "argmax":
-        return fine, fine
-    if method == "hie":
+def _combined(source, method: str, inputs: MethodInputs) -> ScoreMatrix:
+    """The fine probabilities combined with the factor that ``source`` names."""
+    t, fine = inputs.taxonomy, inputs.fine
+    if source is None:
+        return fine
+    if source == "self":
+        return ensemble.hie_self(fine, tx.parent_index_map(t), t.n_coarse).scores
+    if source == "coarse":
         if inputs.coarse is None:
-            raise InputError("method hie requires --coarse")
-        combined = ensemble.hie_combine(fine, inputs.coarse, tx.parent_index_map(t))
-        return combined.scores, combined.scores
-    if method == "hie-self":
-        combined = ensemble.hie_self(fine, tx.parent_index_map(t), t.n_coarse)
-        return combined.scores, combined.scores
-    if method == "cascade":
-        if not inputs.levels:
-            raise InputError("method cascade requires at least one --level depth=path")
-        uppers = [(m, tx.ancestor_index_map(t, d)) for d, m in inputs.levels]
-        combined = ensemble.cascade_combine(
-            fine, uppers, levels=[d for d, _ in inputs.levels]
-        )
-        return combined.scores, combined.scores
-    if method in ("crm", "hie-crm"):
-        probs = fine
-        if method == "hie-crm":
-            if inputs.coarse is None:
-                raise InputError("method hie-crm requires --coarse")
-            probs = ensemble.hie_combine(fine, inputs.coarse, tx.parent_index_map(t)).scores
-        costs = tx.cost_matrix(t)
-        ranking = risk.crm_rerank(probs, costs)
-        neg_risks = ScoreMatrix(-risk.expected_costs(probs, costs), LOGITS, fine.class_names)
-        return ranking, neg_risks
-    raise InputError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
+            raise InputError(f"method {method} requires --coarse")
+        return ensemble.hie_combine(fine, inputs.coarse, tx.parent_index_map(t)).scores
+    if not inputs.levels:
+        raise InputError(f"method {method} requires at least one --level depth=path")
+    uppers = [(m, tx.ancestor_index_map(t, d)) for d, m in inputs.levels]
+    return ensemble.cascade_combine(fine, uppers, levels=[d for d, _ in inputs.levels]).scores
 
 
-def _config_echo(args, method: str, ks=None) -> dict:
+def run_methods(methods: list[str], inputs: MethodInputs, emit) -> None:
+    """Call ``emit(method, ranked)`` for each method, grouped by level source.
+
+    ``ranked`` is a probability matrix for score-ranked methods and a
+    RiskRanking for cost-ranked ones. Each source is combined once and shared
+    by its methods, then dropped before the next source is built, so only one
+    source's matrices are alive at a time.
+    """
+    if inputs.fine is None:
+        raise InputError(f"method {methods[0]} requires --fine")
+    for source in dict.fromkeys(METHODS[m][0] for m in methods):
+        group = [m for m in methods if METHODS[m][0] == source]
+        probs = _combined(source, group[0], inputs)
+        for m in group:
+            if METHODS[m][1] == "score":
+                emit(m, probs)
+            else:
+                emit(m, risk.crm_rerank(probs, tx.cost_matrix(inputs.taxonomy)))
+        del probs
+
+
+def _config_echo(args, ks) -> dict:
+    """The config every report of one run shares; each input is hashed once.
+
+    A report's config is ``{"method": name, **echo}``.
+    """
+    levels = parse_levels(getattr(args, "level", None))
     inputs = {}
     for role in ("hierarchy", "fine", "coarse", "labels"):
         path = getattr(args, role, None)
         if path:
             inputs[role] = fileio.sha256_digest(path)
-    levels = parse_levels(getattr(args, "level", None))
     for depth, path in levels:
         inputs[f"level{depth}"] = fileio.sha256_digest(path)
     preds = getattr(args, "preds", None)
     if preds:
         inputs["preds"] = fileio.sha256_digest(preds)
-    echo = {
-        "method": method,
-        "kind": getattr(args, "kind", None) or "auto",
-        "levels": [d for d, _ in levels],
-        "inputs": inputs,
-    }
-    if ks is not None:
-        echo["ks"] = list(ks)
-    return echo
+    kind = getattr(args, "kind", None) or "auto"
+    return {"kind": kind, "levels": [d for d, _ in levels], "inputs": inputs, "ks": list(ks)}
 
 
 def _fmt(x) -> str:
@@ -170,41 +187,57 @@ def cmd_validate(args, out) -> int:
 
 
 def cmd_infer(args, out) -> int:
+    method = args.method or "argmax"
+    check_methods([method])
     inputs = load_method_inputs(args)
-    ranking_source, matrix = apply_method(args.method, inputs)
-    fileio.save_scores(matrix, args.out)
-    if isinstance(ranking_source, risk.RiskRanking):
-        pred = ranking_source.predictions
-    else:
-        pred = argmax_rows(ranking_source)
     preds_path = args.preds_out or args.out + ".preds.txt"
-    fileio.write_labels(inputs.taxonomy, pred, preds_path)
+
+    def write(_, ranked):
+        if isinstance(ranked, risk.RiskRanking):
+            # Negated risks as logits: generic descending-score ranking
+            # downstream reproduces the ascending-risk order.
+            neg_risks = ScoreMatrix(-ranked.expected_costs, LOGITS, inputs.fine.class_names)
+            fileio.save_scores(neg_risks, args.out)
+            pred = ranked.predictions
+        else:
+            fileio.save_scores(ranked, args.out)
+            pred = argmax_rows(ranked)
+        fileio.write_labels(inputs.taxonomy, pred, preds_path)
+
+    run_methods([method], inputs, write)
     print(f"wrote {args.out} and {preds_path}", file=out)
     return 0
 
 
-def _evaluate(args, method: str, inputs: MethodInputs, gt, ks) -> EvalReport:
-    ranking_source, _ = apply_method(method, inputs)
-    return eval_report(
-        ranking_source, gt, inputs.taxonomy, ks, method,
-        config=_config_echo(args, method, ks),
-    )
+def _evaluate(args, methods: list[str], ks) -> list[EvalReport]:
+    """One report per method, in the order given; inputs are hashed once."""
+    inputs = load_method_inputs(args)
+    gt = fileio.load_labels(args.labels, inputs.taxonomy)
+    echo = _config_echo(args, ks)
+    reports = {}
+
+    def report(method, ranked):
+        reports[method] = eval_report(
+            ranked, gt, inputs.taxonomy, ks, method, config={"method": method, **echo}
+        )
+
+    run_methods(methods, inputs, report)
+    return [reports[m] for m in methods]
 
 
 def cmd_eval(args, out) -> int:
+    if args.method:
+        check_methods([args.method])
     ks = parse_ks(args.k)
     if getattr(args, "preds", None):
         t = fileio.load_hierarchy(args.hierarchy)
         gt = fileio.load_labels(args.labels, t)
         pred = fileio.load_labels(args.preds, t)
-        report = eval_report(
-            pred.reshape(-1, 1), gt, t, ks, args.method or "preds",
-            config=_config_echo(args, args.method or "preds", ks),
-        )
+        method = args.method or "preds"
+        config = {"method": method, **_config_echo(args, ks)}
+        report = eval_report(pred.reshape(-1, 1), gt, t, ks, method, config=config)
     else:
-        inputs = load_method_inputs(args)
-        gt = fileio.load_labels(args.labels, inputs.taxonomy)
-        report = _evaluate(args, args.method or "argmax", inputs, gt, ks)
+        [report] = _evaluate(args, [args.method or "argmax"], ks)
     if args.out:
         fileio.write_report(report, args.out)
     print(summary_row(report), file=out)
@@ -214,18 +247,8 @@ def cmd_eval(args, out) -> int:
 def cmd_compare(args, out) -> int:
     ks = parse_ks(args.k)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods:
-        raise InputError("--methods must list at least one method")
-    seen = set()
-    for m in methods:
-        if m in seen:
-            raise DuplicateMethod(f"method {m!r} listed twice")
-        seen.add(m)
-        if m not in METHODS:
-            raise InputError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
-    inputs = load_method_inputs(args)
-    gt = fileio.load_labels(args.labels, inputs.taxonomy)
-    reports = [_evaluate(args, m, inputs, gt, ks) for m in methods]
+    check_methods(methods)
+    reports = _evaluate(args, methods, ks)
     print(summary_header(ks), file=out)
     for r in reports:
         print(summary_row(r), file=out)

@@ -61,13 +61,6 @@ class NonLeveledTree(DataError):
 
 # ------------------------------------------------------------ score spaces
 
-class NonFiniteInput(InputError):
-    def __init__(self, row: int, col: int):
-        super().__init__(f"non-finite value at row {row}, column {col}")
-        self.row = row
-        self.col = col
-
-
 class NonFiniteValue(InputError):
     def __init__(self, row: int, col: int):
         super().__init__(f"non-finite value at row {row}, column {col}")

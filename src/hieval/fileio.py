@@ -15,9 +15,11 @@ corruption. All writes go through a temp file and rename.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import secrets
 import struct
 from typing import Sequence
 
@@ -28,6 +30,7 @@ from .errors import (
     ColumnMismatch,
     DuplicateClass,
     EmptyInput,
+    InputError,
     KindConflict,
     MissingClass,
     MultipleRoots,
@@ -47,10 +50,17 @@ _HEADER = struct.Struct("<4sBBII")
 
 
 def _atomic_write_bytes(path: str, data: bytes) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(data)
-    os.replace(tmp, path)
+    # A unique temp name beside the target keeps concurrent writers apart and
+    # the final rename on one file system.
+    tmp = f"{path}.{os.getpid()}-{secrets.token_hex(4)}.tmp"
+    try:
+        with open(tmp, "xb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except OSError as e:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise InputError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -142,7 +152,7 @@ def save_hierarchy(t: tx.Taxonomy, path: str) -> None:
         "leaf_order": list(t.leaf_names()),
         "coarse_order": list(t.coarse_names()),
     }
-    _atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    write_json(doc, path)
 
 
 # ------------------------------------------------------------ score files
@@ -278,10 +288,7 @@ def save_scores(m: ScoreMatrix, path: str) -> None:
         )
         payload = np.ascontiguousarray(m.values, dtype="<f8").tobytes()
         _atomic_write_bytes(path, header + payload)
-        _atomic_write_text(
-            _names_sidecar(path),
-            json.dumps({"class_names": list(m.class_names)}, indent=2) + "\n",
-        )
+        write_json({"class_names": list(m.class_names)}, _names_sidecar(path))
         return
     out = [f"# kind: {m.kind}", ",".join(m.class_names)]
     for row in m.values:
@@ -327,7 +334,12 @@ def align_columns(m: ScoreMatrix, t: tx.Taxonomy, level) -> ScoreMatrix:
 
 def load_labels(path: str, t: tx.Taxonomy) -> np.ndarray:
     """Read one leaf name per line into leaf_order indices."""
-    text = _read_bytes(path).decode("utf-8")
+    try:
+        text = _read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not valid UTF-8: {e}") from e
+    if "\r\n" in text:
+        raise ParseError(f"{path}: CRLF line endings; labels must be LF-terminated")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -379,7 +391,7 @@ def report_from_dict(doc: dict) -> EvalReport:
 
 
 def write_report(r: EvalReport, path: str) -> None:
-    _atomic_write_text(path, json.dumps(report_to_dict(r), indent=2) + "\n")
+    write_json(report_to_dict(r), path)
 
 
 def load_report(path: str) -> EvalReport:
@@ -391,5 +403,4 @@ def load_report(path: str) -> EvalReport:
 
 
 def write_report_list(reports: Sequence[EvalReport], path: str) -> None:
-    doc = {"reports": [report_to_dict(r) for r in reports]}
-    _atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    write_json({"reports": [report_to_dict(r) for r in reports]}, path)

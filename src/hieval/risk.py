@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import hie_combine
 from .errors import DimensionMismatch, KindConflict
 from .scores import PROBABILITIES, ScoreMatrix
 
@@ -24,13 +23,13 @@ from .scores import PROBABILITIES, ScoreMatrix
 class RiskRanking:
     """Classes ordered by ascending expected cost, per sample.
 
-    ``order[n]`` is a permutation of class indices; ``risks[n]`` holds the
-    matching risk values and is non-decreasing along the row. Ties are broken
-    by ascending class index.
+    ``order[n]`` is a permutation of class indices, ties broken by ascending
+    class index. ``expected_costs[n, i]`` is the risk of predicting class
+    ``i``, in column order; ``expected_costs[n, order[n]]`` is non-decreasing.
     """
 
     order: np.ndarray
-    risks: np.ndarray
+    expected_costs: np.ndarray
 
     @property
     def predictions(self) -> np.ndarray:
@@ -60,13 +59,6 @@ def crm_rerank(probs: ScoreMatrix, costs) -> RiskRanking:
     """Rank classes by ascending expected cost under ``probs``."""
     risks = expected_costs(probs, costs)
     order = np.argsort(risks, axis=1, kind="stable")
-    ranked = np.take_along_axis(risks, order, axis=1)
     order.setflags(write=False)
-    ranked.setflags(write=False)
-    return RiskRanking(order=order, risks=ranked)
-
-
-def hie_then_crm(fine: ScoreMatrix, coarse: ScoreMatrix, pmap, costs) -> RiskRanking:
-    """Combine fine with coarse first, then rerank the result by expected cost."""
-    combined = hie_combine(fine, coarse, pmap)
-    return crm_rerank(combined.scores, costs)
+    risks.setflags(write=False)
+    return RiskRanking(order=order, expected_costs=risks)

@@ -67,10 +67,6 @@ class Taxonomy:
     def max_depth(self) -> int:
         return max(self.depth)
 
-    def is_leaf(self, n: int) -> bool:
-        self._check(n)
-        return not self.children[n]
-
     def is_leveled(self) -> bool:
         """True when every leaf sits at the same depth."""
         depths = {self.depth[n] for n in self.leaf_order}

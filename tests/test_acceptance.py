@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 
+import hieval
 from conftest import criterion, random_prob_rows, random_taxonomy
 from hieval.ensemble import (
     cascade_combine,
@@ -350,6 +351,10 @@ def _run_cli_pipeline(workdir, threads: str) -> dict[str, bytes]:
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = threads
+    # The child runs in workdir, so a relative PYTHONPATH inherited from the
+    # parent would not find the package; point it at the one under test.
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(hieval.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
 
     def cli(*args):
         proc = subprocess.run(

@@ -1,12 +1,18 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from conftest import SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES
 from hieval.cli import run
-from hieval.fileio import load_report, load_scores
-from hieval.taxonomy import cost_matrix
+from hieval.commands import METHODS
+from hieval.ensemble import cascade_combine, hie_combine, hie_self
+from hieval.fileio import load_hierarchy, load_labels, load_report, load_scores
+from hieval.metrics import eval_report
+from hieval.risk import crm_rerank, expected_costs
+from hieval.scores import softmax_rows
+from hieval.taxonomy import ancestor_index_map, cost_matrix, parent_index_map
 
 
 @pytest.fixture
@@ -88,6 +94,19 @@ def test_infer_requires_out(workspace):
     assert run(["infer", "--hierarchy", hierarchy, "--fine", fine]) == 2
 
 
+@pytest.mark.parametrize("command", ["infer", "eval"])
+def test_unknown_method_names_the_valid_ones(workspace, capsys, command):
+    hierarchy, fine, labels = paths(workspace, "hierarchy.json", "fine.csv", "labels.txt")
+    args = [command, "--hierarchy", hierarchy, "--fine", fine, "--method", "bogus",
+            "--out", str(workspace / "x.csv")]
+    if command == "eval":
+        args += ["--labels", labels]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert "unknown method 'bogus'" in err
+    assert ", ".join(METHODS) in err
+
+
 def test_infer_logits_kind_applies_softmax(workspace):
     logits = workspace / "fine_logits.csv"
     logits.write_text("# kind: logits\nrose,tulip,bus,car\n0.0,0.0,0.0,0.0\n")
@@ -134,6 +153,47 @@ def test_eval_length_mismatch(workspace, capsys):
                 "--labels", labels, "--k", "1"])
     assert code == 3
     assert "LengthMismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xffbus\n", "not valid UTF-8"),
+    (b"bus\r\n", "CRLF line endings"),
+])
+def test_eval_rejects_unreadable_labels(workspace, capsys, content, message):
+    (workspace / "labels.txt").write_bytes(content)
+    hierarchy, fine, labels = paths(workspace, "hierarchy.json", "fine.csv", "labels.txt")
+    code = run(["eval", "--hierarchy", hierarchy, "--fine", fine, "--labels", labels, "--k", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"ParseError: {labels}: {message}" in err
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "a_directory"])
+def test_eval_unwritable_out_exits_2_and_leaves_no_temp_file(workspace, capsys, target):
+    (workspace / "a_directory").mkdir()
+    before = sorted(os.listdir(workspace))
+    hierarchy, fine, labels = paths(workspace, "hierarchy.json", "fine.csv", "labels.txt")
+    out = str(workspace / target)
+    code = run(["eval", "--hierarchy", hierarchy, "--fine", fine, "--labels", labels,
+                "--k", "1", "--out", out])
+    assert code == 2
+    assert f"InputError: cannot write {out}: " in capsys.readouterr().err
+    assert sorted(os.listdir(workspace)) == before
+
+
+@pytest.mark.parametrize("levels, message", [
+    (["1=coarse.csv", "1=coarse.csv"], "--level depth 1 given twice"),
+    (["2=fine.csv"], "--level depth 2 is the leaf depth"),
+])
+def test_eval_rejects_levels_that_change_the_maths(workspace, capsys, levels, message):
+    hierarchy, fine, labels = paths(workspace, "hierarchy.json", "fine.csv", "labels.txt")
+    args = ["eval", "--hierarchy", hierarchy, "--fine", fine, "--labels", labels,
+            "--method", "cascade", "--k", "1"]
+    for entry in levels:
+        depth, _, name = entry.partition("=")
+        args += ["--level", f"{depth}={workspace / name}"]
+    assert run(args) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_eval_existing_predictions(workspace, capsys):
@@ -265,6 +325,9 @@ def test_crm_infer_then_eval_matches_compare_row(tmp_path, capsys):
     risks_out = str(tmp_path / "risks.hies")
     assert run(["infer", *base, "--method", "crm", "--out", risks_out]) == 0
     capsys.readouterr()
+    fine = softmax_rows(load_scores(f"{d}/fine.hies", declared_kind="logits"))
+    costs = cost_matrix(load_hierarchy(f"{d}/hierarchy.json"))
+    assert np.array_equal(load_scores(risks_out).values, -expected_costs(fine, costs))
     piped = str(tmp_path / "piped.json")
     assert run(["eval", "--hierarchy", f"{d}/hierarchy.json", "--fine", risks_out,
                 "--labels", f"{d}/labels.txt", "--k", "1,5", "--out", piped]) == 0
@@ -274,6 +337,58 @@ def test_crm_infer_then_eval_matches_compare_row(tmp_path, capsys):
     a, b = load_report(piped), load_report(direct)
     assert a.top1_accuracy == b.top1_accuracy
     assert a.hier_dist_at_k == b.hier_dist_at_k
+
+
+@pytest.fixture(scope="module")
+def every_method_table(tmp_path_factory):
+    """A three-level instance, the flags every method needs, and one compare over all of them."""
+    d = tmp_path_factory.mktemp("every_method")
+    inst = d / "inst"
+    assert run(["synth", "--branching", "3,3,4", "--noise", "1.0,0.5,2.0",
+                "--n-samples", "200", "--seed", "5", "--out-dir", str(inst)]) == 0
+    base = ["--hierarchy", f"{inst}/hierarchy.json", "--fine", f"{inst}/fine.hies",
+            "--coarse", f"{inst}/level_d2.hies", "--level", f"1={inst}/level_d1.hies",
+            "--level", f"2={inst}/level_d2.hies", "--labels", f"{inst}/labels.txt",
+            "--kind", "logits", "--k", "1,5"]
+    table = d / "table.json"
+    assert run(["compare", *base, "--methods", ",".join(METHODS), "--out", str(table)]) == 0
+    return d, base, json.loads(table.read_text())["reports"]
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_compare_report_equals_eval_report(every_method_table, method):
+    d, base, reports = every_method_table
+    out = d / f"{method}.json"
+    assert run(["eval", *base, "--method", method, "--out", str(out)]) == 0
+    assert reports[list(METHODS).index(method)] == json.loads(out.read_text())
+
+
+def test_compare_reports_match_the_library_composition(every_method_table):
+    d, _, reports = every_method_table
+    inst = d / "inst"
+    t = load_hierarchy(str(inst / "hierarchy.json"))
+    fine, d1, d2 = (softmax_rows(load_scores(str(inst / name), declared_kind="logits"))
+                    for name in ("fine.hies", "level_d1.hies", "level_d2.hies"))
+    pmap, costs = parent_index_map(t), cost_matrix(t)
+    hie = hie_combine(fine, d2, pmap).scores
+    sources = {
+        "argmax": fine,
+        "hie": hie,
+        "hie-self": hie_self(fine, pmap, t.n_coarse).scores,
+        "crm": crm_rerank(fine, costs),
+        "hie-crm": crm_rerank(hie, costs),
+        "cascade": cascade_combine(
+            fine, [(d1, ancestor_index_map(t, 1)), (d2, ancestor_index_map(t, 2))]
+        ).scores,
+    }
+    gt = load_labels(str(inst / "labels.txt"), t)
+    for report, (method, source) in zip(reports, sources.items()):
+        expected = eval_report(source, gt, t, [1, 5], method)
+        assert report["method"] == method
+        assert report["top1_accuracy"] == expected.top1_accuracy, method
+        assert report["avg_mistake_severity"] == expected.avg_mistake_severity, method
+        assert report["hier_dist_at_k"] == {str(k): v for k, v in expected.hier_dist_at_k.items()}
+
 
 
 def test_synth_noiseless_compare_all_perfect(tmp_path, capsys):

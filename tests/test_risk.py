@@ -4,7 +4,7 @@ import pytest
 from conftest import random_prob_rows, random_taxonomy
 from hieval.ensemble import hie_combine
 from hieval.errors import DimensionMismatch, KindConflict
-from hieval.risk import crm_rerank, hie_then_crm
+from hieval.risk import crm_rerank
 from hieval.scores import LOGITS, PROBABILITIES, ScoreMatrix
 from hieval.taxonomy import build_taxonomy, cost_matrix
 
@@ -17,6 +17,14 @@ def probs(rows, names=LEAVES):
     return ScoreMatrix(np.atleast_2d(rows), PROBABILITIES, names)
 
 
+def sorted_risks(ranking):
+    return np.take_along_axis(ranking.expected_costs, ranking.order, axis=1)
+
+
+def combine_then_rerank(fine, coarse):
+    return crm_rerank(hie_combine(fine, coarse, PMAP).scores, COSTS)
+
+
 def test_risks_on_fixture():
     ranking = crm_rerank(probs([0.40, 0.10, 0.35, 0.15]), COSTS)
     # expected costs per class: rose 1.10, tulip 1.40, bus 1.15, car 1.35;
@@ -24,7 +32,8 @@ def test_risks_on_fixture():
     # two corrections genuinely differ
     assert ranking.predictions.tolist() == [0]
     assert ranking.order[0].tolist() == [0, 2, 3, 1]
-    np.testing.assert_allclose(ranking.risks[0], [1.10, 1.15, 1.35, 1.40], atol=1e-12)
+    np.testing.assert_allclose(ranking.expected_costs[0], [1.10, 1.40, 1.15, 1.35], atol=1e-12)
+    np.testing.assert_allclose(sorted_risks(ranking)[0], [1.10, 1.15, 1.35, 1.40], atol=1e-12)
 
 
 def test_one_hot_has_zero_risk():
@@ -33,7 +42,7 @@ def test_one_hot_has_zero_risk():
         row[i] = 1.0
         ranking = crm_rerank(probs(row), COSTS)
         assert ranking.predictions[0] == i
-        assert ranking.risks[0, 0] == 0.0
+        assert ranking.expected_costs[0, i] == 0.0
 
 
 def test_uniform_star_ties_break_to_class_zero():
@@ -43,13 +52,13 @@ def test_uniform_star_ties_break_to_class_zero():
     )
     assert ranking.predictions[0] == 0
     assert ranking.order[0].tolist() == [0, 1, 2, 3, 4]
-    np.testing.assert_allclose(ranking.risks[0], 4 / 5, atol=1e-12)
+    np.testing.assert_allclose(ranking.expected_costs[0], 4 / 5, atol=1e-12)
 
 
 def test_risks_are_non_decreasing_and_orders_are_permutations():
     rng = np.random.default_rng(8)
     ranking = crm_rerank(probs(random_prob_rows(rng, 100, 4)), COSTS)
-    assert (np.diff(ranking.risks, axis=1) >= 0).all()
+    assert (np.diff(sorted_risks(ranking), axis=1) >= 0).all()
     for row in ranking.order:
         assert sorted(row.tolist()) == [0, 1, 2, 3]
 
@@ -66,14 +75,12 @@ def test_shape_and_kind_errors():
 def test_hie_then_crm_fixture():
     fine = probs([0.40, 0.10, 0.35, 0.15])
     coarse = ScoreMatrix([[0.2, 0.8]], PROBABILITIES, ("flower", "vehicle"))
-    ranking = hie_then_crm(fine, coarse, PMAP, COSTS)
+    ranking = combine_then_rerank(fine, coarse)
     # combined scores are [0.16, 0.04, 0.56, 0.24]; dotting with the cost
     # rows gives risks rose 1.64, tulip 1.76, bus 0.64, car 0.96
     assert ranking.predictions.tolist() == [2]
     assert ranking.order[0].tolist() == [2, 3, 0, 1]
-    np.testing.assert_allclose(ranking.risks[0], [0.64, 0.96, 1.64, 1.76], atol=1e-12)
-    composed = crm_rerank(hie_combine(fine, coarse, PMAP).scores, COSTS)
-    assert ranking.order.tolist() == composed.order.tolist()
+    np.testing.assert_allclose(sorted_risks(ranking)[0], [0.64, 0.96, 1.64, 1.76], atol=1e-12)
 
 
 def test_hie_then_crm_uniform_coarse_matches_plain_crm():
@@ -81,7 +88,7 @@ def test_hie_then_crm_uniform_coarse_matches_plain_crm():
     fine = probs(random_prob_rows(rng, 50, 4))
     coarse = ScoreMatrix(np.full((50, 2), 0.5), PROBABILITIES, ("f", "v"))
     assert (
-        hie_then_crm(fine, coarse, PMAP, COSTS).order.tolist()
+        combine_then_rerank(fine, coarse).order.tolist()
         == crm_rerank(fine, COSTS).order.tolist()
     )
 
@@ -92,9 +99,8 @@ def test_one_hot_fine_unchanged_by_crm():
     for i in range(4):
         row = np.zeros(4)
         row[i] = 1.0
-        ranking = hie_then_crm(
-            probs(row), ScoreMatrix(coarse_rows[i : i + 1], PROBABILITIES, ("f", "v")),
-            PMAP, COSTS,
+        ranking = combine_then_rerank(
+            probs(row), ScoreMatrix(coarse_rows[i : i + 1], PROBABILITIES, ("f", "v"))
         )
         assert ranking.predictions[0] == i
 

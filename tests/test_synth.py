@@ -4,7 +4,7 @@ import pytest
 from hieval.ensemble import cascade_combine, hie_combine, hie_self
 from hieval.errors import InputError
 from hieval.metrics import top1_accuracy
-from hieval.risk import crm_rerank, hie_then_crm
+from hieval.risk import crm_rerank
 from hieval.scores import argmax_rows, softmax_rows
 from hieval.synth import SynthConfig, gen_instance, gen_taxonomy
 from hieval.taxonomy import ancestor_index_map, cost_matrix, parent_index_map
@@ -72,7 +72,7 @@ def test_noiseless_instance_is_perfect_under_every_rule():
         "hie": argmax_rows(hie_combine(fine, coarse, pmap).scores),
         "hie-self": argmax_rows(hie_self(fine, pmap, t.n_coarse).scores),
         "crm": crm_rerank(fine, costs).predictions,
-        "hie-crm": hie_then_crm(fine, coarse, pmap, costs).predictions,
+        "hie-crm": crm_rerank(hie_combine(fine, coarse, pmap).scores, costs).predictions,
         "cascade": argmax_rows(
             cascade_combine(fine, [(coarse, ancestor_index_map(t, 1))]).scores
         ),
