@@ -80,12 +80,8 @@ def _product_normalize(fine: np.ndarray, factors: list[tuple[np.ndarray, np.ndar
     dead = low.all(axis=1)
     if dead.any():
         raise ZeroDenominator(int(np.argmax(dead)))
-    out = np.empty_like(u)
-    direct = ~low.any(axis=1)
-    if direct.any():
-        block = u[direct]
-        out[direct] = block / block.sum(axis=1, keepdims=True)
-    redo = ~direct
+    u /= u.sum(axis=1, keepdims=True)
+    redo = low.any(axis=1)
     if redo.any():
         with np.errstate(divide="ignore"):
             logs = np.log(fine[redo])
@@ -93,8 +89,8 @@ def _product_normalize(fine: np.ndarray, factors: list[tuple[np.ndarray, np.ndar
                 logs += np.log(values[redo][:, col_map])
         peak = logs.max(axis=1, keepdims=True)
         w = np.where(np.isneginf(logs), 0.0, np.exp(logs - peak))
-        out[redo] = w / w.sum(axis=1, keepdims=True)
-    return out
+        u[redo] = w / w.sum(axis=1, keepdims=True)
+    return u
 
 
 def hie_combine(fine: ScoreMatrix, coarse: ScoreMatrix, pmap) -> CombinedScores:

@@ -114,7 +114,7 @@ def eval_report(
     if isinstance(scores_or_ranking, ScoreMatrix):
         ranking = top_k(scores_or_ranking, max(ks))
     elif isinstance(scores_or_ranking, RiskRanking):
-        ranking = scores_or_ranking.order
+        ranking = scores_or_ranking.top(max(ks))
     else:
         ranking = np.asarray(scores_or_ranking, dtype=np.int64)
         if ranking.ndim != 2:

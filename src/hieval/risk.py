@@ -3,7 +3,7 @@
 Given a leaf-by-leaf cost matrix (LCA heights from the taxonomy), the risk of
 predicting class i is the expectation of the cost under the model's own
 probabilities, risk_i = sum_j C[i, j] * p_j. Ranking classes by ascending
-risk yields the minimum-expected-cost prediction at position 0 and a full
+risk yields the minimum-expected-cost prediction at position 0 and a
 cost-aware ordering for top-k metrics. Composes after probability combining,
 which is a different correction: combining moves mass between subtrees,
 reranking trades probability against cost.
@@ -16,24 +16,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, KindConflict
-from .scores import PROBABILITIES, ScoreMatrix
+from .scores import PROBABILITIES, ScoreMatrix, rank_rows
 
 
 @dataclass(frozen=True, eq=False)
 class RiskRanking:
-    """Classes ordered by ascending expected cost, per sample.
+    """Classes ranked by ascending expected cost, per sample.
 
-    ``order[n]`` is a permutation of class indices, ties broken by ascending
-    class index. ``expected_costs[n, i]`` is the risk of predicting class
-    ``i``, in column order; ``expected_costs[n, order[n]]`` is non-decreasing.
+    ``expected_costs[n, i]`` is the risk of predicting class ``i``, in column
+    order. ``top(k)`` ranks only the k lowest risks per row, ties broken by
+    ascending class index; it is what evaluation reads. ``order`` is the full
+    permutation under the same rule, computed on demand.
     """
 
-    order: np.ndarray
     expected_costs: np.ndarray
+
+    def top(self, k: int) -> np.ndarray:
+        return rank_rows(self.expected_costs, k)
+
+    @property
+    def order(self) -> np.ndarray:
+        return self.top(self.expected_costs.shape[1])
 
     @property
     def predictions(self) -> np.ndarray:
-        return self.order[:, 0]
+        return self.top(1)[:, 0]
 
 
 def _check_costs(costs, n_classes: int) -> np.ndarray:
@@ -58,7 +65,5 @@ def expected_costs(probs: ScoreMatrix, costs) -> np.ndarray:
 def crm_rerank(probs: ScoreMatrix, costs) -> RiskRanking:
     """Rank classes by ascending expected cost under ``probs``."""
     risks = expected_costs(probs, costs)
-    order = np.argsort(risks, axis=1, kind="stable")
-    order.setflags(write=False)
     risks.setflags(write=False)
-    return RiskRanking(order=order, expected_costs=risks)
+    return RiskRanking(expected_costs=risks)

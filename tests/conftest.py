@@ -6,6 +6,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from hieval.taxonomy import Taxonomy, build_taxonomy
 
@@ -39,6 +40,26 @@ def random_taxonomy(rng: np.random.Generator, n_nodes: int) -> Taxonomy:
 def random_prob_rows(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     rows = rng.random((n, k)) + 1e-9
     return rows / rows.sum(axis=1, keepdims=True)
+
+
+# A handful of levels, -0.0 beside 0.0, so ties inside rows and across the
+# k-th position are the common case rather than the rare one.
+TIE_LEVELS = (-1.0, -0.0, 0.0, 0.25, 0.5)
+
+
+@st.composite
+def tied_matrix_and_k(draw):
+    """A small float matrix rich in ties (some rows constant) and a k at an edge."""
+    n = draw(st.integers(1, 6))
+    c = draw(st.integers(1, 9))
+    rows = [
+        [draw(st.sampled_from(TIE_LEVELS))] * c
+        if draw(st.booleans())
+        else draw(st.lists(st.sampled_from(TIE_LEVELS), min_size=c, max_size=c))
+        for _ in range(n)
+    ]
+    k = draw(st.sampled_from(sorted({1, min(2, c), max(c - 1, 1), c})))
+    return np.array(rows, dtype=np.float64), k
 
 
 # ------------------------------------------------------- acceptance summary

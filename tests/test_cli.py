@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,10 +138,11 @@ def test_eval_hie_report(workspace, capsys):
     assert report.config["inputs"]["fine"].startswith("sha256:")
 
 
-def test_eval_k_too_large(workspace, capsys):
+@pytest.mark.parametrize("method", ["argmax", "crm"])
+def test_eval_k_too_large(workspace, capsys, method):
     hierarchy, fine, labels = paths(workspace, "hierarchy.json", "fine.csv", "labels.txt")
     code = run(["eval", "--hierarchy", hierarchy, "--fine", fine,
-                "--labels", labels, "--k", "2000"])
+                "--labels", labels, "--method", method, "--k", "2000"])
     assert code == 3
     assert "KTooLarge" in capsys.readouterr().err
 
@@ -222,7 +224,7 @@ def test_compare_table(workspace, capsys):
     assert len(lines) == 5
     assert lines[1].startswith("argmax\t1.000000\t2.000000\t2.000000")
     assert lines[2].startswith("hie\t0.000000\t-\t0.000000")
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert [r["method"] for r in doc["reports"]] == ["argmax", "hie", "crm", "hie-crm"]
 
 
@@ -253,7 +255,7 @@ def test_infer_then_eval_matches_compare_row(workspace, capsys):
                 "--labels", labels, "--methods", "argmax,hie", "--k", "1",
                 "--out", table]) == 0
     piped, direct = load_report(piped_report), load_report(direct_report)
-    hie_row = json.loads(open(table).read())["reports"][1]
+    hie_row = json.loads(Path(table).read_text())["reports"][1]
     assert hie_row["method"] == "hie"
     for report in (direct, piped):
         assert report.top1_accuracy == hie_row["top1_accuracy"]

@@ -88,6 +88,22 @@ def test_log_path_agrees_with_direct():
     np.testing.assert_allclose(out.values[0], direct, rtol=1e-10)
 
 
+def test_mixed_underflow_rows_match_each_row_alone():
+    # Normal rows interleaved with rows that take the log-space path: each
+    # row of the combined block must equal, bit for bit, that row combined
+    # on its own, so neither path can leak into or reorder the other.
+    rng = np.random.default_rng(8)
+    q = random_prob_rows(rng, 12, 4)
+    r = random_prob_rows(rng, 12, 2)
+    q[1::3] = [2e-305, 0.4, 0.3, 0.3 - 2e-305]
+    q[2::3, 0] = 0.0
+    r[2::3] = [1e-290, 1.0 - 1e-290]
+    out = hie_combine(fine(q), coarse(r), PMAP).values
+    for i in range(q.shape[0]):
+        alone = hie_combine(fine(q[i]), coarse(r[i]), PMAP).values[0]
+        assert out[i].tobytes() == alone.tobytes(), i
+
+
 def test_within_subtree_order_preserved():
     rng = np.random.default_rng(42)
     q = random_prob_rows(rng, 200, 4)

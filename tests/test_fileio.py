@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,7 +190,7 @@ def test_binary_header_errors(tmp_path):
     path = str(tmp_path / "x.hies")
     save_scores(m, path)
 
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(Path(path).read_bytes())
     raw[4] = 9  # version byte
     bad = tmp_path / "badver.hies"
     bad.write_bytes(bytes(raw))
@@ -197,12 +198,12 @@ def test_binary_header_errors(tmp_path):
         load_scores(str(bad))
 
     truncated = tmp_path / "short.hies"
-    truncated.write_bytes(open(path, "rb").read()[:-8])
+    truncated.write_bytes(Path(path).read_bytes()[:-8])
     with pytest.raises(ParseError):
         load_scores(str(truncated))
 
     orphan = tmp_path / "orphan.hies"
-    orphan.write_bytes(open(path, "rb").read())
+    orphan.write_bytes(Path(path).read_bytes())
     with pytest.raises(ParseError, match="sidecar"):
         load_scores(str(orphan))
 

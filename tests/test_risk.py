@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import random_prob_rows, random_taxonomy
+from conftest import random_prob_rows, random_taxonomy, tied_matrix_and_k
 from hieval.ensemble import hie_combine
 from hieval.errors import DimensionMismatch, KindConflict
-from hieval.risk import crm_rerank
+from hieval.risk import RiskRanking, crm_rerank
 from hieval.scores import LOGITS, PROBABILITIES, ScoreMatrix
 from hieval.taxonomy import build_taxonomy, cost_matrix
 
@@ -138,3 +139,14 @@ def test_ranking_order_is_scale_invariant():
     for c in (0.5, 2.0, 3.7):
         scaled = crm_rerank(probs(p * c), COSTS).order
         assert scaled.tolist() == base.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_matrix_and_k())
+def test_top_matches_full_order_on_tied_risks(case):
+    risks, k = case
+    ranking = RiskRanking(expected_costs=risks)
+    full = np.argsort(risks, axis=1, kind="stable")
+    assert ranking.order.tolist() == full.tolist()
+    assert ranking.top(k).tolist() == ranking.order[:, :k].tolist()
+    assert ranking.predictions.tolist() == np.argmin(risks, axis=1).tolist()
