@@ -15,7 +15,7 @@ import numpy as np
 
 from . import ensemble, fileio, risk, synth
 from . import taxonomy as tx
-from .errors import DuplicateMethod, InputError
+from .errors import DuplicateMethod, InputError, KTooLarge
 from .metrics import EvalReport, eval_report
 from .scores import LOGITS, PROBABILITIES, ScoreMatrix, argmax_rows, as_probabilities
 
@@ -135,7 +135,7 @@ def run_methods(methods: list[str], inputs: MethodInputs, emit) -> None:
             if METHODS[m][1] == "score":
                 emit(m, probs)
             else:
-                emit(m, risk.crm_rerank(probs, tx.cost_matrix(inputs.taxonomy)))
+                emit(m, risk.crm_rerank(probs, inputs.taxonomy))
         del probs
 
 
@@ -230,6 +230,11 @@ def cmd_eval(args, out) -> int:
         check_methods([args.method])
     ks = parse_ks(args.k)
     if getattr(args, "preds", None):
+        if max(ks) > 1:
+            raise KTooLarge(
+                f"k={max(ks)} needs a ranking, but predictions file {args.preds} "
+                "ranks one class per row, so only k=1 applies"
+            )
         t = fileio.load_hierarchy(args.hierarchy)
         gt = fileio.load_labels(args.labels, t)
         pred = fileio.load_labels(args.preds, t)

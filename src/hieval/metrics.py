@@ -4,7 +4,9 @@ Severity of a single mistake is the LCA height between the predicted and true
 leaves. Averaging over mistakes only gives avg_mistake_severity; averaging
 LCA heights of the top-k ranked classes over all samples gives
 hier_dist_at_k, whose k=1 case decomposes exactly as
-(1 - top1_accuracy) * avg_mistake_severity.
+(1 - top1_accuracy) * avg_mistake_severity. Heights are looked up for the
+scored pairs only (``taxonomy.lca_heights``), never through the leaf-by-leaf
+cost matrix.
 
 All sums are accumulated over integer LCA heights with a single final
 division, so results are reproducible bit for bit regardless of sample order
@@ -65,22 +67,19 @@ def avg_mistake_severity(pred, gt, t: tx.Taxonomy) -> Optional[float]:
     None when every prediction is correct, rather than 0, so that error-free
     rows do not deflate severity columns in comparison tables.
     """
-    costs = tx.cost_matrix(t)
     p = _as_index_vector(pred, "predictions", t.n_leaves)
     g = _as_index_vector(gt, "labels", t.n_leaves)
     if p.shape != g.shape:
         raise LengthMismatch(f"{p.shape[0]} predictions vs {g.shape[0]} labels")
-    heights = costs[p, g]
     wrong = p != g
     n_mistakes = int(wrong.sum())
     if n_mistakes == 0:
         return None
-    return int(heights[wrong].sum()) / n_mistakes
+    return int(tx.lca_heights(t, p[wrong], g[wrong]).sum()) / n_mistakes
 
 
 def hier_dist_at_k(ranking, gt, t: tx.Taxonomy, k: int) -> float:
     """Mean LCA height between the truth and each of the top-k classes, over all samples."""
-    costs = tx.cost_matrix(t)
     r = np.asarray(ranking, dtype=np.int64)
     if r.ndim != 2:
         raise LengthMismatch(f"ranking must be 2-d, got shape {r.shape}")
@@ -91,7 +90,7 @@ def hier_dist_at_k(ranking, gt, t: tx.Taxonomy, k: int) -> float:
         raise LengthMismatch(f"{r.shape[0]} ranking rows vs {g.shape[0]} labels")
     if r.min() < 0 or r.max() >= t.n_leaves:
         raise InvalidIndex(f"ranking entries must lie in [0, {t.n_leaves})")
-    heights = costs[r[:, :k], g[:, None]]
+    heights = tx.lca_heights(t, r[:, :k], g[:, None])
     return int(heights.sum()) / (g.size * k)
 
 

@@ -49,6 +49,7 @@ class Taxonomy:
     height: tuple[int, ...]
     children: tuple[tuple[int, ...], ...]
     _id_of: dict = field(repr=False)
+    _ancestor_cache: object = field(default=None, repr=False)
     _cost_cache: object = field(default=None, repr=False)
 
     @property
@@ -234,6 +235,47 @@ def lca_height(t: Taxonomy, a: int, b: int) -> int:
     return t.height[a]
 
 
+def ancestor_table(t: Taxonomy) -> np.ndarray:
+    """Each leaf's path from the root, one row per leaf in ``leaf_order`` convention.
+
+    Entry ``[i, d]`` is the ancestor of leaf column ``i`` at depth ``d``; below
+    a shallower leaf it repeats the leaf, so two rows agree at a depth exactly
+    when their leaves share an ancestor there. Shape ``(n_leaves, max_depth + 1)``;
+    cached on the taxonomy, read-only.
+    """
+    cached = t._ancestor_cache
+    if cached is not None:
+        return cached
+    parent = np.array([-1 if p is None else p for p in t.parent], dtype=np.int64)
+    node = np.array(t.leaf_order, dtype=np.int64)
+    depth = np.asarray(t.depth, dtype=np.int64)[node]
+    rows = np.arange(t.n_leaves)
+    table = np.repeat(node[:, None], t.max_depth + 1, axis=1)
+    while rows.size:
+        table[rows, depth] = node
+        up = depth > 0
+        rows, node, depth = rows[up], parent[node[up]], depth[up] - 1
+    table.setflags(write=False)
+    object.__setattr__(t, "_ancestor_cache", table)
+    return table
+
+
+def lca_heights(t: Taxonomy, a, b) -> np.ndarray:
+    """LCA heights of leaf columns ``a`` and ``b``, index arrays broadcast together.
+
+    Equals ``cost_matrix(t)[a, b]`` without building the matrix: the LCA is
+    the deepest depth at which both leaves' ancestors agree. O(size * depth).
+    """
+    table = ancestor_table(t)
+    height = np.asarray(t.height, dtype=np.int64)
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.full(np.broadcast_shapes(a.shape, b.shape), height[t.root], dtype=np.int64)
+    for d in range(1, table.shape[1]):
+        x = table[a, d]
+        np.copyto(out, height[x], where=x == table[b, d])
+    return out
+
+
 def cost_matrix(t: Taxonomy) -> np.ndarray:
     """Leaf-by-leaf LCA-height costs in ``leaf_order`` convention.
 
@@ -243,36 +285,25 @@ def cost_matrix(t: Taxonomy) -> np.ndarray:
     cached = t._cost_cache
     if cached is not None:
         return cached
-    n_l = t.n_leaves
-    col = {leaf: i for i, leaf in enumerate(t.leaf_order)}
-    costs = np.zeros((n_l, n_l), dtype=np.int64)
-    # Each unordered leaf pair gets filled exactly once, at its LCA: walk
-    # nodes deepest-first, joining the leaf sets of the node's children.
-    leafsets: dict[int, list[int]] = {}
-    for node in sorted(range(t.n_nodes), key=lambda i: -t.depth[i]):
-        if not t.children[node]:
-            leafsets[node] = [col[node]]
-            continue
-        parts = [leafsets.pop(ch) for ch in t.children[node]]
-        h = t.height[node]
-        for i in range(1, len(parts)):
-            left = np.concatenate([np.asarray(p, dtype=np.intp) for p in parts[:i]])
-            right = np.asarray(parts[i], dtype=np.intp)
-            costs[np.ix_(left, right)] = h
-            costs[np.ix_(right, left)] = h
-        merged: list[int] = []
-        for p in parts:
-            merged.extend(p)
-        leafsets[node] = merged
+    cols = np.arange(t.n_leaves)
+    costs = lca_heights(t, cols[:, None], cols)
     costs.setflags(write=False)
     object.__setattr__(t, "_cost_cache", costs)
     return costs
 
 
+def _positions(t: Taxonomy, order: Sequence[int]) -> np.ndarray:
+    """Node id -> column in ``order`` (-1 for nodes not in it)."""
+    pos = np.full(t.n_nodes, -1, dtype=np.int64)
+    pos[list(order)] = np.arange(len(order))
+    return pos
+
+
 def parent_index_map(t: Taxonomy) -> np.ndarray:
     """For each leaf column, the column of its parent in ``coarse_order``."""
-    pos = {c: i for i, c in enumerate(t.coarse_order)}
-    return np.array([pos[t.parent[leaf]] for leaf in t.leaf_order], dtype=np.int64)
+    leaf_depth = np.asarray(t.depth, dtype=np.int64)[list(t.leaf_order)]
+    parents = ancestor_table(t)[np.arange(t.n_leaves), leaf_depth - 1]
+    return _positions(t, t.coarse_order)[parents]
 
 
 def ancestor_at_depth(t: Taxonomy, leaf: int, d: int) -> int:
@@ -317,7 +348,4 @@ def ancestor_index_map(t: Taxonomy, d: int) -> np.ndarray:
     if not t.is_leveled():
         depths = sorted({t.depth[n] for n in t.leaf_order})
         raise NonLeveledTree(f"leaves sit at depths {depths}; cascading by depth is undefined")
-    pos = {node: i for i, node in enumerate(level_order(t, d))}
-    return np.array(
-        [pos[ancestor_at_depth(t, leaf, d)] for leaf in t.leaf_order], dtype=np.int64
-    )
+    return _positions(t, level_order(t, d))[ancestor_table(t)[:, d]]

@@ -37,6 +37,24 @@ def random_taxonomy(rng: np.random.Generator, n_nodes: int) -> Taxonomy:
     return build_taxonomy(random_tree_edges(rng, n_nodes))
 
 
+@st.composite
+def taxonomies(draw, max_nodes=40):
+    """Random trees (unleveled, unary chains, leaves under the root) plus fixed edge shapes."""
+    shape = draw(st.sampled_from(["random", "chain", "star", "root-leaves"]))
+    if shape == "random":
+        seed = draw(st.integers(0, 2**32 - 1))
+        return random_taxonomy(np.random.default_rng(seed), draw(st.integers(2, max_nodes)))
+    n = draw(st.integers(1, 8))
+    if shape == "chain":  # a unary chain n edges long, beside one leaf under the root
+        edges = [(f"c{i + 1}", f"c{i}") for i in range(n)] + [("near", "c0")]
+    elif shape == "star":
+        edges = [(f"leaf{i}", "hub") for i in range(n)]
+    else:  # leaves directly under the root next to a two-level subtree
+        edges = [(f"top{i}", "root") for i in range(n)]
+        edges += [("mid", "root"), ("deep0", "mid"), ("deep1", "mid")]
+    return build_taxonomy(edges)
+
+
 def random_prob_rows(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     rows = rng.random((n, k)) + 1e-9
     return rows / rows.sum(axis=1, keepdims=True)

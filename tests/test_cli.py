@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES
+from hieval import risk, taxonomy
 from hieval.cli import run
 from hieval.commands import METHODS
 from hieval.ensemble import cascade_combine, hie_combine, hie_self
@@ -207,6 +208,19 @@ def test_eval_existing_predictions(workspace, capsys):
     assert capsys.readouterr().out.startswith("preds\t0.000000")
 
 
+def test_eval_predictions_file_allows_only_k1(workspace, capsys):
+    preds = workspace / "preds.txt"
+    preds.write_text("bus\n")
+    hierarchy, labels = paths(workspace, "hierarchy.json", "labels.txt")
+    code = run(["eval", "--hierarchy", hierarchy, "--preds", str(preds),
+                "--labels", labels, "--k", "1,2"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("KTooLarge: k=2")
+    assert f"predictions file {preds} ranks one class per row" in err
+    assert "only k=1 applies" in err
+
+
 # ----------------------------------------------------------------- compare
 
 
@@ -328,8 +342,10 @@ def test_crm_infer_then_eval_matches_compare_row(tmp_path, capsys):
     assert run(["infer", *base, "--method", "crm", "--out", risks_out]) == 0
     capsys.readouterr()
     fine = softmax_rows(load_scores(f"{d}/fine.hies", declared_kind="logits"))
-    costs = cost_matrix(load_hierarchy(f"{d}/hierarchy.json"))
-    assert np.array_equal(load_scores(risks_out).values, -expected_costs(fine, costs))
+    t = load_hierarchy(f"{d}/hierarchy.json")
+    written = load_scores(risks_out).values
+    assert np.array_equal(written, -crm_rerank(fine, t).expected_costs)
+    np.testing.assert_allclose(written, -expected_costs(fine, cost_matrix(t)), rtol=0, atol=1e-12)
     piped = str(tmp_path / "piped.json")
     assert run(["eval", "--hierarchy", f"{d}/hierarchy.json", "--fine", risks_out,
                 "--labels", f"{d}/labels.txt", "--k", "1,5", "--out", piped]) == 0
@@ -391,6 +407,20 @@ def test_compare_reports_match_the_library_composition(every_method_table):
         assert report["avg_mistake_severity"] == expected.avg_mistake_severity, method
         assert report["hier_dist_at_k"] == {str(k): v for k, v in expected.hier_dist_at_k.items()}
 
+
+
+def test_eval_and_compare_never_build_the_cost_matrix(every_method_table, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense cost matrix used on the eval/compare path")
+
+    monkeypatch.setattr(taxonomy, "cost_matrix", forbidden)
+    monkeypatch.setattr(risk, "expected_costs", forbidden)
+    d, base, reports = every_method_table
+    assert run(["eval", *base, "--method", "crm", "--out", str(d / "guard.json")]) == 0
+    assert json.loads((d / "guard.json").read_text()) == reports[list(METHODS).index("crm")]
+    assert run(["compare", *base, "--methods", ",".join(METHODS),
+                "--out", str(d / "guard_table.json")]) == 0
+    assert json.loads((d / "guard_table.json").read_text())["reports"] == reports
 
 
 def test_synth_noiseless_compare_all_perfect(tmp_path, capsys):

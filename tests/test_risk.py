@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_prob_rows, random_taxonomy, tied_matrix_and_k
+from conftest import random_prob_rows, random_taxonomy, taxonomies, tied_matrix_and_k
+from hieval import risk
 from hieval.ensemble import hie_combine
 from hieval.errors import DimensionMismatch, KindConflict
 from hieval.risk import RiskRanking, crm_rerank
@@ -71,6 +73,43 @@ def test_shape_and_kind_errors():
         crm_rerank(probs([0.25] * 4), COSTS[:3, :4])
     with pytest.raises(KindConflict):
         crm_rerank(ScoreMatrix([[1.0, 2.0]], LOGITS, ("a", "b")), np.zeros((2, 2)))
+
+
+def test_taxonomy_shape_and_kind_errors(flower_vehicle):
+    with pytest.raises(DimensionMismatch):
+        crm_rerank(probs([0.5, 0.5], names=("a", "b")), flower_vehicle)
+    with pytest.raises(KindConflict):
+        crm_rerank(ScoreMatrix([[1.0] * 4], LOGITS, LEAVES), flower_vehicle)
+
+
+# ------------------------------------------------------- tree risk kernel
+
+
+@settings(max_examples=200, deadline=None)
+@given(taxonomies(), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_tree_risk_matches_the_dense_product(t, n, seed):
+    p = random_prob_rows(np.random.default_rng(seed), n, t.n_leaves)
+    tree = crm_rerank(probs(p, names=t.leaf_names()), t).expected_costs
+    dense = p @ cost_matrix(t).T
+    np.testing.assert_allclose(tree, dense, rtol=0, atol=1e-12)
+
+
+def test_tree_risk_on_fixture_and_one_hot_rows(flower_vehicle):
+    ranking = crm_rerank(probs([0.40, 0.10, 0.35, 0.15]), flower_vehicle)
+    np.testing.assert_allclose(ranking.expected_costs[0], [1.10, 1.40, 1.15, 1.35], atol=1e-12)
+    one_hot = crm_rerank(probs(np.eye(4)), flower_vehicle).expected_costs
+    assert one_hot.tolist() == COSTS.T.tolist()
+
+
+def test_tree_risk_rows_do_not_depend_on_the_block_size(monkeypatch):
+    rng = np.random.default_rng(43)
+    t = random_taxonomy(rng, 300)
+    m = probs(random_prob_rows(rng, 37, t.n_leaves), names=t.leaf_names())
+    whole = crm_rerank(m, t).expected_costs
+    monkeypatch.setattr(risk, "_BLOCK_ENTRIES", 1)
+    assert np.array_equal(crm_rerank(m, t).expected_costs, whole)
+    alone = crm_rerank(probs(m.values[5], names=m.class_names), t).expected_costs
+    assert np.array_equal(alone[0], whole[5])
 
 
 def test_hie_then_crm_fixture():

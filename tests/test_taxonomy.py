@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SEVEN_NODE_EDGES, random_taxonomy
+from conftest import SEVEN_NODE_EDGES, random_taxonomy, taxonomies
 from hieval.errors import (
     CycleDetected,
     DepthOutOfRange,
@@ -18,9 +18,11 @@ from hieval.errors import (
 from hieval.taxonomy import (
     ancestor_at_depth,
     ancestor_index_map,
+    ancestor_table,
     build_taxonomy,
     cost_matrix,
     lca_height,
+    lca_heights,
     level_order,
     parent_index_map,
     parent_of,
@@ -175,7 +177,54 @@ def test_ancestor_index_map(flower_vehicle):
         ancestor_index_map(uneven, 1)
 
 
+def test_ancestor_table_repeats_a_shallow_leaf(flower_vehicle):
+    t = flower_vehicle
+    table = ancestor_table(t)
+    assert [[t.names[n] for n in row] for row in table] == [
+        ["entity", "flower", "rose"],
+        ["entity", "flower", "tulip"],
+        ["entity", "vehicle", "bus"],
+        ["entity", "vehicle", "car"],
+    ]
+    assert ancestor_table(t) is table
+    uneven = build_taxonomy([("a", "r"), ("b", "mid"), ("mid", "r")])
+    assert [[uneven.names[n] for n in row] for row in ancestor_table(uneven)] == [
+        ["r", "a", "a"],
+        ["r", "mid", "b"],
+    ]
+
+
 # --------------------------------------------------------------- properties
+
+
+@settings(max_examples=100, deadline=None)
+@given(taxonomies(), st.integers(1, 6), st.integers(1, 4), st.data())
+def test_lca_heights_match_the_cost_matrix_and_bruteforce(t, n, k, data):
+    cols = st.integers(0, t.n_leaves - 1)
+    a = np.array(data.draw(st.lists(cols, min_size=n * k, max_size=n * k))).reshape(n, k)
+    b = np.array(data.draw(st.lists(cols, min_size=n, max_size=n))).reshape(n, 1)
+    heights = lca_heights(t, a, b)
+    assert heights.shape == (n, k)
+    assert heights.tolist() == cost_matrix(t)[a, b].tolist()
+    for (i, j), h in np.ndenumerate(heights):
+        assert h == _brute_force_lca_height(t, t.leaf_order[a[i, j]], t.leaf_order[b[i, 0]])
+    assert lca_heights(t, a[:, 0], b[:, 0]).tolist() == heights[:, 0].tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(taxonomies())
+def test_index_maps_match_the_ancestor_walk(t):
+    table = ancestor_table(t)
+    for i, leaf in enumerate(t.leaf_order):
+        for d in range(t.max_depth + 1):
+            assert table[i, d] == ancestor_at_depth(t, leaf, min(d, t.depth[leaf]))
+    coarse = {c: i for i, c in enumerate(t.coarse_order)}
+    assert parent_index_map(t).tolist() == [coarse[t.parent[leaf]] for leaf in t.leaf_order]
+    if t.is_leveled():
+        for d in range(t.max_depth + 1):
+            pos = {node: i for i, node in enumerate(level_order(t, d))}
+            expected = [pos[ancestor_at_depth(t, leaf, d)] for leaf in t.leaf_order]
+            assert ancestor_index_map(t, d).tolist() == expected
 
 
 def _brute_force_lca_height(t, a, b):
