@@ -34,7 +34,7 @@ _EXPORTS = {
     "marginalize_to_parents": "ensemble",
     "cascade_combine": "ensemble",
     "combine_gain": "ensemble",
-    "RiskRanking": "risk",
+    "RiskRanking": "scores",
     "crm_rerank": "risk",
     "expected_costs": "risk",
     "EvalReport": "metrics",

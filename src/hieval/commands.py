@@ -1,13 +1,15 @@
 """Implementations behind the command-line subcommands.
 
-Keeps the file plumbing in one place: load and align inputs, apply a decision
-rule, evaluate, and write outputs. Score files are softmaxed when they carry
-logits, and every output write is atomic. Table rows report top-1 error
-rather than accuracy; report files keep accuracy at full precision.
+Keeps the file plumbing in one place: open and check inputs, then read,
+align, combine and rank them one block of rows at a time, evaluate, and write
+outputs. Score files are softmaxed when they carry logits, and every output
+write is atomic. Table rows report top-1 error rather than accuracy; report
+files keep accuracy at full precision.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 
@@ -15,9 +17,16 @@ import numpy as np
 
 from . import ensemble, fileio, risk, synth
 from . import taxonomy as tx
-from .errors import DuplicateMethod, InputError, KTooLarge
+from .errors import DimensionMismatch, DuplicateMethod, InputError, KTooLarge
 from .metrics import EvalReport, eval_report
-from .scores import LOGITS, PROBABILITIES, ScoreMatrix, argmax_rows, as_probabilities
+from .scores import (
+    LOGITS,
+    PROBABILITIES,
+    ScoreMatrix,
+    as_probabilities,
+    block_rows,
+    top_k,
+)
 
 # Every decision rule is a level source (where the coarse factor comes from)
 # times a rank rule (order classes by score or by expected LCA cost).
@@ -74,15 +83,58 @@ def check_methods(methods: list[str]) -> None:
 
 @dataclass
 class MethodInputs:
-    """Everything a decision rule may need, loaded and aligned once."""
+    """The taxonomy and every given score file, opened and checked once.
+
+    The files stay open for block-by-block reading; ``close`` (or leaving a
+    ``with`` block) closes them.
+    """
 
     taxonomy: tx.Taxonomy
-    fine: ScoreMatrix | None
-    coarse: ScoreMatrix | None
-    levels: list[tuple[int, ScoreMatrix]]
+    fine: fileio.ScoreReader | None
+    coarse: fileio.ScoreReader | None
+    levels: list[tuple[int, fileio.ScoreReader]]
+
+    def close(self) -> None:
+        for reader in [self.fine, self.coarse] + [r for _, r in self.levels]:
+            if reader is not None:
+                reader.close()
+
+    def __enter__(self) -> "MethodInputs":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def read(self, start: int, stop: int):
+        """Rows ``[start, stop)`` of every file as probabilities: (fine, coarse, [(depth, m)]).
+
+        Each block is read, checked, aligned to the taxonomy and softmaxed
+        (logits), file by file in the order fine, coarse, levels.
+        """
+        t = self.taxonomy
+
+        def block(reader, level):
+            if reader is None:
+                return None
+            raw = fileio.load_scores(reader.path, rows=(start, stop), reader=reader)
+            m = fileio.align_columns(raw, t, level)
+            # Probability files were validated as they were read.
+            return as_probabilities(m) if m.kind == LOGITS else m
+
+        return (
+            block(self.fine, "leaf"),
+            block(self.coarse, "coarse"),
+            [(d, block(r, d)) for d, r in self.levels],
+        )
 
 
-def load_method_inputs(args) -> MethodInputs:
+def load_method_inputs(args, methods: list[str]) -> MethodInputs:
+    """Open every given score file and check everything that needs no rows.
+
+    That is each file's header, kind and columns, the inputs ``methods``
+    need, and that every file has the fine file's row count; rows are read
+    only once all of that holds. Every given file is read, used or not.
+    """
     t = fileio.load_hierarchy(args.hierarchy)
     level_paths = parse_levels(getattr(args, "level", None))
     for depth, _ in level_paths:
@@ -91,52 +143,77 @@ def load_method_inputs(args) -> MethodInputs:
             raise InputError(f"--level depth {depth} is the leaf depth; leaf scores go in --fine")
     kind = _KIND_FLAG[getattr(args, "kind", None)]
 
-    def load(path, level):
-        if path:
-            raw = fileio.load_scores(path, declared_kind=kind)
-            return as_probabilities(fileio.align_columns(raw, t, level))
+    with contextlib.ExitStack() as stack:
+        def open_checked(path, level):
+            if path:
+                reader = stack.enter_context(fileio.ScoreReader(path, kind))
+                fileio.column_order(reader.class_names, t, level)
+                return reader
 
-    fine = load(getattr(args, "fine", None), "leaf")
-    coarse = load(getattr(args, "coarse", None), "coarse")
-    return MethodInputs(t, fine, coarse, [(d, load(path, d)) for d, path in level_paths])
+        fine = open_checked(getattr(args, "fine", None), "leaf")
+        coarse = open_checked(getattr(args, "coarse", None), "coarse")
+        levels = [(d, open_checked(path, d)) for d, path in level_paths]
+        inputs = MethodInputs(t, fine, coarse, levels)
+        _check_sources(methods, inputs)
+        stack.pop_all()
+    return inputs
 
 
-def _combined(source, method: str, inputs: MethodInputs) -> ScoreMatrix:
-    """The fine probabilities combined with the factor that ``source`` names."""
+def _check_sources(methods: list[str], inputs: MethodInputs) -> None:
     t, fine = inputs.taxonomy, inputs.fine
+    if fine is None:
+        raise InputError(f"method {methods[0]} requires --fine")
+    for method in methods:
+        source = METHODS[method][0]
+        if source == "coarse" and inputs.coarse is None:
+            raise InputError(f"method {method} requires --coarse")
+        if source == "levels":
+            if not inputs.levels:
+                raise InputError(f"method {method} requires at least one --level depth=path")
+            for d, _ in inputs.levels:
+                tx.ancestor_index_map(t, d)  # raises NonLeveledTree for unleveled trees
+    if inputs.coarse is not None and inputs.coarse.n_rows != fine.n_rows:
+        raise DimensionMismatch(
+            f"fine has {fine.n_rows} samples, coarse has {inputs.coarse.n_rows}"
+        )
+    for i, (_, reader) in enumerate(inputs.levels):
+        if reader.n_rows != fine.n_rows:
+            raise DimensionMismatch(
+                f"upper level {i} has {reader.n_rows} samples, fine has {fine.n_rows}"
+            )
+
+
+def _combined(source, t: tx.Taxonomy, fine, coarse, levels) -> ScoreMatrix:
+    """One block's fine probabilities combined with the factor that ``source`` names."""
     if source is None:
         return fine
     if source == "self":
         return ensemble.hie_self(fine, tx.parent_index_map(t), t.n_coarse).scores
     if source == "coarse":
-        if inputs.coarse is None:
-            raise InputError(f"method {method} requires --coarse")
-        return ensemble.hie_combine(fine, inputs.coarse, tx.parent_index_map(t)).scores
-    if not inputs.levels:
-        raise InputError(f"method {method} requires at least one --level depth=path")
-    uppers = [(m, tx.ancestor_index_map(t, d)) for d, m in inputs.levels]
-    return ensemble.cascade_combine(fine, uppers, levels=[d for d, _ in inputs.levels]).scores
+        return ensemble.hie_combine(fine, coarse, tx.parent_index_map(t)).scores
+    uppers = [(m, tx.ancestor_index_map(t, d)) for d, m in levels]
+    return ensemble.cascade_combine(fine, uppers, levels=[d for d, _ in levels]).scores
 
 
-def run_methods(methods: list[str], inputs: MethodInputs, emit) -> None:
-    """Call ``emit(method, ranked)`` for each method, grouped by level source.
+def run_methods(methods: list[str], inputs: MethodInputs):
+    """Yield ``(method, ranked)`` for every block of rows, in row order, and every method.
 
-    ``ranked`` is a probability matrix for score-ranked methods and a
-    RiskRanking for cost-ranked ones. Each source is combined once and shared
-    by its methods, then dropped before the next source is built, so only one
-    source's matrices are alive at a time.
+    ``ranked`` is a block of probabilities for score-ranked methods and a
+    RiskRanking for cost-ranked ones. A block holds about
+    ``scores.BLOCK_ENTRIES`` fine entries. Each file's block is read once,
+    and each level source is combined once per block and shared by its
+    methods, so memory holds one block of each, never a whole matrix.
     """
-    if inputs.fine is None:
-        raise InputError(f"method {methods[0]} requires --fine")
-    for source in dict.fromkeys(METHODS[m][0] for m in methods):
-        group = [m for m in methods if METHODS[m][0] == source]
-        probs = _combined(source, group[0], inputs)
-        for m in group:
-            if METHODS[m][1] == "score":
-                emit(m, probs)
-            else:
-                emit(m, risk.crm_rerank(probs, inputs.taxonomy))
-        del probs
+    t, n = inputs.taxonomy, inputs.fine.n_rows
+    sources = dict.fromkeys(METHODS[m][0] for m in methods)
+    step = block_rows(len(inputs.fine.class_names))
+    for start in range(0, n, step):
+        fine, coarse, levels = inputs.read(start, min(start + step, n))
+        for source in sources:
+            probs = _combined(source, t, fine, coarse, levels)
+            for m in methods:
+                if METHODS[m][0] == source:
+                    yield m, probs if METHODS[m][1] == "score" else risk.crm_rerank(probs, t)
 
 
 def _config_echo(args, ks) -> dict:
@@ -189,40 +266,44 @@ def cmd_validate(args, out) -> int:
 def cmd_infer(args, out) -> int:
     method = args.method or "argmax"
     check_methods([method])
-    inputs = load_method_inputs(args)
     preds_path = args.preds_out or args.out + ".preds.txt"
+    preds = []
+    with load_method_inputs(args, [method]) as inputs:
+        leaf_names = inputs.taxonomy.leaf_names()
 
-    def write(_, ranked):
-        if isinstance(ranked, risk.RiskRanking):
-            # Negated risks as logits: generic descending-score ranking
-            # downstream reproduces the ascending-risk order.
-            neg_risks = ScoreMatrix(-ranked.expected_costs, LOGITS, inputs.fine.class_names)
-            fileio.save_scores(neg_risks, args.out)
-            pred = ranked.predictions
-        else:
-            fileio.save_scores(ranked, args.out)
-            pred = argmax_rows(ranked)
-        fileio.write_labels(inputs.taxonomy, pred, preds_path)
+        def blocks():
+            for _, ranked in run_methods([method], inputs):
+                preds.append(top_k(ranked, 1)[:, 0])
+                if isinstance(ranked, ScoreMatrix):
+                    yield ranked
+                else:
+                    # Negated risks as logits: generic descending-score ranking
+                    # downstream reproduces the ascending-risk order.
+                    yield ScoreMatrix(-ranked.expected_costs, LOGITS, leaf_names)
 
-    run_methods([method], inputs, write)
+        fileio.save_scores(blocks(), args.out)
+    fileio.write_labels(inputs.taxonomy, np.concatenate(preds), preds_path)
     print(f"wrote {args.out} and {preds_path}", file=out)
     return 0
 
 
 def _evaluate(args, methods: list[str], ks) -> list[EvalReport]:
-    """One report per method, in the order given; inputs are hashed once."""
-    inputs = load_method_inputs(args)
-    gt = fileio.load_labels(args.labels, inputs.taxonomy)
+    """One report per method, in the order given; inputs are hashed once.
+
+    Of each block, only every method's top max(ks) classes per row are kept.
+    """
+    k = max(ks)
+    rankings = {m: [] for m in methods}
+    with load_method_inputs(args, methods) as inputs:
+        for m, ranked in run_methods(methods, inputs):
+            rankings[m].append(top_k(ranked, k))
+    t = inputs.taxonomy
+    gt = fileio.load_labels(args.labels, t)
     echo = _config_echo(args, ks)
-    reports = {}
-
-    def report(method, ranked):
-        reports[method] = eval_report(
-            ranked, gt, inputs.taxonomy, ks, method, config={"method": method, **echo}
-        )
-
-    run_methods(methods, inputs, report)
-    return [reports[m] for m in methods]
+    return [
+        eval_report(np.concatenate(rankings[m]), gt, t, ks, m, config={"method": m, **echo})
+        for m in methods
+    ]
 
 
 def cmd_eval(args, out) -> int:

@@ -66,12 +66,13 @@ def _require_probabilities(m: ScoreMatrix, what: str) -> None:
         raise KindConflict(f"{what} must hold probabilities, got kind {m.kind!r}")
 
 
-def _product_normalize(fine: np.ndarray, factors: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+def _product_normalize(fine: np.ndarray, factors: list[tuple[np.ndarray, np.ndarray]],
+                       first_row: int = 0) -> np.ndarray:
     """Rows of fine * product of gathered factor columns, renormalized to sum 1.
 
     Rows where any product dips under UNDERFLOW_LIMIT are redone by summing
     logs and exponentiating around the row maximum; rows with no mass at all
-    raise ZeroDenominator.
+    raise ZeroDenominator, naming the row counted from ``first_row``.
     """
     u = fine.copy()
     for values, col_map in factors:
@@ -79,7 +80,7 @@ def _product_normalize(fine: np.ndarray, factors: list[tuple[np.ndarray, np.ndar
     low = u < UNDERFLOW_LIMIT
     dead = low.all(axis=1)
     if dead.any():
-        raise ZeroDenominator(int(np.argmax(dead)))
+        raise ZeroDenominator(first_row + int(np.argmax(dead)))
     u /= u.sum(axis=1, keepdims=True)
     redo = low.any(axis=1)
     if redo.any():
@@ -107,9 +108,9 @@ def hie_combine(fine: ScoreMatrix, coarse: ScoreMatrix, pmap) -> CombinedScores:
             f"fine has {fine.n_samples} samples, coarse has {coarse.n_samples}"
         )
     col_map = _as_col_map(pmap, fine.n_classes, coarse.n_classes, "parent index map")
-    values = _product_normalize(fine.values, [(coarse.values, col_map)])
+    values = _product_normalize(fine.values, [(coarse.values, col_map)], fine.first_row)
     return CombinedScores(
-        ScoreMatrix(values, PROBABILITIES, fine.class_names),
+        ScoreMatrix(values, PROBABILITIES, fine.class_names, fine.first_row),
         METHOD_HIE,
         ("parent",),
     )
@@ -132,7 +133,7 @@ def marginalize_to_parents(fine: ScoreMatrix, pmap, n_coarse: int,
     np.add.at(out, (rows, cols), fine.values)
     if class_names is None:
         class_names = tuple(f"group{j}" for j in range(n_coarse))
-    return ScoreMatrix(out, PROBABILITIES, class_names)
+    return ScoreMatrix(out, PROBABILITIES, class_names, fine.first_row)
 
 
 def hie_self(fine: ScoreMatrix, pmap, n_coarse: int) -> CombinedScores:
@@ -163,9 +164,9 @@ def cascade_combine(fine: ScoreMatrix, uppers: Sequence[tuple[ScoreMatrix, Seque
     used = tuple(levels) if levels is not None else tuple(range(1, len(factors) + 1))
     if not factors:
         return CombinedScores(fine, METHOD_CASCADE, used)
-    values = _product_normalize(fine.values, factors)
+    values = _product_normalize(fine.values, factors, fine.first_row)
     return CombinedScores(
-        ScoreMatrix(values, PROBABILITIES, fine.class_names),
+        ScoreMatrix(values, PROBABILITIES, fine.class_names, fine.first_row),
         METHOD_CASCADE,
         used,
     )

@@ -10,11 +10,15 @@ for bulk data that round-trips values bit for bit:
 Binary files carry their class names in a JSON sidecar at ``<path>.names.json``.
 Score columns are always bound to taxonomy levels by class name, never by
 position, so a misordered file is a detectable error instead of silent
-corruption. All writes go through a temp file and rename.
+corruption. A :class:`ScoreReader` checks a file's header once and then reads
+any range of rows, and ``save_scores`` writes row blocks as they come, so
+callers can stream score sets of any length. All writes go through a temp
+file and rename.
 """
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import hashlib
 import json
@@ -49,22 +53,31 @@ _BYTE_KIND = {0: LOGITS, 1: PROBABILITIES}
 _HEADER = struct.Struct("<4sBBII")
 
 
-def _atomic_write_bytes(path: str, data: bytes) -> None:
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """A new binary file that replaces ``path`` when the block exits normally.
+
+    On any exception the temp file is removed, and an OSError becomes
+    InputError naming ``path``.
+    """
     # A unique temp name beside the target keeps concurrent writers apart and
     # the final rename on one file system.
     tmp = f"{path}.{os.getpid()}-{secrets.token_hex(4)}.tmp"
     try:
         with open(tmp, "xb") as f:
-            f.write(data)
+            yield f
         os.replace(tmp, path)
-    except OSError as e:
+    except BaseException as e:
         with contextlib.suppress(OSError):
             os.remove(tmp)
-        raise InputError(f"cannot write {path}: {e.strerror or e}") from e
+        if isinstance(e, OSError):
+            raise InputError(f"cannot write {path}: {e.strerror or e}") from e
+        raise
 
 
 def _atomic_write_text(path: str, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
+    with _atomic_file(path) as f:
+        f.write(text.encode("utf-8"))
 
 
 def _read_bytes(path: str) -> bytes:
@@ -76,7 +89,14 @@ def _read_bytes(path: str) -> bytes:
 
 
 def sha256_digest(path: str) -> str:
-    return "sha256:" + hashlib.sha256(_read_bytes(path)).hexdigest()
+    h = hashlib.sha256()
+    try:
+        with open(path, "rb") as f:
+            for chunk in iter(lambda: f.read(1 << 20), b""):
+                h.update(chunk)
+    except OSError as e:
+        raise ParseError(f"cannot read {path}: {e}") from e
+    return "sha256:" + h.hexdigest()
 
 
 def write_json(doc: dict, path: str) -> None:
@@ -161,158 +181,252 @@ def _names_sidecar(path: str) -> str:
     return path + ".names.json"
 
 
+class ScoreReader:
+    """An open score file whose header, kind and class names have been checked.
+
+    Opening reads no payload (a text file is scanned once for its line count
+    and its UTF-8). :meth:`read` then reads any range of rows into a fresh
+    array. ``declared_kind`` cross-checks the file's own kind marker
+    (KindConflict on disagreement) and supplies it for plain text files
+    without one. Close the reader, or use it as a context manager.
+    """
+
+    def __init__(self, path: str, declared_kind: str | None = None):
+        self.path = path
+        try:
+            self._file = open(path, "rb")
+        except OSError as e:
+            raise ParseError(f"cannot read {path}: {e}") from e
+        try:
+            if self._file.read(4) == BINARY_MAGIC:
+                self._open_binary(declared_kind)
+            else:
+                self._open_text(declared_kind)
+        except BaseException as e:
+            self._file.close()
+            if isinstance(e, OSError):
+                raise ParseError(f"cannot read {path}: {e}") from e
+            raise
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self) -> "ScoreReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _open_binary(self, declared_kind) -> None:
+        path, f = self.path, self._file
+        f.seek(0)
+        head = f.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ParseError(f"{path}: truncated binary header")
+        _, version, kind_byte, rows, cols = _HEADER.unpack(head)
+        if version != BINARY_VERSION:
+            raise ParseError(f"{path}: unsupported format version {version}")
+        if kind_byte not in _BYTE_KIND:
+            raise ParseError(f"{path}: unknown kind byte {kind_byte}")
+        kind = _BYTE_KIND[kind_byte]
+        if declared_kind is not None and declared_kind != kind:
+            raise KindConflict(f"{path}: file says {kind}, caller declared {declared_kind}")
+        size = os.fstat(f.fileno()).st_size
+        expected_len = _HEADER.size + rows * cols * 8
+        if size != expected_len:
+            raise ParseError(f"{path}: payload is {size} bytes, expected {expected_len}")
+        sidecar = _names_sidecar(path)
+        if not os.path.exists(sidecar):
+            raise ParseError(f"{path}: class-name sidecar {sidecar} not found")
+        try:
+            class_names = json.loads(_read_bytes(sidecar).decode("utf-8"))["class_names"]
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as e:
+            raise ParseError(f"{sidecar}: invalid names sidecar: {e}") from e
+        if not isinstance(class_names, list) or len(class_names) != cols:
+            count = len(class_names) if isinstance(class_names, list) else "no list of"
+            raise ColumnMismatch(f"{sidecar}: {count} class names for {cols} columns")
+        if rows < 1 or cols < 1:
+            raise EmptyInput(f"score matrix has shape {(rows, cols)}")
+        self.kind, self.class_names, self.n_rows = kind, tuple(class_names), rows
+        self._read_rows = self._read_binary
+
+    def _read_binary(self, start: int, stop: int) -> np.ndarray:
+        values = np.empty((stop - start, len(self.class_names)), dtype="<f8")
+        self._file.seek(_HEADER.size + start * values.shape[1] * 8)
+        if self._file.readinto(values) != values.nbytes:
+            raise ParseError(f"{self.path}: payload ended before row {stop}")
+        return values
+
+    def _open_text(self, declared_kind) -> None:
+        path, f = self.path, self._file
+        f.seek(0)
+        decoder = codecs.getincrementaldecoder("utf-8")()
+        newlines, last = 0, b""
+        try:
+            for chunk in iter(lambda: f.read(1 << 20), b""):
+                decoder.decode(chunk)
+                newlines += chunk.count(b"\n")
+                last = chunk[-1:]
+            decoder.decode(b"", final=True)
+        except UnicodeDecodeError as e:
+            # Decoding the whole file gives the offending byte's position in the file.
+            try:
+                _read_bytes(path).decode("utf-8")
+            except UnicodeDecodeError as whole:
+                e = whole
+            raise ParseError(f"{path}: not valid UTF-8: {e}") from e
+        # As str.split("\n") with a trailing empty piece dropped.
+        n_lines = newlines + (last not in (b"", b"\n"))
+        f.seek(0)
+        file_kind = None
+        body_start = n_lines
+        for i in range(n_lines):
+            line = self._next_line()
+            if not line.startswith("#"):
+                body_start = i
+                break
+            stripped = line[1:].strip()
+            if stripped.startswith("kind:"):
+                file_kind = stripped.split(":", 1)[1].strip()
+                if file_kind not in (LOGITS, PROBABILITIES):
+                    raise ParseError(f"{path}:{i + 1}: unknown kind {file_kind!r}")
+        if declared_kind is not None and file_kind is not None and declared_kind != file_kind:
+            raise KindConflict(f"{path}: file says {file_kind}, caller declared {declared_kind}")
+        if n_lines - body_start < 2:
+            raise EmptyInput(f"{path}: need a header row and at least one data row")
+        class_names = [c.strip() for c in line.split(",")]
+        if any(not c for c in class_names):
+            raise ParseError(f"{path}:{body_start + 1}: empty class name in header")
+        self.kind = declared_kind or file_kind or PROBABILITIES
+        self.class_names, self.n_rows = tuple(class_names), n_lines - body_start - 1
+        self._body_start, self._data_offset, self._next_row = body_start, f.tell(), 0
+        self._read_rows = self._read_text
+
+    def _next_line(self) -> str:
+        return self._file.readline().decode("utf-8").removesuffix("\n")
+
+    def _read_text(self, start: int, stop: int) -> np.ndarray:
+        if start < self._next_row:
+            self._file.seek(self._data_offset)
+            self._next_row = 0
+        for _ in range(self._next_row, start):
+            self._file.readline()
+        self._next_row = self.n_rows  # unknown until this block is read; the next read rewinds
+        n_cols = len(self.class_names)
+        values = np.empty((stop - start, n_cols), dtype=np.float64)
+        for r in range(start, stop):
+            where = f"{self.path}:{self._body_start + r + 2}"
+            fields = self._next_line().split(",")
+            if len(fields) != n_cols:
+                raise ColumnMismatch(f"{where}: {len(fields)} fields, header has {n_cols}")
+            for c, token in enumerate(fields):
+                try:
+                    v = float(token)
+                except ValueError:
+                    raise ParseError(f"{where}: not a number: {token.strip()!r}") from None
+                if not np.isfinite(v):
+                    raise NonFiniteValue(r, c)
+                values[r - start, c] = v
+        self._next_row = stop
+        return values
+
+    def read(self, start: int, stop: int) -> ScoreMatrix:
+        """Rows ``[start, stop)``: finite values, and probability rows validated within FILE_TOL.
+
+        Errors name rows and columns of the file.
+        """
+        if not 0 <= start < stop <= self.n_rows:
+            raise ValueError(f"rows [{start}, {stop}) outside [0, {self.n_rows})")
+        try:
+            values = self._read_rows(start, stop)
+        except OSError as e:
+            raise ParseError(f"cannot read {self.path}: {e}") from e
+        m = ScoreMatrix(values, self.kind, self.class_names, start)
+        if m.kind == PROBABILITIES:
+            validate_probabilities(m, FILE_TOL)
+        return m
+
+
 def load_scores(
     path: str,
     declared_kind: str | None = None,
-    expected_names: Sequence[str] | None = None,
+    rows: tuple[int, int] | None = None,
+    reader: ScoreReader | None = None,
 ) -> ScoreMatrix:
-    """Load a score matrix, sniffing binary vs text by the magic bytes.
+    """Load a score matrix, or rows ``[start, stop)`` of it; see :class:`ScoreReader`.
 
-    ``declared_kind`` cross-checks the file's own kind marker (KindConflict on
-    disagreement) and supplies it for plain text files without one.
-    ``expected_names`` enforces an exact header order (ColumnMismatch at the
-    first divergence).
+    Binary and text files are told apart by the magic bytes. ``reader`` is a
+    ScoreReader already open on ``path``: a caller that reads a file block by
+    block opens and checks it once and reads each block through it, and its
+    ``declared_kind`` was checked on opening.
     """
-    raw = _read_bytes(path)
-    if raw[:4] == BINARY_MAGIC:
-        m = _parse_binary(path, raw, declared_kind)
-    else:
-        m = _parse_text(path, raw, declared_kind)
-    if expected_names is not None:
-        _check_expected(path, m.class_names, expected_names)
-    if m.kind == PROBABILITIES:
-        validate_probabilities(m, FILE_TOL)
-    return m
+    if reader is not None:
+        return reader.read(*(rows or (0, reader.n_rows)))
+    with ScoreReader(path, declared_kind) as r:
+        return r.read(*(rows or (0, r.n_rows)))
 
 
-def _check_expected(path, got, expected):
-    expected = list(expected)
-    got = list(got)
-    if got == expected:
-        return
-    if len(got) != len(expected):
-        raise ColumnMismatch(
-            f"{path}: {len(got)} columns where {len(expected)} were expected"
-        )
-    for i, (g, w) in enumerate(zip(got, expected)):
-        if g != w:
-            raise ColumnMismatch(f"{path}: column {i} is {g!r}, expected {w!r}")
+def save_scores(m, path: str) -> None:
+    """Write a score matrix; '.hies' paths get the binary format, others text.
 
-
-def _parse_binary(path: str, raw: bytes, declared_kind) -> ScoreMatrix:
-    if len(raw) < _HEADER.size:
-        raise ParseError(f"{path}: truncated binary header")
-    magic, version, kind_byte, rows, cols = _HEADER.unpack_from(raw)
-    if version != BINARY_VERSION:
-        raise ParseError(f"{path}: unsupported format version {version}")
-    if kind_byte not in _BYTE_KIND:
-        raise ParseError(f"{path}: unknown kind byte {kind_byte}")
-    kind = _BYTE_KIND[kind_byte]
-    if declared_kind is not None and declared_kind != kind:
-        raise KindConflict(f"{path}: file says {kind}, caller declared {declared_kind}")
-    expected_len = _HEADER.size + rows * cols * 8
-    if len(raw) != expected_len:
-        raise ParseError(f"{path}: payload is {len(raw)} bytes, expected {expected_len}")
-    values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(rows, cols)
-    sidecar = _names_sidecar(path)
-    if not os.path.exists(sidecar):
-        raise ParseError(f"{path}: class-name sidecar {sidecar} not found")
-    try:
-        names_doc = json.loads(_read_bytes(sidecar).decode("utf-8"))
-        class_names = names_doc["class_names"]
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as e:
-        raise ParseError(f"{sidecar}: invalid names sidecar: {e}") from e
-    if not isinstance(class_names, list) or len(class_names) != cols:
-        raise ColumnMismatch(
-            f"{sidecar}: {len(class_names)} class names for {cols} columns"
-        )
-    return ScoreMatrix(values, kind, tuple(class_names))
-
-
-def _parse_text(path: str, raw: bytes, declared_kind) -> ScoreMatrix:
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: not valid UTF-8: {e}") from e
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    file_kind = None
-    body_start = 0
-    for i, line in enumerate(lines):
-        if not line.startswith("#"):
-            body_start = i
-            break
-        stripped = line[1:].strip()
-        if stripped.startswith("kind:"):
-            file_kind = stripped.split(":", 1)[1].strip()
-            if file_kind not in (LOGITS, PROBABILITIES):
-                raise ParseError(f"{path}:{i + 1}: unknown kind {file_kind!r}")
-    else:
-        body_start = len(lines)
-    if declared_kind is not None and file_kind is not None and declared_kind != file_kind:
-        raise KindConflict(f"{path}: file says {file_kind}, caller declared {declared_kind}")
-    kind = declared_kind or file_kind or PROBABILITIES
-    body = lines[body_start:]
-    if len(body) < 2:
-        raise EmptyInput(f"{path}: need a header row and at least one data row")
-    class_names = [c.strip() for c in body[0].split(",")]
-    if any(not c for c in class_names):
-        raise ParseError(f"{path}:{body_start + 1}: empty class name in header")
-    n_cols = len(class_names)
-    values = np.empty((len(body) - 1, n_cols), dtype=np.float64)
-    for r, line in enumerate(body[1:]):
-        fields = line.split(",")
-        if len(fields) != n_cols:
-            raise ColumnMismatch(
-                f"{path}:{body_start + r + 2}: {len(fields)} fields, header has {n_cols}"
-            )
-        for c, token in enumerate(fields):
-            try:
-                v = float(token)
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{body_start + r + 2}: not a number: {token.strip()!r}"
-                ) from None
-            if not np.isfinite(v):
-                raise NonFiniteValue(r, c)
-            values[r, c] = v
-    return ScoreMatrix(values, kind, tuple(class_names))
-
-
-def save_scores(m: ScoreMatrix, path: str) -> None:
-    """Write a score matrix; '.hies' paths get the binary format, others text."""
-    if path.endswith(".hies"):
-        header = _HEADER.pack(
-            BINARY_MAGIC, BINARY_VERSION, _KIND_BYTE[m.kind], m.n_samples, m.n_classes
-        )
-        payload = np.ascontiguousarray(m.values, dtype="<f8").tobytes()
-        _atomic_write_bytes(path, header + payload)
-        write_json({"class_names": list(m.class_names)}, _names_sidecar(path))
-        return
-    out = [f"# kind: {m.kind}", ",".join(m.class_names)]
-    for row in m.values:
-        out.append(",".join(repr(float(v)) for v in row))
-    _atomic_write_text(path, "\n".join(out) + "\n")
-
-
-def align_columns(m: ScoreMatrix, t: tx.Taxonomy, level) -> ScoreMatrix:
-    """Permute columns into the taxonomy's canonical order for ``level``.
-
-    ``level`` is "leaf", "coarse", or an integer depth. Already-canonical
-    input is returned as-is, so alignment is idempotent.
+    ``m`` is a ScoreMatrix or an iterable of one matrix's row blocks, in
+    order, which are written as they arrive. The file appears at ``path``
+    only after the last block is written; if a block raises, neither ``path``
+    nor the temp file is left behind.
     """
+    blocks = [m] if isinstance(m, ScoreMatrix) else m
+    binary = path.endswith(".hies")
+    first, rows = None, 0
+    with _atomic_file(path) as f:
+        for block in blocks:
+            if first is None:
+                first = block
+                if binary:  # the row count is filled in after the last block
+                    f.write(_HEADER.pack(BINARY_MAGIC, BINARY_VERSION, 0, 0, block.n_classes))
+                else:
+                    header = f"# kind: {block.kind}\n{','.join(block.class_names)}\n"
+                    f.write(header.encode("utf-8"))
+            if binary:
+                f.write(np.ascontiguousarray(block.values, dtype="<f8"))
+            else:
+                text = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in block.values)
+                f.write(text.encode("utf-8"))
+            rows += block.n_samples
+        if first is None:
+            raise EmptyInput(f"{path}: no rows to write")
+        if binary:
+            f.seek(0)
+            f.write(_HEADER.pack(
+                BINARY_MAGIC, BINARY_VERSION, _KIND_BYTE[first.kind], rows, first.n_classes
+            ))
+    if binary:
+        write_json({"class_names": list(first.class_names)}, _names_sidecar(path))
+
+
+def _canonical_names(t: tx.Taxonomy, level) -> tuple:
     if level == "leaf":
-        canonical = list(t.leaf_names())
+        build = t.leaf_names
     elif level == "coarse":
-        canonical = list(t.coarse_names())
+        build = t.coarse_names
     elif isinstance(level, int):
-        canonical = [t.names[i] for i in tx.level_order(t, level)]
+        def build():
+            return tuple(t.names[i] for i in tx.level_order(t, level))
     else:
         raise ParseError(f"unknown level selector {level!r}")
-    got = list(m.class_names)
+    return tx.cached(t, ("names", level), build)
+
+
+def column_order(names: Sequence[str], t: tx.Taxonomy, level) -> np.ndarray | None:
+    """The column permutation that puts ``names`` into the canonical order for ``level``.
+
+    ``level`` is "leaf", "coarse", or an integer depth. None when the names
+    are canonical already. Raises DuplicateClass, UnknownClass or
+    MissingClass, so a file's columns can be checked before any row is read.
+    """
+    canonical = _canonical_names(t, level)
+    got = tuple(names)
     if got == canonical:
-        return m
+        return None
     seen: set[str] = set()
     for name in got:
         if name in seen:
@@ -326,8 +440,19 @@ def align_columns(m: ScoreMatrix, t: tx.Taxonomy, level) -> ScoreMatrix:
         if name not in seen:
             raise MissingClass(f"class {name!r} has no column")
     col = {name: i for i, name in enumerate(got)}
-    perm = [col[name] for name in canonical]
-    return ScoreMatrix(m.values[:, perm], m.kind, tuple(canonical))
+    return np.array([col[name] for name in canonical], dtype=np.intp)
+
+
+def align_columns(m: ScoreMatrix, t: tx.Taxonomy, level) -> ScoreMatrix:
+    """Permute columns into the taxonomy's canonical order for ``level``.
+
+    See :func:`column_order`. Already-canonical input is returned as-is, so
+    alignment is idempotent.
+    """
+    perm = column_order(m.class_names, t, level)
+    if perm is None:
+        return m
+    return ScoreMatrix(m.values[:, perm], m.kind, _canonical_names(t, level), m.first_row)
 
 
 # ------------------------------------------------------------ label files

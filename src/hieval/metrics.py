@@ -22,8 +22,7 @@ import numpy as np
 
 from . import taxonomy as tx
 from .errors import EmptyInput, InvalidIndex, KTooLarge, LengthMismatch
-from .risk import RiskRanking
-from .scores import ScoreMatrix, top_k
+from .scores import RiskRanking, ScoreMatrix, top_k
 
 
 @dataclass
@@ -110,10 +109,8 @@ def eval_report(
     ks = [int(k) for k in ks]
     if not ks:
         raise EmptyInput("no k values requested")
-    if isinstance(scores_or_ranking, ScoreMatrix):
+    if isinstance(scores_or_ranking, (ScoreMatrix, RiskRanking)):
         ranking = top_k(scores_or_ranking, max(ks))
-    elif isinstance(scores_or_ranking, RiskRanking):
-        ranking = scores_or_ranking.top(max(ks))
     else:
         ranking = np.asarray(scores_or_ranking, dtype=np.int64)
         if ranking.ndim != 2:

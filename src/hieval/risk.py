@@ -25,37 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import scores
 from . import taxonomy as tx
 from .errors import DimensionMismatch, KindConflict
-from .scores import PROBABILITIES, ScoreMatrix, rank_rows
-
-# Rows per block of the tree kernel hold about this many entries, so that its
-# temporaries stay cache-sized; every row is computed on its own.
-_BLOCK_ENTRIES = 1 << 16
-
-
-@dataclass(frozen=True, eq=False)
-class RiskRanking:
-    """Classes ranked by ascending expected cost, per sample.
-
-    ``expected_costs[n, i]`` is the risk of predicting class ``i``, in column
-    order. ``top(k)`` ranks only the k lowest risks per row, ties broken by
-    ascending class index; it is what evaluation reads. ``order`` is the full
-    permutation under the same rule, computed on demand.
-    """
-
-    expected_costs: np.ndarray
-
-    def top(self, k: int) -> np.ndarray:
-        return rank_rows(self.expected_costs, k)
-
-    @property
-    def order(self) -> np.ndarray:
-        return self.top(self.expected_costs.shape[1])
-
-    @property
-    def predictions(self) -> np.ndarray:
-        return self.top(1)[:, 0]
+from .scores import PROBABILITIES, RiskRanking, ScoreMatrix
 
 
 def _check(probs: ScoreMatrix, cost_shape: tuple) -> None:
@@ -100,6 +73,10 @@ class _PathLayout:
 
 
 def _path_layout(t: tx.Taxonomy) -> _PathLayout:
+    return tx.cached(t, "path_layout", lambda: _build_path_layout(t))
+
+
+def _build_path_layout(t: tx.Taxonomy) -> _PathLayout:
     table = tx.ancestor_table(t)
     perm = np.lexsort(table.T[::-1])
     path = table[perm]
@@ -117,10 +94,14 @@ def _path_layout(t: tx.Taxonomy) -> _PathLayout:
 
 
 def _tree_expected_costs(p: np.ndarray, t: tx.Taxonomy) -> np.ndarray:
-    """``p @ cost_matrix(t).T`` from subtree masses, one block of rows at a time."""
+    """``p @ cost_matrix(t).T`` from subtree masses, one block of rows at a time.
+
+    Blocks keep the per-depth mass arrays (rows x nodes) small when a whole
+    matrix comes in.
+    """
     lay = _path_layout(t)
     out = np.empty_like(p)
-    step = max(1, _BLOCK_ENTRIES // p.shape[1])
+    step = scores.block_rows(p.shape[1])
     for r in range(0, p.shape[0], step):
         block = p[r : r + step]
         masses = [np.take(block, lay.perm, axis=1)]

@@ -24,6 +24,17 @@ INTERNAL_TOL = 1e-9
 # Looser tolerance for user-supplied files, which may come from 32-bit exporters.
 FILE_TOL = 1e-6
 
+# Row-local work (reading, softmax, combining, risk, ranking) runs over blocks
+# of rows holding about this many entries, so its buffers stay small whatever
+# the row count; every row is computed on its own, so results do not depend
+# on where blocks start.
+BLOCK_ENTRIES = 1 << 16
+
+
+def block_rows(n_cols: int) -> int:
+    """Rows per block of a matrix ``n_cols`` wide: about BLOCK_ENTRIES entries, at least one."""
+    return max(1, BLOCK_ENTRIES // n_cols)
+
 
 @dataclass(frozen=True, eq=False)
 class ScoreMatrix:
@@ -31,17 +42,21 @@ class ScoreMatrix:
 
     ``kind`` says whether values are raw logits or probabilities;
     ``class_names`` binds columns to taxonomy nodes. Values are stored
-    read-only and must be finite.
+    read-only and must be finite. ``first_row`` is the row of the whole score
+    set where this block starts, so that errors name rows of the file.
     """
 
     values: np.ndarray
     kind: str
     class_names: tuple[str, ...]
+    first_row: int = 0
 
     def __post_init__(self):
         if self.kind not in (LOGITS, PROBABILITIES):
             raise KindConflict(f"unknown score kind {self.kind!r}")
-        arr = np.array(self.values, dtype=np.float64, copy=True)
+        # C order: row sums (softmax, combining) then run the same way whatever
+        # layout the caller built, e.g. the column-permuted copy alignment makes.
+        arr = np.array(self.values, dtype=np.float64, order="C", copy=True)
         if arr.ndim != 2:
             raise DimensionMismatch(f"expected a 2-d array, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -54,7 +69,7 @@ class ScoreMatrix:
         bad = ~np.isfinite(arr)
         if bad.any():
             r, c = np.argwhere(bad)[0]
-            raise NonFiniteValue(int(r), int(c))
+            raise NonFiniteValue(self.first_row + int(r), int(c))
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "class_names", names)
@@ -74,7 +89,7 @@ def softmax_rows(m: ScoreMatrix) -> ScoreMatrix:
         raise KindConflict(f"softmax_rows expects logits, got {m.kind}")
     e = np.exp(m.values - m.values.max(axis=1, keepdims=True))
     e /= e.sum(axis=1, keepdims=True)
-    return ScoreMatrix(e, PROBABILITIES, m.class_names)
+    return ScoreMatrix(e, PROBABILITIES, m.class_names, m.first_row)
 
 
 def rank_rows(values: np.ndarray, k: int) -> np.ndarray:
@@ -104,12 +119,39 @@ def rank_rows(values: np.ndarray, k: int) -> np.ndarray:
     return top
 
 
-def top_k(m: ScoreMatrix, k: int) -> np.ndarray:
-    """Per row, the indices of the k largest probabilities.
+@dataclass(frozen=True, eq=False)
+class RiskRanking:
+    """Classes ranked by ascending expected cost, per sample (see ``risk.crm_rerank``).
 
-    Descending by value; ties broken by ascending class index, the same rule
-    as a stable sort of the whole row, though only the top k are ranked.
+    ``expected_costs[n, i]`` is the risk of predicting class ``i``, in column
+    order. ``top(k)`` ranks only the k lowest risks per row, ties broken by
+    ascending class index; it is what evaluation reads. ``order`` is the full
+    permutation under the same rule, computed on demand.
     """
+
+    expected_costs: np.ndarray
+
+    def top(self, k: int) -> np.ndarray:
+        return rank_rows(self.expected_costs, k)
+
+    @property
+    def order(self) -> np.ndarray:
+        return self.top(self.expected_costs.shape[1])
+
+    @property
+    def predictions(self) -> np.ndarray:
+        return self.top(1)[:, 0]
+
+
+def top_k(m: ScoreMatrix | RiskRanking, k: int) -> np.ndarray:
+    """Per row, the indices of the k best classes: largest probability first,
+    or lowest risk first for a RiskRanking.
+
+    Ties are broken by ascending class index, the same rule as a stable sort
+    of the whole row, though only the top k are ranked.
+    """
+    if isinstance(m, RiskRanking):
+        return m.top(k)
     if m.kind != PROBABILITIES:
         raise KindConflict(f"top_k expects probabilities, got {m.kind}")
     if k == 1:
@@ -126,18 +168,18 @@ def validate_probabilities(m: ScoreMatrix, tol: float = INTERNAL_TOL) -> None:
     neg = m.values < -tol
     if neg.any():
         r, c = np.argwhere(neg)[0]
-        raise NegativeEntry(int(r), int(c))
+        raise NegativeEntry(m.first_row + int(r), int(c))
     sums = m.values.sum(axis=1)
     off = np.abs(sums - 1.0) > tol
     if off.any():
         r = int(np.argmax(off))
-        raise RowSumViolation(r, float(sums[r]))
+        raise RowSumViolation(m.first_row + r, float(sums[r]))
     # With non-negative entries and unit row sums this can only trip when a
     # large entry is balanced by many slightly negative ones under big n.
     high = m.values > 1.0 + tol
     if high.any():
         r = int(np.argwhere(high)[0][0])
-        raise RowSumViolation(r, float(sums[r]))
+        raise RowSumViolation(m.first_row + r, float(sums[r]))
 
 
 def as_probabilities(m: ScoreMatrix, tol: float = FILE_TOL) -> ScoreMatrix:

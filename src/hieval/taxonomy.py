@@ -49,8 +49,7 @@ class Taxonomy:
     height: tuple[int, ...]
     children: tuple[tuple[int, ...], ...]
     _id_of: dict = field(repr=False)
-    _ancestor_cache: object = field(default=None, repr=False)
-    _cost_cache: object = field(default=None, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -235,6 +234,21 @@ def lca_height(t: Taxonomy, a: int, b: int) -> int:
     return t.height[a]
 
 
+def cached(t: Taxonomy, key, build):
+    """``build()``, computed once per taxonomy and ``key`` and kept on the taxonomy.
+
+    Hierarchy-derived arrays are built once per run this way, however many
+    blocks of rows use them. Arrays come back read-only, since callers share them.
+    """
+    cache = t._cache
+    if key not in cache:
+        value = build()
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        cache[key] = value
+    return cache[key]
+
+
 def ancestor_table(t: Taxonomy) -> np.ndarray:
     """Each leaf's path from the root, one row per leaf in ``leaf_order`` convention.
 
@@ -243,9 +257,10 @@ def ancestor_table(t: Taxonomy) -> np.ndarray:
     when their leaves share an ancestor there. Shape ``(n_leaves, max_depth + 1)``;
     cached on the taxonomy, read-only.
     """
-    cached = t._ancestor_cache
-    if cached is not None:
-        return cached
+    return cached(t, "ancestor_table", lambda: _build_ancestor_table(t))
+
+
+def _build_ancestor_table(t: Taxonomy) -> np.ndarray:
     parent = np.array([-1 if p is None else p for p in t.parent], dtype=np.int64)
     node = np.array(t.leaf_order, dtype=np.int64)
     depth = np.asarray(t.depth, dtype=np.int64)[node]
@@ -255,8 +270,6 @@ def ancestor_table(t: Taxonomy) -> np.ndarray:
         table[rows, depth] = node
         up = depth > 0
         rows, node, depth = rows[up], parent[node[up]], depth[up] - 1
-    table.setflags(write=False)
-    object.__setattr__(t, "_ancestor_cache", table)
     return table
 
 
@@ -282,14 +295,12 @@ def cost_matrix(t: Taxonomy) -> np.ndarray:
     Symmetric with a zero diagonal; off-diagonal entries are at least 1.
     The array is cached on the taxonomy and returned read-only.
     """
-    cached = t._cost_cache
-    if cached is not None:
-        return cached
-    cols = np.arange(t.n_leaves)
-    costs = lca_heights(t, cols[:, None], cols)
-    costs.setflags(write=False)
-    object.__setattr__(t, "_cost_cache", costs)
-    return costs
+
+    def build():
+        cols = np.arange(t.n_leaves)
+        return lca_heights(t, cols[:, None], cols)
+
+    return cached(t, "cost_matrix", build)
 
 
 def _positions(t: Taxonomy, order: Sequence[int]) -> np.ndarray:
@@ -300,10 +311,14 @@ def _positions(t: Taxonomy, order: Sequence[int]) -> np.ndarray:
 
 
 def parent_index_map(t: Taxonomy) -> np.ndarray:
-    """For each leaf column, the column of its parent in ``coarse_order``."""
-    leaf_depth = np.asarray(t.depth, dtype=np.int64)[list(t.leaf_order)]
-    parents = ancestor_table(t)[np.arange(t.n_leaves), leaf_depth - 1]
-    return _positions(t, t.coarse_order)[parents]
+    """For each leaf column, the column of its parent in ``coarse_order``; cached, read-only."""
+
+    def build():
+        leaf_depth = np.asarray(t.depth, dtype=np.int64)[list(t.leaf_order)]
+        parents = ancestor_table(t)[np.arange(t.n_leaves), leaf_depth - 1]
+        return _positions(t, t.coarse_order)[parents]
+
+    return cached(t, "parent_index_map", build)
 
 
 def ancestor_at_depth(t: Taxonomy, leaf: int, d: int) -> int:
@@ -344,8 +359,13 @@ def ancestor_index_map(t: Taxonomy, d: int) -> np.ndarray:
     """For each leaf column, the column of its depth-``d`` ancestor in ``level_order``.
 
     Requires all leaves at equal depth; raises NonLeveledTree otherwise.
+    Cached per depth, read-only.
     """
-    if not t.is_leveled():
-        depths = sorted({t.depth[n] for n in t.leaf_order})
-        raise NonLeveledTree(f"leaves sit at depths {depths}; cascading by depth is undefined")
-    return _positions(t, level_order(t, d))[ancestor_table(t)[:, d]]
+
+    def build():
+        if not t.is_leveled():
+            depths = sorted({t.depth[n] for n in t.leaf_order})
+            raise NonLeveledTree(f"leaves sit at depths {depths}; cascading by depth is undefined")
+        return _positions(t, level_order(t, d))[ancestor_table(t)[:, d]]
+
+    return cached(t, ("ancestor_index_map", d), build)

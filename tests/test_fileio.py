@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hieval.errors import (
     EmptyInput,
     KindConflict,
     MissingClass,
+    NegativeEntry,
     MultipleRoots,
     NonFiniteValue,
     ParseError,
@@ -19,6 +21,7 @@ from hieval.errors import (
     UnknownLeaf,
 )
 from hieval.fileio import (
+    ScoreReader,
     align_columns,
     load_hierarchy,
     load_labels,
@@ -208,14 +211,74 @@ def test_binary_header_errors(tmp_path):
         load_scores(str(orphan))
 
 
-def test_expected_names_divergence(tmp_path):
-    path = tmp_path / "s.csv"
-    path.write_text("a,b,c\n0.2,0.3,0.5\n")
-    load_scores(str(path), expected_names=["a", "b", "c"])
-    with pytest.raises(ColumnMismatch, match="column 1"):
-        load_scores(str(path), expected_names=["a", "x", "c"])
-    with pytest.raises(ColumnMismatch):
-        load_scores(str(path), expected_names=["a", "b"])
+@pytest.mark.parametrize("suffix", [".hies", ".csv"])
+def test_row_ranges_read_as_slices_of_the_whole(tmp_path, suffix):
+    rng = np.random.default_rng(5)
+    m = ScoreMatrix(rng.normal(size=(40, 6)), LOGITS, tuple("abcdef"))
+    path = str(tmp_path / f"m{suffix}")
+    save_scores(m, path)
+    with ScoreReader(path) as reader:
+        assert (reader.kind, reader.class_names, reader.n_rows) == (LOGITS, m.class_names, 40)
+        # Out of order on purpose: a text reader rewinds for an earlier range.
+        for start, stop in [(0, 40), (30, 33), (5, 9), (9, 10), (0, 1), (39, 40)]:
+            block = load_scores(path, rows=(start, stop), reader=reader)
+            assert np.array_equal(block.values, m.values[start:stop])
+            assert block.first_row == start
+    assert np.array_equal(load_scores(path, rows=(12, 20)).values, m.values[12:20])
+
+
+def test_row_range_errors_name_file_rows_and_lines(tmp_path):
+    body = "".join(f"0.5,0.5\n" for _ in range(30))
+    path = tmp_path / "late.csv"
+    path.write_text("# a comment\na,b\n" + body + "0.5,oops\n0.6,0.5\n-1.0,2.0\n")
+    with ScoreReader(str(path)) as reader:
+        assert reader.n_rows == 33
+        assert load_scores(str(path), rows=(20, 30), reader=reader).first_row == 20
+        with pytest.raises(ParseError, match=r"late.csv:33: not a number: 'oops'"):
+            reader.read(25, 31)
+        with pytest.raises(RowSumViolation, match="row 31 sums to 1.1"):
+            reader.read(31, 32)
+        with pytest.raises(NegativeEntry, match="row 32, column 0"):
+            reader.read(32, 33)
+        with pytest.raises(ValueError):
+            reader.read(30, 34)
+
+
+def test_text_utf8_is_checked_across_read_chunks(tmp_path):
+    # A two-byte character straddling the scanner's 1 MiB chunk boundary is
+    # valid; a bad byte beyond it is reported at its position in the file.
+    head = b"# " + b"x" * ((1 << 20) - 3) + "\u00e9".encode("utf-8") + b"\n"
+    path = tmp_path / "big.csv"
+    path.write_bytes(head + b"a,b\n0.25,0.75\n")
+    assert load_scores(str(path)).values.tolist() == [[0.25, 0.75]]
+    path.write_bytes(head + b"a,b\n0.25,0.75\xff\n")
+    with pytest.raises(ParseError, match=rf"not valid UTF-8: .* position {len(head) + 13}:"):
+        load_scores(str(path))
+
+
+@pytest.mark.parametrize("suffix", [".hies", ".csv"])
+def test_saving_blocks_writes_the_bytes_of_the_whole(tmp_path, suffix):
+    rng = np.random.default_rng(6)
+    m = ScoreMatrix(rng.normal(size=(23, 5)), LOGITS, tuple("vwxyz"))
+    whole, blocks = str(tmp_path / f"whole{suffix}"), str(tmp_path / f"blocks{suffix}")
+    save_scores(m, whole)
+    save_scores((ScoreMatrix(m.values[r:r + 7], LOGITS, m.class_names) for r in range(0, 23, 7)),
+                blocks)
+    assert Path(blocks).read_bytes() == Path(whole).read_bytes()
+    if suffix == ".hies":
+        assert Path(blocks + ".names.json").read_bytes() == Path(whole + ".names.json").read_bytes()
+
+
+def test_a_block_that_raises_leaves_no_file(tmp_path):
+    def blocks():
+        yield ScoreMatrix([[0.5, 0.5]], PROBABILITIES, ("a", "b"))
+        raise NonFiniteValue(1, 0)
+
+    with pytest.raises(NonFiniteValue):
+        save_scores(blocks(), str(tmp_path / "x.hies"))
+    with pytest.raises(EmptyInput):
+        save_scores(iter([]), str(tmp_path / "y.csv"))
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------- aligning

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_prob_rows, random_taxonomy, taxonomies, tied_matrix_and_k
-from hieval import risk
+from hieval import scores
 from hieval.ensemble import hie_combine
 from hieval.errors import DimensionMismatch, KindConflict
 from hieval.risk import RiskRanking, crm_rerank
@@ -106,7 +106,7 @@ def test_tree_risk_rows_do_not_depend_on_the_block_size(monkeypatch):
     t = random_taxonomy(rng, 300)
     m = probs(random_prob_rows(rng, 37, t.n_leaves), names=t.leaf_names())
     whole = crm_rerank(m, t).expected_costs
-    monkeypatch.setattr(risk, "_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(scores, "BLOCK_ENTRIES", 1)
     assert np.array_equal(crm_rerank(m, t).expected_costs, whole)
     alone = crm_rerank(probs(m.values[5], names=m.class_names), t).expected_costs
     assert np.array_equal(alone[0], whole[5])

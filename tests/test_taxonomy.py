@@ -135,6 +135,22 @@ def test_cost_matrix_fixture(flower_vehicle):
         costs[0, 0] = 1
 
 
+def test_hierarchy_maps_are_cached_read_only(flower_vehicle):
+    from hieval import risk
+
+    t = flower_vehicle
+    for build in (parent_index_map, lambda t: ancestor_index_map(t, 1), risk._path_layout):
+        first = build(t)
+        assert build(t) is first
+    for array in (parent_index_map(t), ancestor_index_map(t, 1)):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    uneven = build_taxonomy([("a", "r"), ("b", "m"), ("c", "m"), ("m", "r")])
+    for _ in range(2):  # a failed build is not cached
+        with pytest.raises(NonLeveledTree):
+            ancestor_index_map(uneven, 1)
+
+
 def test_cost_matrix_star():
     t = build_taxonomy([(f"leaf{i}", "hub") for i in range(5)])
     costs = cost_matrix(t)
