@@ -15,11 +15,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "Taxonomy": "taxonomy",
     "build_taxonomy": "taxonomy",
-    "parent_of": "taxonomy",
-    "lca_height": "taxonomy",
     "cost_matrix": "taxonomy",
     "parent_index_map": "taxonomy",
-    "ancestor_at_depth": "taxonomy",
     "ancestor_index_map": "taxonomy",
     "level_order": "taxonomy",
     "ScoreMatrix": "scores",
@@ -28,11 +25,9 @@ _EXPORTS = {
     "softmax_rows": "scores",
     "top_k": "scores",
     "validate_probabilities": "scores",
-    "CombinedScores": "ensemble",
     "hie_combine": "ensemble",
     "hie_self": "ensemble",
     "marginalize_to_parents": "ensemble",
-    "cascade_combine": "ensemble",
     "combine_gain": "ensemble",
     "RiskRanking": "scores",
     "crm_rerank": "risk",

@@ -188,11 +188,10 @@ def _combined(source, t: tx.Taxonomy, fine, coarse, levels) -> ScoreMatrix:
     if source is None:
         return fine
     if source == "self":
-        return ensemble.hie_self(fine, tx.parent_index_map(t), t.n_coarse).scores
+        return ensemble.hie_self(fine, tx.parent_index_map(t), t.n_coarse)
     if source == "coarse":
-        return ensemble.hie_combine(fine, coarse, tx.parent_index_map(t)).scores
-    uppers = [(m, tx.ancestor_index_map(t, d)) for d, m in levels]
-    return ensemble.cascade_combine(fine, uppers, levels=[d for d, _ in levels]).scores
+        return ensemble.hie_combine(fine, [(coarse, tx.parent_index_map(t))])
+    return ensemble.hie_combine(fine, [(m, tx.ancestor_index_map(t, d)) for d, m in levels])
 
 
 def run_methods(methods: list[str], inputs: MethodInputs):
@@ -352,14 +351,26 @@ def cmd_costs(args, out) -> int:
     return 0
 
 
+def _comma_list(text: str, parse, flag: str) -> tuple:
+    try:
+        return tuple(parse(x) for x in text.split(","))
+    except ValueError:
+        raise InputError(
+            f"{flag} must be a comma list of {parse.__name__} values, got {text!r}"
+        ) from None
+
+
 def cmd_synth(args, out) -> int:
     cfg = synth.SynthConfig(
-        branching=tuple(int(b) for b in args.branching.split(",")),
+        branching=_comma_list(args.branching, int, "--branching"),
         n_samples=args.n_samples,
-        noise=tuple(float(s) for s in args.noise.split(",")),
+        noise=_comma_list(args.noise, float, "--noise"),
         seed=args.seed,
     )
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as e:
+        raise InputError(f"cannot create --out-dir {args.out_dir!r}: {e.strerror or e}") from e
     t = synth.gen_taxonomy(cfg)
     labels, fine, uppers = synth.gen_instance(cfg)
 

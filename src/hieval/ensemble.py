@@ -5,48 +5,27 @@ ancestor received from a coarser classifier, then renormalizes the row:
 
     s_i = q_i * r_parent(i) / sum_j q_j * r_parent(j)
 
-``hie_combine`` applies one coarse level, ``hie_self`` derives that level from
-the fine row itself by marginalization, and ``cascade_combine`` stacks any
-number of ancestor levels. Whenever the coarse argmax hits the true class's
-parent, the true class's reweighted probability can only go up; see
-:func:`combine_gain` for the per-sample diagnostic of that guarantee.
+``hie_combine`` is the one entry point: it takes a list of (upper-level
+matrix, fine-column -> upper-column map) pairs and multiplies every level's
+factor in, so plain HiE passes the coarse level alone and a cascade passes
+one pair per ancestor depth. ``hie_self`` feeds it the fine row's own parent
+marginals. Whenever the coarse argmax hits the true class's parent, the true
+class's reweighted probability can only go up; see :func:`combine_gain` for
+the per-sample diagnostic of that guarantee.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidIndex,
-    KindConflict,
-    ZeroDenominator,
-)
+from .errors import DimensionMismatch, InvalidIndex, KindConflict, ZeroDenominator
 from .scores import PROBABILITIES, ScoreMatrix
 
 # Below this, per-row products are recomputed in log space so that underflow
 # in long cascades cannot silently drop probability mass.
 UNDERFLOW_LIMIT = 1e-300
-
-METHOD_HIE = "hie"
-METHOD_HIE_SELF = "hie_self"
-METHOD_CASCADE = "cascade"
-
-
-@dataclass(frozen=True, eq=False)
-class CombinedScores:
-    """Reweighted fine-class probabilities plus how they were produced."""
-
-    scores: ScoreMatrix
-    method: str
-    levels_used: tuple
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.scores.values
 
 
 def _as_col_map(pmap, n_fine: int, n_upper: int, what: str) -> np.ndarray:
@@ -94,30 +73,32 @@ def _product_normalize(fine: np.ndarray, factors: list[tuple[np.ndarray, np.ndar
     return u
 
 
-def hie_combine(fine: ScoreMatrix, coarse: ScoreMatrix, pmap) -> CombinedScores:
-    """Reweight fine probabilities by each column's parent probability.
+def hie_combine(fine: ScoreMatrix,
+                uppers: Sequence[tuple[ScoreMatrix, Sequence[int]]]) -> ScoreMatrix:
+    """Multiply each fine probability by its ancestors' probabilities, then renormalize.
 
-    ``pmap[i]`` is the coarse column holding the parent of fine column ``i``
-    (see ``taxonomy.parent_index_map``). Column order of the result matches
-    ``fine``.
+    ``uppers`` pairs each upper-level matrix with a map from fine columns to
+    its columns: ``[(coarse, taxonomy.parent_index_map(t))]`` for plain HiE,
+    one ``taxonomy.ancestor_index_map(t, d)`` per depth for a cascade. Column
+    order of the result matches ``fine``; an empty list returns ``fine``.
     """
     _require_probabilities(fine, "fine scores")
-    _require_probabilities(coarse, "coarse scores")
-    if fine.n_samples != coarse.n_samples:
-        raise DimensionMismatch(
-            f"fine has {fine.n_samples} samples, coarse has {coarse.n_samples}"
-        )
-    col_map = _as_col_map(pmap, fine.n_classes, coarse.n_classes, "parent index map")
-    values = _product_normalize(fine.values, [(coarse.values, col_map)], fine.first_row)
-    return CombinedScores(
-        ScoreMatrix(values, PROBABILITIES, fine.class_names, fine.first_row),
-        METHOD_HIE,
-        ("parent",),
-    )
+    factors = []
+    for i, (matrix, amap) in enumerate(uppers):
+        _require_probabilities(matrix, f"upper level {i}")
+        if matrix.n_samples != fine.n_samples:
+            raise DimensionMismatch(
+                f"upper level {i} has {matrix.n_samples} samples, fine has {fine.n_samples}"
+            )
+        col_map = _as_col_map(amap, fine.n_classes, matrix.n_classes, f"level {i} ancestor map")
+        factors.append((matrix.values, col_map))
+    if not factors:
+        return fine
+    values = _product_normalize(fine.values, factors, fine.first_row)
+    return ScoreMatrix(values, PROBABILITIES, fine.class_names, fine.first_row)
 
 
-def marginalize_to_parents(fine: ScoreMatrix, pmap, n_coarse: int,
-                           class_names: Sequence[str] | None = None) -> ScoreMatrix:
+def marginalize_to_parents(fine: ScoreMatrix, pmap, n_coarse: int) -> ScoreMatrix:
     """Sum fine probabilities within each parent group.
 
     Pure regrouping: row mass is preserved, column ``j`` of the result holds
@@ -131,45 +112,13 @@ def marginalize_to_parents(fine: ScoreMatrix, pmap, n_coarse: int,
     rows = np.broadcast_to(np.arange(fine.n_samples)[:, None], fine.values.shape)
     cols = np.broadcast_to(col_map[None, :], fine.values.shape)
     np.add.at(out, (rows, cols), fine.values)
-    if class_names is None:
-        class_names = tuple(f"group{j}" for j in range(n_coarse))
-    return ScoreMatrix(out, PROBABILITIES, class_names, fine.first_row)
+    names = tuple(f"group{j}" for j in range(n_coarse))
+    return ScoreMatrix(out, PROBABILITIES, names, fine.first_row)
 
 
-def hie_self(fine: ScoreMatrix, pmap, n_coarse: int) -> CombinedScores:
-    """Single-model variant: the coarse row is the fine row marginalized."""
-    marginals = marginalize_to_parents(fine, pmap, n_coarse)
-    combined = hie_combine(fine, marginals, pmap)
-    return CombinedScores(combined.scores, METHOD_HIE_SELF, ("self-marginal",))
-
-
-def cascade_combine(fine: ScoreMatrix, uppers: Sequence[tuple[ScoreMatrix, Sequence[int]]],
-                    levels: Sequence | None = None) -> CombinedScores:
-    """Multiply probabilities from several ancestor levels into the fine row.
-
-    ``uppers`` pairs each upper-level matrix with a map from fine columns to
-    its columns (see ``taxonomy.ancestor_index_map``). An empty list returns
-    the fine scores untouched.
-    """
-    _require_probabilities(fine, "fine scores")
-    factors = []
-    for i, (matrix, amap) in enumerate(uppers):
-        _require_probabilities(matrix, f"upper level {i}")
-        if matrix.n_samples != fine.n_samples:
-            raise DimensionMismatch(
-                f"upper level {i} has {matrix.n_samples} samples, fine has {fine.n_samples}"
-            )
-        col_map = _as_col_map(amap, fine.n_classes, matrix.n_classes, f"level {i} ancestor map")
-        factors.append((matrix.values, col_map))
-    used = tuple(levels) if levels is not None else tuple(range(1, len(factors) + 1))
-    if not factors:
-        return CombinedScores(fine, METHOD_CASCADE, used)
-    values = _product_normalize(fine.values, factors, fine.first_row)
-    return CombinedScores(
-        ScoreMatrix(values, PROBABILITIES, fine.class_names, fine.first_row),
-        METHOD_CASCADE,
-        used,
-    )
+def hie_self(fine: ScoreMatrix, pmap, n_coarse: int) -> ScoreMatrix:
+    """Single-model variant: the upper level is the fine row marginalized to parents."""
+    return hie_combine(fine, [(marginalize_to_parents(fine, pmap, n_coarse), pmap)])
 
 
 def combine_gain(q_row, r_row, pmap, goal: int) -> float:

@@ -47,10 +47,6 @@ class InvalidNode(DataError):
     pass
 
 
-class NotALeaf(DataError):
-    pass
-
-
 class DepthOutOfRange(DataError):
     pass
 

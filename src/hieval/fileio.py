@@ -38,8 +38,10 @@ from .errors import (
     KindConflict,
     MissingClass,
     MultipleRoots,
+    NegativeEntry,
     NonFiniteValue,
     ParseError,
+    RowSumViolation,
     UnknownClass,
     UnknownLeaf,
 )
@@ -338,12 +340,14 @@ class ScoreReader:
         if not 0 <= start < stop <= self.n_rows:
             raise ValueError(f"rows [{start}, {stop}) outside [0, {self.n_rows})")
         try:
-            values = self._read_rows(start, stop)
+            m = ScoreMatrix(self._read_rows(start, stop), self.kind, self.class_names, start)
+            if m.kind == PROBABILITIES:
+                validate_probabilities(m, FILE_TOL)
         except OSError as e:
             raise ParseError(f"cannot read {self.path}: {e}") from e
-        m = ScoreMatrix(values, self.kind, self.class_names, start)
-        if m.kind == PROBABILITIES:
-            validate_probabilities(m, FILE_TOL)
+        except (NonFiniteValue, NegativeEntry, RowSumViolation) as e:
+            e.args = (f"{self.path}: {e}",)  # type and row/column attributes stay
+            raise
         return m
 
 
@@ -500,31 +504,8 @@ def report_to_dict(r: EvalReport) -> dict:
     }
 
 
-def report_from_dict(doc: dict) -> EvalReport:
-    try:
-        return EvalReport(
-            method=doc["method"],
-            top1_accuracy=doc["top1_accuracy"],
-            avg_mistake_severity=doc["avg_mistake_severity"],
-            hier_dist_at_k={int(k): v for k, v in doc["hier_dist_at_k"].items()},
-            n_samples=doc["n_samples"],
-            n_mistakes=doc["n_mistakes"],
-            config=doc.get("config", {}),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"invalid report document: {e}") from e
-
-
 def write_report(r: EvalReport, path: str) -> None:
     write_json(report_to_dict(r), path)
-
-
-def load_report(path: str) -> EvalReport:
-    try:
-        doc = json.loads(_read_bytes(path).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ParseError(f"{path}: {e}") from e
-    return report_from_dict(doc)
 
 
 def write_report_list(reports: Sequence[EvalReport], path: str) -> None:

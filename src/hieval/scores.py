@@ -125,22 +125,13 @@ class RiskRanking:
 
     ``expected_costs[n, i]`` is the risk of predicting class ``i``, in column
     order. ``top(k)`` ranks only the k lowest risks per row, ties broken by
-    ascending class index; it is what evaluation reads. ``order`` is the full
-    permutation under the same rule, computed on demand.
+    ascending class index; ``top(1)[:, 0]`` is the prediction.
     """
 
     expected_costs: np.ndarray
 
     def top(self, k: int) -> np.ndarray:
         return rank_rows(self.expected_costs, k)
-
-    @property
-    def order(self) -> np.ndarray:
-        return self.top(self.expected_costs.shape[1])
-
-    @property
-    def predictions(self) -> np.ndarray:
-        return self.top(1)[:, 0]
 
 
 def top_k(m: ScoreMatrix | RiskRanking, k: int) -> np.ndarray:
@@ -189,8 +180,4 @@ def as_probabilities(m: ScoreMatrix, tol: float = FILE_TOL) -> ScoreMatrix:
     validate_probabilities(m, tol)
     return m
 
-
-def argmax_rows(m: ScoreMatrix) -> np.ndarray:
-    """Per-row argmax with the same tie-break as :func:`top_k`."""
-    return top_k(m, 1)[:, 0]
 

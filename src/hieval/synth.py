@@ -10,6 +10,7 @@ so equal configs give bitwise-equal outputs on any platform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +43,12 @@ class SynthConfig:
             )
         if any(b < 1 for b in self.branching):
             raise InputError(f"branching factors must be positive: {self.branching}")
-        if any(s < 0 for s in self.noise):
-            raise InputError(f"noise scales must be non-negative: {self.noise}")
+        if not all(math.isfinite(s) and s >= 0 for s in self.noise):
+            raise InputError(f"noise scales must be finite and non-negative: {self.noise}")
         if self.n_samples < 1:
             raise InputError(f"n_samples must be positive: {self.n_samples}")
+        if self.seed < 0:
+            raise InputError(f"seed must be a non-negative integer: {self.seed}")
 
     @property
     def n_levels(self) -> int:

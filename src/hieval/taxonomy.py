@@ -27,7 +27,6 @@ from .errors import (
     MultipleRoots,
     NodeWithTwoParents,
     NonLeveledTree,
-    NotALeaf,
     OrderMismatch,
 )
 
@@ -83,10 +82,6 @@ class Taxonomy:
 
     def coarse_names(self) -> tuple[str, ...]:
         return tuple(self.names[n] for n in self.coarse_order)
-
-    def _check(self, n: int) -> None:
-        if not (isinstance(n, (int, np.integer)) and 0 <= n < self.n_nodes):
-            raise InvalidNode(f"node id {n!r} outside [0, {self.n_nodes})")
 
 
 def build_taxonomy(
@@ -206,34 +201,6 @@ def _resolve_order(requested, node_set, all_names, ids, label):
     return [ids[name] for name in requested]
 
 
-def parent_of(t: Taxonomy, n: int) -> Optional[int]:
-    """Parent node id, or None for the root."""
-    t._check(n)
-    return t.parent[n]
-
-
-def lca_height(t: Taxonomy, a: int, b: int) -> int:
-    """Height of the deepest common ancestor of two leaves.
-
-    Symmetric, and 0 exactly when ``a == b``.
-    """
-    for x in (a, b):
-        t._check(x)
-        if t.children[x]:
-            raise NotALeaf(f"node {t.names[x]!r} is not a leaf")
-    da, db = t.depth[a], t.depth[b]
-    while da > db:
-        a = t.parent[a]
-        da -= 1
-    while db > da:
-        b = t.parent[b]
-        db -= 1
-    while a != b:
-        a = t.parent[a]
-        b = t.parent[b]
-    return t.height[a]
-
-
 def cached(t: Taxonomy, key, build):
     """``build()``, computed once per taxonomy and ``key`` and kept on the taxonomy.
 
@@ -319,21 +286,6 @@ def parent_index_map(t: Taxonomy) -> np.ndarray:
         return _positions(t, t.coarse_order)[parents]
 
     return cached(t, "parent_index_map", build)
-
-
-def ancestor_at_depth(t: Taxonomy, leaf: int, d: int) -> int:
-    """The unique ancestor of ``leaf`` at depth ``d`` (the leaf itself at its own depth)."""
-    t._check(leaf)
-    if t.children[leaf]:
-        raise NotALeaf(f"node {t.names[leaf]!r} is not a leaf")
-    if not 0 <= d <= t.depth[leaf]:
-        raise DepthOutOfRange(
-            f"depth {d} outside [0, {t.depth[leaf]}] for leaf {t.names[leaf]!r}"
-        )
-    node = leaf
-    for _ in range(t.depth[leaf] - d):
-        node = t.parent[node]
-    return node
 
 
 def level_order(t: Taxonomy, d: int) -> tuple[int, ...]:

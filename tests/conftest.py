@@ -55,6 +55,28 @@ def taxonomies(draw, max_nodes=40):
     return build_taxonomy(edges)
 
 
+# ------------------------------------------------- brute-force tree oracles
+#
+# Scalar walks over node ids, one parent step at a time: slow and obviously
+# right, the reference for the vectorised lookups in ``hieval.taxonomy``.
+
+
+def ancestor_at_depth(t: Taxonomy, node: int, d: int) -> int:
+    """The ancestor of ``node`` at depth ``d`` (``node`` itself at its own depth)."""
+    for _ in range(t.depth[node] - d):
+        node = t.parent[node]
+    return node
+
+
+def lca_height(t: Taxonomy, a: int, b: int) -> int:
+    """Height of the deepest common ancestor of nodes ``a`` and ``b``."""
+    d = min(t.depth[a], t.depth[b])
+    a, b = ancestor_at_depth(t, a, d), ancestor_at_depth(t, b, d)
+    while a != b:
+        a, b = t.parent[a], t.parent[b]
+    return t.height[a]
+
+
 def random_prob_rows(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     rows = rng.random((n, k)) + 1e-9
     return rows / rows.sum(axis=1, keepdims=True)

@@ -15,17 +15,11 @@ import numpy as np
 
 import hieval
 from conftest import criterion, random_prob_rows, random_taxonomy
-from hieval.ensemble import (
-    cascade_combine,
-    combine_gain,
-    hie_combine,
-    hie_self,
-    marginalize_to_parents,
-)
+from hieval.ensemble import combine_gain, hie_combine, hie_self, marginalize_to_parents
 from hieval.fileio import load_hierarchy, load_scores, save_hierarchy, save_scores
 from hieval.metrics import avg_mistake_severity, hier_dist_at_k, top1_accuracy
 from hieval.risk import crm_rerank
-from hieval.scores import LOGITS, PROBABILITIES, ScoreMatrix, argmax_rows, softmax_rows
+from hieval.scores import LOGITS, PROBABILITIES, ScoreMatrix, softmax_rows, top_k
 from hieval.synth import SynthConfig, gen_instance, gen_taxonomy
 from hieval.taxonomy import (
     ancestor_index_map,
@@ -68,9 +62,7 @@ def test_c01_guaranteed_gain_suite():
             goals = np.array(
                 [rng.choice(np.flatnonzero(pmap == j)) for j in jstar], dtype=np.int64
             )
-            s = hie_combine(
-                prob_matrix(q), prob_matrix(r), pmap
-            ).values
+            s = hie_combine(prob_matrix(q), [(prob_matrix(r), pmap)]).values
             rows = np.arange(per_batch)
             margins = s[rows, goals] / q[rows, goals]
             min_margin = min(min_margin, margins.min())
@@ -105,8 +97,8 @@ def test_c02_argmax_preservation_suite():
             r[rows, jmax] = r[rows, target]
             r[rows, target] = swap
             assert (np.argmax(r, axis=1) == target).all()
-            s = hie_combine(prob_matrix(q), prob_matrix(r), pmap)
-            assert (argmax_rows(s.scores) == goals).all()
+            s = hie_combine(prob_matrix(q), [(prob_matrix(r), pmap)])
+            assert (top_k(s, 1)[:, 0] == goals).all()
             total += per_batch
         assert total == 10_000
         d["text"] = "10000/10000 preserved"
@@ -121,20 +113,22 @@ def test_c03_identity_suite():
             pmap = parent_index_map(t)
             q = prob_matrix(random_prob_rows(rng, 100, t.n_leaves))
             uniform = prob_matrix(np.full((100, t.n_coarse), 1.0 / t.n_coarse))
-            diff = np.abs(hie_combine(q, uniform, pmap).values - q.values).max()
+            diff = np.abs(hie_combine(q, [(uniform, pmap)]).values - q.values).max()
             worst = max(worst, diff)
             assert diff <= 1e-12
 
+            # A cascade's extra uniform level carries no information either.
             r = prob_matrix(random_prob_rows(rng, 100, t.n_coarse))
-            assert np.array_equal(
-                cascade_combine(q, [(r, pmap)]).values,
-                hie_combine(q, r, pmap).values,
-            )
+            plain = hie_combine(q, [(r, pmap)]).values
+            cascaded = hie_combine(q, [(r, pmap), (uniform, pmap)]).values
+            diff = np.abs(cascaded - plain).max()
+            worst = max(worst, diff)
+            assert diff <= 1e-12
             assert np.array_equal(
                 hie_self(q, pmap, t.n_coarse).values,
-                hie_combine(q, marginalize_to_parents(q, pmap, t.n_coarse), pmap).values,
+                hie_combine(q, [(marginalize_to_parents(q, pmap, t.n_coarse), pmap)]).values,
             )
-        d["text"] = f"max uniform-coarse deviation {worst:.2e}"
+        d["text"] = f"max uniform-level deviation {worst:.2e}"
 
 
 # criterion 4: expected-cost reranking agrees with a brute-force oracle, and
@@ -158,11 +152,12 @@ def test_c04_crm_oracle_suite():
                     risk += costs[i, j] * p[0, j]
                 if risk < best_risk:
                     best, best_risk = i, risk
-            assert int(ranking.predictions[0]) == best
+            assert int(ranking.top(1)[0, 0]) == best
 
             c01 = 1.0 - np.eye(t.n_leaves)
             flat = crm_rerank(prob_matrix(p, t.leaf_names()), c01)
-            assert flat.order.tolist() == np.argsort(-p, axis=1, kind="stable").tolist()
+            full = flat.top(t.n_leaves)
+            assert full.tolist() == np.argsort(-p, axis=1, kind="stable").tolist()
             done += 1
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0
@@ -227,12 +222,12 @@ def test_c06_worked_example_reproduction():
         )
         q = prob_matrix([[0.40, 0.10, 0.35, 0.15]], t.leaf_names())
         r = prob_matrix([[0.2, 0.8]], t.coarse_names())
-        s = hie_combine(q, r, parent_index_map(t))
+        s = hie_combine(q, [(r, parent_index_map(t))])
         np.testing.assert_allclose(
             s.values[0], [0.16, 0.04, 0.56, 0.24], rtol=0, atol=1e-12
         )
-        before = t.leaf_names()[int(argmax_rows(q)[0])]
-        after = t.leaf_names()[int(argmax_rows(s.scores)[0])]
+        before = t.leaf_names()[int(top_k(q, 1)[0, 0])]
+        after = t.leaf_names()[int(top_k(s, 1)[0, 0])]
         assert (before, after) == ("rose", "bus")
         d["text"] = f"prediction {before} -> {after}"
 
@@ -253,16 +248,16 @@ def test_c07_directional_synthetic_study():
             fine = softmax_rows(fine_logits)
             coarse = softmax_rows(uppers[0])
 
-            plain = argmax_rows(fine)
-            combined = argmax_rows(hie_combine(fine, coarse, pmap).scores)
+            plain = top_k(fine, 1)[:, 0]
+            combined = top_k(hie_combine(fine, [(coarse, pmap)]), 1)[:, 0]
             wins_acc += top1_accuracy(combined, labels) > top1_accuracy(plain, labels)
             hd_plain = hier_dist_at_k(plain.reshape(-1, 1), labels, t, 1)
             hd_comb = hier_dist_at_k(combined.reshape(-1, 1), labels, t, 1)
             wins_hd += hd_comb < hd_plain
 
             marginals = marginalize_to_parents(fine, pmap, t.n_coarse)
-            correct_marginal = argmax_rows(marginals) == pmap[labels]
-            self_pred = argmax_rows(hie_self(fine, pmap, t.n_coarse).scores)
+            correct_marginal = top_k(marginals, 1)[:, 0] == pmap[labels]
+            self_pred = top_k(hie_self(fine, pmap, t.n_coarse), 1)[:, 0]
             acc_plain = top1_accuracy(plain[correct_marginal], labels[correct_marginal])
             acc_self = top1_accuracy(self_pred[correct_marginal], labels[correct_marginal])
             self_ok += acc_self >= acc_plain - 1e-9
@@ -290,11 +285,9 @@ def test_c08_cascade_tapering_probe():
             amap_top = ancestor_index_map(t, 1)
             amap_mid = ancestor_index_map(t, 2)
 
-            plain = argmax_rows(fine)
-            with_mid = argmax_rows(cascade_combine(fine, [(mid, amap_mid)]).scores)
-            with_both = argmax_rows(
-                cascade_combine(fine, [(top, amap_top), (mid, amap_mid)]).scores
-            )
+            plain = top_k(fine, 1)[:, 0]
+            with_mid = top_k(hie_combine(fine, [(mid, amap_mid)]), 1)[:, 0]
+            with_both = top_k(hie_combine(fine, [(top, amap_top), (mid, amap_mid)]), 1)[:, 0]
             d0 = hier_dist_at_k(plain.reshape(-1, 1), labels, t, 1)
             dm = hier_dist_at_k(with_mid.reshape(-1, 1), labels, t, 1)
             db = hier_dist_at_k(with_both.reshape(-1, 1), labels, t, 1)

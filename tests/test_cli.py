@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +10,11 @@ from conftest import SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES
 from hieval import risk, taxonomy
 from hieval.cli import run
 from hieval.commands import METHODS
-from hieval.ensemble import cascade_combine, hie_combine, hie_self
-from hieval.fileio import load_hierarchy, load_labels, load_report, load_scores
+from hieval.ensemble import hie_combine, hie_self
+from hieval.fileio import load_hierarchy, load_labels, load_scores
 from hieval.metrics import eval_report
 from hieval.risk import crm_rerank, expected_costs
-from hieval.scores import softmax_rows
+from hieval.scores import softmax_rows, top_k
 from hieval.taxonomy import ancestor_index_map, cost_matrix, parent_index_map
 
 
@@ -132,11 +133,11 @@ def test_eval_hie_report(workspace, capsys):
     assert code == 0
     row = capsys.readouterr().out.strip()
     assert row.startswith("hie\t0.000000\t-")
-    report = load_report(report_path)
-    assert report.top1_accuracy == 1.0
-    assert report.avg_mistake_severity is None  # all-correct: severity is null
-    assert report.n_mistakes == 0
-    assert report.config["inputs"]["fine"].startswith("sha256:")
+    report = json.loads(Path(report_path).read_text())
+    assert report["top1_accuracy"] == 1.0
+    assert report["avg_mistake_severity"] is None  # all-correct: severity is null
+    assert report["n_mistakes"] == 0
+    assert report["config"]["inputs"]["fine"].startswith("sha256:")
 
 
 @pytest.mark.parametrize("method", ["argmax", "crm"])
@@ -221,6 +222,30 @@ def test_eval_predictions_file_allows_only_k1(workspace, capsys):
     assert "only k=1 applies" in err
 
 
+# Row faults in the coarse file; the binary case is caught when the block
+# becomes a ScoreMatrix rather than by the text parser.
+@pytest.mark.parametrize("row, suffix, message", [
+    ("0.2,nan", ".csv", "NonFiniteValue: {path}: non-finite value at row 0, column 1"),
+    ("0.2,nan", ".hies", "NonFiniteValue: {path}: non-finite value at row 0, column 1"),
+    ("1.2,-0.2", ".csv", "NegativeEntry: {path}: negative entry at row 0, column 1"),
+    ("0.3,0.8", ".csv", "RowSumViolation: {path}: row 0 sums to 1.1"),
+], ids=["non-finite-text", "non-finite-binary", "negative", "row-sum"])
+def test_a_coarse_row_fault_names_the_coarse_file(workspace, capsys, row, suffix, message):
+    path = workspace / f"bad_coarse{suffix}"
+    if suffix == ".hies":
+        values = np.array([[float(v) for v in row.split(",")]], dtype="<f8")
+        path.write_bytes(struct.pack("<4sBBII", b"HIES", 1, 1, 1, 2) + values.tobytes())
+        Path(f"{path}.names.json").write_text(json.dumps({"class_names": ["flower", "vehicle"]}))
+    else:
+        path.write_text(f"# kind: probabilities\nflower,vehicle\n{row}\n")
+    hierarchy, fine, labels = paths(workspace, "hierarchy.json", "fine.csv", "labels.txt")
+    code = run(["eval", "--hierarchy", hierarchy, "--fine", fine, "--coarse", str(path),
+                "--labels", labels, "--method", "hie", "--k", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message.format(path=path)) and err.count("\n") == 1
+
+
 # ----------------------------------------------------------------- compare
 
 
@@ -268,13 +293,12 @@ def test_infer_then_eval_matches_compare_row(workspace, capsys):
     assert run(["compare", "--hierarchy", hierarchy, "--fine", fine, "--coarse", coarse,
                 "--labels", labels, "--methods", "argmax,hie", "--k", "1",
                 "--out", table]) == 0
-    piped, direct = load_report(piped_report), load_report(direct_report)
     hie_row = json.loads(Path(table).read_text())["reports"][1]
     assert hie_row["method"] == "hie"
-    for report in (direct, piped):
-        assert report.top1_accuracy == hie_row["top1_accuracy"]
-        assert report.avg_mistake_severity == hie_row["avg_mistake_severity"]
-        assert {str(k): v for k, v in report.hier_dist_at_k.items()} == hie_row["hier_dist_at_k"]
+    for path in (direct_report, piped_report):
+        report = json.loads(Path(path).read_text())
+        for key in ("top1_accuracy", "avg_mistake_severity", "hier_dist_at_k"):
+            assert report[key] == hie_row[key]
 
 
 # ------------------------------------------------------------------- costs
@@ -307,6 +331,27 @@ def test_synth_is_byte_deterministic(tmp_path):
             assert fa.read() == fb.read(), name
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--branching", "8,x", "--branching must be a comma list of int values, got '8,x'"),
+    ("--noise", "1,x", "--noise must be a comma list of float values, got '1,x'"),
+    ("--seed", "-1", "seed must be a non-negative integer: -1"),
+    ("--noise", "nan,1", "noise scales must be finite and non-negative: (nan, 1.0)"),
+    ("--noise", "1,inf", "noise scales must be finite and non-negative: (1.0, inf)"),
+    ("--out-dir", "{tmp}/a_file/inst", "cannot create --out-dir '{tmp}/a_file/inst': "),
+    ("--out-dir", "", "cannot create --out-dir '': "),
+], ids=["branching-int", "noise-float", "seed-negative", "noise-nan", "noise-inf",
+        "out-dir-under-file", "out-dir-empty"])
+def test_synth_flag_faults_exit_2_naming_the_flag(tmp_path, capsys, flag, value, message):
+    (tmp_path / "a_file").write_text("")
+    flags = {"--branching": "2,2", "--noise": "1,1", "--n-samples": "4",
+             "--out-dir": str(tmp_path / "inst"), flag: value.format(tmp=tmp_path)}
+    assert run(["synth", *(x for item in flags.items() for x in item)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"InputError: {message.format(tmp=tmp_path)}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "inst").exists()
+
+
 def test_cascade_via_level_flags(tmp_path, capsys):
     d = str(tmp_path / "inst")
     assert run(["synth", "--branching", "3,3,4", "--noise", "1.0,0.5,2.0",
@@ -318,9 +363,9 @@ def test_cascade_via_level_flags(tmp_path, capsys):
                 "--method", "cascade", "--k", "1",
                 "--out", str(tmp_path / "cascade.json")])
     assert code == 0
-    report = load_report(str(tmp_path / "cascade.json"))
-    assert report.config["levels"] == [1, 2]
-    assert "level1" in report.config["inputs"]
+    config = json.loads((tmp_path / "cascade.json").read_text())["config"]
+    assert config["levels"] == [1, 2]
+    assert "level1" in config["inputs"]
 
 
 def test_cascade_requires_level_files(tmp_path, workspace, capsys):
@@ -352,9 +397,9 @@ def test_crm_infer_then_eval_matches_compare_row(tmp_path, capsys):
     direct = str(tmp_path / "direct.json")
     assert run(["eval", *base, "--labels", f"{d}/labels.txt", "--method", "crm",
                 "--k", "1,5", "--out", direct]) == 0
-    a, b = load_report(piped), load_report(direct)
-    assert a.top1_accuracy == b.top1_accuracy
-    assert a.hier_dist_at_k == b.hier_dist_at_k
+    a, b = (json.loads(Path(path).read_text()) for path in (piped, direct))
+    assert a["top1_accuracy"] == b["top1_accuracy"]
+    assert a["hier_dist_at_k"] == b["hier_dist_at_k"]
 
 
 @pytest.fixture(scope="module")
@@ -388,20 +433,19 @@ def test_compare_reports_match_the_library_composition(every_method_table):
     fine, d1, d2 = (softmax_rows(load_scores(str(inst / name), declared_kind="logits"))
                     for name in ("fine.hies", "level_d1.hies", "level_d2.hies"))
     pmap, costs = parent_index_map(t), cost_matrix(t)
-    hie = hie_combine(fine, d2, pmap).scores
+    hie = hie_combine(fine, [(d2, pmap)])
     sources = {
         "argmax": fine,
         "hie": hie,
-        "hie-self": hie_self(fine, pmap, t.n_coarse).scores,
+        "hie-self": hie_self(fine, pmap, t.n_coarse),
         "crm": crm_rerank(fine, costs),
         "hie-crm": crm_rerank(hie, costs),
-        "cascade": cascade_combine(
-            fine, [(d1, ancestor_index_map(t, 1)), (d2, ancestor_index_map(t, 2))]
-        ).scores,
+        "cascade": hie_combine(fine, [(d1, ancestor_index_map(t, 1)),
+                                      (d2, ancestor_index_map(t, 2))]),
     }
     gt = load_labels(str(inst / "labels.txt"), t)
     for report, (method, source) in zip(reports, sources.items()):
-        expected = eval_report(source, gt, t, [1, 5], method)
+        expected = eval_report(top_k(source, 5), gt, t, [1, 5], method)
         assert report["method"] == method
         assert report["top1_accuracy"] == expected.top1_accuracy, method
         assert report["avg_mistake_severity"] == expected.avg_mistake_severity, method

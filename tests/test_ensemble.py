@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_prob_rows, random_taxonomy
-from hieval.ensemble import (
-    cascade_combine,
-    combine_gain,
-    hie_combine,
-    hie_self,
-    marginalize_to_parents,
-)
+from hieval.ensemble import combine_gain, hie_combine, hie_self, marginalize_to_parents
 from hieval.errors import DimensionMismatch, InvalidIndex, KindConflict, ZeroDenominator
 from hieval.scores import LOGITS, PROBABILITIES, ScoreMatrix, validate_probabilities
 from hieval.taxonomy import ancestor_index_map, build_taxonomy, parent_index_map
@@ -32,48 +26,45 @@ FIG_R = [0.2, 0.8]
 
 
 def test_combine_flips_prediction_to_bus():
-    out = hie_combine(fine(FIG_Q), coarse(FIG_R), PMAP)
+    out = hie_combine(fine(FIG_Q), [(coarse(FIG_R), PMAP)])
     np.testing.assert_allclose(out.values[0], [0.16, 0.04, 0.56, 0.24], atol=1e-12)
     assert int(np.argmax(FIG_Q)) == 0          # fine alone says rose
     assert int(np.argmax(out.values[0])) == 2  # combined says bus
-    assert out.method == "hie"
-    assert out.scores.class_names == LEAVES
+    assert out.class_names == LEAVES
 
 
 def test_combine_uniform_coarse_is_identity():
     q = fine(FIG_Q)
-    out = hie_combine(q, coarse([0.5, 0.5]), PMAP)
+    out = hie_combine(q, [(coarse([0.5, 0.5]), PMAP)])
     # power-of-two sizes and an exactly unit row make this exact
     assert out.values.tolist() == q.values.tolist()
 
 
 def test_combine_one_hot_fine_stays_one_hot():
-    out = hie_combine(fine([1.0, 0.0, 0.0, 0.0]), coarse([0.3, 0.7]), PMAP)
+    out = hie_combine(fine([1.0, 0.0, 0.0, 0.0]), [(coarse([0.3, 0.7]), PMAP)])
     assert out.values.tolist() == [[1.0, 0.0, 0.0, 0.0]]
 
 
 def test_combine_rows_sum_to_one():
     rng = np.random.default_rng(0)
-    out = hie_combine(
-        fine(random_prob_rows(rng, 50, 4)), coarse(random_prob_rows(rng, 50, 2)), PMAP
-    )
-    validate_probabilities(out.scores, tol=1e-9)
+    q, r = random_prob_rows(rng, 50, 4), random_prob_rows(rng, 50, 2)
+    validate_probabilities(hie_combine(fine(q), [(coarse(r), PMAP)]), tol=1e-9)
 
 
 def test_combine_shape_errors():
     with pytest.raises(DimensionMismatch):
-        hie_combine(fine(FIG_Q), coarse([[0.5, 0.5], [0.5, 0.5]]), PMAP)
+        hie_combine(fine(FIG_Q), [(coarse([[0.5, 0.5], [0.5, 0.5]]), PMAP)])
     with pytest.raises(DimensionMismatch):
-        hie_combine(fine(FIG_Q), coarse(FIG_R), [0, 0, 1])
+        hie_combine(fine(FIG_Q), [(coarse(FIG_R), [0, 0, 1])])
     with pytest.raises(DimensionMismatch):
-        hie_combine(fine(FIG_Q), coarse(FIG_R), [0, 0, 1, 2])
+        hie_combine(fine(FIG_Q), [(coarse(FIG_R), [0, 0, 1, 2])])
     with pytest.raises(KindConflict):
-        hie_combine(ScoreMatrix([FIG_Q], LOGITS, LEAVES), coarse(FIG_R), PMAP)
+        hie_combine(ScoreMatrix([FIG_Q], LOGITS, LEAVES), [(coarse(FIG_R), PMAP)])
 
 
 def test_combine_zero_denominator():
     with pytest.raises(ZeroDenominator) as exc:
-        hie_combine(fine([1.0, 0.0, 0.0, 0.0]), coarse([0.0, 1.0]), PMAP)
+        hie_combine(fine([1.0, 0.0, 0.0, 0.0]), [(coarse([0.0, 1.0]), PMAP)])
     assert exc.value.row == 0
 
 
@@ -82,7 +73,7 @@ def test_log_path_agrees_with_direct():
     # log space but remains representable directly for the oracle.
     q = np.array([[2e-305, 0.4, 0.3, 0.3 - 2e-305]])
     r = np.array([[0.5, 0.5]])
-    out = hie_combine(fine(q), coarse(r), PMAP)
+    out = hie_combine(fine(q), [(coarse(r), PMAP)])
     u = q[0] * r[0][PMAP]
     direct = u / u.sum()
     np.testing.assert_allclose(out.values[0], direct, rtol=1e-10)
@@ -98,9 +89,9 @@ def test_mixed_underflow_rows_match_each_row_alone():
     q[1::3] = [2e-305, 0.4, 0.3, 0.3 - 2e-305]
     q[2::3, 0] = 0.0
     r[2::3] = [1e-290, 1.0 - 1e-290]
-    out = hie_combine(fine(q), coarse(r), PMAP).values
+    out = hie_combine(fine(q), [(coarse(r), PMAP)]).values
     for i in range(q.shape[0]):
-        alone = hie_combine(fine(q[i]), coarse(r[i]), PMAP).values[0]
+        alone = hie_combine(fine(q[i]), [(coarse(r[i]), PMAP)]).values[0]
         assert out[i].tobytes() == alone.tobytes(), i
 
 
@@ -108,7 +99,7 @@ def test_within_subtree_order_preserved():
     rng = np.random.default_rng(42)
     q = random_prob_rows(rng, 200, 4)
     r = random_prob_rows(rng, 200, 2)
-    s = hie_combine(fine(q), coarse(r), PMAP).values
+    s = hie_combine(fine(q), [(coarse(r), PMAP)]).values
     for i, j in [(0, 1), (2, 3)]:  # sibling pairs
         assert (np.sign(s[:, i] - s[:, j]) == np.sign(q[:, i] - q[:, j])).all()
 
@@ -151,7 +142,6 @@ def test_marginalize_scattered_groups():
 def test_hie_self_uniform_marginals_is_identity():
     out = hie_self(fine(FIG_Q), PMAP, 2)
     assert out.values.tolist() == [list(FIG_Q)]
-    assert out.method == "hie_self"
 
 
 def test_hie_self_hand_example():
@@ -169,34 +159,22 @@ def test_hie_self_one_hot_identity():
 def test_hie_self_equals_composition_bitwise():
     rng = np.random.default_rng(21)
     q = fine(random_prob_rows(rng, 64, 4))
-    composed = hie_combine(q, marginalize_to_parents(q, PMAP, 2), PMAP)
+    composed = hie_combine(q, [(marginalize_to_parents(q, PMAP, 2), PMAP)])
     assert hie_self(q, PMAP, 2).values.tolist() == composed.values.tolist()
 
 
 # ------------------------------------------------------------------ cascade
 
 
-def test_cascade_single_level_equals_hie_bitwise():
-    rng = np.random.default_rng(33)
-    q = fine(random_prob_rows(rng, 64, 4))
-    r = coarse(random_prob_rows(rng, 64, 2))
-    via_cascade = cascade_combine(q, [(r, PMAP)], levels=[1])
-    via_hie = hie_combine(q, r, PMAP)
-    assert via_cascade.values.tolist() == via_hie.values.tolist()
-    assert via_cascade.method == "cascade"
-    assert via_cascade.levels_used == (1,)
-
-
 def test_cascade_empty_uppers_is_fine_unchanged():
     q = fine(FIG_Q)
-    out = cascade_combine(q, [])
-    assert out.scores is q
+    assert hie_combine(q, []) is q
 
 
 def test_cascade_uniform_uppers_is_identity():
     q = fine(FIG_Q)
     r1 = coarse([0.5, 0.5])
-    out = cascade_combine(q, [(r1, PMAP), (r1, PMAP)])
+    out = hie_combine(q, [(r1, PMAP), (r1, PMAP)])
     assert out.values.tolist() == q.values.tolist()
 
 
@@ -207,9 +185,7 @@ def test_cascade_three_levels_matches_bruteforce():
     q = random_prob_rows(rng, n, 4)
     r_mid = random_prob_rows(rng, n, 2)
     r_top = random_prob_rows(rng, n, 2)
-    out = cascade_combine(
-        fine(q), [(coarse(r_top), PMAP), (coarse(r_mid), PMAP)], levels=[1, 2]
-    ).values
+    out = hie_combine(fine(q), [(coarse(r_top), PMAP), (coarse(r_mid), PMAP)]).values
     for row in range(n):
         u = np.array(
             [q[row, i] * r_top[row, PMAP[i]] * r_mid[row, PMAP[i]] for i in range(4)]
@@ -228,8 +204,8 @@ def test_cascade_via_real_three_level_tree():
     assert amap2.tolist() == [0, 1, 2, 3]
     q = ScoreMatrix(random_prob_rows(rng, 10, 4), PROBABILITIES, t.leaf_names())
     r = ScoreMatrix(random_prob_rows(rng, 10, 2), PROBABILITIES, t.coarse_names())
-    out = cascade_combine(q, [(r, amap1)], levels=[1])
-    expected = hie_combine(q, r, parent_index_map(t))
+    out = hie_combine(q, [(r, amap1)])
+    expected = hie_combine(q, [(r, parent_index_map(t))])
     assert out.values.tolist() == expected.values.tolist()
 
 
@@ -241,7 +217,7 @@ def test_combine_works_on_uneven_trees():
     assert t.coarse_names() == ("mid", "r")
     q = ScoreMatrix([[0.2, 0.3, 0.5]], PROBABILITIES, t.leaf_names())
     r = ScoreMatrix([[0.9, 0.1]], PROBABILITIES, t.coarse_names())
-    out = hie_combine(q, r, pmap)
+    out = hie_combine(q, [(r, pmap)])
     np.testing.assert_allclose(out.values.sum(axis=1), 1.0, atol=1e-12)
 
 

@@ -25,7 +25,6 @@ from hieval.fileio import (
     align_columns,
     load_hierarchy,
     load_labels,
-    load_report,
     load_scores,
     save_hierarchy,
     save_scores,
@@ -238,10 +237,13 @@ def test_row_range_errors_name_file_rows_and_lines(tmp_path):
             reader.read(25, 31)
         with pytest.raises(RowSumViolation, match="row 31 sums to 1.1"):
             reader.read(31, 32)
-        with pytest.raises(NegativeEntry, match="row 32, column 0"):
+        with pytest.raises(NegativeEntry, match="row 32, column 0") as exc:
             reader.read(32, 33)
         with pytest.raises(ValueError):
             reader.read(30, 34)
+    # Row faults name the file, and keep their type and position attributes.
+    assert str(exc.value) == f"{path}: negative entry at row 32, column 0"
+    assert (exc.value.row, exc.value.col) == (32, 0)
 
 
 def test_text_utf8_is_checked_across_read_chunks(tmp_path):
@@ -353,6 +355,12 @@ def test_labels_empty_file(tmp_path, flower_vehicle):
 # ----------------------------------------------------------------- reports
 
 
+def read_report(path):
+    doc = json.loads(Path(path).read_text())
+    doc["hier_dist_at_k"] = {int(k): v for k, v in doc["hier_dist_at_k"].items()}
+    return EvalReport(**doc)
+
+
 def test_report_round_trip(tmp_path):
     report = EvalReport(
         method="hie",
@@ -365,13 +373,13 @@ def test_report_round_trip(tmp_path):
     )
     path = str(tmp_path / "report.json")
     write_report(report, path)
-    assert load_report(path) == report
+    assert read_report(path) == report
 
 
 def test_report_round_trip_null_severity(tmp_path):
     report = EvalReport("argmax", 1.0, None, {1: 0.0}, 10, 0, {})
     path = str(tmp_path / "report.json")
     write_report(report, path)
-    back = load_report(path)
+    back = read_report(path)
     assert back.avg_mistake_severity is None
     assert back == report

@@ -89,16 +89,16 @@ def test_eval_report_combined_fixture(flower_vehicle):
     t = flower_vehicle
     fine = ScoreMatrix([[0.40, 0.10, 0.35, 0.15]], PROBABILITIES, t.leaf_names())
     coarse = ScoreMatrix([[0.2, 0.8]], PROBABILITIES, t.coarse_names())
-    combined = hie_combine(fine, coarse, parent_index_map(t))
+    combined = hie_combine(fine, [(coarse, parent_index_map(t))])
     gt = idx(t, "bus")
 
-    r = eval_report(combined.scores, gt, t, [1], "hie")
+    r = eval_report(top_k(combined, 1), gt, t, [1], "hie")
     assert r.top1_accuracy == 1.0
     assert r.avg_mistake_severity is None
     assert r.hier_dist_at_k[1] == 0.0
     assert r.n_mistakes == 0
 
-    r = eval_report(fine, gt, t, [1], "argmax")
+    r = eval_report(top_k(fine, 1), gt, t, [1], "argmax")
     assert r.top1_accuracy == 0.0
     assert r.avg_mistake_severity == 2.0
     assert r.hier_dist_at_k[1] == 2.0
@@ -111,10 +111,11 @@ def test_eval_report_k_columns(flower_vehicle):
         + [(f"g{j:02d}", "root") for j in range(72)]
     )
     m = ScoreMatrix(random_prob_rows(rng, 5, 1010), PROBABILITIES, t.leaf_names())
-    r = eval_report(m, rng.integers(0, 1010, size=5), t, [1, 5, 20], "argmax")
+    ranking = top_k(m, 20)
+    r = eval_report(ranking, rng.integers(0, 1010, size=5), t, [1, 5, 20], "argmax")
     assert sorted(r.hier_dist_at_k) == [1, 5, 20]
     with pytest.raises(KTooLarge):
-        eval_report(m, [0] * 5, t, [2000], "argmax")
+        eval_report(ranking, [0] * 5, t, [21], "argmax")
 
 
 def test_decomposition_identity():
@@ -203,7 +204,7 @@ def test_eval_report_matches_manual_top_k(flower_vehicle):
     t = flower_vehicle
     m = ScoreMatrix(random_prob_rows(rng, 30, 4), PROBABILITIES, t.leaf_names())
     gt = rng.integers(0, 4, size=30)
-    r = eval_report(m, gt, t, [1, 2], "argmax")
     ranking = top_k(m, 2)
+    r = eval_report(ranking, gt, t, [1, 2], "argmax")
     assert r.hier_dist_at_k[2] == hier_dist_at_k(ranking, gt, t, 2)
     assert r.n_samples == 30

@@ -20,12 +20,17 @@ def probs(rows, names=LEAVES):
     return ScoreMatrix(np.atleast_2d(rows), PROBABILITIES, names)
 
 
+def order(ranking):
+    """The full ranking, every class of each row."""
+    return ranking.top(ranking.expected_costs.shape[1])
+
+
 def sorted_risks(ranking):
-    return np.take_along_axis(ranking.expected_costs, ranking.order, axis=1)
+    return np.take_along_axis(ranking.expected_costs, order(ranking), axis=1)
 
 
 def combine_then_rerank(fine, coarse):
-    return crm_rerank(hie_combine(fine, coarse, PMAP).scores, COSTS)
+    return crm_rerank(hie_combine(fine, [(coarse, PMAP)]), COSTS)
 
 
 def test_risks_on_fixture():
@@ -33,8 +38,8 @@ def test_risks_on_fixture():
     # expected costs per class: rose 1.10, tulip 1.40, bus 1.15, car 1.35;
     # plain argmax also picks rose here, while combining flips to bus, so the
     # two corrections genuinely differ
-    assert ranking.predictions.tolist() == [0]
-    assert ranking.order[0].tolist() == [0, 2, 3, 1]
+    assert ranking.top(1)[:, 0].tolist() == [0]
+    assert order(ranking)[0].tolist() == [0, 2, 3, 1]
     np.testing.assert_allclose(ranking.expected_costs[0], [1.10, 1.40, 1.15, 1.35], atol=1e-12)
     np.testing.assert_allclose(sorted_risks(ranking)[0], [1.10, 1.15, 1.35, 1.40], atol=1e-12)
 
@@ -44,7 +49,7 @@ def test_one_hot_has_zero_risk():
         row = np.zeros(4)
         row[i] = 1.0
         ranking = crm_rerank(probs(row), COSTS)
-        assert ranking.predictions[0] == i
+        assert ranking.top(1)[0, 0] == i
         assert ranking.expected_costs[0, i] == 0.0
 
 
@@ -53,8 +58,8 @@ def test_uniform_star_ties_break_to_class_zero():
     ranking = crm_rerank(
         probs(np.full(5, 0.2), names=t.leaf_names()), cost_matrix(t)
     )
-    assert ranking.predictions[0] == 0
-    assert ranking.order[0].tolist() == [0, 1, 2, 3, 4]
+    assert ranking.top(1)[0, 0] == 0
+    assert order(ranking)[0].tolist() == [0, 1, 2, 3, 4]
     np.testing.assert_allclose(ranking.expected_costs[0], 4 / 5, atol=1e-12)
 
 
@@ -62,7 +67,7 @@ def test_risks_are_non_decreasing_and_orders_are_permutations():
     rng = np.random.default_rng(8)
     ranking = crm_rerank(probs(random_prob_rows(rng, 100, 4)), COSTS)
     assert (np.diff(sorted_risks(ranking), axis=1) >= 0).all()
-    for row in ranking.order:
+    for row in order(ranking):
         assert sorted(row.tolist()) == [0, 1, 2, 3]
 
 
@@ -118,8 +123,8 @@ def test_hie_then_crm_fixture():
     ranking = combine_then_rerank(fine, coarse)
     # combined scores are [0.16, 0.04, 0.56, 0.24]; dotting with the cost
     # rows gives risks rose 1.64, tulip 1.76, bus 0.64, car 0.96
-    assert ranking.predictions.tolist() == [2]
-    assert ranking.order[0].tolist() == [2, 3, 0, 1]
+    assert ranking.top(1)[:, 0].tolist() == [2]
+    assert order(ranking)[0].tolist() == [2, 3, 0, 1]
     np.testing.assert_allclose(sorted_risks(ranking)[0], [0.64, 0.96, 1.64, 1.76], atol=1e-12)
 
 
@@ -128,8 +133,8 @@ def test_hie_then_crm_uniform_coarse_matches_plain_crm():
     fine = probs(random_prob_rows(rng, 50, 4))
     coarse = ScoreMatrix(np.full((50, 2), 0.5), PROBABILITIES, ("f", "v"))
     assert (
-        combine_then_rerank(fine, coarse).order.tolist()
-        == crm_rerank(fine, COSTS).order.tolist()
+        order(combine_then_rerank(fine, coarse)).tolist()
+        == order(crm_rerank(fine, COSTS)).tolist()
     )
 
 
@@ -142,7 +147,7 @@ def test_one_hot_fine_unchanged_by_crm():
         ranking = combine_then_rerank(
             probs(row), ScoreMatrix(coarse_rows[i : i + 1], PROBABILITIES, ("f", "v"))
         )
-        assert ranking.predictions[0] == i
+        assert ranking.top(1)[0, 0] == i
 
 
 def test_prediction_matches_bruteforce_argmin():
@@ -159,7 +164,7 @@ def test_prediction_matches_bruteforce_argmin():
             r = sum(costs[i, j] * p[0, j] for j in range(t.n_leaves))
             if r < best_risk:
                 best, best_risk = i, r
-        assert ranking.predictions[0] == best
+        assert ranking.top(1)[0, 0] == best
 
 
 def test_zero_one_costs_reduce_to_descending_probability():
@@ -168,15 +173,15 @@ def test_zero_one_costs_reduce_to_descending_probability():
     p = random_prob_rows(rng, 40, 6)
     ranking = crm_rerank(probs(p, names=tuple("abcdef")), c01)
     descending = np.argsort(-p, axis=1, kind="stable")
-    assert ranking.order.tolist() == descending.tolist()
+    assert order(ranking).tolist() == descending.tolist()
 
 
 def test_ranking_order_is_scale_invariant():
     rng = np.random.default_rng(41)
     p = random_prob_rows(rng, 30, 4)
-    base = crm_rerank(probs(p), COSTS).order
+    base = order(crm_rerank(probs(p), COSTS))
     for c in (0.5, 2.0, 3.7):
-        scaled = crm_rerank(probs(p * c), COSTS).order
+        scaled = order(crm_rerank(probs(p * c), COSTS))
         assert scaled.tolist() == base.tolist()
 
 
@@ -186,6 +191,6 @@ def test_top_matches_full_order_on_tied_risks(case):
     risks, k = case
     ranking = RiskRanking(expected_costs=risks)
     full = np.argsort(risks, axis=1, kind="stable")
-    assert ranking.order.tolist() == full.tolist()
-    assert ranking.top(k).tolist() == ranking.order[:, :k].tolist()
-    assert ranking.predictions.tolist() == np.argmin(risks, axis=1).tolist()
+    assert order(ranking).tolist() == full.tolist()
+    assert ranking.top(k).tolist() == full[:, :k].tolist()
+    assert ranking.top(1)[:, 0].tolist() == np.argmin(risks, axis=1).tolist()

@@ -18,7 +18,6 @@ from hieval.scores import (
     LOGITS,
     PROBABILITIES,
     ScoreMatrix,
-    argmax_rows,
     rank_rows,
     softmax_rows,
     top_k,
@@ -173,7 +172,7 @@ def test_argmax_agrees_with_linear_scan():
     # quantize half the rows so deliberate ties appear
     values[::2] = np.round(values[::2], 1)
     m = probs(values)
-    got = argmax_rows(m)
+    got = top_k(m, 1)[:, 0]
     # np.argmax documents first-occurrence (lowest index) on ties
     expected = np.argmax(m.values, axis=1)
     assert (got == expected).all()

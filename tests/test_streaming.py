@@ -17,10 +17,10 @@ from conftest import SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES
 from hieval import fileio, risk, scores, taxonomy
 from hieval.cli import run
 from hieval.commands import METHODS
-from hieval.ensemble import cascade_combine, hie_combine, hie_self
+from hieval.ensemble import hie_combine, hie_self
 from hieval.fileio import align_columns, load_hierarchy, load_scores, save_scores, write_labels
 from hieval.risk import crm_rerank
-from hieval.scores import LOGITS, ScoreMatrix, argmax_rows, softmax_rows
+from hieval.scores import LOGITS, ScoreMatrix, softmax_rows, top_k
 from hieval.taxonomy import ancestor_index_map, parent_index_map
 
 N_ROWS = 50
@@ -53,19 +53,18 @@ def library_outputs(d: Path, method: str):
     d1 = softmax_rows(load_scores(str(d / "level_d1.hies"), LOGITS))
     coarse = softmax_rows(align_columns(load_scores(str(d / "coarse.csv"), LOGITS), t, "coarse"))
     pmap = parent_index_map(t)
-    hie = hie_combine(fine, coarse, pmap).scores
+    hie = hie_combine(fine, [(coarse, pmap)])
     if method in ("crm", "hie-crm"):
         ranking = crm_rerank(fine if method == "crm" else hie, t)
-        return ScoreMatrix(-ranking.expected_costs, LOGITS, t.leaf_names()), ranking.predictions
+        return ScoreMatrix(-ranking.expected_costs, LOGITS, t.leaf_names()), ranking.top(1)[:, 0]
     probs = {
         "argmax": fine,
         "hie": hie,
-        "hie-self": hie_self(fine, pmap, t.n_coarse).scores,
-        "cascade": cascade_combine(
-            fine, [(d1, ancestor_index_map(t, 1)), (coarse, ancestor_index_map(t, 2))]
-        ).scores,
+        "hie-self": hie_self(fine, pmap, t.n_coarse),
+        "cascade": hie_combine(fine, [(d1, ancestor_index_map(t, 1)),
+                                      (coarse, ancestor_index_map(t, 2))]),
     }[method]
-    return probs, argmax_rows(probs)
+    return probs, top_k(probs, 1)[:, 0]
 
 
 @pytest.mark.parametrize("suffix", [".hies", ".csv"])
@@ -177,20 +176,20 @@ def with_row(values: np.ndarray, row: int, new_row) -> np.ndarray:
 
 
 # Each fault sits in row 41, in the sixth 7-row block, and is reported as if
-# the file had been read whole: the same message, naming the row of the file,
+# the file had been read whole: the same message, naming the file and its row,
 # and the same exit code.
 LATE_FAULTS = {
     "non-finite": (
         lambda f, c: (with_row(f, 41, [0.4, 0.1, np.inf, 0.15]), c), 2,
-        "NonFiniteValue: non-finite value at row 41, column 2",
+        "NonFiniteValue: {d}/fine.csv: non-finite value at row 41, column 2",
     ),
     "negative": (
         lambda f, c: (f, with_row(c, 41, [1.5, -0.5])), 2,
-        "NegativeEntry: negative entry at row 41, column 1",
+        "NegativeEntry: {d}/coarse.csv: negative entry at row 41, column 1",
     ),
     "row-sum": (
         lambda f, c: (with_row(f, 41, [0.5, 0.1, 0.35, 0.15]), c), 2,
-        "RowSumViolation: row 41 sums to 1.0999999999999999, expected 1",
+        "RowSumViolation: {d}/fine.csv: row 41 sums to 1.0999999999999999, expected 1",
     ),
     "zero-mass": (  # all fine mass on a rose, no coarse mass on flowers
         lambda f, c: (with_row(f, 41, [1.0, 0.0, 0.0, 0.0]), with_row(c, 41, [0.0, 1.0])), 3,
@@ -207,7 +206,7 @@ def test_a_fault_in_a_late_block_names_the_file_row(probability_inputs, monkeypa
     base = write(*make(fine, coarse))
     assert run(["eval", *base, "--labels", str(d / "labels.txt"), "--method", "hie",
                 "--k", "1"]) == code
-    assert capsys.readouterr().err.startswith(message)
+    assert capsys.readouterr().err.startswith(message.format(d=d))
 
 
 def test_a_non_finite_value_in_a_late_binary_block_names_the_file_row(
@@ -225,7 +224,7 @@ def test_a_non_finite_value_in_a_late_binary_block_names_the_file_row(
     use_block_rows(monkeypatch, 7, 4)
     assert run(["eval", *base, "--labels", str(d / "labels.txt"), "--k", "1"]) == 2
     assert capsys.readouterr().err.startswith(
-        "NonFiniteValue: non-finite value at row 41, column 2"
+        f"NonFiniteValue: {path}: non-finite value at row 41, column 2"
     )
 
 
@@ -245,7 +244,8 @@ def test_a_failing_infer_leaves_no_file_behind(probability_inputs, monkeypatch, 
     before = sorted(os.listdir(d))
     for out in ("combined.hies", "combined.csv"):
         assert run(["infer", *base, "--method", "hie", "--out", str(d / out)]) == 2
-        assert "NonFiniteValue: non-finite value at row 48, column 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"NonFiniteValue: {d}/fine.csv: non-finite value at row 48, column 1" in err
     assert sorted(os.listdir(d)) == before
 
 
@@ -257,7 +257,9 @@ def test_the_first_fault_in_row_order_is_reported(probability_inputs, monkeypatc
     base = write(with_row(fine, 45, [np.nan, 0.1, 0.35, 0.15]), with_row(coarse, 12, [2.0, -1.0]))
     assert run(["eval", *base, "--labels", str(d / "labels.txt"), "--method", "hie",
                 "--k", "1"]) == 2
-    assert capsys.readouterr().err.startswith("NegativeEntry: negative entry at row 12, column 1")
+    assert capsys.readouterr().err.startswith(
+        f"NegativeEntry: {d}/coarse.csv: negative entry at row 12, column 1"
+    )
 
 
 def test_probability_files_are_validated_once(probability_inputs, monkeypatch, capsys):

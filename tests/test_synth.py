@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from hieval.ensemble import cascade_combine, hie_combine, hie_self
+from hieval.ensemble import hie_combine, hie_self
 from hieval.errors import InputError
 from hieval.metrics import top1_accuracy
 from hieval.risk import crm_rerank
-from hieval.scores import argmax_rows, softmax_rows
+from hieval.scores import softmax_rows, top_k
 from hieval.synth import SynthConfig, gen_instance, gen_taxonomy
 from hieval.taxonomy import ancestor_index_map, cost_matrix, parent_index_map
 
@@ -68,14 +68,12 @@ def test_noiseless_instance_is_perfect_under_every_rule():
     costs = cost_matrix(t)
 
     predictions = {
-        "argmax": argmax_rows(fine),
-        "hie": argmax_rows(hie_combine(fine, coarse, pmap).scores),
-        "hie-self": argmax_rows(hie_self(fine, pmap, t.n_coarse).scores),
-        "crm": crm_rerank(fine, costs).predictions,
-        "hie-crm": crm_rerank(hie_combine(fine, coarse, pmap).scores, costs).predictions,
-        "cascade": argmax_rows(
-            cascade_combine(fine, [(coarse, ancestor_index_map(t, 1))]).scores
-        ),
+        "argmax": top_k(fine, 1)[:, 0],
+        "hie": top_k(hie_combine(fine, [(coarse, pmap)]), 1)[:, 0],
+        "hie-self": top_k(hie_self(fine, pmap, t.n_coarse), 1)[:, 0],
+        "crm": crm_rerank(fine, costs).top(1)[:, 0],
+        "hie-crm": crm_rerank(hie_combine(fine, [(coarse, pmap)]), costs).top(1)[:, 0],
+        "cascade": top_k(hie_combine(fine, [(coarse, ancestor_index_map(t, 1))]), 1)[:, 0],
     }
     for name, pred in predictions.items():
         assert top1_accuracy(pred, labels) == 1.0, name
@@ -91,7 +89,7 @@ def test_accurate_coarse_pulls_predictions_into_true_subtree():
         coarse = softmax_rows(uppers[0])
         pmap = parent_index_map(t)
         true_parent = pmap[labels]
-        hits_argmax += int((pmap[argmax_rows(fine)] == true_parent).sum())
-        hie_pred = argmax_rows(hie_combine(fine, coarse, pmap).scores)
+        hits_argmax += int((pmap[top_k(fine, 1)[:, 0]] == true_parent).sum())
+        hie_pred = top_k(hie_combine(fine, [(coarse, pmap)]), 1)[:, 0]
         hits_hie += int((pmap[hie_pred] == true_parent).sum())
     assert hits_hie >= hits_argmax

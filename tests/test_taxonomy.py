@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SEVEN_NODE_EDGES, random_taxonomy, taxonomies
+from conftest import SEVEN_NODE_EDGES, ancestor_at_depth, lca_height, random_taxonomy, taxonomies
 from hieval.errors import (
     CycleDetected,
     DepthOutOfRange,
@@ -12,20 +12,16 @@ from hieval.errors import (
     MultipleRoots,
     NodeWithTwoParents,
     NonLeveledTree,
-    NotALeaf,
     OrderMismatch,
 )
 from hieval.taxonomy import (
-    ancestor_at_depth,
     ancestor_index_map,
     ancestor_table,
     build_taxonomy,
     cost_matrix,
-    lca_height,
     lca_heights,
     level_order,
     parent_index_map,
-    parent_of,
 )
 
 
@@ -108,10 +104,10 @@ def test_single_child_chain_allowed():
 
 def test_parent_of(flower_vehicle):
     t = flower_vehicle
-    assert parent_of(t, t.id_of("rose")) == t.id_of("flower")
-    assert parent_of(t, t.root) is None
+    assert t.parent[t.id_of("rose")] == t.id_of("flower")
+    assert t.parent[t.root] is None
     with pytest.raises(InvalidNode):
-        parent_of(t, 99)
+        t.id_of("orchid")
 
 
 def test_lca_height_examples(flower_vehicle):
@@ -121,8 +117,8 @@ def test_lca_height_examples(flower_vehicle):
     assert lca_height(t, rose, tulip) == 1
     assert lca_height(t, rose, bus) == 2
     assert lca_height(t, bus, rose) == 2
-    with pytest.raises(NotALeaf):
-        lca_height(t, t.id_of("flower"), rose)
+    # leaf columns rose, tulip, bus, car are 0 .. 3
+    assert lca_heights(t, [0, 0, 0, 2], [0, 1, 2, 0]).tolist() == [0, 1, 2, 2]
 
 
 def test_cost_matrix_fixture(flower_vehicle):
@@ -171,10 +167,7 @@ def test_ancestor_at_depth(flower_vehicle):
     assert ancestor_at_depth(t, rose, 0) == t.root
     assert ancestor_at_depth(t, rose, 1) == t.id_of("flower")
     assert ancestor_at_depth(t, rose, 2) == rose
-    with pytest.raises(DepthOutOfRange):
-        ancestor_at_depth(t, rose, 3)
-    with pytest.raises(NotALeaf):
-        ancestor_at_depth(t, t.id_of("flower"), 0)
+    assert ancestor_table(t)[0].tolist() == [t.root, t.id_of("flower"), rose]
 
 
 def test_level_orders_match_conventions(flower_vehicle):
@@ -182,6 +175,8 @@ def test_level_orders_match_conventions(flower_vehicle):
     assert level_order(t, 2) == t.leaf_order
     assert level_order(t, 1) == t.coarse_order
     assert level_order(t, 0) == (t.root,)
+    with pytest.raises(DepthOutOfRange):
+        level_order(t, 3)
 
 
 def test_ancestor_index_map(flower_vehicle):
@@ -273,13 +268,13 @@ def test_cost_matrix_matches_bruteforce(edges):
 def test_lca_symmetric_bounded_ultrametric(edges, data):
     t = build_taxonomy(edges)
     pick = st.integers(min_value=0, max_value=t.n_leaves - 1)
-    a, b, c = (t.leaf_order[data.draw(pick)] for _ in range(3))
-    hab = lca_height(t, a, b)
-    assert hab == lca_height(t, b, a)
+    a, b, c = (data.draw(pick) for _ in range(3))
+    hab = lca_heights(t, a, b)
+    assert hab == lca_heights(t, b, a)
     assert 0 <= hab <= t.height[t.root]
     # ultrametric: the two largest of the three pairwise heights are equal,
     # hence each is bounded by the max of the other two
-    assert hab <= max(lca_height(t, a, c), lca_height(t, c, b))
+    assert hab <= max(lca_heights(t, a, c), lca_heights(t, c, b))
 
 
 def test_large_random_trees_lca_properties():
@@ -288,8 +283,8 @@ def test_large_random_trees_lca_properties():
         t = random_taxonomy(rng, 500)
         leaves = np.array(t.leaf_order)
         top = t.height[t.root]
-        sample = rng.choice(leaves, size=(200, 2))
-        for a, b in sample:
-            h = lca_height(t, int(a), int(b))
-            assert h == lca_height(t, int(b), int(a))
-            assert 0 <= h <= top
+        a, b = rng.integers(0, t.n_leaves, size=(2, 200))
+        h = lca_heights(t, a, b)
+        assert h.tolist() == lca_heights(t, b, a).tolist()
+        assert h.tolist() == [lca_height(t, x, y) for x, y in zip(leaves[a], leaves[b])]
+        assert ((0 <= h) & (h <= top)).all()
