@@ -28,14 +28,10 @@ _EXPORTS = {
     "hie_combine": "ensemble",
     "hie_self": "ensemble",
     "marginalize_to_parents": "ensemble",
-    "combine_gain": "ensemble",
     "RiskRanking": "scores",
     "crm_rerank": "risk",
     "expected_costs": "risk",
     "EvalReport": "metrics",
-    "top1_accuracy": "metrics",
-    "avg_mistake_severity": "metrics",
-    "hier_dist_at_k": "metrics",
     "eval_report": "metrics",
     "SynthConfig": "synth",
     "gen_taxonomy": "synth",

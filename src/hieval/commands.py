@@ -119,7 +119,7 @@ class MethodInputs:
             raw = fileio.load_scores(reader.path, rows=(start, stop), reader=reader)
             m = fileio.align_columns(raw, t, level)
             # Probability files were validated as they were read.
-            return as_probabilities(m) if m.kind == LOGITS else m
+            return as_probabilities(m)
 
         return (
             block(self.fine, "leaf"),
@@ -138,6 +138,8 @@ def load_method_inputs(args, methods: list[str]) -> MethodInputs:
     t = fileio.load_hierarchy(args.hierarchy)
     level_paths = parse_levels(getattr(args, "level", None))
     for depth, _ in level_paths:
+        if not 0 <= depth <= t.max_depth:
+            raise InputError(f"--level depth {depth} outside [0, {t.max_depth}]")
         if depth == t.max_depth:
             # The deepest level holds only leaves; cascading it would square the fine row.
             raise InputError(f"--level depth {depth} is the leaf depth; leaf scores go in --fine")

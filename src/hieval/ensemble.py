@@ -10,8 +10,8 @@ matrix, fine-column -> upper-column map) pairs and multiplies every level's
 factor in, so plain HiE passes the coarse level alone and a cascade passes
 one pair per ancestor depth. ``hie_self`` feeds it the fine row's own parent
 marginals. Whenever the coarse argmax hits the true class's parent, the true
-class's reweighted probability can only go up; see :func:`combine_gain` for
-the per-sample diagnostic of that guarantee.
+class's reweighted probability can only go up: combining never shrinks
+``fine.values[n, g]`` for the true class ``g`` of row ``n``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidIndex, KindConflict, ZeroDenominator
+from .errors import DimensionMismatch, KindConflict, ZeroDenominator
 from .scores import PROBABILITIES, ScoreMatrix
 
 # Below this, per-row products are recomputed in log space so that underflow
@@ -119,21 +119,3 @@ def marginalize_to_parents(fine: ScoreMatrix, pmap, n_coarse: int) -> ScoreMatri
 def hie_self(fine: ScoreMatrix, pmap, n_coarse: int) -> ScoreMatrix:
     """Single-model variant: the upper level is the fine row marginalized to parents."""
     return hie_combine(fine, [(marginalize_to_parents(fine, pmap, n_coarse), pmap)])
-
-
-def combine_gain(q_row, r_row, pmap, goal: int) -> float:
-    """Factor by which combining changes the goal class's probability, s_g / q_g.
-
-    At least 1 whenever ``argmax(r_row) == pmap[goal]``: a correct coarse
-    prediction can never shrink the true class's share. A goal probability of
-    exactly zero returns 1 by convention.
-    """
-    q = np.asarray(q_row, dtype=np.float64).reshape(1, -1)
-    r = np.asarray(r_row, dtype=np.float64).reshape(1, -1)
-    if not 0 <= goal < q.shape[1]:
-        raise InvalidIndex(f"goal index {goal} outside [0, {q.shape[1]})")
-    col_map = _as_col_map(pmap, q.shape[1], r.shape[1], "parent index map")
-    if q[0, goal] == 0.0:
-        return 1.0
-    s = _product_normalize(q, [(r, col_map)])
-    return float(s[0, goal] / q[0, goal])

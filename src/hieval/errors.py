@@ -43,10 +43,6 @@ class OrderMismatch(InputError):
     """An explicit leaf or coarse ordering is not a permutation of the set."""
 
 
-class InvalidNode(DataError):
-    pass
-
-
 class DepthOutOfRange(DataError):
     pass
 

@@ -1,12 +1,12 @@
 """Hierarchy-aware evaluation: top-1 accuracy, mistake severity, distance@k.
 
-Severity of a single mistake is the LCA height between the predicted and true
-leaves. Averaging over mistakes only gives avg_mistake_severity; averaging
-LCA heights of the top-k ranked classes over all samples gives
-hier_dist_at_k, whose k=1 case decomposes exactly as
-(1 - top1_accuracy) * avg_mistake_severity. Heights are looked up for the
-scored pairs only (``taxonomy.lca_heights``), never through the leaf-by-leaf
-cost matrix.
+``eval_report`` is the one entry point. Severity of a single mistake is the
+LCA height between the predicted and true leaves; averaging it over the
+mistakes gives the average mistake severity, and averaging the LCA heights of
+the top-k ranked classes over all samples gives hierarchical distance@k, whose
+k=1 case decomposes exactly as (1 - top-1 accuracy) * severity. All three are
+read off one table of LCA heights, each row's top max(ks) classes against its
+label (``taxonomy.lca_heights``), never through the leaf-by-leaf cost matrix.
 
 All sums are accumulated over integer LCA heights with a single final
 division, so results are reproducible bit for bit regardless of sample order
@@ -29,7 +29,12 @@ from .scores import top_k  # noqa: F401
 
 @dataclass
 class EvalReport:
-    """One method's metrics on one labeled score set."""
+    """One method's metrics on one labeled score set.
+
+    ``avg_mistake_severity`` is None when every prediction is correct, rather
+    than 0, so that error-free rows do not deflate severity columns in
+    comparison tables.
+    """
 
     method: str
     top1_accuracy: float
@@ -40,61 +45,6 @@ class EvalReport:
     config: dict = field(default_factory=dict)
 
 
-def _as_index_vector(v, what: str, n_classes: int) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.int64)
-    if arr.ndim != 1:
-        raise LengthMismatch(f"{what} must be 1-d, got shape {arr.shape}")
-    if arr.size == 0:
-        raise EmptyInput(f"{what} is empty")
-    if arr.min() < 0 or arr.max() >= n_classes:
-        raise InvalidIndex(f"{what} entries must lie in [0, {n_classes})")
-    return arr
-
-
-def top1_accuracy(pred, gt) -> float:
-    """Fraction of samples whose prediction equals the ground truth."""
-    p = np.asarray(pred, dtype=np.int64)
-    g = np.asarray(gt, dtype=np.int64)
-    if p.shape != g.shape:
-        raise LengthMismatch(f"{p.shape[0]} predictions vs {g.shape[0]} labels")
-    if p.size == 0:
-        raise EmptyInput("no samples")
-    return int((p == g).sum()) / p.size
-
-
-def avg_mistake_severity(pred, gt, t: tx.Taxonomy) -> Optional[float]:
-    """Mean LCA height between prediction and truth over the mistakes only.
-
-    None when every prediction is correct, rather than 0, so that error-free
-    rows do not deflate severity columns in comparison tables.
-    """
-    p = _as_index_vector(pred, "predictions", t.n_leaves)
-    g = _as_index_vector(gt, "labels", t.n_leaves)
-    if p.shape != g.shape:
-        raise LengthMismatch(f"{p.shape[0]} predictions vs {g.shape[0]} labels")
-    wrong = p != g
-    n_mistakes = int(wrong.sum())
-    if n_mistakes == 0:
-        return None
-    return int(tx.lca_heights(t, p[wrong], g[wrong]).sum()) / n_mistakes
-
-
-def hier_dist_at_k(ranking, gt, t: tx.Taxonomy, k: int) -> float:
-    """Mean LCA height between the truth and each of the top-k classes, over all samples."""
-    r = np.asarray(ranking, dtype=np.int64)
-    if r.ndim != 2:
-        raise LengthMismatch(f"ranking must be 2-d, got shape {r.shape}")
-    if not 1 <= k <= r.shape[1]:
-        raise KTooLarge(f"k={k} outside [1, {r.shape[1]}]")
-    g = _as_index_vector(gt, "labels", t.n_leaves)
-    if r.shape[0] != g.shape[0]:
-        raise LengthMismatch(f"{r.shape[0]} ranking rows vs {g.shape[0]} labels")
-    if r.min() < 0 or r.max() >= t.n_leaves:
-        raise InvalidIndex(f"ranking entries must lie in [0, {t.n_leaves})")
-    heights = tx.lca_heights(t, r[:, :k], g[:, None])
-    return int(heights.sum()) / (g.size * k)
-
-
 def eval_report(
     ranking,
     gt,
@@ -103,28 +53,37 @@ def eval_report(
     method: str,
     config: dict | None = None,
 ) -> EvalReport:
-    """Bundle all three metrics for one method into a report.
+    """Top-1 accuracy, mistake severity and distance@k for every k in ``ks``.
 
     ``ranking`` holds leaf columns, best first, with at least max(ks) columns
-    per row, e.g. ``scores.top_k(combined, max(ks))``.
+    per row, e.g. ``scores.top_k(combined, max(ks))``; ``gt`` holds one leaf
+    column per row.
     """
     ks = [int(k) for k in ks]
     if not ks:
         raise EmptyInput("no k values requested")
-    ranking = np.asarray(ranking, dtype=np.int64)
-    if ranking.ndim != 2:
-        raise LengthMismatch(f"ranking must be 2-d, got shape {ranking.shape}")
-    g = _as_index_vector(gt, "labels", t.n_leaves)
-    pred = ranking[:, 0]
-    acc = top1_accuracy(pred, g)
-    severity = avg_mistake_severity(pred, g, t)
-    dists = {k: hier_dist_at_k(ranking, g, t, k) for k in ks}
+    ranking, gt = np.asarray(ranking, dtype=np.int64), np.asarray(gt, dtype=np.int64)
+    if ranking.ndim != 2 or gt.ndim != 1:
+        raise LengthMismatch(f"need a 2-d ranking and 1-d labels, got {ranking.shape}, {gt.shape}")
+    n = gt.size
+    if ranking.shape[0] != n:
+        raise LengthMismatch(f"{ranking.shape[0]} predictions vs {n} labels")
+    if n == 0:
+        raise EmptyInput("no samples")
+    for k in ks:
+        if not 1 <= k <= ranking.shape[1]:
+            raise KTooLarge(f"k={k} outside [1, {ranking.shape[1]}]")
+    ranking = ranking[:, :max(ks)]
+    if min(ranking.min(), gt.min()) < 0 or max(ranking.max(), gt.max()) >= t.n_leaves:
+        raise InvalidIndex(f"ranking and label entries must lie in [0, {t.n_leaves})")
+    h = tx.lca_heights(t, ranking, gt[:, None])
+    n_mistakes = int((ranking[:, 0] != gt).sum())
     return EvalReport(
         method=method,
-        top1_accuracy=acc,
-        avg_mistake_severity=severity,
-        hier_dist_at_k=dists,
-        n_samples=int(g.size),
-        n_mistakes=int((np.asarray(pred) != g).sum()),
+        top1_accuracy=(n - n_mistakes) / n,
+        avg_mistake_severity=int(h[:, 0].sum()) / n_mistakes if n_mistakes else None,
+        hier_dist_at_k={k: int(h[:, :k].sum()) / (n * k) for k in ks},
+        n_samples=n,
+        n_mistakes=n_mistakes,
         config=dict(config or {}),
     )

@@ -173,11 +173,6 @@ def validate_probabilities(m: ScoreMatrix, tol: float = INTERNAL_TOL) -> None:
         raise RowSumViolation(m.first_row + r, float(sums[r]))
 
 
-def as_probabilities(m: ScoreMatrix, tol: float = FILE_TOL) -> ScoreMatrix:
-    """Softmax a logits matrix, or validate one already marked as probabilities."""
-    if m.kind == LOGITS:
-        return softmax_rows(m)
-    validate_probabilities(m, tol)
-    return m
-
-
+def as_probabilities(m: ScoreMatrix) -> ScoreMatrix:
+    """Softmax a logits matrix; a probability matrix passes through as it is."""
+    return softmax_rows(m) if m.kind == LOGITS else m

@@ -23,7 +23,6 @@ from .errors import (
     CycleDetected,
     DepthOutOfRange,
     EmptyInput,
-    InvalidNode,
     MultipleRoots,
     NodeWithTwoParents,
     NonLeveledTree,
@@ -46,8 +45,6 @@ class Taxonomy:
     coarse_order: tuple[int, ...]
     depth: tuple[int, ...]
     height: tuple[int, ...]
-    children: tuple[tuple[int, ...], ...]
-    _id_of: dict = field(repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -70,12 +67,6 @@ class Taxonomy:
         """True when every leaf sits at the same depth."""
         depths = {self.depth[n] for n in self.leaf_order}
         return len(depths) == 1
-
-    def id_of(self, name: str) -> int:
-        try:
-            return self._id_of[name]
-        except KeyError:
-            raise InvalidNode(f"unknown node name {name!r}") from None
 
     def leaf_names(self) -> tuple[str, ...]:
         return tuple(self.names[n] for n in self.leaf_order)
@@ -169,8 +160,6 @@ def build_taxonomy(
         coarse_order=tuple(coarse_ids),
         depth=tuple(depth),
         height=tuple(height),
-        children=tuple(tuple(sorted(c)) for c in children),
-        _id_of=ids,
     )
 
 

@@ -15,9 +15,9 @@ import numpy as np
 
 import hieval
 from conftest import criterion, random_prob_rows, random_taxonomy
-from hieval.ensemble import combine_gain, hie_combine, hie_self, marginalize_to_parents
+from hieval.ensemble import hie_combine, hie_self, marginalize_to_parents
 from hieval.fileio import load_hierarchy, load_scores, save_hierarchy, save_scores
-from hieval.metrics import avg_mistake_severity, hier_dist_at_k, top1_accuracy
+from hieval.metrics import eval_report
 from hieval.risk import crm_rerank
 from hieval.scores import LOGITS, PROBABILITIES, ScoreMatrix, softmax_rows, top_k
 from hieval.synth import SynthConfig, gen_instance, gen_taxonomy
@@ -36,6 +36,11 @@ def taxonomy_pool(rng, count, max_leaves=64, min_nodes=4, max_nodes=130):
         if 2 <= t.n_leaves <= max_leaves:
             pool.append(t)
     return pool
+
+
+def report(ranking, gt, t, ks=(1,)):
+    """``eval_report`` of a ranking; a prediction vector ``pred`` is ``pred[:, None]``."""
+    return eval_report(ranking, gt, t, ks, "m")
 
 
 def prob_matrix(rows, names=None):
@@ -67,9 +72,11 @@ def test_c01_guaranteed_gain_suite():
             margins = s[rows, goals] / q[rows, goals]
             min_margin = min(min_margin, margins.min())
             assert (margins >= 1 - 1e-12).all()
-            # exercise the per-row diagnostic on a sample
+            # the same gain from one-row calls on a sample
             for i in range(2):
-                assert combine_gain(q[i], r[i], pmap, int(goals[i])) >= 1 - 1e-12
+                g = int(goals[i])
+                s_i = hie_combine(prob_matrix(q[i]), [(prob_matrix(r[i]), pmap)]).values
+                assert s_i[0, g] / q[i, g] >= 1 - 1e-12
             total += per_batch
         elapsed = time.perf_counter() - start
         assert total == 10_000
@@ -178,9 +185,8 @@ def test_c05_metric_identity_suite():
             gt = rng.integers(0, t.n_leaves, size=n)
             if (pred == gt).all():
                 continue
-            acc = top1_accuracy(pred, gt)
-            sev = avg_mistake_severity(pred, gt, t)
-            hd1 = hier_dist_at_k(pred.reshape(-1, 1), gt, t, 1)
+            rep = report(pred[:, None], gt, t)
+            acc, sev, hd1 = rep.top1_accuracy, rep.avg_mistake_severity, rep.hier_dist_at_k[1]
             gap = abs(hd1 - (1 - acc) * sev)
             worst = max(worst, gap)
             assert gap <= 1e-9
@@ -204,10 +210,11 @@ def test_c05_metric_identity_suite():
                     sev_total += int(costs[ranking[i, 0], gt[i]])
                 for j in range(k):
                     hd_total += int(costs[ranking[i, j], gt[i]])
-            assert top1_accuracy(ranking[:, 0], gt) == correct / n
+            rep = report(ranking, gt, t, [k])
+            assert rep.top1_accuracy == correct / n
             expected_sev = None if mistakes == 0 else sev_total / mistakes
-            assert avg_mistake_severity(ranking[:, 0], gt, t) == expected_sev
-            assert hier_dist_at_k(ranking, gt, t, k) == hd_total / (n * k)
+            assert rep.avg_mistake_severity == expected_sev
+            assert rep.hier_dist_at_k[k] == hd_total / (n * k)
             oracle_checked += 1
         d["text"] = f"max decomposition gap {worst:.2e}"
 
@@ -250,16 +257,17 @@ def test_c07_directional_synthetic_study():
 
             plain = top_k(fine, 1)[:, 0]
             combined = top_k(hie_combine(fine, [(coarse, pmap)]), 1)[:, 0]
-            wins_acc += top1_accuracy(combined, labels) > top1_accuracy(plain, labels)
-            hd_plain = hier_dist_at_k(plain.reshape(-1, 1), labels, t, 1)
-            hd_comb = hier_dist_at_k(combined.reshape(-1, 1), labels, t, 1)
-            wins_hd += hd_comb < hd_plain
+            rep_plain = report(plain[:, None], labels, t)
+            rep_comb = report(combined[:, None], labels, t)
+            wins_acc += rep_comb.top1_accuracy > rep_plain.top1_accuracy
+            wins_hd += rep_comb.hier_dist_at_k[1] < rep_plain.hier_dist_at_k[1]
 
             marginals = marginalize_to_parents(fine, pmap, t.n_coarse)
             correct_marginal = top_k(marginals, 1)[:, 0] == pmap[labels]
             self_pred = top_k(hie_self(fine, pmap, t.n_coarse), 1)[:, 0]
-            acc_plain = top1_accuracy(plain[correct_marginal], labels[correct_marginal])
-            acc_self = top1_accuracy(self_pred[correct_marginal], labels[correct_marginal])
+            ok = labels[correct_marginal]
+            acc_plain = report(plain[correct_marginal][:, None], ok, t).top1_accuracy
+            acc_self = report(self_pred[correct_marginal][:, None], ok, t).top1_accuracy
             self_ok += acc_self >= acc_plain - 1e-9
         elapsed = time.perf_counter() - start
         assert wins_acc >= 19
@@ -288,9 +296,8 @@ def test_c08_cascade_tapering_probe():
             plain = top_k(fine, 1)[:, 0]
             with_mid = top_k(hie_combine(fine, [(mid, amap_mid)]), 1)[:, 0]
             with_both = top_k(hie_combine(fine, [(top, amap_top), (mid, amap_mid)]), 1)[:, 0]
-            d0 = hier_dist_at_k(plain.reshape(-1, 1), labels, t, 1)
-            dm = hier_dist_at_k(with_mid.reshape(-1, 1), labels, t, 1)
-            db = hier_dist_at_k(with_both.reshape(-1, 1), labels, t, 1)
+            d0, dm, db = (report(p[:, None], labels, t).hier_dist_at_k[1]
+                          for p in (plain, with_mid, with_both))
             gains_mid.append(d0 - dm)
             changes_top.append(abs(db - dm))
         mean_gain = float(np.mean(gains_mid))

@@ -156,7 +156,7 @@ def test_eval_length_mismatch(workspace, capsys):
     code = run(["eval", "--hierarchy", hierarchy, "--fine", str(two_rows),
                 "--labels", labels, "--k", "1"])
     assert code == 3
-    assert "LengthMismatch" in capsys.readouterr().err
+    assert "LengthMismatch: 2 predictions vs 1 labels\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("content, message", [
@@ -188,6 +188,7 @@ def test_eval_unwritable_out_exits_2_and_leaves_no_temp_file(workspace, capsys, 
 @pytest.mark.parametrize("levels, message", [
     (["1=coarse.csv", "1=coarse.csv"], "--level depth 1 given twice"),
     (["2=fine.csv"], "--level depth 2 is the leaf depth"),
+    (["9=coarse.csv"], "InputError: --level depth 9 outside [0, 2]"),
 ])
 def test_eval_rejects_levels_that_change_the_maths(workspace, capsys, levels, message):
     hierarchy, fine, labels = paths(workspace, "hierarchy.json", "fine.csv", "labels.txt")

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_prob_rows, random_taxonomy
-from hieval.ensemble import combine_gain, hie_combine, hie_self, marginalize_to_parents
-from hieval.errors import DimensionMismatch, InvalidIndex, KindConflict, ZeroDenominator
+from hieval.ensemble import hie_combine, hie_self, marginalize_to_parents
+from hieval.errors import DimensionMismatch, KindConflict, ZeroDenominator
 from hieval.scores import LOGITS, PROBABILITIES, ScoreMatrix, validate_probabilities
 from hieval.taxonomy import ancestor_index_map, build_taxonomy, parent_index_map
 
@@ -221,34 +221,31 @@ def test_combine_works_on_uneven_trees():
     np.testing.assert_allclose(out.values.sum(axis=1), 1.0, atol=1e-12)
 
 
-# ------------------------------------------------------------- combine_gain
+# --------------------------------------------------- gain of the true class
+
+
+def gain(q_row, r_row, pmap, goal):
+    """Factor by which combining one row changes the goal class's probability, s_g / q_g."""
+    q = ScoreMatrix(np.atleast_2d(q_row), PROBABILITIES, [f"q{i}" for i in range(len(q_row))])
+    r = ScoreMatrix(np.atleast_2d(r_row), PROBABILITIES, [f"r{i}" for i in range(len(r_row))])
+    return hie_combine(q, [(r, pmap)]).values[0, goal] / q.values[0, goal]
 
 
 def test_gain_fixture_value():
-    gain = combine_gain(FIG_Q, FIG_R, PMAP, 2)
-    assert gain == pytest.approx(1.6, rel=1e-12)
+    assert gain(FIG_Q, FIG_R, PMAP, 2) == pytest.approx(1.6, rel=1e-12)
 
 
 def test_gain_uniform_coarse_is_one():
     for g in range(4):
-        assert combine_gain(FIG_Q, [0.5, 0.5], PMAP, g) == pytest.approx(1.0, abs=1e-15)
+        assert gain(FIG_Q, [0.5, 0.5], PMAP, g) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_gain_below_one_when_coarse_wrong():
     # coarse argmax is not the goal's parent, so the guarantee's premise fails
-    gain = combine_gain([0.1, 0.1, 0.7, 0.1], [0.9, 0.1], PMAP, 2)
+    g = gain([0.1, 0.1, 0.7, 0.1], [0.9, 0.1], PMAP, 2)
     oracle = (0.07 / 0.26) / 0.7
-    assert gain == pytest.approx(oracle, rel=1e-12)
-    assert gain < 1
-
-
-def test_gain_zero_probability_convention():
-    assert combine_gain([0.5, 0.5, 0.0, 0.0], [0.4, 0.6], PMAP, 2) == 1.0
-
-
-def test_gain_invalid_index():
-    with pytest.raises(InvalidIndex):
-        combine_gain(FIG_Q, FIG_R, PMAP, 4)
+    assert g == pytest.approx(oracle, rel=1e-12)
+    assert g < 1
 
 
 def test_gain_at_least_one_when_coarse_correct():
@@ -261,4 +258,4 @@ def test_gain_at_least_one_when_coarse_correct():
         top_coarse = int(np.argmax(r))
         candidates = np.flatnonzero(pmap == top_coarse)
         goal = int(rng.choice(candidates))
-        assert combine_gain(q, r, pmap, goal) >= 1 - 1e-12
+        assert gain(q, r, pmap, goal) >= 1 - 1e-12

@@ -3,13 +3,8 @@ import pytest
 
 from conftest import random_prob_rows, random_taxonomy
 from hieval.ensemble import hie_combine
-from hieval.errors import EmptyInput, KTooLarge, LengthMismatch
-from hieval.metrics import (
-    avg_mistake_severity,
-    eval_report,
-    hier_dist_at_k,
-    top1_accuracy,
-)
+from hieval.errors import EmptyInput, InvalidIndex, KTooLarge, LengthMismatch
+from hieval.metrics import eval_report
 from hieval.scores import PROBABILITIES, ScoreMatrix, top_k
 from hieval.taxonomy import build_taxonomy, cost_matrix, parent_index_map
 
@@ -24,21 +19,27 @@ def idx(t, *names):
     return np.array([pos[n] for n in names])
 
 
+def report(ranking, gt, t, ks=(1,)):
+    """``eval_report`` of a ranking, or of a prediction vector as a one-column ranking."""
+    return eval_report(np.asarray(ranking).reshape(len(gt), -1), gt, t, ks, "m")
+
+
 # ----------------------------------------------------------------- top-1
 
 
 def test_top1_examples(flower_vehicle):
     t = flower_vehicle
-    assert top1_accuracy(idx(t, "rose", "bus"), idx(t, "bus", "bus")) == 0.5
-    assert top1_accuracy([1, 2, 3], [1, 2, 3]) == 1.0
-    assert top1_accuracy([0, 0], [1, 2]) == 0.0
+    assert report(idx(t, "rose", "bus"), idx(t, "bus", "bus"), t).top1_accuracy == 0.5
+    assert report([1, 2, 3], [1, 2, 3], t).top1_accuracy == 1.0
+    assert report([0, 0], [1, 2], t).top1_accuracy == 0.0
 
 
-def test_top1_errors():
-    with pytest.raises(LengthMismatch):
-        top1_accuracy([0, 1], [0])
+def test_top1_errors(flower_vehicle):
+    t = flower_vehicle
+    with pytest.raises(LengthMismatch, match="2 predictions vs 1 labels"):
+        eval_report([[0], [1]], [0], t, [1], "m")
     with pytest.raises(EmptyInput):
-        top1_accuracy([], [])
+        eval_report(np.zeros((0, 1), dtype=int), [], t, [1], "m")
 
 
 # -------------------------------------------------------------- severity
@@ -46,14 +47,26 @@ def test_top1_errors():
 
 def test_severity_examples(flower_vehicle):
     t = flower_vehicle
-    assert avg_mistake_severity(idx(t, "rose", "bus"), idx(t, "bus", "bus"), t) == 2.0
-    assert avg_mistake_severity(idx(t, "rose"), idx(t, "rose"), t) is None
-    assert avg_mistake_severity(idx(t, "tulip"), idx(t, "rose"), t) == 1.0
+    assert report(idx(t, "rose", "bus"), idx(t, "bus", "bus"), t).avg_mistake_severity == 2.0
+    assert report(idx(t, "rose"), idx(t, "rose"), t).avg_mistake_severity is None
+    assert report(idx(t, "tulip"), idx(t, "rose"), t).avg_mistake_severity == 1.0
 
 
 def test_severity_length_mismatch(flower_vehicle):
+    with pytest.raises(LengthMismatch, match="1 predictions vs 2 labels"):
+        eval_report([[0]], [0, 1], flower_vehicle, [1], "m")
+
+
+def test_eval_report_rejects_bad_shapes_and_indices(flower_vehicle):
+    t = flower_vehicle
     with pytest.raises(LengthMismatch):
-        avg_mistake_severity([0, 1], [0], flower_vehicle)
+        eval_report([0, 1], [0, 1], t, [1], "m")
+    with pytest.raises(LengthMismatch):
+        eval_report([[0], [1]], [[0], [1]], t, [1], "m")
+    with pytest.raises(InvalidIndex):
+        eval_report([[0], [1]], [0, 4], t, [1], "m")
+    with pytest.raises(InvalidIndex):
+        eval_report([[0, -1], [1, 2]], [0, 1], t, [2], "m")
 
 
 # -------------------------------------------------------------- dist@k
@@ -63,9 +76,9 @@ def test_hier_dist_at_1_examples(flower_vehicle):
     t = flower_vehicle
     pred = idx(t, "rose", "bus").reshape(-1, 1)
     gt = idx(t, "bus", "bus")
-    assert hier_dist_at_k(pred, gt, t, 1) == 1.0
+    assert report(pred, gt, t).hier_dist_at_k[1] == 1.0
     perfect = gt.reshape(-1, 1)
-    assert hier_dist_at_k(perfect, gt, t, 1) == 0.0
+    assert report(perfect, gt, t).hier_dist_at_k[1] == 0.0
 
 
 def test_hier_dist_star_full_k(star8):
@@ -74,12 +87,12 @@ def test_hier_dist_star_full_k(star8):
     ranking = np.stack([rng.permutation(8) for _ in range(20)])
     gt = rng.integers(0, 8, size=20)
     # every non-true class sits at LCA height 1, so any full ranking scores (m-1)/m
-    assert hier_dist_at_k(ranking, gt, t, 8) == 7 / 8
+    assert report(ranking, gt, t, [8]).hier_dist_at_k[8] == 7 / 8
 
 
 def test_hier_dist_k_too_large(flower_vehicle):
     with pytest.raises(KTooLarge):
-        hier_dist_at_k(np.zeros((2, 2), dtype=int), [0, 1], flower_vehicle, 3)
+        eval_report(np.zeros((2, 2), dtype=int), [0, 1], flower_vehicle, [3], "m")
 
 
 # ------------------------------------------------------------ eval_report
@@ -127,9 +140,8 @@ def test_decomposition_identity():
         gt = rng.integers(0, t.n_leaves, size=n)
         if (pred == gt).all():
             continue
-        acc = top1_accuracy(pred, gt)
-        sev = avg_mistake_severity(pred, gt, t)
-        hd1 = hier_dist_at_k(pred.reshape(-1, 1), gt, t, 1)
+        r = report(pred[:, None], gt, t)
+        acc, sev, hd1 = r.top1_accuracy, r.avg_mistake_severity, r.hier_dist_at_k[1]
         assert abs(hd1 - (1 - acc) * sev) <= 1e-9
 
 
@@ -144,23 +156,29 @@ def test_metrics_match_direct_loop_oracle():
         ranking = np.stack([rng.permutation(t.n_leaves) for _ in range(n)])
         gt = rng.integers(0, t.n_leaves, size=n)
         costs = cost_matrix(t)
+        # One call for several ks, the largest first and each usually below
+        # the ranking's width, so every k reads its own prefix of the ranking.
+        ks = list(dict.fromkeys([k, 1, (k + 1) // 2]))
 
         correct = sum(1 for i in range(n) if ranking[i, 0] == gt[i])
         sev_total, mistakes = 0, 0
-        hd_total = 0
+        hd_total = dict.fromkeys(ks, 0)
         for i in range(n):
             if ranking[i, 0] != gt[i]:
                 mistakes += 1
                 sev_total += int(costs[ranking[i, 0], gt[i]])
-            for j in range(k):
-                hd_total += int(costs[ranking[i, j], gt[i]])
+            for kk in ks:
+                for j in range(kk):
+                    hd_total[kk] += int(costs[ranking[i, j], gt[i]])
 
-        assert top1_accuracy(ranking[:, 0], gt) == correct / n
+        r = report(ranking, gt, t, ks)
+        assert r.top1_accuracy == correct / n
+        assert r.n_mistakes == mistakes
         if mistakes:
-            assert avg_mistake_severity(ranking[:, 0], gt, t) == sev_total / mistakes
+            assert r.avg_mistake_severity == sev_total / mistakes
         else:
-            assert avg_mistake_severity(ranking[:, 0], gt, t) is None
-        assert hier_dist_at_k(ranking, gt, t, k) == hd_total / (n * k)
+            assert r.avg_mistake_severity is None
+        assert r.hier_dist_at_k == {kk: hd_total[kk] / (n * kk) for kk in ks}
 
 
 def test_hier_dist_bounded_by_root_height():
@@ -171,7 +189,7 @@ def test_hier_dist_bounded_by_root_height():
         k = int(rng.integers(1, t.n_leaves + 1))
         ranking = np.stack([rng.permutation(t.n_leaves) for _ in range(n)])
         gt = rng.integers(0, t.n_leaves, size=n)
-        hd = hier_dist_at_k(ranking, gt, t, k)
+        hd = report(ranking, gt, t, [k]).hier_dist_at_k[k]
         assert 0.0 <= hd <= t.height[t.root]
 
 
@@ -190,13 +208,10 @@ def test_metrics_invariant_under_relabeling():
     n = 50
     pred = rng.integers(0, 9, size=n)
     gt = rng.integers(0, 9, size=n)
-    assert top1_accuracy(pred, gt) == top1_accuracy(inv[pred], inv[gt])
-    assert avg_mistake_severity(pred, gt, t1) == avg_mistake_severity(
-        inv[pred], inv[gt], t2
-    )
-    assert hier_dist_at_k(pred.reshape(-1, 1), gt, t1, 1) == hier_dist_at_k(
-        inv[pred].reshape(-1, 1), inv[gt], t2, 1
-    )
+    r1, r2 = report(pred[:, None], gt, t1), report(inv[pred][:, None], inv[gt], t2)
+    assert r1.top1_accuracy == r2.top1_accuracy
+    assert r1.avg_mistake_severity == r2.avg_mistake_severity
+    assert r1.hier_dist_at_k[1] == r2.hier_dist_at_k[1]
 
 
 def test_eval_report_matches_manual_top_k(flower_vehicle):
@@ -206,5 +221,7 @@ def test_eval_report_matches_manual_top_k(flower_vehicle):
     gt = rng.integers(0, 4, size=30)
     ranking = top_k(m, 2)
     r = eval_report(ranking, gt, t, [1, 2], "argmax")
-    assert r.hier_dist_at_k[2] == hier_dist_at_k(ranking, gt, t, 2)
+    costs = cost_matrix(t)
+    hd2 = sum(int(costs[ranking[i, j], gt[i]]) for i in range(30) for j in range(2))
+    assert r.hier_dist_at_k[2] == hd2 / 60
     assert r.n_samples == 30

@@ -3,7 +3,7 @@ import pytest
 
 from hieval.ensemble import hie_combine, hie_self
 from hieval.errors import InputError
-from hieval.metrics import top1_accuracy
+from hieval.metrics import eval_report
 from hieval.risk import crm_rerank
 from hieval.scores import softmax_rows, top_k
 from hieval.synth import SynthConfig, gen_instance, gen_taxonomy
@@ -76,7 +76,7 @@ def test_noiseless_instance_is_perfect_under_every_rule():
         "cascade": top_k(hie_combine(fine, [(coarse, ancestor_index_map(t, 1))]), 1)[:, 0],
     }
     for name, pred in predictions.items():
-        assert top1_accuracy(pred, labels) == 1.0, name
+        assert eval_report(pred[:, None], labels, t, [1], name).top1_accuracy == 1.0, name
 
 
 def test_accurate_coarse_pulls_predictions_into_true_subtree():

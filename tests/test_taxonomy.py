@@ -8,7 +8,6 @@ from hieval.errors import (
     CycleDetected,
     DepthOutOfRange,
     EmptyInput,
-    InvalidNode,
     MultipleRoots,
     NodeWithTwoParents,
     NonLeveledTree,
@@ -43,7 +42,7 @@ def test_seven_node_fixture(flower_vehicle):
     assert t.leaf_names() == ("rose", "tulip", "bus", "car")
     assert t.coarse_names() == ("flower", "vehicle")
     assert t.height[t.root] == 2
-    assert t.depth[t.id_of("rose")] == 2
+    assert t.depth[t.names.index("rose")] == 2
 
 
 def test_default_orders_are_lexicographic():
@@ -95,7 +94,7 @@ def test_single_child_chain_allowed():
     # Internal nodes with one child shift depths but not parent-of-leaf maps.
     t = build_taxonomy([("leaf", "mid"), ("mid", "root")])
     assert t.n_leaves == 1
-    assert t.depth[t.id_of("leaf")] == 2
+    assert t.depth[t.names.index("leaf")] == 2
     assert t.coarse_names() == ("mid",)
 
 
@@ -104,15 +103,13 @@ def test_single_child_chain_allowed():
 
 def test_parent_of(flower_vehicle):
     t = flower_vehicle
-    assert t.parent[t.id_of("rose")] == t.id_of("flower")
+    assert t.parent[t.names.index("rose")] == t.names.index("flower")
     assert t.parent[t.root] is None
-    with pytest.raises(InvalidNode):
-        t.id_of("orchid")
 
 
 def test_lca_height_examples(flower_vehicle):
     t = flower_vehicle
-    rose, tulip, bus = t.id_of("rose"), t.id_of("tulip"), t.id_of("bus")
+    rose, tulip, bus = t.names.index("rose"), t.names.index("tulip"), t.names.index("bus")
     assert lca_height(t, rose, rose) == 0
     assert lca_height(t, rose, tulip) == 1
     assert lca_height(t, rose, bus) == 2
@@ -163,11 +160,11 @@ def test_parent_index_map(flower_vehicle):
 
 def test_ancestor_at_depth(flower_vehicle):
     t = flower_vehicle
-    rose = t.id_of("rose")
+    rose = t.names.index("rose")
     assert ancestor_at_depth(t, rose, 0) == t.root
-    assert ancestor_at_depth(t, rose, 1) == t.id_of("flower")
+    assert ancestor_at_depth(t, rose, 1) == t.names.index("flower")
     assert ancestor_at_depth(t, rose, 2) == rose
-    assert ancestor_table(t)[0].tolist() == [t.root, t.id_of("flower"), rose]
+    assert ancestor_table(t)[0].tolist() == [t.root, t.names.index("flower"), rose]
 
 
 def test_level_orders_match_conventions(flower_vehicle):
