@@ -117,9 +117,8 @@ class MethodInputs:
             if reader is None:
                 return None
             raw = fileio.load_scores(reader.path, rows=(start, stop), reader=reader)
-            m = fileio.align_columns(raw, t, level)
-            # Probability files were validated as they were read.
-            return as_probabilities(m)
+            # Validated as read; no caller sees the block, so softmax it in place.
+            return as_probabilities(fileio.align_columns(raw, t, level), _in_place=True)
 
         return (
             block(self.fine, "leaf"),
@@ -280,7 +279,7 @@ def cmd_infer(args, out) -> int:
                 else:
                     # Negated risks as logits: generic descending-score ranking
                     # downstream reproduces the ascending-risk order.
-                    yield ScoreMatrix(-ranked.expected_costs, LOGITS, leaf_names)
+                    yield ScoreMatrix._adopt(-ranked.expected_costs, LOGITS, leaf_names)
 
         fileio.save_scores(blocks(), args.out)
     fileio.write_labels(inputs.taxonomy, np.concatenate(preds), preds_path)

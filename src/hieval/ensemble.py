@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, KindConflict, ZeroDenominator
+from .errors import DimensionMismatch, KindConflict, NonFiniteValue, ZeroDenominator
 from .scores import PROBABILITIES, ScoreMatrix
 
 # Below this, per-row products are recomputed in log space so that underflow
@@ -53,9 +53,11 @@ def _product_normalize(fine: np.ndarray, factors: list[tuple[np.ndarray, np.ndar
     logs and exponentiating around the row maximum; rows with no mass at all
     raise ZeroDenominator, naming the row counted from ``first_row``.
     """
-    u = fine.copy()
-    for values, col_map in factors:
-        u *= values[:, col_map]
+    # fine * f0 * f1 * ... in that order; u = f0 * fine first is the same bits.
+    u = np.take(*factors[0], axis=1)
+    u *= fine
+    for values, col_map in factors[1:]:
+        u *= np.take(values, col_map, axis=1)
     low = u < UNDERFLOW_LIMIT
     dead = low.all(axis=1)
     if dead.any():
@@ -69,7 +71,13 @@ def _product_normalize(fine: np.ndarray, factors: list[tuple[np.ndarray, np.ndar
                 logs += np.log(values[redo][:, col_map])
         peak = logs.max(axis=1, keepdims=True)
         w = np.where(np.isneginf(logs), 0.0, np.exp(logs - peak))
-        u[redo] = w / w.sum(axis=1, keepdims=True)
+        w /= w.sum(axis=1, keepdims=True)
+        # A negative entry that FILE_TOL lets through has no log: its row is NaN.
+        bad = ~np.isfinite(w)
+        if bad.any():
+            r, c = np.argwhere(bad)[0]
+            raise NonFiniteValue(first_row + int(np.flatnonzero(redo)[r]), int(c))
+        u[redo] = w
     return u
 
 
@@ -95,7 +103,7 @@ def hie_combine(fine: ScoreMatrix,
     if not factors:
         return fine
     values = _product_normalize(fine.values, factors, fine.first_row)
-    return ScoreMatrix(values, PROBABILITIES, fine.class_names, fine.first_row)
+    return ScoreMatrix._adopt(values, PROBABILITIES, fine.class_names, fine.first_row)
 
 
 def marginalize_to_parents(fine: ScoreMatrix, pmap, n_coarse: int) -> ScoreMatrix:
@@ -106,14 +114,28 @@ def marginalize_to_parents(fine: ScoreMatrix, pmap, n_coarse: int) -> ScoreMatri
     """
     _require_probabilities(fine, "fine scores")
     col_map = _as_col_map(pmap, fine.n_classes, n_coarse, "parent index map")
-    out = np.zeros((fine.n_samples, n_coarse), dtype=np.float64)
-    # Unbuffered scatter-add walks entries in row-major order, which keeps
-    # the summation order fixed regardless of grouping layout.
-    rows = np.broadcast_to(np.arange(fine.n_samples)[:, None], fine.values.shape)
-    cols = np.broadcast_to(col_map[None, :], fine.values.shape)
-    np.add.at(out, (rows, cols), fine.values)
+    # np.add.at's additions in its order: each group's members added to 0.0 by column.
+    # The j largest groups are summed one at a time by cumsum (sequential); the
+    # rest rank by rank, where rank r adds the r-th member of every group longer
+    # than r, a prefix when sorted by size. j minimises the j + sizes[j] passes.
+    counts = np.bincount(col_map, minlength=n_coarse)
+    by_size = np.argsort(-counts, kind="stable")
+    sizes = np.r_[counts[by_size], 0]
+    j = int(np.argmin(np.arange(n_coarse + 1) + sizes))
+    members = np.argsort(col_map, kind="stable")
+    firsts = (np.cumsum(counts) - counts)[by_size]
+    acc = np.zeros((fine.n_samples, n_coarse))
+    for i in range(j):
+        group = np.take(fine.values, members[firsts[i]:firsts[i] + sizes[i]], axis=1)
+        acc[:, i] += np.cumsum(group, axis=1)[:, -1]  # to 0.0, so all -0.0 gives 0.0
+    rank, g = np.nonzero(sizes[j:-1] > np.arange(sizes[j])[:, None])
+    runs = np.take(fine.values, members[firsts[j + g] + rank], axis=1)
+    bounds = np.r_[0, np.cumsum(np.bincount(rank))].tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        acc[:, j:j + hi - lo] += runs[:, lo:hi]
+    out = np.take(acc, np.argsort(by_size), axis=1)
     names = tuple(f"group{j}" for j in range(n_coarse))
-    return ScoreMatrix(out, PROBABILITIES, names, fine.first_row)
+    return ScoreMatrix._adopt(out, PROBABILITIES, names, fine.first_row)
 
 
 def hie_self(fine: ScoreMatrix, pmap, n_coarse: int) -> ScoreMatrix:

@@ -188,9 +188,10 @@ class ScoreReader:
 
     Opening reads no payload (a text file is scanned once for its line count
     and its UTF-8). :meth:`read` then reads any range of rows into a fresh
-    array. ``declared_kind`` cross-checks the file's own kind marker
-    (KindConflict on disagreement) and supplies it for plain text files
-    without one. Close the reader, or use it as a context manager.
+    array, which the matrix it returns adopts. ``declared_kind`` cross-checks
+    the file's own kind marker (KindConflict on disagreement) and supplies it
+    for plain text files without one. Close the reader, or use it as a context
+    manager.
     """
 
     def __init__(self, path: str, declared_kind: str | None = None):
@@ -257,7 +258,11 @@ class ScoreReader:
         self._file.seek(_HEADER.size + start * values.shape[1] * 8)
         if self._file.readinto(values) != values.nbytes:
             raise ParseError(f"{self.path}: payload ended before row {stop}")
-        return values
+        finite = np.isfinite(values)
+        if not finite.all():
+            r, c = np.argwhere(~finite)[0]
+            raise NonFiniteValue(start + int(r), int(c))
+        return values.astype(np.float64, copy=False)
 
     def _open_text(self, declared_kind) -> None:
         path, f = self.path, self._file
@@ -335,12 +340,12 @@ class ScoreReader:
     def read(self, start: int, stop: int) -> ScoreMatrix:
         """Rows ``[start, stop)``: finite values, and probability rows validated within FILE_TOL.
 
-        Errors name rows and columns of the file.
+        Errors name rows and columns of the file. Values are checked here, once.
         """
         if not 0 <= start < stop <= self.n_rows:
             raise ValueError(f"rows [{start}, {stop}) outside [0, {self.n_rows})")
         try:
-            m = ScoreMatrix(self._read_rows(start, stop), self.kind, self.class_names, start)
+            m = ScoreMatrix._adopt(self._read_rows(start, stop), self.kind, self.class_names, start)
             if m.kind == PROBABILITIES:
                 validate_probabilities(m, FILE_TOL)
         except OSError as e:
@@ -456,7 +461,8 @@ def align_columns(m: ScoreMatrix, t: tx.Taxonomy, level) -> ScoreMatrix:
     perm = column_order(m.class_names, t, level)
     if perm is None:
         return m
-    return ScoreMatrix(m.values[:, perm], m.kind, _canonical_names(t, level), m.first_row)
+    values = np.take(m.values, perm, axis=1)  # C-ordered, unlike m.values[:, perm]
+    return ScoreMatrix._adopt(values, m.kind, _canonical_names(t, level), m.first_row)
 
 
 # ------------------------------------------------------------ label files
@@ -486,7 +492,7 @@ def load_labels(path: str, t: tx.Taxonomy) -> np.ndarray:
 def write_labels(t: tx.Taxonomy, indices, path: str) -> None:
     """Write leaf_order indices as one leaf name per line (labels or predictions)."""
     leaf_names = t.leaf_names()
-    lines = [leaf_names[int(i)] for i in np.asarray(indices)]
+    lines = [leaf_names[i] for i in np.asarray(indices).tolist()]
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -19,9 +19,7 @@ from .errors import (
 LOGITS = "logits"
 PROBABILITIES = "probabilities"
 
-# Probability tolerance for matrices produced in-process (softmax, combining).
-INTERNAL_TOL = 1e-9
-# Looser tolerance for user-supplied files, which may come from 32-bit exporters.
+# Probability tolerance for user-supplied files, which may come from 32-bit exporters.
 FILE_TOL = 1e-6
 
 # Row-local work (reading, softmax, combining, risk, ranking) runs over blocks
@@ -42,8 +40,11 @@ class ScoreMatrix:
 
     ``kind`` says whether values are raw logits or probabilities;
     ``class_names`` binds columns to taxonomy nodes. Values are stored
-    read-only and must be finite. ``first_row`` is the row of the whole score
-    set where this block starts, so that errors name rows of the file.
+    read-only, C-contiguous and finite. ``first_row`` is the row of the whole
+    score set where this block starts, so that errors name rows of the file.
+    The constructor copies and checks the caller's array; ``_adopt`` takes an
+    array the package has just allocated as it is, checking its layout only,
+    since ``fileio.ScoreReader`` checks values where they enter.
     """
 
     values: np.ndarray
@@ -74,6 +75,17 @@ class ScoreMatrix:
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "class_names", names)
 
+    @classmethod
+    def _adopt(cls, values: np.ndarray, kind: str, class_names: tuple, first_row: int = 0):
+        """Wrap ``values`` without a copy; it becomes read-only. See the class docstring."""
+        if not (values.ndim == 2 and values.dtype == np.float64 and values.flags.c_contiguous
+                and values.shape[1] == len(class_names)):
+            raise ValueError(f"cannot adopt a {values.dtype} array of shape {values.shape}")
+        values.setflags(write=False)
+        m = object.__new__(cls)
+        m.__dict__.update(values=values, kind=kind, class_names=class_names, first_row=first_row)
+        return m
+
     @property
     def n_samples(self) -> int:
         return self.values.shape[0]
@@ -83,13 +95,20 @@ class ScoreMatrix:
         return self.values.shape[1]
 
 
-def softmax_rows(m: ScoreMatrix) -> ScoreMatrix:
-    """Row-wise softmax of a logits matrix, stabilized by the row maximum."""
+def softmax_rows(m: ScoreMatrix, *, _in_place: bool = False) -> ScoreMatrix:
+    """Row-wise softmax of a logits matrix, stabilized by the row maximum; a new matrix.
+
+    ``_in_place`` overwrites ``m``'s buffer instead, for a block no caller can see.
+    """
     if m.kind != LOGITS:
         raise KindConflict(f"softmax_rows expects logits, got {m.kind}")
-    e = np.exp(m.values - m.values.max(axis=1, keepdims=True))
+    v = m.values
+    e = v if _in_place else np.empty_like(v)
+    e.setflags(write=True)  # an adopted buffer is read-only
+    np.subtract(v, v.max(axis=1, keepdims=True), out=e)
+    np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
-    return ScoreMatrix(e, PROBABILITIES, m.class_names, m.first_row)
+    return ScoreMatrix._adopt(e, PROBABILITIES, m.class_names, m.first_row)
 
 
 def rank_rows(values: np.ndarray, k: int) -> np.ndarray:
@@ -151,7 +170,7 @@ def top_k(m: ScoreMatrix | RiskRanking, k: int) -> np.ndarray:
     return rank_rows(-m.values, k)
 
 
-def validate_probabilities(m: ScoreMatrix, tol: float = INTERNAL_TOL) -> None:
+def validate_probabilities(m: ScoreMatrix, tol: float) -> None:
     """Check that every row is a probability vector within ``tol``.
 
     Raises NegativeEntry or RowSumViolation naming the first offending row.
@@ -173,6 +192,6 @@ def validate_probabilities(m: ScoreMatrix, tol: float = INTERNAL_TOL) -> None:
         raise RowSumViolation(m.first_row + r, float(sums[r]))
 
 
-def as_probabilities(m: ScoreMatrix) -> ScoreMatrix:
-    """Softmax a logits matrix; a probability matrix passes through as it is."""
-    return softmax_rows(m) if m.kind == LOGITS else m
+def as_probabilities(m: ScoreMatrix, *, _in_place: bool = False) -> ScoreMatrix:
+    """As :func:`softmax_rows` (``_in_place`` too) for logits; probabilities pass through."""
+    return softmax_rows(m, _in_place=_in_place) if m.kind == LOGITS else m

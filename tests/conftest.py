@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from hieval.errors import NonFiniteValue, ZeroDenominator
 from hieval.taxonomy import Taxonomy, build_taxonomy
 
 # Four leaves under two groups; column order pinned to rose,tulip,bus,car so
@@ -75,6 +76,52 @@ def lca_height(t: Taxonomy, a: int, b: int) -> int:
     while a != b:
         a, b = t.parent[a], t.parent[b]
     return t.height[a]
+
+
+# ------------------------------------------------- bitwise kernel oracles
+#
+# The combine kernels as first written: an unbuffered np.add.at for parent
+# marginals, and a copy of the fine block times fancy-indexed gathers for the
+# product. ``hieval.ensemble``'s kernels must give the same bits.
+
+
+def add_at_marginals(values: np.ndarray, pmap, n_coarse: int) -> np.ndarray:
+    out = np.zeros((values.shape[0], n_coarse), dtype=np.float64)
+    rows = np.broadcast_to(np.arange(values.shape[0])[:, None], values.shape)
+    cols = np.broadcast_to(np.asarray(pmap)[None, :], values.shape)
+    np.add.at(out, (rows, cols), values)
+    return out
+
+
+def copy_product(fine: np.ndarray, factors, limit: float = 1e-300) -> np.ndarray:
+    """Renormalised fine * gathered factors; ZeroDenominator and NonFiniteValue
+    (a negative entry's NaN row) as the package raises them."""
+    u = fine.copy()
+    for values, col_map in factors:
+        u *= values[:, col_map]
+    low = u < limit
+    dead = low.all(axis=1)
+    if dead.any():
+        raise ZeroDenominator(int(np.argmax(dead)))
+    u /= u.sum(axis=1, keepdims=True)
+    redo = low.any(axis=1)
+    if redo.any():
+        with np.errstate(divide="ignore"):
+            logs = np.log(fine[redo])
+            for values, col_map in factors:
+                logs += np.log(values[redo][:, col_map])
+        peak = logs.max(axis=1, keepdims=True)
+        w = np.where(np.isneginf(logs), 0.0, np.exp(logs - peak))
+        u[redo] = w / w.sum(axis=1, keepdims=True)
+    bad = ~np.isfinite(u)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise NonFiniteValue(int(r), int(c))
+    return u
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and bool((a.view(np.uint64) == b.view(np.uint64)).all())
 
 
 def random_prob_rows(rng: np.random.Generator, n: int, k: int) -> np.ndarray:

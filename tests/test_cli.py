@@ -77,6 +77,25 @@ def test_infer_hie_flips_to_bus(workspace):
     np.testing.assert_allclose(m.values[0], [0.16, 0.04, 0.56, 0.24], atol=1e-12)
 
 
+# -1e-9 is within FILE_TOL, so the file is accepted; the product of row 1 is
+# under 1e-300 at the zero, and the log of the negative entry is NaN.
+@pytest.mark.parametrize("method", ["hie", "hie-self", "cascade"])
+def test_infer_refuses_the_nan_row_of_a_tolerated_negative_entry(workspace, capsys, method):
+    (workspace / "fine.csv").write_text(
+        "# kind: probabilities\nrose,tulip,bus,car\n0.4,0.1,0.35,0.15\n0.5,0.500000001,-1e-9,0.0\n"
+    )
+    (workspace / "coarse.csv").write_text("# kind: probabilities\nflower,vehicle\n0.2,0.8\n0.5,0.5\n")
+    hierarchy, fine, coarse = paths(workspace, "hierarchy.json", "fine.csv", "coarse.csv")
+    extra = {"hie": ["--coarse", coarse], "hie-self": [], "cascade": ["--level", f"1={coarse}"]}
+    out = workspace / "combined.csv"
+    with np.errstate(invalid="ignore"):
+        code = run(["infer", "--hierarchy", hierarchy, "--fine", fine, *extra[method],
+                    "--method", method, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "NonFiniteValue: non-finite value at row 1, column 0\n"
+    assert not out.exists()
+
+
 def test_infer_argmax_says_rose(workspace):
     hierarchy, fine = paths(workspace, "hierarchy.json", "fine.csv")
     out = str(workspace / "plain.csv")
@@ -223,8 +242,8 @@ def test_eval_predictions_file_allows_only_k1(workspace, capsys):
     assert "only k=1 applies" in err
 
 
-# Row faults in the coarse file; the binary case is caught when the block
-# becomes a ScoreMatrix rather than by the text parser.
+# Row faults in the coarse file; the binary case is caught by the check of
+# each block read rather than by the text parser.
 @pytest.mark.parametrize("row, suffix, message", [
     ("0.2,nan", ".csv", "NonFiniteValue: {path}: non-finite value at row 0, column 1"),
     ("0.2,nan", ".hies", "NonFiniteValue: {path}: non-finite value at row 0, column 1"),

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_prob_rows, random_taxonomy
+from conftest import (
+    add_at_marginals,
+    copy_product,
+    random_prob_rows,
+    random_taxonomy,
+    same_bits,
+)
 from hieval.ensemble import hie_combine, hie_self, marginalize_to_parents
-from hieval.errors import DimensionMismatch, KindConflict, ZeroDenominator
+from hieval.errors import DimensionMismatch, KindConflict, NonFiniteValue, ZeroDenominator
 from hieval.scores import LOGITS, PROBABILITIES, ScoreMatrix, validate_probabilities
 from hieval.taxonomy import ancestor_index_map, build_taxonomy, parent_index_map
 
@@ -259,3 +267,120 @@ def test_gain_at_least_one_when_coarse_correct():
         candidates = np.flatnonzero(pmap == top_coarse)
         goal = int(rng.choice(candidates))
         assert gain(q, r, pmap, goal) >= 1 - 1e-12
+
+
+# ------------------------------------- bitwise against the first kernels
+#
+# hie_combine's product and marginalize_to_parents' sums are rewritten
+# kernels; conftest keeps the first versions, and the outputs must be the
+# same bits, so that no output file changes.
+
+# Entry scales: products of the tiny ones fall under UNDERFLOW_LIMIT and take
+# the log path; mixing 1 with 1e-8 and 1e-16 makes sums depend on their order.
+SCALES = (1.0, 1.0, 1.0, 1e-8, 1e-16, 1e-170, 1e-320, 0.0)
+
+
+def block_values(rng, n, c):
+    return rng.random((n, c)) * rng.choice(SCALES, size=(n, c))
+
+
+def group_map(rng, n_fine, shape):
+    """A column -> group map and the group count: uneven groups, single-member
+    groups and empty ones for "random"."""
+    if shape == "one-group":
+        return np.zeros(n_fine, dtype=np.int64), 1
+    if shape == "singletons":
+        return rng.permutation(n_fine), n_fine
+    n_groups = int(rng.integers(1, n_fine + 2))
+    return rng.integers(0, n_groups, size=n_fine), n_groups
+
+
+def outcome(compute):
+    try:
+        return compute()
+    except (ZeroDenominator, NonFiniteValue) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def names(k):
+    return tuple(f"c{i}" for i in range(k))
+
+
+KERNEL_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2, 7]),
+    n_fine=st.integers(1, 12),
+    shape=st.sampled_from(["random", "random", "one-group", "singletons"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**KERNEL_CASES, negatives=st.booleans())
+def test_marginals_match_add_at_bitwise(seed, n, n_fine, shape, negatives):
+    rng = np.random.default_rng(seed)
+    pmap, n_groups = group_map(rng, n_fine, shape)
+    values = block_values(rng, n, n_fine)
+    if negatives:  # -0.0 and small negatives, as a file may hold within FILE_TOL
+        values[rng.random(values.shape) < 0.3] *= -1e-7
+    q = ScoreMatrix(values, PROBABILITIES, names(n_fine))
+    marginals = add_at_marginals(values, pmap, n_groups)
+    assert same_bits(marginalize_to_parents(q, pmap, n_groups).values, marginals)
+    with np.errstate(invalid="ignore"):  # a negative entry's log
+        expected = outcome(lambda: copy_product(values, [(marginals, pmap)]))
+        got = outcome(lambda: hie_self(q, pmap, n_groups).values)
+    assert got == expected if isinstance(expected, str) else same_bits(got, expected)
+
+
+# Group sizes that send the largest groups down the one-group-at-a-time sum
+# and the rest rank by rank, both, or one of the two.
+@pytest.mark.parametrize("sizes", [
+    [3000] + [1] * 1000, [2000, 2000], [10000], [500] + [1] * 500, [14] * 72,
+    list(range(100, 0, -1)), [40, 40, 3, 2, 2, 1, 0, 0],
+], ids=["3000+1000x1", "2x2000", "10000", "500+500x1", "72x14", "staircase-100", "mixed"])
+def test_marginals_match_add_at_bitwise_on_wide_groups(sizes):
+    rng = np.random.default_rng(len(sizes))
+    pmap = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    values = block_values(rng, 5, pmap.size)
+    values[rng.random(values.shape) < 0.1] = -0.0
+    values[0, pmap == 0] = -0.0  # np.add.at sums an all -0.0 group to 0.0
+    got = marginalize_to_parents(ScoreMatrix(values, PROBABILITIES, names(pmap.size)), pmap,
+                                 len(sizes))
+    assert same_bits(got.values, add_at_marginals(values, pmap, len(sizes)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(**KERNEL_CASES, n_levels=st.integers(1, 3), negatives=st.booleans())
+def test_product_matches_copy_and_gather_bitwise(seed, n, n_fine, shape, n_levels, negatives):
+    rng = np.random.default_rng(seed)
+    fine_values = block_values(rng, n, n_fine)
+    if negatives:  # rows with a negative entry and a product under 1e-300 are NaN
+        fine_values[rng.random(fine_values.shape) < 0.3] *= -1e-7
+    factors = []
+    for _ in range(n_levels):
+        col_map, n_upper = group_map(rng, n_fine, shape)
+        factors.append((block_values(rng, n, n_upper), col_map))
+    uppers = [(ScoreMatrix(v, PROBABILITIES, names(v.shape[1])), m) for v, m in factors]
+    with np.errstate(invalid="ignore"):
+        expected = outcome(lambda: copy_product(fine_values, factors))
+        got = outcome(lambda: hie_combine(ScoreMatrix(fine_values, PROBABILITIES, names(n_fine)),
+                                          uppers).values)
+    assert got == expected if isinstance(expected, str) else same_bits(got, expected)
+
+
+@pytest.mark.parametrize("n_levels", [1, 2, 3])
+def test_product_matches_copy_and_gather_on_underflow_rows(n_levels):
+    # Row 0 is ordinary; in rows 1-2 some products fall under 1e-300, and
+    # row 2 keeps a single usable column.
+    rng = np.random.default_rng(n_levels)
+    q = random_prob_rows(rng, 3, 6)
+    q[1, :3] = [1e-170, 1e-200, 0.0]
+    q[2] = [1e-180, 1e-160, 0.0, 1e-300, 1e-310, 0.5]
+    col_map = np.array([0, 1, 1, 2, 2, 0])
+    factors = [(random_prob_rows(rng, 3, 3), col_map) for _ in range(n_levels)]
+    factors[0][0][1:, 1] *= 1e-150
+    expected = copy_product(q, factors)
+    uppers = [(ScoreMatrix(v, PROBABILITIES, ("a", "b", "c")), m) for v, m in factors]
+    got = hie_combine(ScoreMatrix(q, PROBABILITIES, names(6)), uppers).values
+    assert same_bits(got, expected)
+    products = q * np.prod([v[:, m] for v, m in factors], axis=0)
+    assert (products < 1e-300).any(axis=1).tolist() == [False, True, True]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import tied_matrix_and_k
+from conftest import same_bits, tied_matrix_and_k
 from hieval.errors import (
     KTooLarge,
     KindConflict,
@@ -18,6 +18,7 @@ from hieval.scores import (
     LOGITS,
     PROBABILITIES,
     ScoreMatrix,
+    as_probabilities,
     rank_rows,
     softmax_rows,
     top_k,
@@ -50,6 +51,32 @@ def test_matrix_is_immutable():
     m = probs([[0.5, 0.5]])
     with pytest.raises(ValueError):
         m.values[0, 0] = 1.0
+
+
+def test_matrix_copies_the_callers_array():
+    arr = np.array([[1.0, 2.0], [3.0, 4.0]])
+    m = ScoreMatrix(arr, LOGITS, ("a", "b"))
+    arr[0, 0] = 99.0
+    assert m.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert not np.shares_memory(arr, m.values)
+
+
+def test_matrix_stores_a_column_slice_c_ordered():
+    arr = np.arange(35.0).reshape(5, 7)[:, [6, 0, 3]]
+    assert not arr.flags.c_contiguous
+    m = ScoreMatrix(arr, LOGITS, ("a", "b", "c"))
+    assert m.values.flags.c_contiguous and m.values.tolist() == arr.tolist()
+
+
+@pytest.mark.parametrize("softmax", [softmax_rows, as_probabilities])
+def test_softmax_leaves_the_callers_matrix_alone(softmax):
+    m = logits([[1.0, 2.0, 3.0], [0.0, -1.0, 5.0]])
+    before = m.values.copy()
+    out = softmax(m)
+    assert m.kind == LOGITS and same_bits(m.values, before)
+    assert not m.values.flags.writeable
+    assert out.kind == PROBABILITIES and not np.shares_memory(out.values, m.values)
+    assert not out.values.flags.writeable and out.values.flags.c_contiguous
 
 
 def test_matrix_rejects_bad_kind():

@@ -13,14 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES
+from conftest import SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES, same_bits
 from hieval import fileio, risk, scores, taxonomy
-from hieval.cli import run
-from hieval.commands import METHODS
+from hieval.cli import build_parser, run
+from hieval.commands import METHODS, load_method_inputs, run_methods
 from hieval.ensemble import hie_combine, hie_self
 from hieval.fileio import align_columns, load_hierarchy, load_scores, save_scores, write_labels
 from hieval.risk import crm_rerank
-from hieval.scores import LOGITS, ScoreMatrix, softmax_rows, top_k
+from hieval.scores import LOGITS, ScoreMatrix, as_probabilities, softmax_rows, top_k
 from hieval.taxonomy import ancestor_index_map, parent_index_map
 
 N_ROWS = 50
@@ -111,6 +111,40 @@ def test_eval_and_compare_bytes_do_not_depend_on_the_block_size(instance, monkey
         assert run(["eval", *base, *labels, "--method", "hie-crm", "--out", str(report)]) == 0
         outputs[label] = (table.read_bytes(), report.read_bytes(), capsys.readouterr().out)
     assert outputs["1-row"] == outputs["7-row"] == outputs["all-rows"]
+
+
+def test_every_block_run_methods_yields_is_read_only_and_c_ordered(instance, monkeypatch):
+    # Every file holds logits, softmaxed in the buffer each block is read into,
+    # and the coarse file's reversed columns are permuted back first.
+    d, base = instance
+    use_block_rows(monkeypatch, 7, 36)
+    args = build_parser().parse_args(["compare", *base, "--labels", str(d / "labels.txt"),
+                                      "--methods", ",".join(METHODS)])
+    seen = []
+    with load_method_inputs(args, list(METHODS)) as inputs:
+        for method, ranked in run_methods(list(METHODS), inputs):
+            values = ranked.values if isinstance(ranked, ScoreMatrix) else ranked.expected_costs
+            assert values.dtype == np.float64, method
+            assert values.flags.c_contiguous and not values.flags.writeable, method
+            seen.append(method)
+    assert sorted(seen) == sorted(list(METHODS) * 8)  # 50 rows in 7-row blocks
+
+
+def test_loading_never_changes_a_matrix_a_caller_holds(instance):
+    d, _ = instance
+    path = str(d / "fine.hies")
+    with fileio.ScoreReader(path) as reader:
+        first = load_scores(path, rows=(0, 7), reader=reader)
+        before = first.values.copy()
+        for f in (softmax_rows, as_probabilities):
+            assert not np.shares_memory(f(first).values, first.values)
+        for start in range(7, N_ROWS, 7):
+            later = load_scores(path, rows=(start, min(start + 7, N_ROWS)), reader=reader)
+            as_probabilities(later)
+            assert not np.shares_memory(later.values, first.values)
+    assert same_bits(first.values, before)
+    assert same_bits(first.values, load_scores(path).values[:7])
+    assert first.kind == LOGITS and not first.values.flags.writeable
 
 
 def test_hierarchy_arrays_are_built_once_per_run(instance, monkeypatch, capsys):
@@ -209,13 +243,15 @@ def test_a_fault_in_a_late_block_names_the_file_row(probability_inputs, monkeypa
     assert capsys.readouterr().err.startswith(message.format(d=d))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 def test_a_non_finite_value_in_a_late_binary_block_names_the_file_row(
-    probability_inputs, monkeypatch, capsys
+    probability_inputs, monkeypatch, capsys, bad
 ):
+    # Row 41 (in the sixth 7-row block) has two bad entries; the first is named.
     d, fine, coarse, write = probability_inputs
     base = write(fine, coarse)
     # A ScoreMatrix cannot hold the fault, so the binary file is written by hand.
-    logits = with_row(np.log(fine), 41, [0.0, 0.0, np.nan, 0.0])
+    logits = with_row(np.log(fine), 41, [0.0, 0.0, bad, bad])
     path = d / "fine.hies"
     path.write_bytes(struct.pack("<4sBBII", b"HIES", 1, 0, *logits.shape)
                      + logits.astype("<f8").tobytes())
@@ -223,8 +259,8 @@ def test_a_non_finite_value_in_a_late_binary_block_names_the_file_row(
     base[base.index("--fine") + 1] = str(path)
     use_block_rows(monkeypatch, 7, 4)
     assert run(["eval", *base, "--labels", str(d / "labels.txt"), "--k", "1"]) == 2
-    assert capsys.readouterr().err.startswith(
-        f"NonFiniteValue: {path}: non-finite value at row 41, column 2"
+    assert capsys.readouterr().err == (
+        f"NonFiniteValue: {path}: non-finite value at row 41, column 2\n"
     )
 
 
@@ -268,7 +304,7 @@ def test_probability_files_are_validated_once(probability_inputs, monkeypatch, c
     calls = []
     original = scores.validate_probabilities
 
-    def counting(m, tol=scores.INTERNAL_TOL):
+    def counting(m, tol):
         calls.append(m.n_samples)
         return original(m, tol)
 
