@@ -28,7 +28,6 @@ _EXPORTS = {
     "hie_combine": "ensemble",
     "hie_self": "ensemble",
     "marginalize_to_parents": "ensemble",
-    "RiskRanking": "scores",
     "crm_rerank": "risk",
     "expected_costs": "risk",
     "EvalReport": "metrics",

@@ -198,8 +198,9 @@ def _combined(source, t: tx.Taxonomy, fine, coarse, levels) -> ScoreMatrix:
 def run_methods(methods: list[str], inputs: MethodInputs):
     """Yield ``(method, ranked)`` for every block of rows, in row order, and every method.
 
-    ``ranked`` is a block of probabilities for score-ranked methods and a
-    RiskRanking for cost-ranked ones. A block holds about
+    ``ranked`` is a ScoreMatrix that ``top_k`` ranks: probabilities for
+    score-ranked methods, negated expected costs (logits, see
+    ``risk.crm_rerank``) for cost-ranked ones. A block holds about
     ``scores.BLOCK_ENTRIES`` fine entries. Each file's block is read once,
     and each level source is combined once per block and shared by its
     methods, so memory holds one block of each, never a whole matrix.
@@ -267,22 +268,19 @@ def cmd_infer(args, out) -> int:
     method = args.method or "argmax"
     check_methods([method])
     preds_path = args.preds_out or args.out + ".preds.txt"
-    preds = []
-    with load_method_inputs(args, [method]) as inputs:
-        leaf_names = inputs.taxonomy.leaf_names()
-
+    with load_method_inputs(args, [method]) as inputs, contextlib.ExitStack() as undo:
         def blocks():
+            preds = []
             for _, ranked in run_methods([method], inputs):
                 preds.append(top_k(ranked, 1)[:, 0])
-                if isinstance(ranked, ScoreMatrix):
-                    yield ranked
-                else:
-                    # Negated risks as logits: generic descending-score ranking
-                    # downstream reproduces the ascending-risk order.
-                    yield ScoreMatrix._adopt(-ranked.expected_costs, LOGITS, leaf_names)
+                yield ranked
+            # Before the scores file is renamed into place, and removed again if
+            # that fails, so a failing write of either leaves neither behind.
+            fileio.write_labels(inputs.taxonomy, np.concatenate(preds), preds_path)
+            undo.callback(os.remove, preds_path)
 
         fileio.save_scores(blocks(), args.out)
-    fileio.write_labels(inputs.taxonomy, np.concatenate(preds), preds_path)
+        undo.pop_all()
     print(f"wrote {args.out} and {preds_path}", file=out)
     return 0
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, KindConflict, NonFiniteValue, ZeroDenominator
+from .errors import DimensionMismatch, KindConflict, ZeroDenominator
 from .scores import PROBABILITIES, ScoreMatrix
 
 # Below this, per-row products are recomputed in log space so that underflow
@@ -50,7 +50,8 @@ def _product_normalize(fine: np.ndarray, factors: list[tuple[np.ndarray, np.ndar
     """Rows of fine * product of gathered factor columns, renormalized to sum 1.
 
     Rows where any product dips under UNDERFLOW_LIMIT are redone by summing
-    logs and exponentiating around the row maximum; rows with no mass at all
+    logs and exponentiating around the row maximum, each entry clamped at 0
+    (files may hold entries down to -FILE_TOL); rows with no mass at all
     raise ZeroDenominator, naming the row counted from ``first_row``.
     """
     # fine * f0 * f1 * ... in that order; u = f0 * fine first is the same bits.
@@ -66,18 +67,15 @@ def _product_normalize(fine: np.ndarray, factors: list[tuple[np.ndarray, np.ndar
     redo = low.any(axis=1)
     if redo.any():
         with np.errstate(divide="ignore"):
-            logs = np.log(fine[redo])
+            logs = np.log(np.maximum(fine[redo], 0.0))
             for values, col_map in factors:
-                logs += np.log(values[redo][:, col_map])
+                logs += np.log(np.maximum(values[redo][:, col_map], 0.0))
         peak = logs.max(axis=1, keepdims=True)
-        w = np.where(np.isneginf(logs), 0.0, np.exp(logs - peak))
-        w /= w.sum(axis=1, keepdims=True)
-        # A negative entry that FILE_TOL lets through has no log: its row is NaN.
-        bad = ~np.isfinite(w)
-        if bad.any():
-            r, c = np.argwhere(bad)[0]
-            raise NonFiniteValue(first_row + int(np.flatnonzero(redo)[r]), int(c))
-        u[redo] = w
+        dead = np.isneginf(peak[:, 0])
+        if dead.any():
+            raise ZeroDenominator(first_row + int(np.flatnonzero(redo)[np.argmax(dead)]))
+        w = np.exp(logs - peak)  # peak is finite, so a -inf log gives exactly 0.0
+        u[redo] = w / w.sum(axis=1, keepdims=True)
     return u
 
 

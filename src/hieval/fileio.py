@@ -380,8 +380,8 @@ def save_scores(m, path: str) -> None:
 
     ``m`` is a ScoreMatrix or an iterable of one matrix's row blocks, in
     order, which are written as they arrive. The file appears at ``path``
-    only after the last block is written; if a block raises, neither ``path``
-    nor the temp file is left behind.
+    only after the last block is written; if a block or the '.names.json'
+    sidecar fails, neither ``path`` nor the temp file is left behind.
     """
     blocks = [m] if isinstance(m, ScoreMatrix) else m
     binary = path.endswith(".hies")
@@ -409,7 +409,11 @@ def save_scores(m, path: str) -> None:
                 BINARY_MAGIC, BINARY_VERSION, _KIND_BYTE[first.kind], rows, first.n_classes
             ))
     if binary:
-        write_json({"class_names": list(first.class_names)}, _names_sidecar(path))
+        try:
+            write_json({"class_names": list(first.class_names)}, _names_sidecar(path))
+        except BaseException:
+            os.remove(path)  # unreadable without its names
+            raise
 
 
 def _canonical_names(t: tx.Taxonomy, level) -> tuple:

@@ -2,11 +2,11 @@
 
 The risk of predicting class i is the expectation of the cost of confusing
 it with the true class under the model's own probabilities,
-risk_i = sum_j C[i, j] * p_j. Ranking classes by ascending risk yields the
-minimum-expected-cost prediction at position 0 and a cost-aware ordering for
-top-k metrics. Composes after probability combining, which is a different
-correction: combining moves mass between subtrees, reranking trades
-probability against cost.
+risk_i = sum_j C[i, j] * p_j. ``crm_rerank`` returns -risk as logits, so
+``scores.top_k`` puts the minimum-expected-cost prediction first and gives a
+cost-aware ordering for top-k metrics. Composes after probability combining,
+which is a different correction: combining moves mass between subtrees,
+reranking trades probability against cost.
 
 With a taxonomy, C is the LCA height and the risk comes from the tree alone:
 it telescopes over the path from the root to leaf i,
@@ -28,7 +28,7 @@ import numpy as np
 from . import scores
 from . import taxonomy as tx
 from .errors import DimensionMismatch, KindConflict
-from .scores import PROBABILITIES, RiskRanking, ScoreMatrix
+from .scores import LOGITS, PROBABILITIES, ScoreMatrix
 
 
 def _check(probs: ScoreMatrix, cost_shape: tuple) -> None:
@@ -119,16 +119,16 @@ def _tree_expected_costs(p: np.ndarray, t: tx.Taxonomy) -> np.ndarray:
     return out
 
 
-def crm_rerank(probs: ScoreMatrix, costs) -> RiskRanking:
-    """Rank classes by ascending expected cost under ``probs``.
+def crm_rerank(probs: ScoreMatrix, costs) -> ScoreMatrix:
+    """Negated expected costs under ``probs``, as logits: higher is better.
 
     ``costs`` is a taxonomy (LCA-height costs computed from the tree, no
-    C x C matrix) or an explicit square cost matrix.
+    C x C matrix) or an explicit square cost matrix; rows and columns are ``probs``'s.
     """
     if isinstance(costs, tx.Taxonomy):
         _check(probs, (costs.n_leaves, costs.n_leaves))
         risks = _tree_expected_costs(probs.values, costs)
     else:
         risks = expected_costs(probs, costs)
-    risks.setflags(write=False)
-    return RiskRanking(expected_costs=risks)
+    np.negative(risks, out=risks)
+    return ScoreMatrix._adopt(risks, LOGITS, probs.class_names, probs.first_row)

@@ -122,9 +122,6 @@ def rank_rows(values: np.ndarray, k: int) -> np.ndarray:
     n_cols = values.shape[1]
     if not 1 <= k <= n_cols:
         raise KTooLarge(f"k={k} outside [1, {n_cols}]")
-    if k == 1:
-        # argmin returns the first index among equal minima.
-        return values.argmin(axis=1)[:, None]
     cand = np.argpartition(values, k - 1, axis=1)[:, :k]
     cand.sort(axis=1)
     cand_values = np.take_along_axis(values, cand, axis=1)
@@ -138,32 +135,13 @@ def rank_rows(values: np.ndarray, k: int) -> np.ndarray:
     return top
 
 
-@dataclass(frozen=True, eq=False)
-class RiskRanking:
-    """Classes ranked by ascending expected cost, per sample (see ``risk.crm_rerank``).
+def top_k(m: ScoreMatrix, k: int) -> np.ndarray:
+    """Per row, the indices of the k largest values, best first, for any kind.
 
-    ``expected_costs[n, i]`` is the risk of predicting class ``i``, in column
-    order. ``top(k)`` ranks only the k lowest risks per row, ties broken by
-    ascending class index; ``top(1)[:, 0]`` is the prediction.
+    Probabilities, logits and ``risk.crm_rerank``'s negated expected costs
+    all rank this way. Ties are broken by ascending class index, the same
+    rule as a stable sort of the whole row, though only the top k are ranked.
     """
-
-    expected_costs: np.ndarray
-
-    def top(self, k: int) -> np.ndarray:
-        return rank_rows(self.expected_costs, k)
-
-
-def top_k(m: ScoreMatrix | RiskRanking, k: int) -> np.ndarray:
-    """Per row, the indices of the k best classes: largest probability first,
-    or lowest risk first for a RiskRanking.
-
-    Ties are broken by ascending class index, the same rule as a stable sort
-    of the whole row, though only the top k are ranked.
-    """
-    if isinstance(m, RiskRanking):
-        return m.top(k)
-    if m.kind != PROBABILITIES:
-        raise KindConflict(f"top_k expects probabilities, got {m.kind}")
     if k == 1:
         # argmax returns the first index among equal maxima.
         return m.values.argmax(axis=1)[:, None]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from hieval.errors import NonFiniteValue, ZeroDenominator
+from hieval.errors import ZeroDenominator
 from hieval.taxonomy import Taxonomy, build_taxonomy
 
 # Four leaves under two groups; column order pinned to rose,tulip,bus,car so
@@ -94,8 +94,8 @@ def add_at_marginals(values: np.ndarray, pmap, n_coarse: int) -> np.ndarray:
 
 
 def copy_product(fine: np.ndarray, factors, limit: float = 1e-300) -> np.ndarray:
-    """Renormalised fine * gathered factors; ZeroDenominator and NonFiniteValue
-    (a negative entry's NaN row) as the package raises them."""
+    """Renormalised fine * gathered factors, ZeroDenominator as the package raises
+    it; the log-space redo weighs a negative entry (as FILE_TOL allows) as 0."""
     u = fine.copy()
     for values, col_map in factors:
         u *= values[:, col_map]
@@ -107,16 +107,16 @@ def copy_product(fine: np.ndarray, factors, limit: float = 1e-300) -> np.ndarray
     redo = low.any(axis=1)
     if redo.any():
         with np.errstate(divide="ignore"):
-            logs = np.log(fine[redo])
+            logs = np.log(fine[redo].clip(min=0.0))
             for values, col_map in factors:
-                logs += np.log(values[redo][:, col_map])
+                logs += np.log(values[redo][:, col_map].clip(min=0.0))
+        for row, row_logs in zip(np.flatnonzero(redo), logs):
+            if np.isneginf(row_logs).all():
+                raise ZeroDenominator(int(row))
         peak = logs.max(axis=1, keepdims=True)
         w = np.where(np.isneginf(logs), 0.0, np.exp(logs - peak))
         u[redo] = w / w.sum(axis=1, keepdims=True)
-    bad = ~np.isfinite(u)
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        raise NonFiniteValue(int(r), int(c))
+    assert np.isfinite(u).all()
     return u
 
 

@@ -159,11 +159,11 @@ def test_c04_crm_oracle_suite():
                     risk += costs[i, j] * p[0, j]
                 if risk < best_risk:
                     best, best_risk = i, risk
-            assert int(ranking.top(1)[0, 0]) == best
+            assert int(top_k(ranking, 1)[0, 0]) == best
 
             c01 = 1.0 - np.eye(t.n_leaves)
             flat = crm_rerank(prob_matrix(p, t.leaf_names()), c01)
-            full = flat.top(t.n_leaves)
+            full = top_k(flat, t.n_leaves)
             assert full.tolist() == np.argsort(-p, axis=1, kind="stable").tolist()
             done += 1
         elapsed = time.perf_counter() - start

@@ -78,9 +78,9 @@ def test_infer_hie_flips_to_bus(workspace):
 
 
 # -1e-9 is within FILE_TOL, so the file is accepted; the product of row 1 is
-# under 1e-300 at the zero, and the log of the negative entry is NaN.
+# under 1e-300 at the zero, and the log-space redo weighs the negative entry as 0.
 @pytest.mark.parametrize("method", ["hie", "hie-self", "cascade"])
-def test_infer_refuses_the_nan_row_of_a_tolerated_negative_entry(workspace, capsys, method):
+def test_infer_weighs_a_tolerated_negative_entry_as_zero(workspace, capsys, method):
     (workspace / "fine.csv").write_text(
         "# kind: probabilities\nrose,tulip,bus,car\n0.4,0.1,0.35,0.15\n0.5,0.500000001,-1e-9,0.0\n"
     )
@@ -88,12 +88,12 @@ def test_infer_refuses_the_nan_row_of_a_tolerated_negative_entry(workspace, caps
     hierarchy, fine, coarse = paths(workspace, "hierarchy.json", "fine.csv", "coarse.csv")
     extra = {"hie": ["--coarse", coarse], "hie-self": [], "cascade": ["--level", f"1={coarse}"]}
     out = workspace / "combined.csv"
-    with np.errstate(invalid="ignore"):
-        code = run(["infer", "--hierarchy", hierarchy, "--fine", fine, *extra[method],
-                    "--method", method, "--out", str(out)])
-    assert code == 2
-    assert capsys.readouterr().err == "NonFiniteValue: non-finite value at row 1, column 0\n"
-    assert not out.exists()
+    code = run(["infer", "--hierarchy", hierarchy, "--fine", fine, *extra[method],
+                "--method", method, "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text().splitlines()[3] == "0.4999999995,0.5000000005,0.0,0.0"
+    assert (workspace / "combined.csv.preds.txt").read_text().splitlines()[1] == "tulip"
 
 
 def test_infer_argmax_says_rose(workspace):
@@ -127,6 +127,34 @@ def test_unknown_method_names_the_valid_ones(workspace, capsys, command):
     err = capsys.readouterr().err
     assert "unknown method 'bogus'" in err
     assert ", ".join(METHODS) in err
+
+
+# The predictions file is written before the scores file is renamed into
+# place, so a failing write of either (or of the '.names.json' sidecar)
+# leaves neither behind.
+@pytest.mark.parametrize("fault, suffix", [
+    (fault, suffix)
+    for fault in ["preds-is-a-directory", "preds-dir-missing", "out-is-a-directory"]
+    for suffix in [".csv", ".hies"]
+] + [("sidecar-is-a-directory", ".hies")])
+def test_a_failing_infer_write_leaves_neither_output(workspace, capsys, fault, suffix):
+    out = workspace / f"combined{suffix}"
+    preds, failed = {
+        "preds-is-a-directory": (workspace / "a_directory",) * 2,
+        "preds-dir-missing": (workspace / "missing" / "p.txt",) * 2,
+        "out-is-a-directory": (workspace / "p.txt", out),
+        "sidecar-is-a-directory": (workspace / "p.txt", workspace / f"combined{suffix}.names.json"),
+    }[fault]
+    if fault != "preds-dir-missing":
+        failed.mkdir()
+    before = sorted(os.listdir(workspace))
+    hierarchy, fine = paths(workspace, "hierarchy.json", "fine.csv")
+    code = run(["infer", "--hierarchy", hierarchy, "--fine", fine, "--method", "crm",
+                "--out", str(out), "--preds-out", str(preds)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"InputError: cannot write {failed}: ")
+    assert sorted(os.listdir(workspace)) == before
+    assert all(not os.listdir(p) for p in workspace.iterdir() if p.is_dir())
 
 
 def test_infer_logits_kind_applies_softmax(workspace):
@@ -409,7 +437,7 @@ def test_crm_infer_then_eval_matches_compare_row(tmp_path, capsys):
     fine = softmax_rows(load_scores(f"{d}/fine.hies", declared_kind="logits"))
     t = load_hierarchy(f"{d}/hierarchy.json")
     written = load_scores(risks_out).values
-    assert np.array_equal(written, -crm_rerank(fine, t).expected_costs)
+    assert np.array_equal(written, crm_rerank(fine, t).values)
     np.testing.assert_allclose(written, -expected_costs(fine, cost_matrix(t)), rtol=0, atol=1e-12)
     piped = str(tmp_path / "piped.json")
     assert run(["eval", "--hierarchy", f"{d}/hierarchy.json", "--fine", risks_out,

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_prob_rows, random_taxonomy, taxonomies, tied_matrix_and_k
+from conftest import random_prob_rows, random_taxonomy, same_bits, taxonomies, tied_matrix_and_k
 from hieval import scores
 from hieval.ensemble import hie_combine
 from hieval.errors import DimensionMismatch, KindConflict
-from hieval.risk import RiskRanking, crm_rerank
-from hieval.scores import LOGITS, PROBABILITIES, ScoreMatrix
+from hieval.risk import crm_rerank, expected_costs
+from hieval.scores import LOGITS, PROBABILITIES, ScoreMatrix, top_k
 from hieval.taxonomy import build_taxonomy, cost_matrix
 
 LEAVES = ("rose", "tulip", "bus", "car")
@@ -22,11 +22,11 @@ def probs(rows, names=LEAVES):
 
 def order(ranking):
     """The full ranking, every class of each row."""
-    return ranking.top(ranking.expected_costs.shape[1])
+    return top_k(ranking, ranking.n_classes)
 
 
 def sorted_risks(ranking):
-    return np.take_along_axis(ranking.expected_costs, order(ranking), axis=1)
+    return np.take_along_axis(-ranking.values, order(ranking), axis=1)
 
 
 def combine_then_rerank(fine, coarse):
@@ -38,9 +38,9 @@ def test_risks_on_fixture():
     # expected costs per class: rose 1.10, tulip 1.40, bus 1.15, car 1.35;
     # plain argmax also picks rose here, while combining flips to bus, so the
     # two corrections genuinely differ
-    assert ranking.top(1)[:, 0].tolist() == [0]
+    assert top_k(ranking, 1)[:, 0].tolist() == [0]
     assert order(ranking)[0].tolist() == [0, 2, 3, 1]
-    np.testing.assert_allclose(ranking.expected_costs[0], [1.10, 1.40, 1.15, 1.35], atol=1e-12)
+    np.testing.assert_allclose(-ranking.values[0], [1.10, 1.40, 1.15, 1.35], atol=1e-12)
     np.testing.assert_allclose(sorted_risks(ranking)[0], [1.10, 1.15, 1.35, 1.40], atol=1e-12)
 
 
@@ -49,8 +49,8 @@ def test_one_hot_has_zero_risk():
         row = np.zeros(4)
         row[i] = 1.0
         ranking = crm_rerank(probs(row), COSTS)
-        assert ranking.top(1)[0, 0] == i
-        assert ranking.expected_costs[0, i] == 0.0
+        assert top_k(ranking, 1)[0, 0] == i
+        assert -ranking.values[0, i] == 0.0
 
 
 def test_uniform_star_ties_break_to_class_zero():
@@ -58,9 +58,9 @@ def test_uniform_star_ties_break_to_class_zero():
     ranking = crm_rerank(
         probs(np.full(5, 0.2), names=t.leaf_names()), cost_matrix(t)
     )
-    assert ranking.top(1)[0, 0] == 0
+    assert top_k(ranking, 1)[0, 0] == 0
     assert order(ranking)[0].tolist() == [0, 1, 2, 3, 4]
-    np.testing.assert_allclose(ranking.expected_costs[0], 4 / 5, atol=1e-12)
+    np.testing.assert_allclose(-ranking.values[0], 4 / 5, atol=1e-12)
 
 
 def test_risks_are_non_decreasing_and_orders_are_permutations():
@@ -94,15 +94,15 @@ def test_taxonomy_shape_and_kind_errors(flower_vehicle):
 @given(taxonomies(), st.integers(1, 12), st.integers(0, 2**32 - 1))
 def test_tree_risk_matches_the_dense_product(t, n, seed):
     p = random_prob_rows(np.random.default_rng(seed), n, t.n_leaves)
-    tree = crm_rerank(probs(p, names=t.leaf_names()), t).expected_costs
+    tree = -crm_rerank(probs(p, names=t.leaf_names()), t).values
     dense = p @ cost_matrix(t).T
     np.testing.assert_allclose(tree, dense, rtol=0, atol=1e-12)
 
 
 def test_tree_risk_on_fixture_and_one_hot_rows(flower_vehicle):
     ranking = crm_rerank(probs([0.40, 0.10, 0.35, 0.15]), flower_vehicle)
-    np.testing.assert_allclose(ranking.expected_costs[0], [1.10, 1.40, 1.15, 1.35], atol=1e-12)
-    one_hot = crm_rerank(probs(np.eye(4)), flower_vehicle).expected_costs
+    np.testing.assert_allclose(-ranking.values[0], [1.10, 1.40, 1.15, 1.35], atol=1e-12)
+    one_hot = -crm_rerank(probs(np.eye(4)), flower_vehicle).values
     assert one_hot.tolist() == COSTS.T.tolist()
 
 
@@ -110,10 +110,10 @@ def test_tree_risk_rows_do_not_depend_on_the_block_size(monkeypatch):
     rng = np.random.default_rng(43)
     t = random_taxonomy(rng, 300)
     m = probs(random_prob_rows(rng, 37, t.n_leaves), names=t.leaf_names())
-    whole = crm_rerank(m, t).expected_costs
+    whole = crm_rerank(m, t).values
     monkeypatch.setattr(scores, "BLOCK_ENTRIES", 1)
-    assert np.array_equal(crm_rerank(m, t).expected_costs, whole)
-    alone = crm_rerank(probs(m.values[5], names=m.class_names), t).expected_costs
+    assert np.array_equal(crm_rerank(m, t).values, whole)
+    alone = crm_rerank(probs(m.values[5], names=m.class_names), t).values
     assert np.array_equal(alone[0], whole[5])
 
 
@@ -123,7 +123,7 @@ def test_hie_then_crm_fixture():
     ranking = combine_then_rerank(fine, coarse)
     # combined scores are [0.16, 0.04, 0.56, 0.24]; dotting with the cost
     # rows gives risks rose 1.64, tulip 1.76, bus 0.64, car 0.96
-    assert ranking.top(1)[:, 0].tolist() == [2]
+    assert top_k(ranking, 1)[:, 0].tolist() == [2]
     assert order(ranking)[0].tolist() == [2, 3, 0, 1]
     np.testing.assert_allclose(sorted_risks(ranking)[0], [0.64, 0.96, 1.64, 1.76], atol=1e-12)
 
@@ -147,7 +147,7 @@ def test_one_hot_fine_unchanged_by_crm():
         ranking = combine_then_rerank(
             probs(row), ScoreMatrix(coarse_rows[i : i + 1], PROBABILITIES, ("f", "v"))
         )
-        assert ranking.top(1)[0, 0] == i
+        assert top_k(ranking, 1)[0, 0] == i
 
 
 def test_prediction_matches_bruteforce_argmin():
@@ -164,7 +164,7 @@ def test_prediction_matches_bruteforce_argmin():
             r = sum(costs[i, j] * p[0, j] for j in range(t.n_leaves))
             if r < best_risk:
                 best, best_risk = i, r
-        assert ranking.top(1)[0, 0] == best
+        assert top_k(ranking, 1)[0, 0] == best
 
 
 def test_zero_one_costs_reduce_to_descending_probability():
@@ -188,9 +188,24 @@ def test_ranking_order_is_scale_invariant():
 @settings(max_examples=300, deadline=None)
 @given(tied_matrix_and_k())
 def test_top_matches_full_order_on_tied_risks(case):
+    # crm_rerank's convention: top_k of the negated risks is the stable
+    # ascending order of the risks, -0.0 tied with 0.0.
     risks, k = case
-    ranking = RiskRanking(expected_costs=risks)
+    ranking = ScoreMatrix(-risks, LOGITS, tuple(f"c{i}" for i in range(risks.shape[1])))
     full = np.argsort(risks, axis=1, kind="stable")
     assert order(ranking).tolist() == full.tolist()
-    assert ranking.top(k).tolist() == full[:, :k].tolist()
-    assert ranking.top(1)[:, 0].tolist() == np.argmin(risks, axis=1).tolist()
+    assert top_k(ranking, k).tolist() == full[:, :k].tolist()
+    assert top_k(ranking, 1)[:, 0].tolist() == np.argmin(risks, axis=1).tolist()
+
+
+@pytest.mark.parametrize("costs", ["taxonomy", "matrix"])
+def test_crm_rerank_is_negated_expected_costs_as_logits(flower_vehicle, costs):
+    p = random_prob_rows(np.random.default_rng(5), 6, 4)
+    fine = ScoreMatrix(p, PROBABILITIES, LEAVES, 40)
+    ranking = crm_rerank(fine, flower_vehicle if costs == "taxonomy" else COSTS)
+    assert isinstance(ranking, ScoreMatrix)
+    assert (ranking.kind, ranking.class_names, ranking.first_row) == (LOGITS, LEAVES, 40)
+    assert ranking.values.flags.c_contiguous and not ranking.values.flags.writeable
+    if costs == "matrix":
+        assert same_bits(ranking.values, -expected_costs(fine, COSTS))
+    np.testing.assert_allclose(-ranking.values, p @ COSTS.T, rtol=0, atol=1e-12)

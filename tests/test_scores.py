@@ -156,9 +156,12 @@ def test_top_k_k_out_of_range():
         top_k(m, 0)
 
 
-def test_top_k_requires_probabilities():
-    with pytest.raises(KindConflict):
-        top_k(logits([[1.0, 2.0]]), 1)
+def test_top_k_ranks_logits_by_descending_value():
+    # Any kind ranks by value, as risk.crm_rerank's negated costs need.
+    m = logits([[-1.5, 2.0, -0.0, 2.0, 0.0, -7.0]])
+    assert top_k(m, 1).tolist() == [[1]]
+    assert top_k(m, 3).tolist() == [[1, 3, 2]]
+    assert top_k(m, 6).tolist() == [[1, 3, 2, 4, 0, 5]]
 
 
 @settings(max_examples=300, deadline=None)

@@ -54,17 +54,16 @@ def library_outputs(d: Path, method: str):
     coarse = softmax_rows(align_columns(load_scores(str(d / "coarse.csv"), LOGITS), t, "coarse"))
     pmap = parent_index_map(t)
     hie = hie_combine(fine, [(coarse, pmap)])
-    if method in ("crm", "hie-crm"):
-        ranking = crm_rerank(fine if method == "crm" else hie, t)
-        return ScoreMatrix(-ranking.expected_costs, LOGITS, t.leaf_names()), ranking.top(1)[:, 0]
-    probs = {
+    ranked = {
         "argmax": fine,
         "hie": hie,
         "hie-self": hie_self(fine, pmap, t.n_coarse),
+        "crm": crm_rerank(fine, t),
+        "hie-crm": crm_rerank(hie, t),
         "cascade": hie_combine(fine, [(d1, ancestor_index_map(t, 1)),
                                       (coarse, ancestor_index_map(t, 2))]),
     }[method]
-    return probs, top_k(probs, 1)[:, 0]
+    return ranked, top_k(ranked, 1)[:, 0]
 
 
 @pytest.mark.parametrize("suffix", [".hies", ".csv"])
@@ -123,7 +122,7 @@ def test_every_block_run_methods_yields_is_read_only_and_c_ordered(instance, mon
     seen = []
     with load_method_inputs(args, list(METHODS)) as inputs:
         for method, ranked in run_methods(list(METHODS), inputs):
-            values = ranked.values if isinstance(ranked, ScoreMatrix) else ranked.expected_costs
+            values = ranked.values
             assert values.dtype == np.float64, method
             assert values.flags.c_contiguous and not values.flags.writeable, method
             seen.append(method)

@@ -71,8 +71,8 @@ def test_noiseless_instance_is_perfect_under_every_rule():
         "argmax": top_k(fine, 1)[:, 0],
         "hie": top_k(hie_combine(fine, [(coarse, pmap)]), 1)[:, 0],
         "hie-self": top_k(hie_self(fine, pmap, t.n_coarse), 1)[:, 0],
-        "crm": crm_rerank(fine, costs).top(1)[:, 0],
-        "hie-crm": crm_rerank(hie_combine(fine, [(coarse, pmap)]), costs).top(1)[:, 0],
+        "crm": top_k(crm_rerank(fine, costs), 1)[:, 0],
+        "hie-crm": top_k(crm_rerank(hie_combine(fine, [(coarse, pmap)]), costs), 1)[:, 0],
         "cascade": top_k(hie_combine(fine, [(coarse, ancestor_index_map(t, 1))]), 1)[:, 0],
     }
     for name, pred in predictions.items():
