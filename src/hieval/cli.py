@@ -4,12 +4,16 @@ Exit codes are a stable contract: 0 on success, 2 for input or usage
 problems, 3 for shape or semantic mismatches between otherwise valid inputs.
 Output files are byte-identical across repeated runs; to keep that true
 regardless of the host's BLAS threading configuration, the entry point pins
-numerical libraries to one thread before numpy is first imported.
+numerical libraries to one thread before numpy is first imported. It also
+has glibc keep the memory each block of rows frees for the next block, rather
+than return it to the system and fault it back in; importing the package
+changes neither setting.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 
@@ -30,6 +34,20 @@ def _pin_single_threaded_math() -> None:
         return
     for var in _THREAD_VARS:
         os.environ[var] = "1"
+
+
+def _keep_freed_memory() -> None:
+    # By default glibc returns a block's freed buffers to the system, and the
+    # next block faults them back in. Raise M_TRIM_THRESHOLD (-1) and
+    # M_MMAP_THRESHOLD (-3) to 32 MiB, both: setting one alone freezes glibc's
+    # adaptive value of the other. A no-op where the C library has no mallopt.
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param in (-1, -3):
+        mallopt(param, 32 << 20)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,6 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     _pin_single_threaded_math()
+    _keep_freed_memory()
     args = build_parser().parse_args(argv)
 
     from . import commands

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import ensemble, fileio, risk, synth
 from . import taxonomy as tx
-from .errors import DimensionMismatch, DuplicateMethod, InputError, KTooLarge
+from .errors import DimensionMismatch, DuplicateMethod, InputError, KTooLarge, LengthMismatch
 from .metrics import EvalReport, eval_report
 from .scores import (
     LOGITS,
@@ -288,20 +288,21 @@ def cmd_infer(args, out) -> int:
 def _evaluate(args, methods: list[str], ks) -> list[EvalReport]:
     """One report per method, in the order given; inputs are hashed once.
 
-    Of each block, only every method's top max(ks) classes per row are kept.
+    The labels are read and counted before any row; then each block's top
+    max(ks) classes per row are ranked, scored and added to its method's report.
     """
-    k = max(ks)
-    rankings = {m: [] for m in methods}
+    k, totals = max(ks), {}
     with load_method_inputs(args, methods) as inputs:
+        t, n = inputs.taxonomy, inputs.fine.n_rows
+        gt = fileio.load_labels(args.labels, t)
+        if gt.size != n:
+            raise LengthMismatch(f"{n} predictions vs {gt.size} labels")
         for m, ranked in run_methods(methods, inputs):
-            rankings[m].append(top_k(ranked, k))
-    t = inputs.taxonomy
-    gt = fileio.load_labels(args.labels, t)
+            rows = gt[ranked.first_row:ranked.first_row + ranked.n_samples]
+            block = eval_report(top_k(ranked, k), rows, t, ks, m)
+            totals[m] = totals[m] + block if m in totals else block
     echo = _config_echo(args, ks)
-    return [
-        eval_report(np.concatenate(rankings[m]), gt, t, ks, m, config={"method": m, **echo})
-        for m in methods
-    ]
+    return [replace(totals[m], config={"method": m, **echo}) for m in methods]
 
 
 def cmd_eval(args, out) -> int:

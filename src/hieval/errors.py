@@ -91,8 +91,8 @@ class DimensionMismatch(DataError):
 class ZeroDenominator(DataError):
     def __init__(self, row: int):
         super().__init__(
-            f"row {row}: every fine-times-coarse product is below 1e-300; "
-            "inputs carry no usable probability mass"
+            f"row {row}: once negative entries count as 0, no fine-times-coarse "
+            "product reaches 1e-300; inputs carry no usable probability mass"
         )
         self.row = row
 

@@ -111,41 +111,34 @@ def softmax_rows(m: ScoreMatrix, *, _in_place: bool = False) -> ScoreMatrix:
     return ScoreMatrix._adopt(e, PROBABILITIES, m.class_names, m.first_row)
 
 
-def rank_rows(values: np.ndarray, k: int) -> np.ndarray:
-    """Per row, the indices of the k smallest entries, ascending.
-
-    Equal to ``np.argsort(values, axis=1, kind="stable")[:, :k]`` (ties broken
-    by ascending column index) without sorting whole rows: partial selection
-    of k candidates, then a stable sort of those alone. Rows where a tie
-    straddles the k-th position fall back to the full stable sort.
-    """
-    n_cols = values.shape[1]
-    if not 1 <= k <= n_cols:
-        raise KTooLarge(f"k={k} outside [1, {n_cols}]")
-    cand = np.argpartition(values, k - 1, axis=1)[:, :k]
-    cand.sort(axis=1)
-    cand_values = np.take_along_axis(values, cand, axis=1)
-    top = np.take_along_axis(cand, np.argsort(cand_values, axis=1, kind="stable"), axis=1)
-    # The candidates are exactly the entries <= the k-th value unless a tie
-    # crosses the boundary, when other equal entries may precede them by index.
-    kth = cand_values.max(axis=1, keepdims=True)
-    straddle = (values <= kth).sum(axis=1) > k
-    if straddle.any():
-        top[straddle] = np.argsort(values[straddle], axis=1, kind="stable")[:, :k]
-    return top
-
-
 def top_k(m: ScoreMatrix, k: int) -> np.ndarray:
     """Per row, the indices of the k largest values, best first, for any kind.
 
     Probabilities, logits and ``risk.crm_rerank``'s negated expected costs
-    all rank this way. Ties are broken by ascending class index, the same
-    rule as a stable sort of the whole row, though only the top k are ranked.
+    all rank this way. Equal to ``np.argsort(-m.values, axis=1,
+    kind="stable")[:, :k]`` (ties broken by ascending class index) without
+    sorting whole rows: partial selection of k candidates, then a stable sort
+    of those alone. Rows where a tie straddles the k-th position fall back to
+    the full stable sort.
     """
+    values = m.values
+    n_cols = values.shape[1]
+    if not 1 <= k <= n_cols:
+        raise KTooLarge(f"k={k} outside [1, {n_cols}]")
     if k == 1:
         # argmax returns the first index among equal maxima.
-        return m.values.argmax(axis=1)[:, None]
-    return rank_rows(-m.values, k)
+        return values.argmax(axis=1)[:, None]
+    cand = np.argpartition(values, n_cols - k, axis=1)[:, n_cols - k:]
+    cand.sort(axis=1)
+    cand_values = np.take_along_axis(values, cand, axis=1)
+    top = np.take_along_axis(cand, np.argsort(-cand_values, axis=1, kind="stable"), axis=1)
+    # The candidates are exactly the entries >= the k-th value unless a tie
+    # crosses the boundary, when other equal entries may precede them by index.
+    kth = cand_values.min(axis=1, keepdims=True)
+    straddle = (values >= kth).sum(axis=1) > k
+    if straddle.any():
+        top[straddle] = np.argsort(-values[straddle], axis=1, kind="stable")[:, :k]
+    return top
 
 
 def validate_probabilities(m: ScoreMatrix, tol: float) -> None:

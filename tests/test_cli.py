@@ -1,13 +1,17 @@
+import ctypes
 import json
 import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES
-from hieval import risk, taxonomy
+from hieval import cli, risk, taxonomy
 from hieval.cli import run
 from hieval.commands import METHODS
 from hieval.ensemble import hie_combine, hie_self
@@ -532,3 +536,55 @@ def test_synth_noiseless_compare_all_perfect(tmp_path, capsys):
         assert cells[1] == "0.000000"  # top-1 error
         assert cells[2] == "-"         # no mistakes, severity absent
         assert cells[3] == "0.000000"  # hd@1
+
+
+# ------------------------------------------------------------ heap settings
+
+# glibc's M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, each raised to 32 MiB.
+HEAP_SETTINGS = [(-1, 32 << 20), (-3, 32 << 20)]
+
+
+def fake_libc(calls):
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    return SimpleNamespace(mallopt=mallopt)
+
+
+def test_run_keeps_freed_memory_in_the_heap(workspace, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: fake_libc(calls))
+    assert run(["validate", "--hierarchy", str(workspace / "hierarchy.json")]) == 0
+    assert calls == HEAP_SETTINGS
+
+
+def test_run_skips_the_heap_setting_where_mallopt_is_missing(workspace, monkeypatch, capsys):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    assert run(["validate", "--hierarchy", str(workspace / "hierarchy.json")]) == 0
+    assert capsys.readouterr().out.startswith("nodes=7 leaves=4 coarse=2")
+
+
+def test_importing_the_package_leaves_the_heap_alone():
+    # In a fresh interpreter, a spy on ctypes.CDLL sees mallopt looked up only
+    # once the CLI sets the heap up, not while the package is imported.
+    script = """if True:
+        import ctypes
+        looked_up = []
+
+        class Spy(ctypes.CDLL):
+            def __getattr__(self, name):
+                looked_up.append(name)
+                return super().__getattr__(name)
+
+        ctypes.CDLL = Spy
+        import hieval, hieval.cli, hieval.commands
+        before = looked_up.count("mallopt")
+        hieval.cli._keep_freed_memory()
+        print(before, looked_up.count("mallopt"))
+    """
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "1"]

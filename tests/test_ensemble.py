@@ -70,20 +70,26 @@ def test_combine_shape_errors():
         hie_combine(ScoreMatrix([FIG_Q], LOGITS, LEAVES), [(coarse(FIG_R), PMAP)])
 
 
+# True at both raise sites: every product under the limit, or none positive once clamped.
+NO_MASS = "once negative entries count as 0, no fine-times-coarse product reaches 1e-300"
+
+
 def test_combine_zero_denominator():
     with pytest.raises(ZeroDenominator) as exc:
         hie_combine(fine([1.0, 0.0, 0.0, 0.0]), [(coarse([0.0, 1.0]), PMAP)])
     assert exc.value.row == 0
+    assert NO_MASS in str(exc.value)
 
 
 def test_combine_zero_denominator_when_only_negative_entries_meet():
-    # Row 0's products are 1e-14, -1e-7 and 0.0: under the limit but not all,
+    # Row 1's products are 1e-14, -1e-7 and 0.0: under the limit but not all,
     # so the row is redone in log space, where each weighs as 0.
     q = ScoreMatrix([[0.5, 0.5, 0.0], [-1e-7, 1 + 1e-7, 0.0]], PROBABILITIES, ("a", "b", "c"), 40)
     r = ScoreMatrix([[0.5, 0.5], [-1e-7, 1 + 1e-7]], PROBABILITIES, ("x", "y"))
     with pytest.raises(ZeroDenominator) as exc:
         hie_combine(q, [(r, [0, 0, 1])])
     assert exc.value.row == 41
+    assert NO_MASS in str(exc.value)
 
 
 def test_log_path_agrees_with_direct():

@@ -225,3 +225,19 @@ def test_eval_report_matches_manual_top_k(flower_vehicle):
     hd2 = sum(int(costs[ranking[i, j], gt[i]]) for i in range(30) for j in range(2))
     assert r.hier_dist_at_k[2] == hd2 / 60
     assert r.n_samples == 30
+
+
+def test_block_reports_add_up_to_the_whole_report():
+    # The CLI evaluates block by block; the sum must equal one call on all rows, bit for bit.
+    rng = np.random.default_rng(10)
+    for _ in range(30):
+        t = random_taxonomy(rng, int(rng.integers(3, 30)))
+        n = int(rng.integers(1, 80))
+        ranking = np.stack([rng.permutation(t.n_leaves) for _ in range(n)])
+        gt = rng.integers(0, t.n_leaves, size=n)
+        ks = sorted({1, int(rng.integers(1, t.n_leaves + 1))})
+        whole = eval_report(ranking, gt, t, ks, "m")
+        cuts = [0, *sorted(rng.choice(np.arange(1, n), size=min(3, n - 1), replace=False)), n]
+        blocks = [eval_report(ranking[a:b], gt[a:b], t, ks, "m") for a, b in zip(cuts, cuts[1:])]
+        total = sum(blocks[1:], blocks[0])
+        assert total == whole  # every count and sum, hence every metric

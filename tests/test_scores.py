@@ -19,7 +19,6 @@ from hieval.scores import (
     PROBABILITIES,
     ScoreMatrix,
     as_probabilities,
-    rank_rows,
     softmax_rows,
     top_k,
     validate_probabilities,
@@ -167,33 +166,36 @@ def test_top_k_ranks_logits_by_descending_value():
 @settings(max_examples=300, deadline=None)
 @given(tied_matrix_and_k())
 def test_rank_rows_matches_full_stable_sort(case):
+    # Ranking rows by ascending value is top_k of the negated values, as
+    # crm_rerank does with expected costs.
     values, k = case
     expected = np.argsort(values, axis=1, kind="stable")[:, :k]
-    assert rank_rows(values, k).tolist() == expected.tolist()
+    assert top_k(logits(-values), k).tolist() == expected.tolist()
 
 
 @settings(max_examples=300, deadline=None)
 @given(tied_matrix_and_k())
 def test_top_k_matches_full_stable_sort_of_negated(case):
     values, k = case
-    expected = np.argsort(-values, axis=1, kind="stable")[:, :k]
-    assert top_k(probs(values), k).tolist() == expected.tolist()
+    for m in (probs(values), logits(values)):
+        expected = np.argsort(-m.values, axis=1, kind="stable")[:, :k]
+        assert top_k(m, k).tolist() == expected.tolist()
 
 
-def test_rank_rows_tie_straddling_the_boundary():
-    # Row 0: three 0.5s compete for the last places at k=2 and k=3, so
+def test_top_k_tie_straddling_the_boundary():
+    # Row 0: three -0.5s compete for the last places at k=2 and k=3, so
     # argpartition may pick any of them; the stable rule wants the lowest
     # indices. Row 1 has no such tie.
-    values = np.array([[0.5, 0.1, 0.9, 0.5, 0.5], [0.3, 0.1, 0.2, 0.9, 0.8]])
-    assert rank_rows(values, 2).tolist() == [[1, 0], [1, 2]]
-    assert rank_rows(values, 3).tolist() == [[1, 0, 3], [1, 2, 0]]
+    m = logits([[-0.5, -0.1, -0.9, -0.5, -0.5], [-0.3, -0.1, -0.2, -0.9, -0.8]])
+    assert top_k(m, 2).tolist() == [[1, 0], [1, 2]]
+    assert top_k(m, 3).tolist() == [[1, 0, 3], [1, 2, 0]]
 
 
 def test_rank_rows_k_out_of_range():
-    values = np.zeros((2, 3))
+    m = logits(np.zeros((2, 3)))
     for k in (0, 4):
         with pytest.raises(KTooLarge, match=f"k={k} outside \\[1, 3\\]"):
-            rank_rows(values, k)
+            top_k(m, k)
 
 
 def test_argmax_agrees_with_linear_scan():

@@ -226,7 +226,8 @@ LATE_FAULTS = {
     ),
     "zero-mass": (  # all fine mass on a rose, no coarse mass on flowers
         lambda f, c: (with_row(f, 41, [1.0, 0.0, 0.0, 0.0]), with_row(c, 41, [0.0, 1.0])), 3,
-        "ZeroDenominator: row 41: every fine-times-coarse product is below 1e-300",
+        "ZeroDenominator: row 41: once negative entries count as 0, no fine-times-coarse product "
+        "reaches 1e-300",
     ),
 }
 
@@ -261,6 +262,24 @@ def test_a_non_finite_value_in_a_late_binary_block_names_the_file_row(
     assert capsys.readouterr().err == (
         f"NonFiniteValue: {path}: non-finite value at row 41, column 2\n"
     )
+
+
+@pytest.mark.parametrize("labels, code, message", [
+    ("bus\n" * (N_ROWS - 1), 3, f"LengthMismatch: {N_ROWS} predictions vs {N_ROWS - 1} labels\n"),
+    ("bus\n" * 45 + "entity\n" + "bus\n" * 4, 2,
+     "UnknownLeaf: line 46: 'entity' is not a leaf class\n"),
+], ids=["count", "unknown-leaf"])
+def test_a_labels_fault_wins_over_a_late_row_fault(probability_inputs, monkeypatch, capsys,
+                                                   labels, code, message):
+    # The labels are read and counted before the first block, so the NaN in
+    # row 41 (the sixth 7-row block) is never reached.
+    d, fine, coarse, write = probability_inputs
+    use_block_rows(monkeypatch, 7, 4)
+    base = write(with_row(fine, 41, [0.4, np.nan, 0.35, 0.15]), coarse)
+    (d / "labels.txt").write_text(labels)
+    for command in (["eval", "--method", "hie"], ["compare", "--methods", "argmax,hie"]):
+        assert run([*command, *base, "--labels", str(d / "labels.txt"), "--k", "1"]) == code
+        assert capsys.readouterr().err == message
 
 
 def test_row_counts_are_checked_before_any_row_is_read(probability_inputs, capsys):
@@ -336,3 +355,25 @@ def test_cascade_infer_memory_is_bounded_by_a_block(tmp_path, capsys):
         tracemalloc.stop()
     capsys.readouterr()
     assert peak < fine_bytes / 4, (peak, fine_bytes)
+
+
+def test_compare_memory_does_not_grow_with_the_row_count(tmp_path, capsys):
+    # Per row, only the labels stay: every method's metrics are summed block by block.
+    peaks = {}
+    for n in (1000, 8000):
+        d = tmp_path / str(n)
+        assert run(["synth", "--branching", "4,6,8", "--noise", "0.5,1.0,2.0",
+                    "--n-samples", str(n), "--seed", "3", "--out-dir", str(d)]) == 0
+        args = ["compare", "--hierarchy", str(d / "hierarchy.json"), "--fine", str(d / "fine.hies"),
+                "--coarse", str(d / "level_d2.hies"), "--level", f"1={d / 'level_d1.hies'}",
+                "--level", f"2={d / 'level_d2.hies'}", "--kind", "logits",
+                "--labels", str(d / "labels.txt"), "--k", "1,5,20",
+                "--methods", ",".join(METHODS), "--out", str(d / "table.json")]
+        tracemalloc.start()
+        try:
+            assert run(args) == 0
+            _, peaks[n] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert peaks[8000] <= 1.1 * peaks[1000], peaks
