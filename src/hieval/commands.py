@@ -17,7 +17,8 @@ import numpy as np
 
 from . import ensemble, fileio, risk, synth
 from . import taxonomy as tx
-from .errors import DimensionMismatch, DuplicateMethod, InputError, KTooLarge, LengthMismatch
+from .errors import (DimensionMismatch, DuplicateMethod, InputError, KTooLarge, LengthMismatch,
+                     ZeroDenominator)
 from .metrics import EvalReport, eval_report
 from .scores import (
     LOGITS,
@@ -211,7 +212,13 @@ def run_methods(methods: list[str], inputs: MethodInputs):
     for start in range(0, n, step):
         fine, coarse, levels = inputs.read(start, min(start + step, n))
         for source in sources:
-            probs = _combined(source, t, fine, coarse, levels)
+            try:
+                probs = _combined(source, t, fine, coarse, levels)
+            except ZeroDenominator as e:  # the fault is the product's: name each file in it
+                uppers = {"self": [], "coarse": [inputs.coarse]}.get(
+                    source, [r for _, r in inputs.levels])
+                e.args = (", ".join(r.path for r in [inputs.fine, *uppers]) + f": {e}",)
+                raise
             for m in methods:
                 if METHODS[m][0] == source:
                     yield m, probs if METHODS[m][1] == "score" else risk.crm_rerank(probs, t)
@@ -270,16 +277,17 @@ def cmd_infer(args, out) -> int:
     preds_path = args.preds_out or args.out + ".preds.txt"
     with load_method_inputs(args, [method]) as inputs, contextlib.ExitStack() as undo:
         def blocks():
-            preds = []
-            for _, ranked in run_methods([method], inputs):
-                preds.append(top_k(ranked, 1)[:, 0])
-                yield ranked
-            # Before the scores file is renamed into place, and removed again if
+            with fileio.write_labels(inputs.taxonomy, preds_path) as write_preds:
+                for _, ranked in run_methods([method], inputs):
+                    write_preds(top_k(ranked, 1)[:, 0])
+                    yield ranked
+            # Renamed into place before the scores file, and removed again if
             # that fails, so a failing write of either leaves neither behind.
-            fileio.write_labels(inputs.taxonomy, np.concatenate(preds), preds_path)
             undo.callback(os.remove, preds_path)
 
-        fileio.save_scores(blocks(), args.out)
+        # Closed on a failed scores write, which removes the predictions' temp file.
+        with contextlib.closing(blocks()) as stream:
+            fileio.save_scores(stream, args.out)
         undo.pop_all()
     print(f"wrote {args.out} and {preds_path}", file=out)
     return 0
@@ -372,16 +380,19 @@ def cmd_synth(args, out) -> int:
     except OSError as e:
         raise InputError(f"cannot create --out-dir {args.out_dir!r}: {e.strerror or e}") from e
     t = synth.gen_taxonomy(cfg)
-    labels, fine, uppers = synth.gen_instance(cfg)
+    labels, levels = synth.gen_instance(cfg, t)
 
     paths = {"hierarchy": "hierarchy.json", "labels": "labels.txt", "fine": "fine.hies"}
     fileio.save_hierarchy(t, os.path.join(args.out_dir, paths["hierarchy"]))
-    fileio.write_labels(t, labels, os.path.join(args.out_dir, paths["labels"]))
-    fileio.save_scores(fine, os.path.join(args.out_dir, paths["fine"]))
-    for depth, matrix in enumerate(uppers, start=1):
-        name = f"level_d{depth}.hies"
-        paths[f"level{depth}"] = name
-        fileio.save_scores(matrix, os.path.join(args.out_dir, name))
+    step = block_rows(t.n_leaves)
+    with fileio.write_labels(t, os.path.join(args.out_dir, paths["labels"])) as write:
+        for start in range(0, cfg.n_samples, step):
+            write(labels[start:start + step])
+    paths.update((f"level{d}", f"level_d{d}.hies") for d in range(1, cfg.n_levels))
+    # Each level's blocks are written as they are drawn, topmost level first.
+    for depth, blocks in enumerate(levels, start=1):
+        name = paths["fine"] if depth == cfg.n_levels else paths[f"level{depth}"]
+        fileio.save_scores(blocks, os.path.join(args.out_dir, name))
 
     manifest = {
         "branching": list(cfg.branching),

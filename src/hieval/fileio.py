@@ -46,7 +46,8 @@ from .errors import (
     UnknownLeaf,
 )
 from .metrics import EvalReport
-from .scores import FILE_TOL, LOGITS, PROBABILITIES, ScoreMatrix, validate_probabilities
+from .scores import (FILE_TOL, LOGITS, PROBABILITIES, ScoreMatrix, check_finite,
+                     validate_probabilities)
 
 BINARY_MAGIC = b"HIES"
 BINARY_VERSION = 1
@@ -77,11 +78,6 @@ def _atomic_file(path: str):
         raise
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    with _atomic_file(path) as f:
-        f.write(text.encode("utf-8"))
-
-
 def _read_bytes(path: str) -> bytes:
     try:
         with open(path, "rb") as f:
@@ -102,7 +98,8 @@ def sha256_digest(path: str) -> str:
 
 
 def write_json(doc: dict, path: str) -> None:
-    _atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    with _atomic_file(path) as f:
+        f.write((json.dumps(doc, indent=2) + "\n").encode("utf-8"))
 
 
 # ------------------------------------------------------------- hierarchies
@@ -258,10 +255,7 @@ class ScoreReader:
         self._file.seek(_HEADER.size + start * values.shape[1] * 8)
         if self._file.readinto(values) != values.nbytes:
             raise ParseError(f"{self.path}: payload ended before row {stop}")
-        finite = np.isfinite(values)
-        if not finite.all():
-            r, c = np.argwhere(~finite)[0]
-            raise NonFiniteValue(start + int(r), int(c))
+        check_finite(values, start)
         return values.astype(np.float64, copy=False)
 
     def _open_text(self, declared_kind) -> None:
@@ -493,11 +487,20 @@ def load_labels(path: str, t: tx.Taxonomy) -> np.ndarray:
     return out
 
 
-def write_labels(t: tx.Taxonomy, indices, path: str) -> None:
-    """Write leaf_order indices as one leaf name per line (labels or predictions)."""
-    leaf_names = t.leaf_names()
-    lines = [leaf_names[i] for i in np.asarray(indices).tolist()]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+@contextlib.contextmanager
+def write_labels(t: tx.Taxonomy, path: str):
+    """A file of leaf names, one per line (labels or predictions), written block by block.
+
+    Yields ``write(indices)``, which appends the leaf_order indices of the
+    next block of rows as it comes. The file replaces ``path`` when the
+    ``with`` block exits normally; on an exception, no file is left behind.
+    """
+    lines = [name + "\n" for name in t.leaf_names()]
+    with _atomic_file(path) as f:
+        def write(indices):
+            f.write("".join(lines[i] for i in np.asarray(indices).tolist()).encode("utf-8"))
+
+        yield write
 
 
 # ---------------------------------------------------------------- reports

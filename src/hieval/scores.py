@@ -34,6 +34,14 @@ def block_rows(n_cols: int) -> int:
     return max(1, BLOCK_ENTRIES // n_cols)
 
 
+def check_finite(values: np.ndarray, first_row: int) -> None:
+    """Raise NonFiniteValue naming the first NaN or infinity, counting rows from ``first_row``."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise NonFiniteValue(first_row + int(r), int(c))
+
+
 @dataclass(frozen=True, eq=False)
 class ScoreMatrix:
     """An n_samples x n_classes block of 64-bit scores at one hierarchy level.
@@ -67,10 +75,7 @@ class ScoreMatrix:
             raise DimensionMismatch(
                 f"{len(names)} class names for {arr.shape[1]} columns"
             )
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            r, c = np.argwhere(bad)[0]
-            raise NonFiniteValue(self.first_row + int(r), int(c))
+        check_finite(arr, self.first_row)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "class_names", names)

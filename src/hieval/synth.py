@@ -5,7 +5,9 @@ leveled tree: the true class's logit gets a fixed margin of 1.0 and every
 logit receives Gaussian noise whose scale is that level's accuracy knob
 (0 = perfect, larger = worse). Streams come from a PCG64 generator seeded
 from the config, drawn in a fixed order (labels first, then levels top-down),
-so equal configs give bitwise-equal outputs on any platform.
+so equal configs give bitwise-equal outputs on any platform. Each level is
+drawn in row blocks as it is written, the same bits as one whole draw, so
+``hieval synth`` holds the labels and one block, whatever the sample count.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import taxonomy as tx
 from .errors import InputError
-from .scores import LOGITS, ScoreMatrix
+from .scores import LOGITS, ScoreMatrix, block_rows, check_finite
 
 MARGIN = 1.0
 RNG_ALGORITHM = "pcg64"
@@ -74,26 +76,30 @@ def gen_taxonomy(cfg: SynthConfig) -> tx.Taxonomy:
     return tx.build_taxonomy(edges)
 
 
-def gen_instance(cfg: SynthConfig):
-    """Ground-truth labels plus noisy logits for every level.
+def gen_instance(cfg: SynthConfig, t: tx.Taxonomy):
+    """Ground-truth labels, then every level's noisy logits in row blocks.
 
-    Returns ``(labels, fine, uppers)`` where labels index ``leaf_order``,
-    ``fine`` is the leaf-level logits matrix and ``uppers`` lists the
-    coarse-level matrices for depths 1 .. n_levels-1, topmost first. Columns
-    follow the taxonomy's canonical order at each level.
+    ``t`` is ``gen_taxonomy(cfg)``. Returns ``(labels, levels)``: labels
+    index ``leaf_order``, and ``levels`` yields one iterator per depth 1 ..
+    n_levels (topmost first, the leaf level last) over that level's logits,
+    ``scores.block_rows(width)`` rows per ScoreMatrix, columns in the
+    taxonomy's canonical order. A block is drawn only when it is read, so
+    memory holds one block, not a matrix; all draws share one stream, so read
+    the levels in order, each to its end.
     """
-    t = gen_taxonomy(cfg)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     labels = rng.integers(0, cfg.n_leaves, size=cfg.n_samples)
 
-    matrices = []
-    for depth in range(1, cfg.n_levels + 1):
-        order = tx.level_order(t, depth)
-        names = tuple(t.names[i] for i in order)
+    def level(depth):
+        names = tuple(t.names[i] for i in tx.level_order(t, depth))
         amap = tx.ancestor_index_map(t, depth)
-        targets = amap[labels]
-        logits = rng.normal(0.0, cfg.noise[depth - 1], size=(cfg.n_samples, len(order)))
-        logits[np.arange(cfg.n_samples), targets] += MARGIN
-        matrices.append(ScoreMatrix(logits, LOGITS, names))
+        step = block_rows(len(names))
+        for start in range(0, cfg.n_samples, step):
+            rows = min(step, cfg.n_samples - start)
+            # Row blocks of one normal draw are the same bits as the whole draw.
+            logits = rng.normal(0.0, cfg.noise[depth - 1], size=(rows, len(names)))
+            logits[np.arange(rows), amap[labels[start:start + rows]]] += MARGIN
+            check_finite(logits, start)  # a huge noise scale can overflow
+            yield ScoreMatrix._adopt(logits, LOGITS, names, start)
 
-    return labels, matrices[-1], matrices[:-1]
+    return labels, (level(depth) for depth in range(1, cfg.n_levels + 1))

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import strategies as st
 
 from hieval.errors import ZeroDenominator
+from hieval.scores import ScoreMatrix
+from hieval.synth import gen_instance, gen_taxonomy
 from hieval.taxonomy import Taxonomy, build_taxonomy
 
 # Four leaves under two groups; column order pinned to rose,tulip,bus,car so
@@ -54,6 +56,20 @@ def taxonomies(draw, max_nodes=40):
         edges = [(f"top{i}", "root") for i in range(n)]
         edges += [("mid", "root"), ("deep0", "mid"), ("deep1", "mid")]
     return build_taxonomy(edges)
+
+
+def stack(blocks) -> ScoreMatrix:
+    """One whole ScoreMatrix from a stream of row blocks, in row order."""
+    blocks = list(blocks)
+    return ScoreMatrix(np.vstack([b.values for b in blocks]), blocks[0].kind, blocks[0].class_names)
+
+
+def synth_instance(cfg):
+    """``gen_instance`` with each level stacked whole: (taxonomy, labels, fine, uppers)."""
+    t = gen_taxonomy(cfg)
+    labels, levels = gen_instance(cfg, t)
+    matrices = [stack(blocks) for blocks in levels]
+    return t, labels, matrices[-1], matrices[:-1]
 
 
 # ------------------------------------------------- brute-force tree oracles

@@ -14,13 +14,13 @@ import time
 import numpy as np
 
 import hieval
-from conftest import criterion, random_prob_rows, random_taxonomy
+from conftest import criterion, random_prob_rows, random_taxonomy, synth_instance
 from hieval.ensemble import hie_combine, hie_self, marginalize_to_parents
 from hieval.fileio import load_hierarchy, load_scores, save_hierarchy, save_scores
 from hieval.metrics import eval_report
 from hieval.risk import crm_rerank
 from hieval.scores import LOGITS, PROBABILITIES, ScoreMatrix, softmax_rows, top_k
-from hieval.synth import SynthConfig, gen_instance, gen_taxonomy
+from hieval.synth import SynthConfig
 from hieval.taxonomy import (
     ancestor_index_map,
     build_taxonomy,
@@ -249,9 +249,8 @@ def test_c07_directional_synthetic_study():
         wins_acc = wins_hd = self_ok = 0
         for seed in range(20):
             cfg = SynthConfig(branching=(8, 8), n_samples=2000, noise=(0.5, 2.0), seed=seed)
-            t = gen_taxonomy(cfg)
+            t, labels, fine_logits, uppers = synth_instance(cfg)
             pmap = parent_index_map(t)
-            labels, fine_logits, uppers = gen_instance(cfg)
             fine = softmax_rows(fine_logits)
             coarse = softmax_rows(uppers[0])
 
@@ -286,8 +285,7 @@ def test_c08_cascade_tapering_probe():
             cfg = SynthConfig(
                 branching=(3, 3, 4), n_samples=1500, noise=(10.0, 0.5, 2.0), seed=seed
             )
-            t = gen_taxonomy(cfg)
-            labels, fine_logits, uppers = gen_instance(cfg)
+            t, labels, fine_logits, uppers = synth_instance(cfg)
             fine = softmax_rows(fine_logits)
             top, mid = (softmax_rows(m) for m in uppers)
             amap_top = ancestor_index_map(t, 1)

@@ -332,7 +332,9 @@ def test_align_coarse_and_depth(flower_vehicle):
 def test_labels_round_trip(tmp_path, flower_vehicle):
     t = flower_vehicle
     path = str(tmp_path / "labels.txt")
-    write_labels(t, [2, 0, 3, 3], path)
+    with write_labels(t, path) as write:  # two blocks, appended in order
+        write([2, 0])
+        write(np.array([3, 3]))
     assert load_labels(path, t).tolist() == [2, 0, 3, 3]
 
 

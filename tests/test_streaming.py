@@ -1,9 +1,11 @@
-"""The block-by-block pipeline behind infer, eval and compare.
+"""The block-by-block pipeline behind synth, infer, eval and compare.
 
 Outputs must not depend on the block size, faults must name rows of the
 file, and memory must stay bounded by a block rather than the whole input.
 """
 
+import gc
+import hashlib
 import json
 import os
 import struct
@@ -73,7 +75,8 @@ def test_infer_bytes_do_not_depend_on_the_block_size(instance, monkeypatch, meth
     expected_scores, expected_preds = library_outputs(d, method)
     reference = d / f"reference-{method}{suffix}"
     save_scores(expected_scores, str(reference))
-    write_labels(load_hierarchy(str(d / "hierarchy.json")), expected_preds, f"{reference}.preds")
+    with write_labels(load_hierarchy(str(d / "hierarchy.json")), f"{reference}.preds") as write:
+        write(expected_preds)
     names = [""] + ([".names.json"] if suffix == ".hies" else [])
     for label, rows in BLOCKS.items():
         use_block_rows(monkeypatch, rows, expected_scores.n_classes)
@@ -82,6 +85,31 @@ def test_infer_bytes_do_not_depend_on_the_block_size(instance, monkeypatch, meth
         for extra in names:
             assert Path(f"{out}{extra}").read_bytes() == Path(f"{reference}{extra}").read_bytes()
         assert Path(f"{out}.preds.txt").read_bytes() == Path(f"{reference}.preds").read_bytes()
+
+
+# The files the instance fixture's synth writes, as digested when each level
+# was still drawn whole.
+SYNTH_DIGESTS = {
+    "fine.hies": "7e85c2e812b8a01b64d50b2f02468625aeb64ba8eddccb9b955fa6af18d8fea6",
+    "fine.hies.names.json": "0fe88094226f9e3f3145e9045a567607cd2081e7609baa58afb851b9fde8d768",
+    "hierarchy.json": "444e067862ef0c62029553ca42d38e1313cdbc10efccc00498fc68ba560a94d0",
+    "labels.txt": "c980cf54c8d3c4ca93adf2e2eaa97389daf4d643ddd7fd89767a9c6e3ecf0022",
+    "level_d1.hies": "97142352e84d56abdfb86f018700245ec908d33cab50f8678441a8bbf6e9dcab",
+    "level_d1.hies.names.json": "dfe9b9250d4306781e5f3a0a135b768ebff738543429db31fea1e9bc01ab8ee1",
+    "level_d2.hies": "584a76d545cb4997ac17d6671f10a075cbe466f10636aa78e3de5a5833e1f0e4",
+    "level_d2.hies.names.json": "100bef826ea80e4f46156e21d297f0bc740764bcc006b9a831e8abb1b0a2889f",
+    "manifest.json": "8df797698257649020c825bc83d390d4dc268514306598cae90379dc37a35eb9",
+}
+
+
+@pytest.mark.parametrize("label", list(BLOCKS))
+def test_synth_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, label):
+    # Blocks of BLOCKS[label] fine rows (36 wide); the narrower levels get more rows.
+    use_block_rows(monkeypatch, BLOCKS[label], 36)
+    assert run(["synth", "--branching", "3,3,4", "--noise", "1.0,0.5,2.0",
+                "--n-samples", str(N_ROWS), "--seed", "5", "--out-dir", str(tmp_path)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == SYNTH_DIGESTS
 
 
 def test_output_bytes_do_not_depend_on_the_column_order_of_an_input(instance, monkeypatch):
@@ -226,8 +254,8 @@ LATE_FAULTS = {
     ),
     "zero-mass": (  # all fine mass on a rose, no coarse mass on flowers
         lambda f, c: (with_row(f, 41, [1.0, 0.0, 0.0, 0.0]), with_row(c, 41, [0.0, 1.0])), 3,
-        "ZeroDenominator: row 41: once negative entries count as 0, no fine-times-coarse product "
-        "reaches 1e-300",
+        "ZeroDenominator: {d}/fine.csv, {d}/coarse.csv: row 41: once negative entries count as 0, "
+        "no fine-times-coarse product reaches 1e-300",
     ),
 }
 
@@ -241,6 +269,32 @@ def test_a_fault_in_a_late_block_names_the_file_row(probability_inputs, monkeypa
     assert run(["eval", *base, "--labels", str(d / "labels.txt"), "--method", "hie",
                 "--k", "1"]) == code
     assert capsys.readouterr().err.startswith(message.format(d=d))
+
+
+def test_a_dead_cascade_row_names_the_fine_file_and_each_level_file(probability_inputs,
+                                                                    monkeypatch, capsys):
+    # Row 41's fine mass is all on a rose, and level 1 gives flowers none.
+    d, fine, coarse, write = probability_inputs
+    base = write(with_row(fine, 41, [1.0, 0.0, 0.0, 0.0]), with_row(coarse, 41, [0.0, 1.0]))
+    (d / "root.csv").write_text("# kind: probabilities\nentity\n" + "1.0\n" * N_ROWS)
+    before = sorted(os.listdir(d))
+    use_block_rows(monkeypatch, 7, 4)
+    assert run(["infer", *base, "--level", f"0={d / 'root.csv'}", "--level", f"1={d / 'coarse.csv'}",
+                "--method", "cascade", "--out", str(d / "out.hies")]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"ZeroDenominator: {d}/fine.csv, {d}/root.csv, {d}/coarse.csv: row 41: "
+    )
+    assert sorted(os.listdir(d)) == before  # no scores, predictions or temp file
+
+
+def test_synth_names_the_file_row_of_a_logit_its_noise_overflows(tmp_path, monkeypatch, capsys):
+    # A noise scale of 1e308 overflows wherever a standard normal draw exceeds ~1.8;
+    # at seed 0 the first such draw of level 1 is row 4, in its third 2-row block.
+    use_block_rows(monkeypatch, 2, 2)
+    assert run(["synth", "--branching", "2,2", "--noise", "1e308,1", "--n-samples", "5",
+                "--seed", "0", "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "NonFiniteValue: non-finite value at row 4, column 1\n"
+    assert not (tmp_path / "level_d1.hies").exists() and not (tmp_path / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
@@ -375,5 +429,47 @@ def test_compare_memory_does_not_grow_with_the_row_count(tmp_path, capsys):
             _, peaks[n] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+    capsys.readouterr()
+    assert peaks[8000] <= 1.1 * peaks[1000], peaks
+
+
+def traced_peak(args) -> int:
+    """Peak traced bytes of one in-process run.
+
+    Collection is off: each run leaves its argument parser in reference
+    cycles, and where in the run a collection frees it would move the peak.
+    """
+    gc.disable()
+    tracemalloc.start()
+    try:
+        assert run(args) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+def test_synth_memory_does_not_grow_with_the_row_count(tmp_path):
+    # Only the labels (8 bytes a row) stay: each level is drawn and written block by block.
+    peaks = {n: traced_peak(["synth", "--branching", "4,6,8", "--noise", "0.5,1.0,2.0",
+                             "--n-samples", str(n), "--seed", "3", "--out-dir", str(tmp_path / str(n))])
+             for n in (1000, 8000)}
+    assert peaks[8000] - 8 * 7000 <= 1.1 * peaks[1000], peaks
+
+
+def test_infer_memory_does_not_grow_with_the_row_count(tmp_path, monkeypatch, capsys):
+    # Each block's predictions are written as it passes. Small blocks keep the
+    # per-block memory small beside what a per-row leftover would add.
+    peaks = {}
+    for n in (1000, 8000):
+        d = tmp_path / str(n)
+        assert run(["synth", "--branching", "4,6,8", "--noise", "0.5,1.0,2.0",
+                    "--n-samples", str(n), "--seed", "3", "--out-dir", str(d)]) == 0
+        use_block_rows(monkeypatch, 16, 192)
+        peaks[n] = traced_peak(["infer", "--hierarchy", str(d / "hierarchy.json"),
+                                "--fine", str(d / "fine.hies"), "--level", f"1={d / 'level_d1.hies'}",
+                                "--level", f"2={d / 'level_d2.hies'}", "--kind", "logits",
+                                "--method", "cascade", "--out", str(d / "out.hies")])
+        monkeypatch.undo()
     capsys.readouterr()
     assert peaks[8000] <= 1.1 * peaks[1000], peaks

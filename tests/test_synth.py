@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import synth_instance
 from hieval.ensemble import hie_combine, hie_self
 from hieval.errors import InputError
 from hieval.metrics import eval_report
 from hieval.risk import crm_rerank
 from hieval.scores import softmax_rows, top_k
-from hieval.synth import SynthConfig, gen_instance, gen_taxonomy
+from hieval.synth import SynthConfig, gen_taxonomy
 from hieval.taxonomy import ancestor_index_map, cost_matrix, parent_index_map
 
 
@@ -36,9 +37,7 @@ def test_taxonomy_shapes():
 
 
 def test_instance_shapes_and_names():
-    c = cfg((4, 8), (0.5, 2.0), n=17)
-    t = gen_taxonomy(c)
-    labels, fine, uppers = gen_instance(c)
+    t, labels, fine, uppers = synth_instance(cfg((4, 8), (0.5, 2.0), n=17))
     assert labels.shape == (17,)
     assert fine.values.shape == (17, 32)
     assert fine.class_names == t.leaf_names()
@@ -49,19 +48,17 @@ def test_instance_shapes_and_names():
 
 def test_same_seed_bitwise_identical():
     c = cfg((3, 3), (0.7, 1.3), n=64, seed=123)
-    la, fa, ua = gen_instance(c)
-    lb, fb, ub = gen_instance(c)
+    _, la, fa, ua = synth_instance(c)
+    _, lb, fb, ub = synth_instance(c)
     assert np.array_equal(la, lb)
     assert np.array_equal(fa.values, fb.values)
     assert np.array_equal(ua[0].values, ub[0].values)
-    lc, fc, _ = gen_instance(cfg((3, 3), (0.7, 1.3), n=64, seed=124))
+    _, lc, fc, _ = synth_instance(cfg((3, 3), (0.7, 1.3), n=64, seed=124))
     assert not np.array_equal(fa.values, fc.values)
 
 
 def test_noiseless_instance_is_perfect_under_every_rule():
-    c = cfg((3, 3), (0.0, 0.0), n=40, seed=5)
-    t = gen_taxonomy(c)
-    labels, fine_logits, uppers_logits = gen_instance(c)
+    t, labels, fine_logits, uppers_logits = synth_instance(cfg((3, 3), (0.0, 0.0), n=40, seed=5))
     fine = softmax_rows(fine_logits)
     coarse = softmax_rows(uppers_logits[0])
     pmap = parent_index_map(t)
@@ -82,9 +79,7 @@ def test_noiseless_instance_is_perfect_under_every_rule():
 def test_accurate_coarse_pulls_predictions_into_true_subtree():
     hits_hie = hits_argmax = 0
     for seed in range(20):
-        c = cfg((4, 4), (0.2, 2.5), n=400, seed=seed)
-        t = gen_taxonomy(c)
-        labels, fine_logits, uppers = gen_instance(c)
+        t, labels, fine_logits, uppers = synth_instance(cfg((4, 4), (0.2, 2.5), n=400, seed=seed))
         fine = softmax_rows(fine_logits)
         coarse = softmax_rows(uppers[0])
         pmap = parent_index_map(t)
