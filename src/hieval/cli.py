@@ -1,21 +1,30 @@
 """Command-line interface: validate, infer, eval, compare, costs, synth.
 
 Exit codes are a stable contract: 0 on success, 2 for input or usage
-problems, 3 for shape or semantic mismatches between otherwise valid inputs.
-Output files are byte-identical across repeated runs; to keep that true
-regardless of the host's BLAS threading configuration, the entry point pins
-numerical libraries to one thread before numpy is first imported. It also
-has glibc keep the memory each block of rows frees for the next block, rather
-than return it to the system and fault it back in; importing the package
-changes neither setting.
+problems, 3 for shape or semantic mismatches between otherwise valid inputs;
+a command's summary is printed once it is done, and a closed or full
+standard output exits 2. Output files are byte-identical across repeated
+runs; to keep that true regardless of the host's BLAS threading
+configuration, the entry point pins numerical libraries to one thread before
+numpy is first imported. It also has glibc keep the memory each block of
+rows frees for the next block, rather than return it to the system and fault
+it back in; importing the package changes neither setting.
+
+:func:`main`, the process entry, exits without interpreter teardown once
+the command is done; :func:`run` runs the command in-process and returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import contextlib
 import ctypes
+import io
 import os
 import sys
+
+from .errors import DataError, InputError
 
 _THREAD_VARS = (
     "OPENBLAS_NUM_THREADS",
@@ -109,21 +118,52 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    """Run one command in this process and return its exit code."""
     _pin_single_threaded_math()
     _keep_freed_memory()
     args = build_parser().parse_args(argv)
 
     from . import commands
-    from .errors import DataError, InputError
 
     try:
         # infer requires --out even though other commands treat it as optional
         if args.command == "infer" and not args.out:
             raise InputError("infer requires --out")
-        return getattr(commands, f"cmd_{args.command}")(args, sys.stdout)
+        out = io.StringIO()
+        code = getattr(commands, f"cmd_{args.command}")(args, out)
+        try:
+            if sys.stdout is not None:  # None when started without one, as print() allows
+                sys.stdout.write(out.getvalue())
+                sys.stdout.flush()
+        except OSError as e:
+            raise InputError(f"cannot write standard output: {e.strerror or e}") from e
+        return code
     except InputError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 2
     except DataError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 3
+
+
+def main(argv=None) -> int:
+    """:func:`run`, then an exit without interpreter teardown.
+
+    When ``run`` returns, every output is closed and renamed, so the final
+    garbage collection and module teardown only cost time. The exit is an
+    atexit handler, which runs first as the last one registered, so that
+    ``python -m cProfile -o FILE -m hieval ...`` still writes FILE. When
+    ``run`` raises, nothing is registered.
+    """
+    code = run(argv)
+    atexit.register(_exit_without_teardown, code)
+    return code
+
+
+def _exit_without_teardown(code: int) -> None:
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            # A fault here was already reported: run() flushed its output.
+            with contextlib.suppress(OSError):
+                stream.flush()
+    os._exit(code)

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import codecs
 import contextlib
-import hashlib
 import json
 import os
-import secrets
 import struct
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -65,7 +64,7 @@ def _atomic_file(path: str):
     """
     # A unique temp name beside the target keeps concurrent writers apart and
     # the final rename on one file system.
-    tmp = f"{path}.{os.getpid()}-{secrets.token_hex(4)}.tmp"
+    tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
     try:
         with open(tmp, "xb") as f:
             yield f
@@ -87,6 +86,8 @@ def _read_bytes(path: str) -> bytes:
 
 
 def sha256_digest(path: str) -> str:
+    import hashlib  # loads OpenSSL, which only hashing needs
+
     h = hashlib.sha256()
     try:
         with open(path, "rb") as f:
@@ -119,10 +120,48 @@ def load_hierarchy(path: str) -> tx.Taxonomy:
         raise ParseError(f"{path}:{line}:{col}: {getattr(e, 'msg', e)}") from e
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
         raise ParseError(f"{path}: expected an object with a 'nodes' list")
+    nodes = doc["nodes"]
 
+    # Checked in bulk; JSON values have exact types, so the type sets say what
+    # isinstance would. On any fault the node walk names the first faulty node.
+    try:
+        parents = {node["name"]: node["parent"] for node in nodes}
+    except (KeyError, TypeError):
+        parents = {}
+    if (
+        len(parents) != len(nodes)
+        or "" in parents
+        or not {*map(type, parents)} <= {str}
+        or "" in parents.values()
+        or not {*map(type, parents.values())} <= {str, type(None)}
+    ):
+        _raise_node_fault(path, nodes)
+
+    edges = [*filter(itemgetter(1), parents.items())]  # all but the null-parent nodes
+    if len(edges) < len(parents) - 1:
+        roots = sorted(n for n, p in parents.items() if p is None)
+        raise MultipleRoots(
+            f"{path}: multiple null-parent nodes: " + ", ".join(repr(r) for r in roots)
+        )
+    undeclared = sorted({*parents.values()}.difference(parents, [None]))
+    if undeclared:
+        raise ParseError(
+            f"{path}: parent names never declared as nodes: "
+            + ", ".join(repr(u) for u in undeclared)
+        )
+    for key in ("leaf_order", "coarse_order"):
+        if key in doc and not (isinstance(doc[key], list) and {*map(type, doc[key])} <= {str}):
+            raise ParseError(f"{path}: {key} must be a list of names")
+    return tx.build_taxonomy(
+        edges,
+        leaf_order=doc.get("leaf_order"),
+        coarse_order=doc.get("coarse_order"),
+    )
+
+
+def _raise_node_fault(path: str, nodes: list) -> None:
     names: set[str] = set()
-    parents: dict[str, str | None] = {}
-    for i, node in enumerate(doc["nodes"]):
+    for i, node in enumerate(nodes):
         if not isinstance(node, dict) or "name" not in node or "parent" not in node:
             raise ParseError(f"{path}: nodes[{i}] must have 'name' and 'parent'")
         name, parent = node["name"], node["parent"]
@@ -133,38 +172,14 @@ def load_hierarchy(path: str) -> tx.Taxonomy:
         if parent is not None and (not isinstance(parent, str) or not parent):
             raise ParseError(f"{path}: nodes[{i}] has an invalid parent {parent!r}")
         names.add(name)
-        parents[name] = parent
-
-    roots = sorted(n for n, p in parents.items() if p is None)
-    if len(roots) > 1:
-        raise MultipleRoots(
-            f"{path}: multiple null-parent nodes: " + ", ".join(repr(r) for r in roots)
-        )
-    undeclared = sorted({p for p in parents.values() if p is not None and p not in names})
-    if undeclared:
-        raise ParseError(
-            f"{path}: parent names never declared as nodes: "
-            + ", ".join(repr(u) for u in undeclared)
-        )
-
-    edges = [(child, parent) for child, parent in parents.items() if parent is not None]
-    for key in ("leaf_order", "coarse_order"):
-        if key in doc and not (
-            isinstance(doc[key], list) and all(isinstance(x, str) for x in doc[key])
-        ):
-            raise ParseError(f"{path}: {key} must be a list of names")
-    return tx.build_taxonomy(
-        edges,
-        leaf_order=doc.get("leaf_order"),
-        coarse_order=doc.get("coarse_order"),
-    )
 
 
 def save_hierarchy(t: tx.Taxonomy, path: str) -> None:
     """Write a taxonomy as hierarchy JSON, orders pinned explicitly."""
+    # Node ids follow name order, so the nodes are listed sorted by name.
     nodes = [
-        {"name": t.names[i], "parent": None if t.parent[i] is None else t.names[t.parent[i]]}
-        for i in sorted(range(t.n_nodes), key=lambda i: t.names[i])
+        {"name": name, "parent": None if p is None else t.names[p]}
+        for name, p in zip(t.names, t.parent)
     ]
     doc = {
         "nodes": nodes,

@@ -91,9 +91,79 @@ def build_taxonomy(
     """
     if not edges:
         raise EmptyInput("edge list is empty")
+    # Checked in bulk; on any doubt the edge walk names the first faulty edge
+    # (or accepts repeated equal edges).
+    try:
+        parent_name = dict(edges)
+    except (TypeError, ValueError):
+        parent_name = {}
+    if (
+        len(parent_name) != len(edges)
+        or "" in parent_name
+        or "" in parent_name.values()
+        or {*map(type, parent_name), *map(type, parent_name.values())} != {str}
+    ):
+        parent_name = _parent_names(edges)
+    roots = {*parent_name.values()}.difference(parent_name)
 
+    # Children first in edge order: files list nodes in name order, and
+    # sorting a sorted run is one pass.
+    all_names = sorted([*parent_name, *roots])
+    roots = sorted(roots)
+    if not roots:
+        raise CycleDetected(
+            "every node has a parent; cycle through: "
+            + ", ".join(repr(x) for x in _find_cycle(parent_name, all_names[0]))
+        )
+    if len(roots) > 1:
+        raise MultipleRoots("multiple root nodes: " + ", ".join(repr(r) for r in roots))
+
+    n = len(all_names)
+    ids = dict(zip(all_names, range(n)))
+    parent = list(map(ids.get, map(parent_name.get, all_names)))
+    root = ids[roots[0]]
+    children: list[list[int]] = [[] for _ in range(n)]
+    for child, par in enumerate(parent):
+        if par is not None:
+            children[par].append(child)
+
+    # Breadth-first from the root (the list grows as it is read); any node
+    # left out sits on a cycle.
+    order = [root]
+    for node in order:
+        order.extend(children[node])
+    depth = [-1] * n
+    depth[root] = 0
+    for node in order[1:]:
+        depth[node] = depth[parent[node]] + 1
+    if len(order) < n:
+        raise CycleDetected(
+            "nodes unreachable from the root (cycle): "
+            + ", ".join(repr(all_names[i]) for i in range(n) if depth[i] < 0)
+        )
+
+    # Heights bottom-up: reversed breadth-first order has children first.
+    height = [0] * n
+    for node in reversed(order[1:]):
+        if height[parent[node]] <= height[node]:
+            height[parent[node]] = height[node] + 1
+
+    # Ids follow name order, so sorted ids are the lexicographic orders.
+    leaves = [i for i in range(n) if not children[i]]
+    coarse = sorted({parent[leaf] for leaf in leaves})
+    return Taxonomy(
+        names=tuple(all_names),
+        parent=tuple(parent),
+        root=root,
+        leaf_order=_resolve_order(leaf_order, leaves, all_names, ids, "leaf_order"),
+        coarse_order=_resolve_order(coarse_order, coarse, all_names, ids, "coarse_order"),
+        depth=tuple(depth),
+        height=tuple(height),
+    )
+
+
+def _parent_names(edges) -> dict[str, str]:
     parent_name: dict[str, str] = {}
-    seen: dict[str, None] = {}
     for child, parent in edges:
         if not isinstance(child, str) or not isinstance(parent, str) or not child or not parent:
             raise EmptyInput(f"edge ({child!r}, {parent!r}) has an empty or non-string name")
@@ -103,64 +173,7 @@ def build_taxonomy(
                 f"node {child!r} has parents {prior!r} and {parent!r}"
             )
         parent_name[child] = parent
-        seen[child] = None
-        seen[parent] = None
-
-    all_names = sorted(seen)
-    roots = [n for n in all_names if n not in parent_name]
-    if not roots:
-        raise CycleDetected(
-            "every node has a parent; cycle through: "
-            + ", ".join(repr(x) for x in _find_cycle(parent_name, all_names[0]))
-        )
-    if len(roots) > 1:
-        raise MultipleRoots("multiple root nodes: " + ", ".join(repr(r) for r in roots))
-
-    ids = {name: i for i, name in enumerate(all_names)}
-    n = len(all_names)
-    parent: list[Optional[int]] = [None] * n
-    children: list[list[int]] = [[] for _ in range(n)]
-    for child, par in parent_name.items():
-        parent[ids[child]] = ids[par]
-        children[ids[par]].append(ids[child])
-    root = ids[roots[0]]
-
-    # Depth by BFS from the root; any node left unvisited sits on a cycle.
-    depth = [-1] * n
-    depth[root] = 0
-    queue = [root]
-    while queue:
-        node = queue.pop()
-        for ch in children[node]:
-            depth[ch] = depth[node] + 1
-            queue.append(ch)
-    unreachable = [all_names[i] for i in range(n) if depth[i] < 0]
-    if unreachable:
-        raise CycleDetected(
-            "nodes unreachable from the root (cycle): "
-            + ", ".join(repr(x) for x in unreachable)
-        )
-
-    # Heights bottom-up: process nodes deepest first.
-    height = [0] * n
-    for node in sorted(range(n), key=lambda i: -depth[i]):
-        if children[node]:
-            height[node] = 1 + max(height[ch] for ch in children[node])
-
-    leaves = [i for i in range(n) if not children[i]]
-    leaf_ids = _resolve_order(leaf_order, leaves, all_names, ids, "leaf_order")
-    coarse_set = sorted({parent[lf] for lf in leaves})
-    coarse_ids = _resolve_order(coarse_order, coarse_set, all_names, ids, "coarse_order")
-
-    return Taxonomy(
-        names=tuple(all_names),
-        parent=tuple(parent),
-        root=root,
-        leaf_order=tuple(leaf_ids),
-        coarse_order=tuple(coarse_ids),
-        depth=tuple(depth),
-        height=tuple(height),
-    )
+    return parent_name
 
 
 def _find_cycle(parent_name: dict[str, str], start: str) -> list[str]:
@@ -173,13 +186,17 @@ def _find_cycle(parent_name: dict[str, str], start: str) -> list[str]:
     return sorted(cycle)
 
 
-def _resolve_order(requested, node_set, all_names, ids, label):
-    canonical = sorted(node_set, key=lambda i: all_names[i])
+def _resolve_order(requested, canonical, all_names, ids, label) -> tuple[int, ...]:
+    """``requested`` names as ids, checked to be a permutation of the sorted ids ``canonical``."""
     if requested is None:
-        return canonical
-    want = sorted(all_names[i] for i in node_set)
-    got = sorted(requested)
-    if got != want:
+        return tuple(canonical)
+    try:
+        resolved = tuple(map(ids.__getitem__, requested))
+    except (KeyError, TypeError):
+        resolved = None
+    if resolved is None or sorted(resolved) != canonical:
+        want = [all_names[i] for i in canonical]
+        got = sorted(requested)
         extra = [x for x in got if x not in set(want)]
         missing = [x for x in want if x not in set(got)]
         raise OrderMismatch(
@@ -187,7 +204,7 @@ def _resolve_order(requested, node_set, all_names, ids, label):
             + (f"; unexpected: {extra}" if extra else "")
             + (f"; missing: {missing}" if missing else "")
         )
-    return [ids[name] for name in requested]
+    return resolved
 
 
 def cached(t: Taxonomy, key, build):

@@ -1,6 +1,7 @@
 import ctypes
 import json
 import os
+import pstats
 import struct
 import subprocess
 import sys
@@ -583,8 +584,94 @@ def test_importing_the_package_leaves_the_heap_alone():
         hieval.cli._keep_freed_memory()
         print(before, looked_up.count("mallopt"))
     """
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", script], env=_child_env(), capture_output=True,
+                          text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0", "1"]
+
+
+# ------------------------------------------------------------ process entry
+#
+# cli.main ends the process from an atexit handler, so it runs only in child
+# processes here; calling it in-process would end the test run.
+
+
+def _child_env():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["validate", "--hierarchy", "hierarchy.json"], 0),
+    (["compare", "--hierarchy", "hierarchy.json", "--fine", "fine.csv", "--coarse", "coarse.csv",
+      "--labels", "labels.txt", "--methods", "argmax,hie", "--k", "1,2"], 0),
+    (["validate", "--hierarchy", "absent.json"], 2),
+    (["eval", "--hierarchy", "hierarchy.json", "--fine", "fine.csv", "--labels", "labels.txt",
+      "--k", "9"], 3),
+], ids=["validate", "compare", "missing-file", "k-too-large"])
+def test_main_exits_as_run_returns(workspace, capsys, monkeypatch, argv, code):
+    monkeypatch.chdir(workspace)
+    assert run(argv) == code
+    in_process = capsys.readouterr()
+    done = subprocess.run([sys.executable, "-m", "hieval", *argv], cwd=workspace, env=_child_env(),
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (code, in_process.out, in_process.err)
+
+
+def test_main_skips_teardown_and_run_keeps_it(workspace):
+    # A handler registered before the command runs at teardown only.
+    script = """if True:
+        import atexit, sys
+        from hieval import cli
+        atexit.register(print, "teardown")
+        sys.exit(getattr(cli, sys.argv[1])(["validate", "--hierarchy", "hierarchy.json"]))
+    """
+    for entry, lines in [("run", ["nodes=7", "teardown"]), ("main", ["nodes=7"])]:
+        done = subprocess.run([sys.executable, "-c", script, entry], cwd=workspace, env=_child_env(),
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert [line.split()[0] for line in done.stdout.splitlines()] == lines
+
+
+def test_profiler_output_is_written_before_the_exit(workspace):
+    profile = workspace / "validate.prof"
+    done = subprocess.run([sys.executable, "-m", "cProfile", "-o", str(profile), "-m", "hieval",
+                           "validate", "--hierarchy", "absent.json"],
+                          cwd=workspace, env=_child_env(), capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr.startswith("ParseError: cannot read absent.json")
+    assert pstats.Stats(str(profile)).total_calls > 0
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("stdout, message", [
+    ("closed-pipe", "Broken pipe"),
+    ("/dev/full", "No space left on device"),
+])
+def test_an_unwritable_stdout_exits_2_in_one_line(workspace, stdout, message, unbuffered):
+    if stdout == "/dev/full" and not os.path.exists(stdout):
+        pytest.skip("no /dev/full")
+    env = dict(_child_env(), PYTHONUNBUFFERED=unbuffered)
+    argv = [sys.executable, "-m", "hieval", "validate", "--hierarchy", "hierarchy.json"]
+    if stdout == "closed-pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(argv, cwd=workspace, env=env, stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+    else:
+        with open(stdout, "w") as full:
+            done = subprocess.run(argv, cwd=workspace, env=env, stdout=full,
+                                  stderr=subprocess.PIPE, text=True)
+    assert done.returncode == 2
+    assert done.stderr == f"InputError: cannot write standard output: {message}\n"
+
+
+def test_a_process_started_without_stdout_prints_nothing(workspace):
+    # With descriptor 1 closed, sys.stdout is None; print() would skip it too.
+    done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "hieval",
+                           "validate", "--hierarchy", "hierarchy.json"],
+                          cwd=workspace, env=_child_env(), stderr=subprocess.PIPE, text=True)
+    assert (done.returncode, done.stderr) == (0, "")

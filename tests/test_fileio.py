@@ -8,6 +8,7 @@ import pytest
 from conftest import SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES, random_taxonomy
 from hieval.errors import (
     ColumnMismatch,
+    CycleDetected,
     DuplicateClass,
     EmptyInput,
     KindConflict,
@@ -15,6 +16,7 @@ from hieval.errors import (
     NegativeEntry,
     MultipleRoots,
     NonFiniteValue,
+    OrderMismatch,
     ParseError,
     RowSumViolation,
     UnknownClass,
@@ -33,6 +35,8 @@ from hieval.fileio import (
 )
 from hieval.metrics import EvalReport
 from hieval.scores import LOGITS, PROBABILITIES, ScoreMatrix
+from hieval.synth import SynthConfig, gen_taxonomy
+from hieval.taxonomy import build_taxonomy
 
 
 def hierarchy_doc():
@@ -86,24 +90,88 @@ def test_load_hierarchy_missing_file(tmp_path):
         load_hierarchy(str(tmp_path / "absent.json"))
 
 
+def _nodes(*extra):
+    return [{"name": "r", "parent": None}, {"name": "a", "parent": "r"}, *extra]
+
+
+# Each fault's type and whole message; "{p}" is the file's path. When several
+# nodes are faulty, the first one in file order is named.
+@pytest.mark.parametrize("doc, error, message", [
+    ([], ParseError, "{p}: expected an object with a 'nodes' list"),
+    ({"nodes": {}}, ParseError, "{p}: expected an object with a 'nodes' list"),
+    ({"nodes": []}, EmptyInput, "edge list is empty"),
+    ({"nodes": _nodes(5)}, ParseError, "{p}: nodes[2] must have 'name' and 'parent'"),
+    ({"nodes": _nodes(["b", "r"])}, ParseError, "{p}: nodes[2] must have 'name' and 'parent'"),
+    ({"nodes": _nodes({"name": "b"})}, ParseError, "{p}: nodes[2] must have 'name' and 'parent'"),
+    ({"nodes": _nodes({"parent": "r"})}, ParseError, "{p}: nodes[2] must have 'name' and 'parent'"),
+    ({"nodes": _nodes({"name": 3, "parent": "r"})}, ParseError, "{p}: nodes[2] has an invalid name 3"),
+    ({"nodes": _nodes({"name": "", "parent": "r"})}, ParseError,
+     "{p}: nodes[2] has an invalid name ''"),
+    ({"nodes": _nodes({"name": ["b"], "parent": "r"})}, ParseError,
+     "{p}: nodes[2] has an invalid name ['b']"),
+    ({"nodes": _nodes({"name": "b", "parent": ""})}, ParseError,
+     "{p}: nodes[2] has an invalid parent ''"),
+    ({"nodes": _nodes({"name": "b", "parent": 7})}, ParseError,
+     "{p}: nodes[2] has an invalid parent 7"),
+    ({"nodes": _nodes({"name": "a", "parent": "r"})}, ParseError, "{p}: duplicate node name 'a'"),
+    ({"nodes": _nodes({"name": "b", "parent": ""}, 5, {"name": "a", "parent": "r"})}, ParseError,
+     "{p}: nodes[2] has an invalid parent ''"),
+    ({"nodes": _nodes({"name": "a", "parent": "r"}, {"name": 3, "parent": "r"})}, ParseError,
+     "{p}: duplicate node name 'a'"),
+    ({"nodes": _nodes({"name": "z", "parent": None}, {"name": "b", "parent": None})}, MultipleRoots,
+     "{p}: multiple null-parent nodes: 'b', 'r', 'z'"),
+    ({"nodes": _nodes({"name": "b", "parent": "y"}, {"name": "c", "parent": "x"})}, ParseError,
+     "{p}: parent names never declared as nodes: 'x', 'y'"),
+    ({"nodes": _nodes(), "leaf_order": "a"}, ParseError, "{p}: leaf_order must be a list of names"),
+    ({"nodes": _nodes(), "leaf_order": ["a", 1]}, ParseError,
+     "{p}: leaf_order must be a list of names"),
+    ({"nodes": _nodes(), "coarse_order": {"r": 0}}, ParseError,
+     "{p}: coarse_order must be a list of names"),
+    ({"nodes": _nodes({"name": "b", "parent": "r"}), "leaf_order": ["b", "z", "z"]}, OrderMismatch,
+     "leaf_order is not a permutation of the node set; unexpected: ['z', 'z']; missing: ['a']"),
+    ({"nodes": _nodes(), "coarse_order": []}, OrderMismatch,
+     "coarse_order is not a permutation of the node set; missing: ['r']"),
+    ({"nodes": _nodes({"name": "b", "parent": "c"}, {"name": "c", "parent": "b"})}, CycleDetected,
+     "nodes unreachable from the root (cycle): 'b', 'c'"),
+    ({"nodes": [{"name": "r", "parent": None}, {"name": "b", "parent": "c"},
+                {"name": "c", "parent": "b"}]}, CycleDetected,
+     "every node has a parent; cycle through: 'b', 'c'"),
+], ids=["not-object", "nodes-not-list", "no-nodes", "node-int", "node-list", "no-parent",
+        "no-name", "name-int", "name-empty", "name-list", "parent-empty", "parent-int",
+        "duplicate", "first-fault-wins", "duplicate-before-bad-name", "extra-roots",
+        "undeclared-parents", "leaf-order-str", "leaf-order-int", "coarse-order-object",
+        "leaf-order-not-permutation", "coarse-order-empty", "cycle-beside-root",
+        "cycle-only"])
+def test_load_hierarchy_faults_name_the_problem(tmp_path, doc, error, message):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error) as caught:
+        load_hierarchy(str(path))
+    assert type(caught.value) is error
+    assert str(caught.value) == message.format(p=path)
+
+
+def _fields(t):
+    return t.names, t.parent, t.root, t.leaf_order, t.coarse_order, t.depth, t.height
+
+
 def test_hierarchy_round_trip(tmp_path):
     rng = np.random.default_rng(1)
-    for i in range(10):
-        t = random_taxonomy(rng, int(rng.integers(2, 120)))
-        path = str(tmp_path / f"rt{i}.json")
-        save_hierarchy(t, path)
-        back = load_hierarchy(path)
-        original = {
-            t.names[i]: None if t.parent[i] is None else t.names[t.parent[i]]
-            for i in range(t.n_nodes)
-        }
-        restored = {
-            back.names[i]: None if back.parent[i] is None else back.names[back.parent[i]]
-            for i in range(back.n_nodes)
-        }
-        assert restored == original
-        assert back.leaf_names() == t.leaf_names()
-        assert back.coarse_names() == t.coarse_names()
+    trees = [random_taxonomy(rng, int(rng.integers(2, 120))) for _ in range(10)]
+    trees += [gen_taxonomy(SynthConfig(b, 1, (1.0,) * len(b), 0)) for b in [(3,), (2, 3), (4, 1, 2)]]
+    for i, t in enumerate(trees):
+        edges = [(t.names[c], t.names[p]) for c, p in enumerate(t.parent) if p is not None]
+        shuffled = build_taxonomy(edges, leaf_order=rng.permutation(t.leaf_names()).tolist(),
+                                  coarse_order=rng.permutation(t.coarse_names()).tolist())
+        for j, u in enumerate((t, shuffled)):
+            path = tmp_path / f"rt{i}-{j}.json"
+            save_hierarchy(u, str(path))
+            assert _fields(load_hierarchy(str(path))) == _fields(u)
+        # Without pinned orders a file gets the default ones, which t has.
+        doc = json.loads(path.read_text())
+        del doc["leaf_order"], doc["coarse_order"]
+        path.write_text(json.dumps(doc))
+        assert _fields(load_hierarchy(str(path))) == _fields(t)
 
 
 def test_hierarchy_round_trip_preserves_custom_orders(tmp_path, flower_vehicle):

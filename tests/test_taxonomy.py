@@ -78,6 +78,40 @@ def test_cycles_rejected():
         build_taxonomy([("a", "a"), ("b", "a")])
 
 
+# Each fault's type and whole message. When several edges are faulty, the
+# first one in edge order is named.
+@pytest.mark.parametrize("edges, orders, error, message", [
+    ([("", "x")], {}, EmptyInput, "edge ('', 'x') has an empty or non-string name"),
+    ([("a", "r"), (1, "r")], {}, EmptyInput, "edge (1, 'r') has an empty or non-string name"),
+    ([("a", "r"), (["b"], "r")], {}, EmptyInput, "edge (['b'], 'r') has an empty or non-string name"),
+    ([("a", "r"), ("b", {})], {}, EmptyInput, "edge ('b', {}) has an empty or non-string name"),
+    ([("a", "p"), ("a", "q"), ("", "x")], {}, NodeWithTwoParents, "node 'a' has parents 'p' and 'q'"),
+    ([("", "x"), ("a", "p"), ("a", "q")], {}, EmptyInput,
+     "edge ('', 'x') has an empty or non-string name"),
+    ([("a", "r2"), ("b", "r1"), ("c", "r3")], {}, MultipleRoots,
+     "multiple root nodes: 'r1', 'r2', 'r3'"),
+    ([("b", "a"), ("a", "c"), ("c", "b")], {}, CycleDetected,
+     "every node has a parent; cycle through: 'a', 'b', 'c'"),
+    ([("x", "r"), ("b", "a"), ("a", "b"), ("c", "a")], {}, CycleDetected,
+     "nodes unreachable from the root (cycle): 'a', 'b', 'c'"),
+    (SEVEN_NODE_EDGES, {"leaf_order": ["rose", "tulip", "bus"]}, OrderMismatch,
+     "leaf_order is not a permutation of the node set; missing: ['car']"),
+    (SEVEN_NODE_EDGES, {"leaf_order": ["rose", "tulip", "bus", "car", "car"]}, OrderMismatch,
+     "leaf_order is not a permutation of the node set"),
+    (SEVEN_NODE_EDGES, {"leaf_order": ["rose", "bus", "car", "flower"]}, OrderMismatch,
+     "leaf_order is not a permutation of the node set; unexpected: ['flower']; missing: ['tulip']"),
+    (SEVEN_NODE_EDGES, {"coarse_order": ["vehicle", "entity"]}, OrderMismatch,
+     "coarse_order is not a permutation of the node set; unexpected: ['entity']; missing: ['flower']"),
+], ids=["empty-name", "int-name", "list-name", "dict-parent", "two-parents-first",
+        "empty-name-first", "roots", "cycle-only", "cycle-beside-root", "leaf-missing",
+        "leaf-repeated", "leaf-internal", "coarse-root"])
+def test_build_faults_name_the_problem(edges, orders, error, message):
+    with pytest.raises(error) as caught:
+        build_taxonomy(edges, **orders)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
 def test_duplicate_edges_tolerated():
     t = build_taxonomy([("a", "r"), ("a", "r"), ("b", "r")])
     assert t.n_nodes == 3
@@ -233,6 +267,25 @@ def test_index_maps_match_the_ancestor_walk(t):
             pos = {node: i for i, node in enumerate(level_order(t, d))}
             expected = [pos[ancestor_at_depth(t, leaf, d)] for leaf in t.leaf_order]
             assert ancestor_index_map(t, d).tolist() == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(taxonomies())
+def test_depths_and_heights_match_parent_walks(t):
+    depth, height = [0] * t.n_nodes, [0] * t.n_nodes
+    for node in range(t.n_nodes):
+        up = node
+        while t.parent[up] is not None:
+            up, depth[node] = t.parent[up], depth[node] + 1
+    for leaf in t.leaf_order:
+        node, h = leaf, 0
+        while node is not None:
+            height[node] = max(height[node], h)
+            node, h = t.parent[node], h + 1
+    assert t.depth == tuple(depth)
+    assert t.height == tuple(height)
+    assert t.parent[t.root] is None and list(t.names) == sorted(t.names)
+    assert set(t.leaf_order) == set(range(t.n_nodes)) - set(t.parent)
 
 
 def _brute_force_lca_height(t, a, b):
