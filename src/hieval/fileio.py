@@ -91,7 +91,7 @@ def sha256_digest(path: str) -> str:
     h = hashlib.sha256()
     try:
         with open(path, "rb") as f:
-            for chunk in iter(lambda: f.read(1 << 20), b""):
+            for chunk in iter(lambda: f.read(1 << 16), b""):
                 h.update(chunk)
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e

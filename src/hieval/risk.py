@@ -114,7 +114,8 @@ def _tree_expected_costs(p: np.ndarray, t: tx.Taxonomy) -> np.ndarray:
             risk = np.repeat(risk, counts, axis=1)
             risk -= mass
         o = out[r : r + step]
-        np.take(risk, lay.group, axis=1, out=o)
+        # group is in range, and the default mode="raise" would buffer out=.
+        np.take(risk, lay.group, axis=1, out=o, mode="clip")
         o -= block * lay.leaf_drop
     return out
 

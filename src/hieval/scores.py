@@ -122,25 +122,27 @@ def top_k(m: ScoreMatrix, k: int) -> np.ndarray:
     Probabilities, logits and ``risk.crm_rerank``'s negated expected costs
     all rank this way. Equal to ``np.argsort(-m.values, axis=1,
     kind="stable")[:, :k]`` (ties broken by ascending class index) without
-    sorting whole rows: partial selection of k candidates, then a stable sort
-    of those alone. Rows where a tie straddles the k-th position fall back to
-    the full stable sort.
+    sorting whole rows: one partial selection puts the (k+1)-th largest value
+    at position ``n_cols - k - 1`` and the k largest after it, and a stable
+    sort of those k candidates alone orders them. A tie straddles the
+    boundary exactly when the (k+1)-th value equals the smallest candidate;
+    such rows fall back to the full stable sort.
     """
     values = m.values
-    n_cols = values.shape[1]
+    n, n_cols = values.shape
     if not 1 <= k <= n_cols:
         raise KTooLarge(f"k={k} outside [1, {n_cols}]")
     if k == 1:
         # argmax returns the first index among equal maxima.
         return values.argmax(axis=1)[:, None]
-    cand = np.argpartition(values, n_cols - k, axis=1)[:, n_cols - k:]
-    cand.sort(axis=1)
-    cand_values = np.take_along_axis(values, cand, axis=1)
-    top = np.take_along_axis(cand, np.argsort(-cand_values, axis=1, kind="stable"), axis=1)
-    # The candidates are exactly the entries >= the k-th value unless a tie
-    # crosses the boundary, when other equal entries may precede them by index.
-    kth = cand_values.min(axis=1, keepdims=True)
-    straddle = (values >= kth).sum(axis=1) > k
+    if k == n_cols:
+        return np.argsort(-values, axis=1, kind="stable")
+    part = np.argpartition(values, n_cols - k - 1, axis=1)
+    rows = np.arange(n)[:, None]
+    cand = np.sort(part[:, n_cols - k:], axis=1)
+    cand_values = values[rows, cand]
+    straddle = values[rows[:, 0], part[:, n_cols - k - 1]] == cand_values.min(axis=1)
+    top = cand[rows, np.argsort(-cand_values, axis=1, kind="stable")]
     if straddle.any():
         top[straddle] = np.argsort(-values[straddle], axis=1, kind="stable")[:, :k]
     return top

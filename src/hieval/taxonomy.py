@@ -197,12 +197,15 @@ def _resolve_order(requested, canonical, all_names, ids, label) -> tuple[int, ..
     if resolved is None or sorted(resolved) != canonical:
         want = [all_names[i] for i in canonical]
         got = sorted(requested)
-        extra = [x for x in got if x not in set(want)]
-        missing = [x for x in want if x not in set(got)]
+        want_set, got_set = set(want), set(got)
+        extra = [x for x in got if x not in want_set]
+        missing = [x for x in want if x not in got_set]
+        repeated = sorted({x for x, y in zip(got, got[1:]) if x == y} & want_set)
         raise OrderMismatch(
             f"{label} is not a permutation of the node set"
             + (f"; unexpected: {extra}" if extra else "")
             + (f"; missing: {missing}" if missing else "")
+            + (f"; repeated: {repeated}" if repeated else "")
         )
     return resolved
 
@@ -250,16 +253,23 @@ def lca_heights(t: Taxonomy, a, b) -> np.ndarray:
     """LCA heights of leaf columns ``a`` and ``b``, index arrays broadcast together.
 
     Equals ``cost_matrix(t)[a, b]`` without building the matrix: the LCA is
-    the deepest depth at which both leaves' ancestors agree. O(size * depth).
+    the deepest depth at which both leaves' ancestors agree. O(size * depth),
+    reading the ancestor table's columns below the root and their heights,
+    each contiguous and cached on the taxonomy.
     """
-    table = ancestor_table(t)
-    height = np.asarray(t.height, dtype=np.int64)
     a, b = np.asarray(a), np.asarray(b)
-    out = np.full(np.broadcast_shapes(a.shape, b.shape), height[t.root], dtype=np.int64)
-    for d in range(1, table.shape[1]):
-        x = table[a, d]
-        np.copyto(out, height[x], where=x == table[b, d])
+    if a.size < b.size:  # heights are gathered through the smaller one
+        a, b = b, a
+    out = np.full(np.broadcast_shapes(a.shape, b.shape), t.height[t.root], dtype=np.int64)
+    for col, height in zip(*cached(t, "lca_columns", lambda: _build_lca_columns(t))):
+        np.copyto(out, height[b], where=col[a] == col[b])
     return out
+
+
+def _build_lca_columns(t: Taxonomy) -> np.ndarray:
+    """``[ancestor columns, their heights]``, one row per depth 1 .. max_depth."""
+    cols = ancestor_table(t).T[1:]
+    return np.stack([cols, np.asarray(t.height, dtype=np.int64)[cols]])
 
 
 def cost_matrix(t: Taxonomy) -> np.ndarray:

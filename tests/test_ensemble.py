@@ -10,6 +10,7 @@ from conftest import (
     random_taxonomy,
     same_bits,
 )
+from hieval import ensemble
 from hieval.ensemble import hie_combine, hie_self, marginalize_to_parents
 from hieval.errors import DimensionMismatch, KindConflict, ZeroDenominator
 from hieval.scores import LOGITS, PROBABILITIES, ScoreMatrix, validate_probabilities
@@ -361,6 +362,24 @@ def test_marginals_match_add_at_bitwise_on_wide_groups(sizes):
     got = marginalize_to_parents(ScoreMatrix(values, PROBABILITIES, names(pmap.size)), pmap,
                                  len(sizes))
     assert same_bits(got.values, add_at_marginals(values, pmap, len(sizes)))
+
+
+def test_marginal_plans_stay_apart_across_interleaved_maps():
+    # Equal lengths, different groupings and group counts, and one map
+    # changed in place between calls: each call must use its own map's plan.
+    rng = np.random.default_rng(9)
+    maps = [(np.array([0, 0, 1, 1, 2, 2, 2, 0]), 3), (np.array([2, 1, 0, 0, 0, 1, 3, 3]), 4),
+            (np.array([0, 1, 0, 1, 0, 1, 0, 1]), 3)]
+    for round_ in range(3):
+        for pmap, n_groups in maps:
+            values = block_values(rng, 4, pmap.size)
+            got = marginalize_to_parents(ScoreMatrix(values, PROBABILITIES, names(pmap.size)),
+                                         pmap, n_groups)
+            assert same_bits(got.values, add_at_marginals(values, pmap, n_groups))
+        maps[2][0][round_] = 2
+    plan = ensemble._marginal_plan(maps[0][0].tobytes(), maps[0][1])
+    arrays = [a for a in (*plan[0], *plan[1:]) if isinstance(a, np.ndarray)]
+    assert arrays and not any(a.flags.writeable for a in arrays)
 
 
 @settings(max_examples=300, deadline=None)

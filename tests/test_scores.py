@@ -191,6 +191,28 @@ def test_top_k_tie_straddling_the_boundary():
     assert top_k(m, 3).tolist() == [[1, 0, 3], [1, 2, 0]]
 
 
+def _stable_oracle(m, k):
+    return np.argsort(-m.values, axis=1, kind="stable")[:, :k]
+
+
+# Rows at the edges of the one-selection path: a tie across the boundary
+# between -0.0 and 0.0 (equal, so it straddles), all-equal rows, and one
+# block where some rows straddle and others do not.
+EDGE_ROWS = {
+    "signed-zero-tie": [[-0.0, 1.0, 0.0, 2.0, 0.5], [0.0, 1.0, -0.0, 2.0, 0.5]],
+    "all-equal": [[0.25] * 5, [-0.0] * 5, [0.0, -0.0, 0.0, -0.0, 0.0]],
+    "mixed-block": [[0.5, 0.1, 0.5, 0.5, 0.2], [0.5, 0.1, 0.4, 0.3, 0.2],
+                    [0.1, 0.3, 0.1, 0.3, 0.1], [0.0, 0.9, 0.05, 0.05, 0.0]],
+}
+
+
+@pytest.mark.parametrize("rows", EDGE_ROWS.values(), ids=EDGE_ROWS)
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_top_k_edges_match_the_full_stable_sort(rows, k):
+    for m in (probs(rows), logits(rows)):
+        assert top_k(m, k).tolist() == _stable_oracle(m, k).tolist()
+
+
 def test_rank_rows_k_out_of_range():
     m = logits(np.zeros((2, 3)))
     for k in (0, 4):

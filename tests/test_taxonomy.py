@@ -97,7 +97,7 @@ def test_cycles_rejected():
     (SEVEN_NODE_EDGES, {"leaf_order": ["rose", "tulip", "bus"]}, OrderMismatch,
      "leaf_order is not a permutation of the node set; missing: ['car']"),
     (SEVEN_NODE_EDGES, {"leaf_order": ["rose", "tulip", "bus", "car", "car"]}, OrderMismatch,
-     "leaf_order is not a permutation of the node set"),
+     "leaf_order is not a permutation of the node set; repeated: ['car']"),
     (SEVEN_NODE_EDGES, {"leaf_order": ["rose", "bus", "car", "flower"]}, OrderMismatch,
      "leaf_order is not a permutation of the node set; unexpected: ['flower']; missing: ['tulip']"),
     (SEVEN_NODE_EDGES, {"coarse_order": ["vehicle", "entity"]}, OrderMismatch,
@@ -176,6 +176,28 @@ def test_hierarchy_maps_are_cached_read_only(flower_vehicle):
     for _ in range(2):  # a failed build is not cached
         with pytest.raises(NonLeveledTree):
             ancestor_index_map(uneven, 1)
+
+
+def test_lca_caches_stay_apart_across_interleaved_taxonomies():
+    # Six leaves each: a star, two groups of three, and an unleveled tree.
+    shapes = [
+        build_taxonomy([(f"l{i}", "r") for i in range(6)]),
+        build_taxonomy([(f"l{i}", f"g{i // 3}") for i in range(6)] + [("g0", "r"), ("g1", "r")]),
+        build_taxonomy([("l0", "r"), ("l1", "r"), ("m", "r"), ("l2", "m"), ("n", "m"),
+                        ("l3", "n"), ("l4", "n"), ("l5", "n")]),
+    ]
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        for t in shapes:
+            a, b = rng.integers(0, 6, (4, 3)), rng.integers(0, 6, (4, 1))
+            heights = lca_heights(t, a, b)
+            assert heights.tolist() == cost_matrix(t)[a, b].tolist()
+            assert lca_heights(t, b, a).tolist() == heights.tolist()
+            for (i, j), h in np.ndenumerate(heights):
+                assert h == lca_height(t, t.leaf_order[a[i, j]], t.leaf_order[b[i, 0]])
+    for t in shapes:
+        cached = [v for v in t._cache.values() if isinstance(v, np.ndarray)]
+        assert len(cached) >= 3 and not any(v.flags.writeable for v in cached)
 
 
 def test_cost_matrix_star():
