@@ -10,8 +10,8 @@ numpy is first imported. It also has glibc keep the memory each block of
 rows frees for the next block, rather than return it to the system and fault
 it back in; importing the package changes neither setting.
 
-:func:`main`, the process entry, exits without interpreter teardown once
-the command is done; :func:`run` runs the command in-process and returns.
+:func:`main`, the process entry, runs ``eval`` and ``compare`` on every usable
+CPU and exits without teardown when done; :func:`run` runs in-process and returns.
 """
 
 from __future__ import annotations
@@ -117,11 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv=None) -> int:
-    """Run one command in this process and return its exit code."""
+def run(argv=None, workers: int = 1) -> int:
+    """Run one command in this process and return its exit code; ``eval`` and
+    ``compare`` spread their rows over up to ``workers`` processes, this one included."""
     _pin_single_threaded_math()
     _keep_freed_memory()
     args = build_parser().parse_args(argv)
+    args.workers = workers
 
     from . import commands
 
@@ -153,9 +155,11 @@ def main(argv=None) -> int:
     garbage collection and module teardown only cost time. The exit is an
     atexit handler, which runs first as the last one registered, so that
     ``python -m cProfile -o FILE -m hieval ...`` still writes FILE. When
-    ``run`` raises, nothing is registered.
+    ``run`` raises, nothing is registered. Each CPU this process may use
+    (``taskset`` narrows them) gets a worker.
     """
-    code = run(argv)
+    usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else [0]
+    code = run(argv, workers=len(usable))
     atexit.register(_exit_without_teardown, code)
     return code
 

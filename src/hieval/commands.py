@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import pickle
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -95,10 +96,12 @@ class MethodInputs:
     coarse: fileio.ScoreReader | None
     levels: list[tuple[int, fileio.ScoreReader]]
 
+    def readers(self) -> list:
+        return [r for r in [self.fine, self.coarse] + [r for _, r in self.levels] if r is not None]
+
     def close(self) -> None:
-        for reader in [self.fine, self.coarse] + [r for _, r in self.levels]:
-            if reader is not None:
-                reader.close()
+        for reader in self.readers():
+            reader.close()
 
     def __enter__(self) -> "MethodInputs":
         return self
@@ -146,15 +149,20 @@ def load_method_inputs(args, methods: list[str]) -> MethodInputs:
     kind = _KIND_FLAG[getattr(args, "kind", None)]
 
     with contextlib.ExitStack() as stack:
-        def open_checked(path, level):
+        def open_checked(path, level, flag):
             if path:
                 reader = stack.enter_context(fileio.ScoreReader(path, kind))
-                fileio.column_order(reader.class_names, t, level)
+                try:
+                    fileio.column_order(reader.class_names, t, level)
+                except InputError as e:  # DuplicateClass, UnknownClass or MissingClass
+                    what = f"depth-{level}" if isinstance(level, int) else level
+                    e.args = (f"{path}: {e} ({flag} takes the {what} classes)",)
+                    raise
                 return reader
 
-        fine = open_checked(getattr(args, "fine", None), "leaf")
-        coarse = open_checked(getattr(args, "coarse", None), "coarse")
-        levels = [(d, open_checked(path, d)) for d, path in level_paths]
+        fine = open_checked(getattr(args, "fine", None), "leaf", "--fine")
+        coarse = open_checked(getattr(args, "coarse", None), "coarse", "--coarse")
+        levels = [(d, open_checked(path, d, f"--level {d}")) for d, path in level_paths]
         inputs = MethodInputs(t, fine, coarse, levels)
         _check_sources(methods, inputs)
         stack.pop_all()
@@ -196,8 +204,8 @@ def _combined(source, t: tx.Taxonomy, fine, coarse, levels) -> ScoreMatrix:
     return ensemble.hie_combine(fine, [(m, tx.ancestor_index_map(t, d)) for d, m in levels])
 
 
-def run_methods(methods: list[str], inputs: MethodInputs):
-    """Yield ``(method, ranked)`` for every block of rows, in row order, and every method.
+def run_methods(methods: list[str], inputs: MethodInputs, start: int = 0, stop: int | None = None):
+    """Yield ``(method, ranked)`` in row order for each block of rows ``[start, stop)`` and method.
 
     ``ranked`` is a ScoreMatrix that ``top_k`` ranks: probabilities for
     score-ranked methods, negated expected costs (logits, see
@@ -206,11 +214,11 @@ def run_methods(methods: list[str], inputs: MethodInputs):
     and each level source is combined once per block and shared by its
     methods, so memory holds one block of each, never a whole matrix.
     """
-    t, n = inputs.taxonomy, inputs.fine.n_rows
+    t, n = inputs.taxonomy, inputs.fine.n_rows if stop is None else stop
     sources = dict.fromkeys(METHODS[m][0] for m in methods)
     step = block_rows(len(inputs.fine.class_names))
-    for start in range(0, n, step):
-        fine, coarse, levels = inputs.read(start, min(start + step, n))
+    for lo in range(start, n, step):
+        fine, coarse, levels = inputs.read(lo, min(lo + step, n))
         for source in sources:
             try:
                 probs = _combined(source, t, fine, coarse, levels)
@@ -293,11 +301,61 @@ def cmd_infer(args, out) -> int:
     return 0
 
 
+def _in_workers(work, ranges: list, readers: list) -> list:
+    """``work(start, stop)`` for each row range, in order: the first here, each other in a worker.
+
+    A forked worker re-opens ``readers`` (see ``ScoreReader.reopen``), runs
+    its range and sends its result, or its error as (type, args, attributes),
+    through a pipe; it never returns into its caller. The first error in range
+    order is raised here with the same type, message and attributes. Every
+    worker is reaped before this returns.
+    """
+    procs = []
+    try:
+        for rows in ranges[1:]:
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    with open(write_end, "wb") as pipe:
+                        try:
+                            for reader in readers:
+                                reader.reopen()
+                            result = True, work(*rows)
+                        except BaseException as e:
+                            result = False, (type(e), e.args, vars(e))
+                        pickle.dump(result, pipe)
+                finally:
+                    os._exit(0)
+            os.close(write_end)
+            procs.append((pid, open(read_end, "rb"), rows))
+        results = [work(*ranges[0])]
+        for _, pipe, rows in procs:
+            try:
+                ok, value = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"the worker for rows {rows} ended without a result") from None
+            if not ok:
+                kind, args, attributes = value
+                error = kind.__new__(kind, *args)
+                error.__dict__.update(attributes)
+                raise error
+            results.append(value)
+        return results
+    finally:
+        for pid, pipe, _ in procs:  # a worker whose result was read has nothing left to do
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL; importing signal adds ~0.1 MB to every run's peak RSS
+            os.waitpid(pid, 0)
+
+
 def _evaluate(args, methods: list[str], ks) -> list[EvalReport]:
     """One report per method, in the order given; inputs are hashed once.
 
     The labels are read and counted before any row; then each block's top
     max(ks) classes per row are ranked, scored and added to its method's report.
+    Block 0 builds the per-run caches; the blocks after it are split into
+    contiguous ranges over up to ``args.workers`` processes, one per 8 blocks.
     """
     k, totals = max(ks), {}
     with load_method_inputs(args, methods) as inputs:
@@ -305,10 +363,24 @@ def _evaluate(args, methods: list[str], ks) -> list[EvalReport]:
         gt = fileio.load_labels(args.labels, t)
         if gt.size != n:
             raise LengthMismatch(f"{n} predictions vs {gt.size} labels")
-        for m, ranked in run_methods(methods, inputs):
-            rows = gt[ranked.first_row:ranked.first_row + ranked.n_samples]
-            block = eval_report(top_k(ranked, k), rows, t, ks, m)
-            totals[m] = totals[m] + block if m in totals else block
+
+        def tally(start, stop):
+            part = {}
+            for m, ranked in run_methods(methods, inputs, start, stop):
+                rows = gt[ranked.first_row:ranked.first_row + ranked.n_samples]
+                block = eval_report(top_k(ranked, k), rows, t, ks, m)
+                part[m] = part[m] + block if m in part else block
+            return part
+
+        step = block_rows(len(inputs.fine.class_names))
+        left = -(-n // step) - 1  # blocks after block 0
+        n_procs = min(args.workers, 1 + left // 8)
+        bounds = [min(n, step * (1 + left * i // n_procs)) for i in range(n_procs + 1)]
+        parts = [tally(0, min(step, n))]  # before any fork, so the workers inherit its caches
+        parts += _in_workers(tally, [*zip(bounds, bounds[1:])], inputs.readers())
+        for part in parts:
+            for m, block in part.items():
+                totals[m] = totals[m] + block if m in totals else block
     echo = _config_echo(args, ks)
     return [replace(totals[m], config={"method": m, **echo}) for m in methods]
 

@@ -130,8 +130,8 @@ class DuplicateClass(InputError):
 
 
 class UnknownLeaf(InputError):
-    def __init__(self, name: str, line: int):
-        super().__init__(f"line {line}: {name!r} is not a leaf class")
+    def __init__(self, path: str, name: str, line: int):
+        super().__init__(f"{path}:{line}: {name!r} is not a leaf class")
         self.name = name
         self.line = line
 

@@ -226,6 +226,19 @@ class ScoreReader:
     def close(self) -> None:
         self._file.close()
 
+    def reopen(self) -> None:
+        """Re-open the checked file by path, as a forked worker must: a fork
+        shares each open file's offset. A text file rewinds on its next read."""
+        try:
+            f = open(self.path, "rb")
+        except OSError as e:
+            raise ParseError(f"cannot read {self.path}: {e}") from e
+        same = os.path.samestat(os.fstat(f.fileno()), os.fstat(self._file.fileno()))
+        self._file.close()  # this process's descriptor only; the offset is left alone
+        self._file, self._next_row = f, self.n_rows
+        if not same:
+            raise InputError(f"{self.path} was replaced after it was checked")
+
     def __enter__(self) -> "ScoreReader":
         return self
 
@@ -497,7 +510,7 @@ def load_labels(path: str, t: tx.Taxonomy) -> np.ndarray:
     out = np.empty(len(lines), dtype=np.int64)
     for i, name in enumerate(lines):
         if name not in pos:
-            raise UnknownLeaf(name, i + 1)
+            raise UnknownLeaf(path, name, i + 1)
         out[i] = pos[name]
     return out
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -24,6 +25,17 @@ SEVEN_NODE_EDGES = [
     ("vehicle", "entity"),
 ]
 SEVEN_NODE_LEAVES = ["rose", "tulip", "bus", "car"]
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_outlives_a_test():
+    """Fail a test that leaves a child process running or unreaped (eval and compare fork)."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left {'running' if pid == 0 else f'unreaped (pid {pid})'}")
 
 
 @pytest.fixture(scope="session")

@@ -305,7 +305,7 @@ def test_c08_cascade_tapering_probe():
 
 
 # criterion 9: bulk binary round-trip speed, hierarchy round-trip, and
-# byte-identical CLI output across invocations and thread counts.
+# byte-identical CLI output across invocations, thread counts and worker counts.
 def test_c09_io_round_trip_and_determinism(tmp_path):
     with criterion(9, "bit-exact I/O round-trips and byte-deterministic CLI") as d:
         rng = np.random.default_rng(99)
@@ -331,8 +331,11 @@ def test_c09_io_round_trip_and_determinism(tmp_path):
         }
         assert as_map(t2) == as_map(t)
 
-        outputs = [_run_cli_pipeline(tmp_path / f"run{i}", threads)
-                   for i, threads in enumerate(["1", "1", "4"])]
+        # On all usable CPUs `eval` and `compare` fork a worker per CPU; narrowed
+        # to one CPU they run in one process.
+        outputs = [_run_cli_pipeline(tmp_path / f"run{i}", threads, one_cpu)
+                   for i, (threads, one_cpu) in enumerate([("1", False), ("1", False),
+                                                           ("4", False), ("1", True)])]
         names = sorted(outputs[0])
         for other in outputs[1:]:
             assert sorted(other) == names
@@ -342,8 +345,9 @@ def test_c09_io_round_trip_and_determinism(tmp_path):
         d["text"] = f"80.8 MB round-trip {elapsed:.2f}s, {len(names)} artifacts identical"
 
 
-def _run_cli_pipeline(workdir, threads: str) -> dict[str, bytes]:
-    """synth -> infer -> eval -> compare -> costs under a given thread setting."""
+def _run_cli_pipeline(workdir, threads: str, one_cpu: bool) -> dict[str, bytes]:
+    """synth -> infer -> eval -> compare -> costs under a given thread setting,
+    on every CPU this process may use or on one of them."""
     workdir = str(workdir)
     os.makedirs(workdir)
     env = dict(os.environ)
@@ -354,17 +358,21 @@ def _run_cli_pipeline(workdir, threads: str) -> dict[str, bytes]:
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(hieval.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
 
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    narrow = (lambda: os.sched_setaffinity(0, cpus[:1])) if one_cpu and cpus else None
+
     def cli(*args):
         proc = subprocess.run(
             [sys.executable, "-m", "hieval", *args],
-            capture_output=True, env=env, cwd=workdir,
+            capture_output=True, env=env, cwd=workdir, preexec_fn=narrow,
         )
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout
 
     stdouts = []
+    # 64 leaves give 1024-row blocks: block 0 and 9 more, enough for 2 processes.
     cli("synth", "--branching", "8,8", "--noise", "0.5,2.0",
-        "--n-samples", "500", "--seed", "11", "--out-dir", "inst")
+        "--n-samples", "10240", "--seed", "11", "--out-dir", "inst")
     cli("infer", "--hierarchy", "inst/hierarchy.json", "--fine", "inst/fine.hies",
         "--coarse", "inst/level_d1.hies", "--kind", "logits", "--method", "hie",
         "--out", "combined.hies")

@@ -275,6 +275,31 @@ def test_eval_predictions_file_allows_only_k1(workspace, capsys):
     assert "only k=1 applies" in err
 
 
+# A file whose columns are not the classes its flag takes is refused on open,
+# naming the file and the level the flag expected.
+@pytest.mark.parametrize("flags, header, message", [
+    (["--fine", "{bad}"], "flower,vehicle",
+     "UnknownClass: {bad}: column 'flower' is not a class at this level "
+     "(--fine takes the leaf classes)"),
+    (["--fine", "{bad}"], "rose,tulip,bus,bus",
+     "DuplicateClass: {bad}: duplicate column 'bus' (--fine takes the leaf classes)"),
+    (["--fine", "{fine}", "--coarse", "{bad}"], "flower",
+     "MissingClass: {bad}: class 'vehicle' has no column (--coarse takes the coarse classes)"),
+    (["--fine", "{fine}", "--level", "1={bad}"], "rose,tulip,bus,car",
+     "UnknownClass: {bad}: column 'rose' is not a class at this level "
+     "(--level 1 takes the depth-1 classes)"),
+], ids=["fine-unknown", "fine-duplicate", "coarse-missing", "level-unknown"])
+def test_a_column_fault_names_the_file_and_the_expected_level(workspace, capsys, flags, header,
+                                                              message):
+    bad = workspace / "bad.csv"
+    bad.write_text(f"# kind: probabilities\n{header}\n1\n")  # columns are checked before rows
+    hierarchy, fine, labels = paths(workspace, "hierarchy.json", "fine.csv", "labels.txt")
+    args = [flag.format(bad=bad, fine=fine) for flag in flags]
+    code = run(["eval", "--hierarchy", hierarchy, *args, "--labels", labels, "--k", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == message.format(bad=bad) + "\n"
+
+
 # Row faults in the coarse file; the binary case is caught by the check of
 # each block read rather than by the text parser.
 @pytest.mark.parametrize("row, suffix, message", [

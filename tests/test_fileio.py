@@ -413,6 +413,7 @@ def test_labels_internal_node_rejected(tmp_path, flower_vehicle):
         load_labels(str(path), flower_vehicle)
     assert exc.value.name == "entity"
     assert exc.value.line == 2
+    assert str(exc.value) == f"{path}:2: 'entity' is not a leaf class"
 
 
 def test_labels_empty_file(tmp_path, flower_vehicle):

@@ -321,7 +321,7 @@ def test_a_non_finite_value_in_a_late_binary_block_names_the_file_row(
 @pytest.mark.parametrize("labels, code, message", [
     ("bus\n" * (N_ROWS - 1), 3, f"LengthMismatch: {N_ROWS} predictions vs {N_ROWS - 1} labels\n"),
     ("bus\n" * 45 + "entity\n" + "bus\n" * 4, 2,
-     "UnknownLeaf: line 46: 'entity' is not a leaf class\n"),
+     "UnknownLeaf: {d}/labels.txt:46: 'entity' is not a leaf class\n"),
 ], ids=["count", "unknown-leaf"])
 def test_a_labels_fault_wins_over_a_late_row_fault(probability_inputs, monkeypatch, capsys,
                                                    labels, code, message):
@@ -333,7 +333,7 @@ def test_a_labels_fault_wins_over_a_late_row_fault(probability_inputs, monkeypat
     (d / "labels.txt").write_text(labels)
     for command in (["eval", "--method", "hie"], ["compare", "--methods", "argmax,hie"]):
         assert run([*command, *base, "--labels", str(d / "labels.txt"), "--k", "1"]) == code
-        assert capsys.readouterr().err == message
+        assert capsys.readouterr().err == message.format(d=d)
 
 
 def test_row_counts_are_checked_before_any_row_is_read(probability_inputs, capsys):

@@ -1,0 +1,258 @@
+"""Worker processes behind eval and compare.
+
+Block 0 runs in the calling process; the blocks after it are split into
+contiguous row ranges, the first for the caller and one for each forked
+worker. Outputs, the fault reported and its exit code must not depend on the
+number of processes, and no process may outlive a command (conftest checks
+that after every test).
+"""
+
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from conftest import SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES
+from hieval import cli, scores
+from hieval.cli import run
+from hieval.commands import METHODS, _in_workers
+from hieval.errors import InputError, NonFiniteValue
+from hieval.fileio import ScoreReader, load_hierarchy, load_scores, save_scores
+from hieval.scores import LOGITS, ScoreMatrix
+
+# In 7-row blocks: block 0, then 21 blocks, enough for 3 processes (one per 8 blocks).
+N_ROWS = 150
+
+
+def use_block_rows(monkeypatch, rows: int, n_cols: int) -> None:
+    monkeypatch.setattr(scores, "BLOCK_ENTRIES", rows * n_cols)
+
+
+def count_forks(monkeypatch) -> list:
+    """The pids of the workers this process forks from now on."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+@pytest.fixture(scope="module")
+def instance(tmp_path_factory):
+    """A three-level instance whose coarse file is text with its columns reversed."""
+    d = tmp_path_factory.mktemp("workers")
+    assert run(["synth", "--branching", "3,3,4", "--noise", "1.0,0.5,2.0",
+                "--n-samples", str(N_ROWS), "--seed", "8", "--out-dir", str(d)]) == 0
+    level2 = load_scores(str(d / "level_d2.hies"))
+    reversed_names = tuple(reversed(level2.class_names))
+    save_scores(ScoreMatrix(level2.values[:, ::-1], LOGITS, reversed_names), str(d / "coarse.csv"))
+    base = ["--hierarchy", str(d / "hierarchy.json"), "--fine", str(d / "fine.hies"),
+            "--coarse", str(d / "coarse.csv"), "--level", f"1={d / 'level_d1.hies'}",
+            "--level", f"2={d / 'coarse.csv'}", "--kind", "logits",
+            "--labels", str(d / "labels.txt"), "--k", "1,3,36"]
+    return d, base
+
+
+@pytest.mark.parametrize("block", [1, 7], ids=["1-row", "7-row"])
+def test_eval_and_compare_bytes_do_not_depend_on_the_worker_count(instance, monkeypatch, capsys,
+                                                                   block):
+    d, base = instance
+    use_block_rows(monkeypatch, block, 36)
+    forks = count_forks(monkeypatch)
+    outputs = {}
+    for workers in (1, 2, 3):
+        forks.clear()
+        table, report = d / f"table-{block}-{workers}.json", d / f"report-{block}-{workers}.json"
+        assert run(["compare", *base, "--methods", ",".join(METHODS), "--out", str(table)],
+                   workers=workers) == 0
+        assert run(["eval", *base, "--method", "hie-crm", "--out", str(report)],
+                   workers=workers) == 0
+        assert len(forks) == 2 * (workers - 1)
+        outputs[workers] = (table.read_bytes(), report.read_bytes(), capsys.readouterr().out)
+    assert outputs[1] == outputs[2] == outputs[3]
+
+
+def test_too_few_blocks_stay_in_one_process(instance, monkeypatch, capsys):
+    # 150 rows in 19-row blocks: block 0, then 7 blocks, fewer than the 8 a worker needs.
+    d, base = instance
+    use_block_rows(monkeypatch, 19, 36)
+    forks = count_forks(monkeypatch)
+    assert run(["eval", *base, "--method", "hie"], workers=4) == 0
+    capsys.readouterr()
+    assert forks == []
+
+
+# ------------------------------------------------------------------ faults
+
+
+@pytest.fixture
+def probability_inputs(tmp_path):
+    """N_ROWS rows of fine and coarse probabilities, as text, on the four-leaf fixture."""
+    nodes = [{"name": "entity", "parent": None}]
+    nodes += [{"name": c, "parent": p} for c, p in SEVEN_NODE_EDGES]
+    (tmp_path / "hierarchy.json").write_text(
+        json.dumps({"nodes": nodes, "leaf_order": SEVEN_NODE_LEAVES})
+    )
+    (tmp_path / "labels.txt").write_text("bus\n" * N_ROWS)
+
+    def write(faults):
+        fine = np.tile([0.4, 0.1, 0.35, 0.15], (N_ROWS, 1))
+        coarse = np.tile([0.2, 0.8], (N_ROWS, 1))
+        for row, kind in faults.items():
+            if kind == "nan":
+                fine[row, 1] = np.nan
+            elif kind == "negative":
+                coarse[row] = [1.5, -0.5]
+            else:  # all fine mass on a rose, no coarse mass on flowers
+                fine[row], coarse[row] = [1.0, 0.0, 0.0, 0.0], [0.0, 1.0]
+        for name, header, values in [("fine.csv", SEVEN_NODE_LEAVES, fine),
+                                     ("coarse.csv", ["flower", "vehicle"], coarse)]:
+            rows = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in values)
+            (tmp_path / name).write_text(f"# kind: probabilities\n{','.join(header)}\n{rows}")
+        return ["--hierarchy", str(tmp_path / "hierarchy.json"), "--fine",
+                str(tmp_path / "fine.csv"), "--coarse", str(tmp_path / "coarse.csv"),
+                "--labels", str(tmp_path / "labels.txt"), "--k", "1"]
+
+    return write
+
+
+# With 3 processes in 7-row blocks, the caller runs rows 0-55, the first worker
+# rows 56-104 and the second rows 105-149.
+@pytest.mark.parametrize("faults, first", [
+    ({30: "negative", 120: "nan"}, "NegativeEntry: {d}/coarse.csv: negative entry at row 30"),
+    ({60: "nan", 110: "negative"}, "NonFiniteValue: {d}/fine.csv: non-finite value at row 60"),
+    ({104: "negative", 105: "nan"}, "NegativeEntry: {d}/coarse.csv: negative entry at row 104"),
+    ({140: "zero-mass"}, "ZeroDenominator: {d}/fine.csv, {d}/coarse.csv: row 140: "),
+], ids=["caller-then-worker", "worker-then-worker", "range-edge", "last-worker"])
+def test_the_first_fault_in_row_order_wins_whatever_the_workers(
+    probability_inputs, tmp_path, monkeypatch, capsys, faults, first
+):
+    base = probability_inputs(faults)
+    use_block_rows(monkeypatch, 7, 4)
+    forks = count_forks(monkeypatch)
+    results = []
+    for workers in (1, 3):
+        for command in (["eval", "--method", "hie"], ["compare", "--methods", "argmax,hie"]):
+            code = run([*command, *base], workers=workers)
+            results.append((code, capsys.readouterr().err))
+    assert len(forks) == 2 * 2
+    assert len(set(results)) == 1
+    code, err = results[0]
+    assert code == (3 if "zero-mass" in faults.values() else 2)
+    assert err.startswith(first.format(d=tmp_path)) and err.count("\n") == 1
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@pytest.mark.skipif(_usable_cpus() < 2, reason="python -m hieval forks one worker per usable CPU")
+def test_a_fault_in_a_worker_prints_one_line_through_the_entry_point(tmp_path, capsys):
+    # 1024 leaves give 64-row blocks; 640 rows give block 0 and 9 more, so
+    # `python -m hieval` runs rows 64-319 itself and rows 320-639 in a worker.
+    assert run(["synth", "--branching", "16,64", "--noise", "0.5,1.0", "--n-samples", "640",
+                "--seed", "4", "--out-dir", str(tmp_path)]) == 0
+    fine, coarse = tmp_path / "fine.hies", tmp_path / "level_d1.hies"
+    t = load_hierarchy(str(tmp_path / "hierarchy.json"))
+    fine_rows = np.memmap(fine, dtype="<f8", mode="r+", offset=14, shape=(640, 1024))
+    coarse_rows = np.memmap(coarse, dtype="<f8", mode="r+", offset=14, shape=(640, 16))
+    fine_rows[500, 7] = np.nan
+    # Row 400, a block before the NaN: every logit but leaf 0's is -1e5, and
+    # leaf 0's parent gets -1e5, so after softmax no fine-times-coarse product has any mass.
+    fine_rows[400], fine_rows[400, 0] = -1e5, 0.0
+    coarse_names = json.loads(Path(f"{coarse}.names.json").read_text())["class_names"]
+    parent = t.names[t.parent[t.leaf_order[0]]]
+    coarse_rows[400], coarse_rows[400, coarse_names.index(parent)] = 0.0, -1e5
+    del fine_rows, coarse_rows
+    capsys.readouterr()
+    base = ["--hierarchy", str(tmp_path / "hierarchy.json"), "--fine", str(fine), "--coarse",
+            str(coarse), "--kind", "logits", "--labels", str(tmp_path / "labels.txt")]
+    cases = [(["eval", "--method", "hie", "--k", "1"], 3,
+              f"ZeroDenominator: {fine}, {coarse}: row 400"),
+             (["compare", "--methods", "argmax,crm", "--k", "1,5"], 2,
+              f"NonFiniteValue: {fine}: non-finite value at row 500, column 7")]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv, code, first in cases:
+        assert run([*argv, *base]) == code
+        serial = capsys.readouterr()
+        assert serial.err.startswith(first) and serial.err.count("\n") == 1
+        done = subprocess.run([sys.executable, "-m", "hieval", *argv, *base], env=env,
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (code, "", serial.err)
+
+
+# --------------------------------------------------------- the worker helper
+
+
+def test_results_come_back_in_range_order_from_other_processes():
+    ranges = [(0, 4), (4, 9), (9, 10)]
+    results = _in_workers(lambda a, b: (a, b, os.getpid()), ranges, [])
+    assert [r[:2] for r in results] == ranges
+    assert results[0][2] == os.getpid()
+    assert len({r[2] for r in results}) == 3
+
+
+def test_a_worker_error_is_raised_with_its_type_message_and_attributes():
+    def work(start, stop):
+        if start:
+            e = NonFiniteValue(start + 1, 3)
+            e.args = (f"some.hies: {e}",)
+            raise e
+        return start
+
+    with pytest.raises(NonFiniteValue) as exc:
+        _in_workers(work, [(0, 4), (4, 8), (8, 12)], [])
+    assert str(exc.value) == "some.hies: non-finite value at row 5, column 3"
+    assert (exc.value.row, exc.value.col) == (5, 3)
+
+
+def test_a_worker_that_ends_without_a_result_is_an_error():
+    with pytest.raises(RuntimeError, match=r"worker for rows \(4, 8\) ended without a result"):
+        _in_workers(lambda a, b: a, [(0, 4), (4, 8)], [SimpleNamespace(reopen=lambda: os._exit(0))])
+
+
+def test_an_error_here_kills_and_reaps_every_worker():
+    def work(start, stop):
+        if start == 0:
+            raise KeyError("here")
+        time.sleep(60)
+
+    begun = time.perf_counter()
+    with pytest.raises(KeyError):
+        _in_workers(work, [(0, 1), (1, 2), (2, 3)], [])
+    assert time.perf_counter() - begun < 30
+
+
+# ---------------------------------------------------------- re-opened inputs
+
+
+def test_a_reopened_text_reader_rewinds(instance):
+    d, _ = instance
+    with ScoreReader(str(d / "coarse.csv")) as reader:
+        first = reader.read(0, 5).values.copy()
+        reader.read(5, 9)
+        reader.reopen()
+        assert np.array_equal(reader.read(0, 5).values, first)
+
+
+def test_reopening_a_replaced_file_is_refused(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text("a,b\n0.5,0.5\n")
+    with ScoreReader(str(path)) as reader:
+        (tmp_path / "other.csv").write_text("a,b\n0.5,0.5\n")
+        os.replace(tmp_path / "other.csv", path)
+        with pytest.raises(InputError, match="was replaced after it was checked"):
+            reader.reopen()
