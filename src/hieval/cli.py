@@ -10,8 +10,8 @@ numpy is first imported. It also has glibc keep the memory each block of
 rows frees for the next block, rather than return it to the system and fault
 it back in; importing the package changes neither setting.
 
-:func:`main`, the process entry, runs ``eval`` and ``compare`` on every usable
-CPU and exits without teardown when done; :func:`run` runs in-process and returns.
+:func:`main`, the process entry, runs ``eval``, ``compare`` and ``infer`` on every
+usable CPU and exits without teardown when done; :func:`run` runs in-process and returns.
 """
 
 from __future__ import annotations
@@ -118,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None, workers: int = 1) -> int:
-    """Run one command in this process and return its exit code; ``eval`` and
-    ``compare`` spread their rows over up to ``workers`` processes, this one included."""
+    """Run one command in this process and return its exit code; ``eval``, ``compare``
+    and ``infer`` spread their rows over up to ``workers`` processes, this one included."""
     _pin_single_threaded_math()
     _keep_freed_memory()
     args = build_parser().parse_args(argv)

@@ -51,6 +51,9 @@ def parse_ks(text: str) -> list[int]:
         raise InputError(f"--k must be a comma list of integers, got {text!r}") from None
     if not ks or any(k < 1 for k in ks):
         raise InputError(f"--k values must be positive integers, got {text!r}")
+    for k in ks:  # a table has a column per value, a report an entry per distinct one
+        if ks.count(k) > 1:
+            raise InputError(f"--k value {k} given twice")
     return ks
 
 
@@ -280,39 +283,92 @@ def cmd_validate(args, out) -> int:
 
 
 def cmd_infer(args, out) -> int:
+    """Write the method's ranked scores to ``--out`` and each row's top-1 leaf to the predictions.
+
+    Rows are shared out as in ``_evaluate``; every process writes its blocks
+    of a '.hies' file by position. Top-1 leaves are written as they pass
+    while every earlier row's are, the rest in row order once all blocks are
+    done. Text rows have no fixed width, so text stays in one process.
+    """
     method = args.method or "argmax"
     check_methods([method])
     preds_path = args.preds_out or args.out + ".preds.txt"
+    binary = args.out.endswith(".hies")
+    taken = [args.out, fileio._names_sidecar(args.out)] if binary else [args.out]
+    if os.path.abspath(preds_path) in map(os.path.abspath, taken):
+        raise InputError(f"--preds-out {preds_path} would overwrite what --out {args.out} writes")
     with load_method_inputs(args, [method]) as inputs, contextlib.ExitStack() as undo:
-        def blocks():
+        block0, ranges, n_procs = _row_ranges(inputs, args.workers if binary else 1)
+        caller, written = os.getpid(), 0  # rows whose predictions are written
+
+        def write_all(write):
             with fileio.write_labels(inputs.taxonomy, preds_path) as write_preds:
-                for _, ranked in run_methods([method], inputs):
-                    write_preds(top_k(ranked, 1)[:, 0])
-                    yield ranked
+                def rows(start, stop):
+                    nonlocal written
+                    tops = []  # those not written yet; int32, 4 B a row through a worker's pipe
+                    for _, ranked in run_methods([method], inputs, start, stop):
+                        write(ranked)
+                        top = top_k(ranked, 1)[:, 0]
+                        if os.getpid() == caller and ranked.first_row == written:
+                            write_preds(top)
+                            written += ranked.n_samples
+                        else:
+                            tops.append(top.astype(np.int32))
+                    return tops
+
+                parts = [rows(*block0)]  # before any fork, so the workers inherit its caches
+                parts += _in_workers(rows, ranges, n_procs, inputs.readers())
+                for tops in parts:
+                    for top in tops:
+                        write_preds(top)
             # Renamed into place before the scores file, and removed again if
             # that fails, so a failing write of either leaves neither behind.
             undo.callback(os.remove, preds_path)
 
-        # Closed on a failed scores write, which removes the predictions' temp file.
-        with contextlib.closing(blocks()) as stream:
-            fileio.save_scores(stream, args.out)
+        fileio.save_scores(write_all, args.out)
         undo.pop_all()
     print(f"wrote {args.out} and {preds_path}", file=out)
     return 0
 
 
-def _in_workers(work, ranges: list, readers: list) -> list:
-    """``work(start, stop)`` for each row range, in order: the first here, each other in a worker.
+# Enough that the processes finish close together, few enough that the results kept stay small;
+# at most _MAX_RANGES 4-byte indices, which fit a pipe's smallest buffer, one page.
+_RANGES_PER_PROCESS, _MAX_RANGES = 32, 1024
 
-    A forked worker re-opens ``readers`` (see ``ScoreReader.reopen``), runs
-    its range and sends its result, or its error as (type, args, attributes),
-    through a pipe; it never returns into its caller. The first error in range
-    order is raised here with the same type, message and attributes. Every
-    worker is reaped before this returns.
+
+def _in_workers(work, ranges: list, n_procs: int, readers: list) -> list:
+    """``work(start, stop)`` for each row range; the results in range order.
+
+    This process (first, before any fork) and ``n_procs - 1`` forked workers
+    take the ranges in order from a pipe of their indices, so a process that
+    gets less CPU time takes fewer. A worker re-opens ``readers`` (see
+    ``ScoreReader.reopen``) and sends its results, and its error as (type,
+    args, attributes), through its own pipe; it never returns into its caller.
+    A process stops at its first error and empties the queue. Every earlier
+    range was taken earlier and runs to its end, so the first failing range's
+    error, raised here with its type, message and attributes, is the one a
+    single process meets. Every worker is killed and reaped before this returns.
     """
+    queue, fill = os.pipe()
+    os.write(fill, np.arange(len(ranges), dtype="<u4").tobytes())
+    os.close(fill)
+
+    def take(first=b""):
+        done = []
+        while index := first or os.read(queue, 4):
+            first, i = b"", int.from_bytes(index, "little")
+            try:
+                done.append((i, work(*ranges[i])))
+            except Exception as e:
+                while os.read(queue, 4 * _MAX_RANGES):
+                    pass
+                return done, (i, e)
+        return done, None
+
     procs = []
     try:
-        for rows in ranges[1:]:
+        mine = os.read(queue, 4)
+        for _ in range(n_procs - 1):
             read_end, write_end = os.pipe()
             pid = os.fork()
             if pid == 0:
@@ -321,32 +377,57 @@ def _in_workers(work, ranges: list, readers: list) -> list:
                         try:
                             for reader in readers:
                                 reader.reopen()
-                            result = True, work(*rows)
-                        except BaseException as e:
-                            result = False, (type(e), e.args, vars(e))
-                        pickle.dump(result, pipe)
+                            done, fault = take()
+                        except BaseException as e:  # no range's: ranked after all of theirs
+                            done, fault = [], (len(ranges), e)
+                        if fault:
+                            i, e = fault
+                            fault = i, (type(e), e.args, vars(e))
+                        pickle.dump((done, fault), pipe)
                 finally:
                     os._exit(0)
             os.close(write_end)
-            procs.append((pid, open(read_end, "rb"), rows))
-        results = [work(*ranges[0])]
-        for _, pipe, rows in procs:
+            procs.append((pid, open(read_end, "rb")))
+        done, fault = take(mine)
+        if fault and fault[0] == len(done):  # this process ran every range before it
+            raise fault[1]
+        faults = [fault] if fault else []
+        for pid, pipe in procs:
             try:
-                ok, value = pickle.load(pipe)
+                theirs, fault = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError(f"the worker for rows {rows} ended without a result") from None
-            if not ok:
-                kind, args, attributes = value
+                raise RuntimeError(f"worker {pid} ended without a result") from None
+            done += theirs
+            if fault:
+                i, (kind, args, attributes) = fault
                 error = kind.__new__(kind, *args)
                 error.__dict__.update(attributes)
-                raise error
-            results.append(value)
-        return results
+                faults.append((i, error))
+        if faults:
+            raise min(faults, key=lambda f: f[0])[1]
+        return [result for _, result in sorted(done, key=lambda d: d[0])]
     finally:
-        for pid, pipe, _ in procs:  # a worker whose result was read has nothing left to do
+        os.close(queue)
+        for pid, pipe in procs:  # a worker whose result was read has nothing left to do
             pipe.close()
             os.kill(pid, 9)  # SIGKILL; importing signal adds ~0.1 MB to every run's peak RSS
             os.waitpid(pid, 0)
+
+
+def _row_ranges(inputs: MethodInputs, workers: int):
+    """Block 0's rows, the row ranges after it, and how many processes share those.
+
+    The processes are one, plus one more per 8 blocks after block 0, up to
+    ``workers``. A range is as many consecutive blocks as keep the ranges to
+    ``_RANGES_PER_PROCESS`` a process and ``_MAX_RANGES`` in all.
+    """
+    n = inputs.fine.n_rows
+    step = block_rows(len(inputs.fine.class_names))
+    left = -(-n // step) - 1  # blocks after block 0
+    n_procs = min(workers, 1 + left // 8)
+    span = step * (-(-left // min(_MAX_RANGES, _RANGES_PER_PROCESS * n_procs)) or 1)
+    ranges = [(lo, min(n, lo + span)) for lo in range(step, n, span)]
+    return (0, min(step, n)), ranges, n_procs
 
 
 def _evaluate(args, methods: list[str], ks) -> list[EvalReport]:
@@ -354,8 +435,8 @@ def _evaluate(args, methods: list[str], ks) -> list[EvalReport]:
 
     The labels are read and counted before any row; then each block's top
     max(ks) classes per row are ranked, scored and added to its method's report.
-    Block 0 builds the per-run caches; the blocks after it are split into
-    contiguous ranges over up to ``args.workers`` processes, one per 8 blocks.
+    Block 0 builds the per-run caches; the blocks after it are shared out by
+    ``_row_ranges`` and ``_in_workers``.
     """
     k, totals = max(ks), {}
     with load_method_inputs(args, methods) as inputs:
@@ -372,12 +453,9 @@ def _evaluate(args, methods: list[str], ks) -> list[EvalReport]:
                 part[m] = part[m] + block if m in part else block
             return part
 
-        step = block_rows(len(inputs.fine.class_names))
-        left = -(-n // step) - 1  # blocks after block 0
-        n_procs = min(args.workers, 1 + left // 8)
-        bounds = [min(n, step * (1 + left * i // n_procs)) for i in range(n_procs + 1)]
-        parts = [tally(0, min(step, n))]  # before any fork, so the workers inherit its caches
-        parts += _in_workers(tally, [*zip(bounds, bounds[1:])], inputs.readers())
+        block0, ranges, n_procs = _row_ranges(inputs, args.workers)
+        parts = [tally(*block0)]  # before any fork, so the workers inherit its caches
+        parts += _in_workers(tally, ranges, n_procs, inputs.readers())
         for part in parts:
             for m, block in part.items():
                 totals[m] = totals[m] + block if m in totals else block

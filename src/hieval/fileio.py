@@ -73,8 +73,20 @@ def _atomic_file(path: str):
         with contextlib.suppress(OSError):
             os.remove(tmp)
         if isinstance(e, OSError):
-            raise InputError(f"cannot write {path}: {e.strerror or e}") from e
+            raise _cannot_write(path, e) from e
         raise
+
+
+def _cannot_write(path: str, e: OSError) -> InputError:
+    return InputError(f"cannot write {path}: {e.strerror or e}")
+
+
+def _write_at(fd: int, data: np.ndarray, offset: int) -> None:
+    """All of ``data`` at byte ``offset``; ``os.pwrite`` leaves the file's offset alone."""
+    view = memoryview(data).cast("B")
+    while view:
+        written = os.pwrite(fd, view, offset)
+        view, offset = view[written:], offset + written
 
 
 def _read_bytes(path: str) -> bytes:
@@ -400,32 +412,45 @@ def load_scores(
 def save_scores(m, path: str) -> None:
     """Write a score matrix; '.hies' paths get the binary format, others text.
 
-    ``m`` is a ScoreMatrix or an iterable of one matrix's row blocks, in
-    order, which are written as they arrive. The file appears at ``path``
-    only after the last block is written; if a block or the '.names.json'
-    sidecar fails, neither ``path`` nor the temp file is left behind.
+    ``m`` is a ScoreMatrix, an iterable of one matrix's row blocks in order,
+    or a function that passes its blocks to the ``write`` it is given, in
+    order, except that '.hies' blocks go to their own rows (``first_row``), so
+    processes it forks after its first block may write theirs. The file
+    appears at ``path`` only after the last block is written; if a block or
+    the '.names.json' sidecar fails, neither ``path`` nor the temp file is left behind.
     """
-    blocks = [m] if isinstance(m, ScoreMatrix) else m
-    binary = path.endswith(".hies")
-    first, rows = None, 0
+    binary, first = path.endswith(".hies"), None
     with _atomic_file(path) as f:
-        for block in blocks:
-            if first is None:
-                first = block
-                if binary:  # the row count is filled in after the last block
-                    f.write(_HEADER.pack(BINARY_MAGIC, BINARY_VERSION, 0, 0, block.n_classes))
+        def write(block):
+            nonlocal first
+            try:
+                if first is None:
+                    first = block
+                    if binary:  # the row count is filled in after the last block
+                        f.write(_HEADER.pack(BINARY_MAGIC, BINARY_VERSION, 0, 0, block.n_classes))
+                    else:
+                        header = f"# kind: {block.kind}\n{','.join(block.class_names)}\n"
+                        f.write(header.encode("utf-8"))
+                values = np.ascontiguousarray(block.values, dtype="<f8")
+                if not binary:
+                    f.write("".join(",".join(repr(float(v)) for v in row) + "\n"
+                                    for row in block.values).encode("utf-8"))
+                elif callable(m):
+                    _write_at(f.fileno(), values, _HEADER.size + block.first_row * values[0].nbytes)
                 else:
-                    header = f"# kind: {block.kind}\n{','.join(block.class_names)}\n"
-                    f.write(header.encode("utf-8"))
-            if binary:
-                f.write(np.ascontiguousarray(block.values, dtype="<f8"))
-            else:
-                text = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in block.values)
-                f.write(text.encode("utf-8"))
-            rows += block.n_samples
+                    f.write(values)
+            except OSError as e:  # named here, not by an output whose block encloses m(write)
+                raise _cannot_write(path, e) from e
+
+        if callable(m):
+            m(write)
+        else:
+            for block in [m] if isinstance(m, ScoreMatrix) else m:
+                write(block)
         if first is None:
             raise EmptyInput(f"{path}: no rows to write")
         if binary:
+            rows = (f.seek(0, os.SEEK_END) - _HEADER.size) // (8 * first.n_classes)
             f.seek(0)
             f.write(_HEADER.pack(
                 BINARY_MAGIC, BINARY_VERSION, _KIND_BYTE[first.kind], rows, first.n_classes

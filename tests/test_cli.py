@@ -162,6 +162,24 @@ def test_a_failing_infer_write_leaves_neither_output(workspace, capsys, fault, s
     assert all(not os.listdir(p) for p in workspace.iterdir() if p.is_dir())
 
 
+@pytest.mark.parametrize("suffix, preds", [
+    (".hies", "combined.hies"),
+    (".hies", "combined.hies.names.json"),
+    (".csv", "combined.csv"),
+], ids=["hies-itself", "hies-sidecar", "csv-itself"])
+def test_infer_refuses_predictions_over_its_scores(workspace, capsys, monkeypatch, suffix, preds):
+    hierarchy, fine = paths(workspace, "hierarchy.json", "fine.csv")
+    before = sorted(os.listdir(workspace))
+    monkeypatch.chdir(workspace)  # the same file by a relative and an absolute path
+    code = run(["infer", "--hierarchy", hierarchy, "--fine", fine, "--method", "crm",
+                "--out", f"combined{suffix}", "--preds-out", str(workspace / preds)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"InputError: --preds-out {workspace / preds} would overwrite what "
+        f"--out combined{suffix} writes\n")
+    assert sorted(os.listdir(workspace)) == before
+
+
 def test_infer_logits_kind_applies_softmax(workspace):
     logits = workspace / "fine_logits.csv"
     logits.write_text("# kind: logits\nrose,tulip,bus,car\n0.0,0.0,0.0,0.0\n")
@@ -351,6 +369,18 @@ def test_compare_duplicate_method(workspace, capsys):
                 "--methods", "argmax,argmax"])
     assert code == 2
     assert "DuplicateMethod" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["eval", "--method", "hie"], ["compare", "--methods", "hie"]])
+def test_a_repeated_k_is_refused(workspace, capsys, command):
+    # A table has one column per value, but a report one entry per distinct value.
+    hierarchy, fine, coarse, labels = paths(
+        workspace, "hierarchy.json", "fine.csv", "coarse.csv", "labels.txt"
+    )
+    code = run([*command, "--hierarchy", hierarchy, "--fine", fine, "--coarse", coarse,
+                "--labels", labels, "--k", "5,1,1"])
+    assert code == 2
+    assert capsys.readouterr() == ("", "InputError: --k value 1 given twice\n")
 
 
 def test_infer_then_eval_matches_compare_row(workspace, capsys):

@@ -337,6 +337,12 @@ def test_saving_blocks_writes_the_bytes_of_the_whole(tmp_path, suffix):
     assert Path(blocks).read_bytes() == Path(whole).read_bytes()
     if suffix == ".hies":
         assert Path(blocks + ".names.json").read_bytes() == Path(whole + ".names.json").read_bytes()
+    # A function's '.hies' blocks go to their own rows, whatever the order it writes them in.
+    parts = [ScoreMatrix(m.values[r:r + 7], LOGITS, m.class_names, r) for r in range(0, 23, 7)]
+    by_function = str(tmp_path / f"by_function{suffix}")
+    save_scores(lambda write: [write(b) for b in parts[::-1 if suffix == ".hies" else 1]],
+                by_function)
+    assert Path(by_function).read_bytes() == Path(whole).read_bytes()
 
 
 def test_a_block_that_raises_leaves_no_file(tmp_path):

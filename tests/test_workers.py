@@ -1,12 +1,15 @@
-"""Worker processes behind eval and compare.
+"""Worker processes behind eval, compare and infer.
 
-Block 0 runs in the calling process; the blocks after it are split into
-contiguous row ranges, the first for the caller and one for each forked
-worker. Outputs, the fault reported and its exit code must not depend on the
+Block 0 runs in the calling process; the caller and its forked workers
+then take the blocks after it one at a time, each the next one left, and
+infer's processes write their rows of a '.hies' file by position.
+Outputs, the fault reported and its exit code must not depend on the
 number of processes, and no process may outlive a command (conftest checks
 that after every test).
 """
 
+import contextlib
+import errno
 import json
 import os
 import subprocess
@@ -93,6 +96,45 @@ def test_too_few_blocks_stay_in_one_process(instance, monkeypatch, capsys):
     assert forks == []
 
 
+@pytest.mark.parametrize("method", ["cascade", "crm"])
+def test_infer_bytes_do_not_depend_on_the_worker_count(instance, tmp_path, monkeypatch, capsys,
+                                                       method):
+    # crm writes negated costs, so its file carries the logits kind byte.
+    d, base = instance
+    infer = ["infer", *base[:-4], "--method", method]
+    forks = count_forks(monkeypatch)
+    outputs = set()
+    for block, workers in [(b, w) for b in (1, 7, N_ROWS) for w in (1, 2, 3)]:
+        use_block_rows(monkeypatch, block, 36)
+        forks.clear()
+        out = tmp_path / f"{block}-{workers}"
+        out.mkdir()
+        assert run([*infer, "--out", str(out / "s.hies")], workers=workers) == 0
+        assert len(forks) == (0 if block == N_ROWS else workers - 1)
+        outputs.add(tuple((out / name).read_bytes()
+                          for name in ["s.hies", "s.hies.names.json", "s.hies.preds.txt"]))
+        assert sorted(os.listdir(out)) == ["s.hies", "s.hies.names.json", "s.hies.preds.txt"]
+    assert len(outputs) == 1
+    [(scores, _, _)] = outputs
+    assert scores[5] == (0 if method == "crm" else 1)  # the kind byte: logits, probabilities
+    capsys.readouterr()
+
+
+def test_infer_writes_text_scores_in_one_process(instance, tmp_path, monkeypatch, capsys):
+    d, base = instance
+    use_block_rows(monkeypatch, 7, 36)
+    forks = count_forks(monkeypatch)
+    outputs = []
+    for workers in (1, 3):
+        out = tmp_path / f"s{workers}.csv"
+        assert run(["infer", *base[:-4], "--method", "cascade", "--out", str(out)],
+                   workers=workers) == 0
+        outputs.append((out.read_bytes(), Path(f"{out}.preds.txt").read_bytes()))
+    assert forks == []
+    assert outputs[0] == outputs[1]
+    capsys.readouterr()
+
+
 # ------------------------------------------------------------------ faults
 
 
@@ -127,8 +169,8 @@ def probability_inputs(tmp_path):
     return write
 
 
-# With 3 processes in 7-row blocks, the caller runs rows 0-55, the first worker
-# rows 56-104 and the second rows 105-149.
+# With 3 processes in 7-row blocks, whichever process takes a faulty block meets
+# its fault; the caller takes rows 7-13 before any fork.
 @pytest.mark.parametrize("faults, first", [
     ({30: "negative", 120: "nan"}, "NegativeEntry: {d}/coarse.csv: negative entry at row 30"),
     ({60: "nan", 110: "negative"}, "NonFiniteValue: {d}/fine.csv: non-finite value at row 60"),
@@ -153,14 +195,49 @@ def test_the_first_fault_in_row_order_wins_whatever_the_workers(
     assert err.startswith(first.format(d=tmp_path)) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fault, first, code", [
+    ({60: "nan"}, "NonFiniteValue: {d}/fine.csv: non-finite value at row 60, column 1", 2),
+    ({140: "zero-mass"}, "ZeroDenominator: {d}/fine.csv, {d}/coarse.csv: row 140: ", 3),
+    ({}, "InputError: cannot write {d}/out/s.hies: No space left on device", 2),
+], ids=["nan", "zero-mass", "disk-full"])
+def test_an_infer_fault_in_a_worker_is_reported_as_in_one_process(
+    probability_inputs, tmp_path, monkeypatch, capsys, fault, first, code
+):
+    base = probability_inputs(fault)
+    use_block_rows(monkeypatch, 7, 4)
+    if not fault:  # the disk fills at row 110, in the second worker's range
+        pwrite = os.pwrite
+
+        def full(fd, data, offset):
+            if offset >= 14 + 110 * 4 * 8:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return pwrite(fd, data, offset)
+
+        monkeypatch.setattr(os, "pwrite", full)
+    out = tmp_path / "out"
+    out.mkdir()
+    forks = count_forks(monkeypatch)
+    results = []
+    for workers in (1, 3):
+        results.append((run(["infer", *base[:-4], "--method", "hie", "--out", str(out / "s.hies")],
+                            workers=workers), capsys.readouterr().err))
+        assert os.listdir(out) == []
+    assert len(forks) == 2
+    assert results[0] == results[1]
+    assert results[0][0] == code
+    assert results[0][1].startswith(first.format(d=tmp_path)) and results[0][1].count("\n") == 1
+
+
 def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-@pytest.mark.skipif(_usable_cpus() < 2, reason="python -m hieval forks one worker per usable CPU")
-def test_a_fault_in_a_worker_prints_one_line_through_the_entry_point(tmp_path, capsys):
-    # 1024 leaves give 64-row blocks; 640 rows give block 0 and 9 more, so
-    # `python -m hieval` runs rows 64-319 itself and rows 320-639 in a worker.
+def _poisoned_instance(tmp_path) -> tuple:
+    """(hierarchy, fine, coarse) paths of a 1024-leaf instance with a dead row 400 and a NaN at 500.
+
+    1024 leaves give 64-row blocks; 640 rows give block 0 and 9 more, so
+    `python -m hieval` on 2 CPUs shares blocks 1-9 between itself and a worker.
+    """
     assert run(["synth", "--branching", "16,64", "--noise", "0.5,1.0", "--n-samples", "640",
                 "--seed", "4", "--out-dir", str(tmp_path)]) == 0
     fine, coarse = tmp_path / "fine.hies", tmp_path / "level_d1.hies"
@@ -175,37 +252,115 @@ def test_a_fault_in_a_worker_prints_one_line_through_the_entry_point(tmp_path, c
     parent = t.names[t.parent[t.leaf_order[0]]]
     coarse_rows[400], coarse_rows[400, coarse_names.index(parent)] = 0.0, -1e5
     del fine_rows, coarse_rows
+    return tmp_path / "hierarchy.json", fine, coarse
+
+
+def _entry_point_env() -> dict:
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.skipif(_usable_cpus() < 2, reason="python -m hieval forks one worker per usable CPU")
+def test_a_fault_in_a_worker_prints_one_line_through_the_entry_point(tmp_path, capsys):
+    hierarchy, fine, coarse = _poisoned_instance(tmp_path)
     capsys.readouterr()
-    base = ["--hierarchy", str(tmp_path / "hierarchy.json"), "--fine", str(fine), "--coarse",
+    base = ["--hierarchy", str(hierarchy), "--fine", str(fine), "--coarse",
             str(coarse), "--kind", "logits", "--labels", str(tmp_path / "labels.txt")]
     cases = [(["eval", "--method", "hie", "--k", "1"], 3,
               f"ZeroDenominator: {fine}, {coarse}: row 400"),
              (["compare", "--methods", "argmax,crm", "--k", "1,5"], 2,
               f"NonFiniteValue: {fine}: non-finite value at row 500, column 7")]
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for argv, code, first in cases:
         assert run([*argv, *base]) == code
         serial = capsys.readouterr()
         assert serial.err.startswith(first) and serial.err.count("\n") == 1
-        done = subprocess.run([sys.executable, "-m", "hieval", *argv, *base], env=env,
-                              capture_output=True, text=True)
+        done = subprocess.run([sys.executable, "-m", "hieval", *argv, *base],
+                              env=_entry_point_env(), capture_output=True, text=True)
         assert (done.returncode, done.stdout, done.stderr) == (code, "", serial.err)
+
+
+@pytest.mark.skipif(_usable_cpus() < 2, reason="python -m hieval forks one worker per usable CPU")
+def test_an_infer_fault_in_a_worker_leaves_no_output_through_the_entry_point(tmp_path, capsys):
+    # The dead row 400 is a block before the NaN; infer's --method hie meets it first.
+    hierarchy, fine, coarse = _poisoned_instance(tmp_path / "in")
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["infer", "--hierarchy", str(hierarchy), "--fine", str(fine), "--coarse", str(coarse),
+            "--kind", "logits", "--method", "hie", "--out", str(out / "s.hies")]
+    capsys.readouterr()
+    assert run(argv) == 3
+    serial = capsys.readouterr()
+    assert serial.err.startswith(f"ZeroDenominator: {fine}, {coarse}: row 400: ")
+    assert serial.err.count("\n") == 1
+    done = subprocess.run([sys.executable, "-m", "hieval", *argv], env=_entry_point_env(),
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (3, "", serial.err)
+    assert os.listdir(out) == []
 
 
 # --------------------------------------------------------- the worker helper
 
 
-def test_results_come_back_in_range_order_from_other_processes():
+@pytest.fixture
+def held_until_taken():
+    """``held_until_taken(work, n_workers)``: ``work``, except that range 0, which this
+    process takes, and each worker's range wait until ``n_workers`` workers have each
+    taken one, so every worker runs one."""
+    fds = []
+
+    def hold(work, n_workers: int):
+        taken, take = os.pipe()
+        go, release = os.pipe()
+        fds.extend([taken, take, go, release])
+
+        def held(start, stop):
+            if start:
+                os.write(take, b"x")
+                os.read(go, 1)
+            else:
+                seen, deadline = 0, time.monotonic() + 30
+                os.set_blocking(taken, False)
+                while seen < n_workers and time.monotonic() < deadline:
+                    with contextlib.suppress(BlockingIOError):
+                        seen += len(os.read(taken, n_workers))
+                    time.sleep(0.001)
+                os.write(release, b"x" * 1024)  # for every range after these too
+            return work(start, stop)
+
+        return held
+
+    yield hold
+    for fd in fds:
+        os.close(fd)
+
+
+def test_results_come_back_in_range_order_from_other_processes(held_until_taken):
     ranges = [(0, 4), (4, 9), (9, 10)]
-    results = _in_workers(lambda a, b: (a, b, os.getpid()), ranges, [])
+    results = _in_workers(held_until_taken(lambda a, b: (a, b, os.getpid()), 2), ranges, 3, [])
     assert [r[:2] for r in results] == ranges
     assert results[0][2] == os.getpid()
     assert len({r[2] for r in results}) == 3
 
 
-def test_a_worker_error_is_raised_with_its_type_message_and_attributes():
+def test_every_range_is_run_once_whatever_the_processes(monkeypatch):
+    fork = os.fork
+
+    def fork_and_let_the_worker_start():
+        pid = fork()
+        if pid:
+            time.sleep(0.05)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_and_let_the_worker_start)
+    ranges = [(i, i + 1) for i in range(50)]
+    for n_procs in (1, 2, 3):
+        results = _in_workers(lambda a, b: (a, os.getpid()), ranges, n_procs, [])
+        assert [r[0] for r in results] == list(range(50))
+        assert results[0][1] == os.getpid()  # taken before any fork
+
+
+def test_a_worker_error_is_raised_with_its_type_message_and_attributes(held_until_taken):
     def work(start, stop):
         if start:
             e = NonFiniteValue(start + 1, 3)
@@ -214,17 +369,30 @@ def test_a_worker_error_is_raised_with_its_type_message_and_attributes():
         return start
 
     with pytest.raises(NonFiniteValue) as exc:
-        _in_workers(work, [(0, 4), (4, 8), (8, 12)], [])
+        _in_workers(held_until_taken(work, 2), [(0, 4), (4, 8), (8, 12)], 3, [])
     assert str(exc.value) == "some.hies: non-finite value at row 5, column 3"
     assert (exc.value.row, exc.value.col) == (5, 3)
 
 
+def test_the_first_failing_range_wins_over_a_later_one_here(held_until_taken):
+    def work(start, stop):
+        if start in (1, 2):  # the workers' ranges; this process then takes range 3
+            time.sleep(0.3)
+        if start in (1, 3):
+            raise ValueError(start)
+        return start
+
+    with pytest.raises(ValueError) as exc:
+        _in_workers(held_until_taken(work, 2), [(i, i + 1) for i in range(4)], 3, [])
+    assert exc.value.args == (1,)
+
+
 def test_a_worker_that_ends_without_a_result_is_an_error():
-    with pytest.raises(RuntimeError, match=r"worker for rows \(4, 8\) ended without a result"):
-        _in_workers(lambda a, b: a, [(0, 4), (4, 8)], [SimpleNamespace(reopen=lambda: os._exit(0))])
+    with pytest.raises(RuntimeError, match=r"worker \d+ ended without a result"):
+        _in_workers(lambda a, b: a, [(0, 4), (4, 8)], 2, [SimpleNamespace(reopen=lambda: os._exit(0))])
 
 
-def test_an_error_here_kills_and_reaps_every_worker():
+def test_an_error_here_kills_and_reaps_every_worker(held_until_taken):
     def work(start, stop):
         if start == 0:
             raise KeyError("here")
@@ -232,7 +400,7 @@ def test_an_error_here_kills_and_reaps_every_worker():
 
     begun = time.perf_counter()
     with pytest.raises(KeyError):
-        _in_workers(work, [(0, 1), (1, 2), (2, 3)], [])
+        _in_workers(held_until_taken(work, 2), [(0, 1), (1, 2), (2, 3)], 3, [])
     assert time.perf_counter() - begun < 30
 
 
