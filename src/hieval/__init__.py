@@ -29,7 +29,6 @@ _EXPORTS = {
     "hie_self": "ensemble",
     "marginalize_to_parents": "ensemble",
     "crm_rerank": "risk",
-    "expected_costs": "risk",
     "EvalReport": "metrics",
     "eval_report": "metrics",
     "SynthConfig": "synth",

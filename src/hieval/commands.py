@@ -347,7 +347,8 @@ def _in_workers(work, ranges: list, n_procs: int, readers: list) -> list:
     A process stops at its first error and empties the queue. Every earlier
     range was taken earlier and runs to its end, so the first failing range's
     error, raised here with its type, message and attributes, is the one a
-    single process meets. Every worker is killed and reaped before this returns.
+    single process meets. If a worker's pipe or fork fails, no more are
+    started. Every worker is killed and reaped before this returns.
     """
     queue, fill = os.pipe()
     os.write(fill, np.arange(len(ranges), dtype="<u4").tobytes())
@@ -369,8 +370,15 @@ def _in_workers(work, ranges: list, n_procs: int, readers: list) -> list:
     try:
         mine = os.read(queue, 4)
         for _ in range(n_procs - 1):
-            read_end, write_end = os.pipe()
-            pid = os.fork()
+            fds = []
+            try:
+                fds += os.pipe()
+                pid = os.fork()
+            except OSError:  # no process can start: those running take every range left
+                for fd in fds:
+                    os.close(fd)
+                break
+            read_end, write_end = fds
             if pid == 0:
                 try:
                     with open(write_end, "wb") as pipe:
@@ -502,8 +510,7 @@ def cmd_compare(args, out) -> int:
 
 def cmd_costs(args, out) -> int:
     t = fileio.load_hierarchy(args.hierarchy)
-    costs = tx.cost_matrix(t)
-    matrix = ScoreMatrix(costs.astype(np.float64), LOGITS, t.leaf_names())
+    matrix = ScoreMatrix._adopt(tx.cost_matrix(t).astype(np.float64), LOGITS, t.leaf_names())
     fileio.save_scores(matrix, args.out)
     print(f"wrote {args.out}", file=out)
     return 0

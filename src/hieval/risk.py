@@ -8,15 +8,14 @@ cost-aware ordering for top-k metrics. Composes after probability combining,
 which is a different correction: combining moves mass between subtrees,
 reranking trades probability against cost.
 
-With a taxonomy, C is the LCA height and the risk comes from the tree alone:
-it telescopes over the path from the root to leaf i,
+C is the LCA height, so the risk comes from the tree alone: it telescopes
+over the path from the root to leaf i,
 
     risk_i = h(root) * M(root) - sum over b on the path, b != root,
              of (h(parent of b) - h(b)) * M(b),
 
 where M(b) is the probability mass of b's subtree. That costs
-O(N * C * depth) time and no C x C matrix. An explicit cost matrix (any
-costs, e.g. 0/1) takes the dense O(N * C^2) product instead.
+O(N * C * depth) time and no C x C matrix.
 """
 
 from __future__ import annotations
@@ -29,24 +28,6 @@ from . import scores
 from . import taxonomy as tx
 from .errors import DimensionMismatch, KindConflict
 from .scores import LOGITS, PROBABILITIES, ScoreMatrix
-
-
-def _check(probs: ScoreMatrix, cost_shape: tuple) -> None:
-    if probs.kind != PROBABILITIES:
-        raise KindConflict(f"expected probabilities, got kind {probs.kind!r}")
-    if len(cost_shape) != 2 or cost_shape[0] != cost_shape[1]:
-        raise DimensionMismatch(f"cost matrix must be square, got shape {cost_shape}")
-    if cost_shape[0] != probs.n_classes:
-        raise DimensionMismatch(
-            f"cost matrix side {cost_shape[0]} does not match {probs.n_classes} classes"
-        )
-
-
-def expected_costs(probs: ScoreMatrix, costs) -> np.ndarray:
-    """Per-sample, per-class risk under an explicit cost matrix: probs @ costs transposed."""
-    c = np.asarray(costs, dtype=np.float64)
-    _check(probs, c.shape)
-    return probs.values @ c.T
 
 
 @dataclass(frozen=True)
@@ -120,16 +101,12 @@ def _tree_expected_costs(p: np.ndarray, t: tx.Taxonomy) -> np.ndarray:
     return out
 
 
-def crm_rerank(probs: ScoreMatrix, costs) -> ScoreMatrix:
-    """Negated expected costs under ``probs``, as logits: higher is better.
-
-    ``costs`` is a taxonomy (LCA-height costs computed from the tree, no
-    C x C matrix) or an explicit square cost matrix; rows and columns are ``probs``'s.
-    """
-    if isinstance(costs, tx.Taxonomy):
-        _check(probs, (costs.n_leaves, costs.n_leaves))
-        risks = _tree_expected_costs(probs.values, costs)
-    else:
-        risks = expected_costs(probs, costs)
+def crm_rerank(probs: ScoreMatrix, t: tx.Taxonomy) -> ScoreMatrix:
+    """Each leaf's negated expected LCA-height cost under ``probs``, as logits: higher is better."""
+    if probs.kind != PROBABILITIES:
+        raise KindConflict(f"expected probabilities, got kind {probs.kind!r}")
+    if probs.n_classes != t.n_leaves:
+        raise DimensionMismatch(f"{probs.n_classes} classes for {t.n_leaves} leaves")
+    risks = _tree_expected_costs(probs.values, t)
     np.negative(risks, out=risks)
     return ScoreMatrix._adopt(risks, LOGITS, probs.class_names, probs.first_row)

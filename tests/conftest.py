@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hieval.errors import ZeroDenominator
 from hieval.scores import ScoreMatrix
 from hieval.synth import gen_instance, gen_taxonomy
-from hieval.taxonomy import Taxonomy, build_taxonomy
+from hieval.taxonomy import Taxonomy, build_taxonomy, cost_matrix
 
 # Four leaves under two groups; column order pinned to rose,tulip,bus,car so
 # that score-matrix fixtures read naturally.
@@ -52,6 +52,11 @@ def random_taxonomy(rng: np.random.Generator, n_nodes: int) -> Taxonomy:
     return build_taxonomy(random_tree_edges(rng, n_nodes))
 
 
+def star(n: int) -> Taxonomy:
+    """A root over ``n`` leaves, whose LCA-height costs are the 0/1 costs ``1 - I``."""
+    return build_taxonomy([(f"leaf{i}", "hub") for i in range(n)])
+
+
 @st.composite
 def taxonomies(draw, max_nodes=40):
     """Random trees (unleveled, unary chains, leaves under the root) plus fixed edge shapes."""
@@ -63,7 +68,7 @@ def taxonomies(draw, max_nodes=40):
     if shape == "chain":  # a unary chain n edges long, beside one leaf under the root
         edges = [(f"c{i + 1}", f"c{i}") for i in range(n)] + [("near", "c0")]
     elif shape == "star":
-        edges = [(f"leaf{i}", "hub") for i in range(n)]
+        return star(n)
     else:  # leaves directly under the root next to a two-level subtree
         edges = [(f"top{i}", "root") for i in range(n)]
         edges += [("mid", "root"), ("deep0", "mid"), ("deep1", "mid")]
@@ -104,6 +109,11 @@ def lca_height(t: Taxonomy, a: int, b: int) -> int:
     while a != b:
         a, b = t.parent[a], t.parent[b]
     return t.height[a]
+
+
+def dense_expected_costs(p: np.ndarray, t: Taxonomy) -> np.ndarray:
+    """Each row's expected LCA-height cost of every leaf, by its definition (``risk``'s reference)."""
+    return p @ cost_matrix(t).T
 
 
 # ------------------------------------------------- bitwise kernel oracles

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 import hieval
-from conftest import criterion, random_prob_rows, random_taxonomy, synth_instance
+from conftest import criterion, random_prob_rows, random_taxonomy, star, synth_instance
 from hieval.ensemble import hie_combine, hie_self, marginalize_to_parents
 from hieval.fileio import load_hierarchy, load_scores, save_hierarchy, save_scores
 from hieval.metrics import eval_report
@@ -139,7 +139,7 @@ def test_c03_identity_suite():
 
 
 # criterion 4: expected-cost reranking agrees with a brute-force oracle, and
-# 0/1 costs reduce it to plain descending-probability order.
+# 0/1 costs (a star's LCA heights) reduce it to plain descending-probability order.
 def test_c04_crm_oracle_suite():
     with criterion(4, "reranking matches brute-force argmin on 1,000 small cases") as d:
         rng = np.random.default_rng(2027)
@@ -151,7 +151,7 @@ def test_c04_crm_oracle_suite():
                 continue
             costs = cost_matrix(t)
             p = random_prob_rows(rng, 1, t.n_leaves)
-            ranking = crm_rerank(prob_matrix(p, t.leaf_names()), costs)
+            ranking = crm_rerank(prob_matrix(p, t.leaf_names()), t)
             best, best_risk = 0, float("inf")
             for i in range(t.n_leaves):
                 risk = 0.0
@@ -161,8 +161,8 @@ def test_c04_crm_oracle_suite():
                     best, best_risk = i, risk
             assert int(top_k(ranking, 1)[0, 0]) == best
 
-            c01 = 1.0 - np.eye(t.n_leaves)
-            flat = crm_rerank(prob_matrix(p, t.leaf_names()), c01)
+            flat_tree = star(t.n_leaves)
+            flat = crm_rerank(prob_matrix(p, flat_tree.leaf_names()), flat_tree)
             full = top_k(flat, t.n_leaves)
             assert full.tolist() == np.argsort(-p, axis=1, kind="stable").tolist()
             done += 1

@@ -11,14 +11,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES
-from hieval import cli, risk, taxonomy
+from conftest import SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES, dense_expected_costs
+from hieval import cli, taxonomy
 from hieval.cli import run
 from hieval.commands import METHODS
 from hieval.ensemble import hie_combine, hie_self
 from hieval.fileio import load_hierarchy, load_labels, load_scores
 from hieval.metrics import eval_report
-from hieval.risk import crm_rerank, expected_costs
+from hieval.risk import crm_rerank
 from hieval.scores import softmax_rows, top_k
 from hieval.taxonomy import ancestor_index_map, cost_matrix, parent_index_map
 
@@ -484,6 +484,39 @@ def test_cascade_requires_level_files(tmp_path, workspace, capsys):
     assert "--level" in capsys.readouterr().err
 
 
+@pytest.fixture
+def unleveled(tmp_path):
+    """Leaf a under the root beside leaves b and c a level lower; a NaN row and an unknown label."""
+    nodes = [{"name": "r", "parent": None}, {"name": "a", "parent": "r"},
+             {"name": "g", "parent": "r"}, {"name": "b", "parent": "g"},
+             {"name": "c", "parent": "g"}]
+    (tmp_path / "hierarchy.json").write_text(json.dumps({"nodes": nodes}))
+    (tmp_path / "fine.csv").write_text("# kind: probabilities\na,b,c\nnan,0.5,0.5\n")
+    (tmp_path / "level1.csv").write_text("# kind: probabilities\na,g\n0.5,0.5\n")
+    (tmp_path / "labels.txt").write_text("zzz\n")
+    return tmp_path
+
+
+def test_validate_reports_an_unleveled_tree(unleveled, capsys):
+    assert run(["validate", "--hierarchy", str(unleveled / "hierarchy.json")]) == 0
+    assert capsys.readouterr().out == "nodes=5 leaves=3 coarse=2 depth=2 leveled=no\n"
+
+
+@pytest.mark.parametrize("command", ["compare", "infer"])
+def test_cascading_an_unleveled_tree_exits_3_before_any_row(unleveled, capsys, command):
+    # Reading the labels or the fine row would fail with exit 2 instead.
+    flags = {"compare": ["--methods", "argmax,cascade", "--labels", str(unleveled / "labels.txt"),
+                         "--k", "1"],
+             "infer": ["--method", "cascade", "--out", str(unleveled / "out.hies")]}[command]
+    assert run([command, *flags, "--hierarchy", str(unleveled / "hierarchy.json"),
+                "--fine", str(unleveled / "fine.csv"),
+                "--level", f"1={unleveled / 'level1.csv'}"]) == 3
+    std = capsys.readouterr()
+    assert (std.out, std.err) == (
+        "", "NonLeveledTree: leaves sit at depths [1, 2]; cascading by depth is undefined\n")
+    assert not (unleveled / "out.hies").exists()
+
+
 def test_crm_infer_then_eval_matches_compare_row(tmp_path, capsys):
     # negated risks written by infer must rank identically downstream
     d = str(tmp_path / "inst")
@@ -498,7 +531,7 @@ def test_crm_infer_then_eval_matches_compare_row(tmp_path, capsys):
     t = load_hierarchy(f"{d}/hierarchy.json")
     written = load_scores(risks_out).values
     assert np.array_equal(written, crm_rerank(fine, t).values)
-    np.testing.assert_allclose(written, -expected_costs(fine, cost_matrix(t)), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(written, -dense_expected_costs(fine.values, t), rtol=0, atol=1e-12)
     piped = str(tmp_path / "piped.json")
     assert run(["eval", "--hierarchy", f"{d}/hierarchy.json", "--fine", risks_out,
                 "--labels", f"{d}/labels.txt", "--k", "1,5", "--out", piped]) == 0
@@ -540,14 +573,14 @@ def test_compare_reports_match_the_library_composition(every_method_table):
     t = load_hierarchy(str(inst / "hierarchy.json"))
     fine, d1, d2 = (softmax_rows(load_scores(str(inst / name), declared_kind="logits"))
                     for name in ("fine.hies", "level_d1.hies", "level_d2.hies"))
-    pmap, costs = parent_index_map(t), cost_matrix(t)
+    pmap = parent_index_map(t)
     hie = hie_combine(fine, [(d2, pmap)])
     sources = {
         "argmax": fine,
         "hie": hie,
         "hie-self": hie_self(fine, pmap, t.n_coarse),
-        "crm": crm_rerank(fine, costs),
-        "hie-crm": crm_rerank(hie, costs),
+        "crm": crm_rerank(fine, t),
+        "hie-crm": crm_rerank(hie, t),
         "cascade": hie_combine(fine, [(d1, ancestor_index_map(t, 1)),
                                       (d2, ancestor_index_map(t, 2))]),
     }
@@ -566,7 +599,6 @@ def test_eval_and_compare_never_build_the_cost_matrix(every_method_table, monkey
         raise AssertionError("dense cost matrix used on the eval/compare path")
 
     monkeypatch.setattr(taxonomy, "cost_matrix", forbidden)
-    monkeypatch.setattr(risk, "expected_costs", forbidden)
     d, base, reports = every_method_table
     assert run(["eval", *base, "--method", "crm", "--out", str(d / "guard.json")]) == 0
     assert json.loads((d / "guard.json").read_text()) == reports[list(METHODS).index("crm")]

@@ -473,3 +473,16 @@ def test_infer_memory_does_not_grow_with_the_row_count(tmp_path, monkeypatch, ca
         monkeypatch.undo()
     capsys.readouterr()
     assert peaks[8000] <= 1.1 * peaks[1000], peaks
+
+
+def test_costs_holds_two_matrices_at_its_peak(tmp_path, capsys):
+    # The LCA heights and their float copy, which is written as it is.
+    n = 1000
+    nodes = [{"name": "root", "parent": None}]
+    nodes += [{"name": f"g{i}", "parent": "root"} for i in range(n // 10)]
+    nodes += [{"name": f"leaf{i}", "parent": f"g{i % (n // 10)}"} for i in range(n)]
+    (tmp_path / "hierarchy.json").write_text(json.dumps({"nodes": nodes}))
+    peak = traced_peak(["costs", "--hierarchy", str(tmp_path / "hierarchy.json"),
+                        "--out", str(tmp_path / "costs.hies")])
+    capsys.readouterr()
+    assert peak < 2.5 * 8 * n * n, peak

@@ -8,7 +8,7 @@ from hieval.metrics import eval_report
 from hieval.risk import crm_rerank
 from hieval.scores import softmax_rows, top_k
 from hieval.synth import SynthConfig, gen_taxonomy
-from hieval.taxonomy import ancestor_index_map, cost_matrix, parent_index_map
+from hieval.taxonomy import ancestor_index_map, parent_index_map
 
 
 def cfg(branching, noise, n=100, seed=0):
@@ -62,14 +62,13 @@ def test_noiseless_instance_is_perfect_under_every_rule():
     fine = softmax_rows(fine_logits)
     coarse = softmax_rows(uppers_logits[0])
     pmap = parent_index_map(t)
-    costs = cost_matrix(t)
 
     predictions = {
         "argmax": top_k(fine, 1)[:, 0],
         "hie": top_k(hie_combine(fine, [(coarse, pmap)]), 1)[:, 0],
         "hie-self": top_k(hie_self(fine, pmap, t.n_coarse), 1)[:, 0],
-        "crm": top_k(crm_rerank(fine, costs), 1)[:, 0],
-        "hie-crm": top_k(crm_rerank(hie_combine(fine, [(coarse, pmap)]), costs), 1)[:, 0],
+        "crm": top_k(crm_rerank(fine, t), 1)[:, 0],
+        "hie-crm": top_k(crm_rerank(hie_combine(fine, [(coarse, pmap)]), t), 1)[:, 0],
         "cascade": top_k(hie_combine(fine, [(coarse, ancestor_index_map(t, 1))]), 1)[:, 0],
     }
     for name, pred in predictions.items():

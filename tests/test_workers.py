@@ -135,6 +135,53 @@ def test_infer_writes_text_scores_in_one_process(instance, tmp_path, monkeypatch
     capsys.readouterr()
 
 
+def fail_call(monkeypatch, name: str, n: int) -> list:
+    """Make the ``n``-th call of ``os.<name>`` from now on fail as when no process can start.
+
+    Returns the list that gets an entry per call.
+    """
+    real, calls = getattr(os, name), []
+
+    def failing():
+        calls.append(name)
+        if len(calls) == n:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real()
+
+    monkeypatch.setattr(os, name, failing)
+    return calls
+
+
+# The queue's pipe is the first of a run, so the third is the second worker's.
+@pytest.mark.parametrize("workers, name, n", [(2, "fork", 1), (3, "fork", 2), (3, "pipe", 3)],
+                         ids=["first-fork-of-2", "second-fork-of-3", "second-pipe-of-3"])
+def test_a_failed_fork_leaves_every_range_to_the_processes_running(
+    instance, tmp_path, monkeypatch, capsys, workers, name, n
+):
+    d, base = instance
+    use_block_rows(monkeypatch, 7, 36)
+    commands = [["compare", *base, "--methods", ",".join(METHODS), "--out", "table.json"],
+                ["eval", *base, "--method", "hie-crm", "--out", "report.json"],
+                ["infer", *base[:-4], "--method", "cascade", "--out", "s.hies"]]
+
+    def outputs(out, workers, fail):
+        out.mkdir()
+        printed = []
+        for argv in commands:
+            calls = fail_call(monkeypatch, name, n) if fail else []
+            assert run([*argv[:-1], str(out / argv[-1])], workers=workers) == 0
+            assert len(calls) == (n if fail else 0)
+            std = capsys.readouterr()
+            assert std.err == ""
+            printed.append(std.out.replace(str(out), "OUT"))
+        return printed, {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
+
+    one = outputs(tmp_path / "one", 1, False)
+    fds = len(os.listdir("/proc/self/fd"))
+    assert outputs(tmp_path / "failed", workers, True) == one
+    assert len(os.listdir("/proc/self/fd")) == fds  # the failed worker's pipe ends are closed
+
+
 # ------------------------------------------------------------------ faults
 
 
