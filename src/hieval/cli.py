@@ -24,6 +24,7 @@ import io
 import os
 import sys
 
+from . import hashing
 from .errors import DataError, InputError
 
 _THREAD_VARS = (
@@ -119,15 +120,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None, workers: int = 1) -> int:
     """Run one command in this process and return its exit code; ``eval``, ``compare``
-    and ``infer`` spread their rows over up to ``workers`` processes, this one included."""
+    and ``infer`` spread their rows over up to ``workers`` processes, this one included.
+
+    With ``workers > 1``, ``eval`` and ``compare`` also hash their inputs in a
+    process of their own (``hashing.Hasher``), killed and reaped on return.
+    """
     _pin_single_threaded_math()
     _keep_freed_memory()
     args = build_parser().parse_args(argv)
     args.workers = workers
-
-    from . import commands
-
+    # Forked before numpy loads, so that it is small and this process never loads OpenSSL.
+    multi = workers > 1 and args.command in ("eval", "compare")
+    args.hasher = hashing.Hasher(hashing.input_paths(args)) if multi else None
     try:
+        from . import commands
+
         # infer requires --out even though other commands treat it as optional
         if args.command == "infer" and not args.out:
             raise InputError("infer requires --out")
@@ -146,6 +153,9 @@ def run(argv=None, workers: int = 1) -> int:
     except DataError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 3
+    finally:
+        if args.hasher:
+            args.hasher.close()
 
 
 def main(argv=None) -> int:

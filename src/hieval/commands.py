@@ -20,7 +20,7 @@ from . import ensemble, fileio, risk, synth
 from . import taxonomy as tx
 from .errors import (DimensionMismatch, DuplicateMethod, InputError, KTooLarge, LengthMismatch,
                      ZeroDenominator)
-from .metrics import EvalReport, eval_report
+from .metrics import EvalReport, _counts, eval_report
 from .scores import (
     LOGITS,
     PROBABILITIES,
@@ -238,19 +238,17 @@ def run_methods(methods: list[str], inputs: MethodInputs, start: int = 0, stop: 
 def _config_echo(args, ks) -> dict:
     """The config every report of one run shares; each input is hashed once.
 
-    A report's config is ``{"method": name, **echo}``.
+    The digests come from the run's hasher (``hashing.Hasher``), or, where
+    it gave none, from ``fileio.sha256_digest`` here. A report's config is
+    ``{"method": name, **echo}``.
     """
     levels = parse_levels(getattr(args, "level", None))
-    inputs = {}
-    for role in ("hierarchy", "fine", "coarse", "labels"):
-        path = getattr(args, role, None)
+    roles = [(role, getattr(args, role, None)) for role in ("hierarchy", "fine", "coarse", "labels")]
+    roles += [(f"level{d}", path) for d, path in levels] + [("preds", getattr(args, "preds", None))]
+    hasher, inputs = args.hasher, {}
+    for role, path in roles:
         if path:
-            inputs[role] = fileio.sha256_digest(path)
-    for depth, path in levels:
-        inputs[f"level{depth}"] = fileio.sha256_digest(path)
-    preds = getattr(args, "preds", None)
-    if preds:
-        inputs["preds"] = fileio.sha256_digest(preds)
+            inputs[role] = (hasher and hasher.digest(path)) or fileio.sha256_digest(path)
     kind = getattr(args, "kind", None) or "auto"
     return {"kind": kind, "levels": [d for d, _ in levels], "inputs": inputs, "ks": list(ks)}
 
@@ -457,7 +455,7 @@ def _evaluate(args, methods: list[str], ks) -> list[EvalReport]:
             part = {}
             for m, ranked in run_methods(methods, inputs, start, stop):
                 rows = gt[ranked.first_row:ranked.first_row + ranked.n_samples]
-                block = eval_report(top_k(ranked, k), rows, t, ks, m)
+                block = _counts(top_k(ranked, k), rows, t, ks, m)
                 part[m] = part[m] + block if m in part else block
             return part
 
@@ -510,8 +508,13 @@ def cmd_compare(args, out) -> int:
 
 def cmd_costs(args, out) -> int:
     t = fileio.load_hierarchy(args.hierarchy)
-    matrix = ScoreMatrix._adopt(tx.cost_matrix(t).astype(np.float64), LOGITS, t.leaf_names())
-    fileio.save_scores(matrix, args.out)
+    names, step = t.leaf_names(), block_rows(t.n_leaves)
+
+    def block(lo):  # rows [lo, lo + step); no whole matrix is held
+        return ScoreMatrix._adopt(tx.cost_matrix(t, slice(lo, lo + step)).astype(np.float64),
+                                  LOGITS, names, lo)
+
+    fileio.save_scores(map(block, range(0, t.n_leaves, step)), args.out)
     print(f"wrote {args.out}", file=out)
     return 0
 

@@ -44,6 +44,7 @@ from .errors import (
     UnknownClass,
     UnknownLeaf,
 )
+from .hashing import sha256_digest  # noqa: F401  (commands looks it up here at each call)
 from .metrics import EvalReport
 from .scores import (FILE_TOL, LOGITS, PROBABILITIES, ScoreMatrix, check_finite,
                      validate_probabilities)
@@ -95,19 +96,6 @@ def _read_bytes(path: str) -> bytes:
             return f.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
-
-
-def sha256_digest(path: str) -> str:
-    import hashlib  # loads OpenSSL, which only hashing needs
-
-    h = hashlib.sha256()
-    try:
-        with open(path, "rb") as f:
-            for chunk in iter(lambda: f.read(1 << 16), b""):
-                h.update(chunk)
-    except OSError as e:
-        raise ParseError(f"cannot read {path}: {e}") from e
-    return "sha256:" + h.hexdigest()
 
 
 def write_json(doc: dict, path: str) -> None:

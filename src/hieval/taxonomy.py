@@ -272,18 +272,18 @@ def _build_lca_columns(t: Taxonomy) -> np.ndarray:
     return np.stack([cols, np.asarray(t.height, dtype=np.int64)[cols]])
 
 
-def cost_matrix(t: Taxonomy) -> np.ndarray:
-    """Leaf-by-leaf LCA-height costs in ``leaf_order`` convention.
+def cost_matrix(t: Taxonomy, rows: slice | None = None) -> np.ndarray:
+    """Leaf-by-leaf LCA-height costs in ``leaf_order`` convention, or only their ``rows``.
 
     Symmetric with a zero diagonal; off-diagonal entries are at least 1.
-    The array is cached on the taxonomy and returned read-only.
+    The whole array is cached on the taxonomy and returned read-only; a
+    slice of rows is built on each call, so that a caller can go through
+    the matrix a block at a time.
     """
-
-    def build():
-        cols = np.arange(t.n_leaves)
-        return lca_heights(t, cols[:, None], cols)
-
-    return cached(t, "cost_matrix", build)
+    cols = np.arange(t.n_leaves)
+    if rows is not None:
+        return lca_heights(t, cols[rows, None], cols)
+    return cached(t, "cost_matrix", lambda: lca_heights(t, cols[:, None], cols))
 
 
 def _positions(t: Taxonomy, order: Sequence[int]) -> np.ndarray:

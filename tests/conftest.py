@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import errno
 import os
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from hieval import cli
 from hieval.errors import ZeroDenominator
 from hieval.scores import ScoreMatrix
 from hieval.synth import gen_instance, gen_taxonomy
@@ -36,6 +40,45 @@ def no_child_process_outlives_a_test():
     except ChildProcessError:
         return
     pytest.fail(f"a child process was left {'running' if pid == 0 else f'unreaped (pid {pid})'}")
+
+
+def count_forks(monkeypatch) -> list:
+    """The module of each fork this process makes from now on: "hashing" for
+    a run's hasher, "commands" for a row worker."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(sys._getframe(1).f_globals["__name__"].rpartition(".")[2])
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def fail_call(monkeypatch, name: str, n: int) -> list:
+    """Make the ``n``-th call of ``os.<name>`` from now on fail as when no process can start.
+
+    Returns the list that gets an entry per call.
+    """
+    real, calls = getattr(os, name), []
+
+    def failing():
+        calls.append(name)
+        if len(calls) == n:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real()
+
+    monkeypatch.setattr(os, name, failing)
+    return calls
+
+
+def entry_point_env() -> dict:
+    """The environment for ``python -m hieval`` to import this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture(scope="session")

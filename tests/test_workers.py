@@ -21,8 +21,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES
-from hieval import cli, scores
+from conftest import (SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES, count_forks, entry_point_env,
+                      fail_call)
+from hieval import scores
 from hieval.cli import run
 from hieval.commands import METHODS, _in_workers
 from hieval.errors import InputError, NonFiniteValue
@@ -35,20 +36,6 @@ N_ROWS = 150
 
 def use_block_rows(monkeypatch, rows: int, n_cols: int) -> None:
     monkeypatch.setattr(scores, "BLOCK_ENTRIES", rows * n_cols)
-
-
-def count_forks(monkeypatch) -> list:
-    """The pids of the workers this process forks from now on."""
-    pids, fork = [], os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +68,8 @@ def test_eval_and_compare_bytes_do_not_depend_on_the_worker_count(instance, monk
                    workers=workers) == 0
         assert run(["eval", *base, "--method", "hie-crm", "--out", str(report)],
                    workers=workers) == 0
-        assert len(forks) == 2 * (workers - 1)
+        # Each command forks its hasher, then its workers, when more than one process may run.
+        assert forks == (["hashing"] + ["commands"] * (workers - 1)) * 2 * (workers > 1)
         outputs[workers] = (table.read_bytes(), report.read_bytes(), capsys.readouterr().out)
     assert outputs[1] == outputs[2] == outputs[3]
 
@@ -93,7 +81,7 @@ def test_too_few_blocks_stay_in_one_process(instance, monkeypatch, capsys):
     forks = count_forks(monkeypatch)
     assert run(["eval", *base, "--method", "hie"], workers=4) == 0
     capsys.readouterr()
-    assert forks == []
+    assert forks == ["hashing"]  # the run may use 4 processes, so it hashes in one
 
 
 @pytest.mark.parametrize("method", ["cascade", "crm"])
@@ -110,7 +98,7 @@ def test_infer_bytes_do_not_depend_on_the_worker_count(instance, tmp_path, monke
         out = tmp_path / f"{block}-{workers}"
         out.mkdir()
         assert run([*infer, "--out", str(out / "s.hies")], workers=workers) == 0
-        assert len(forks) == (0 if block == N_ROWS else workers - 1)
+        assert forks == ["commands"] * (0 if block == N_ROWS else workers - 1)  # and no hasher
         outputs.add(tuple((out / name).read_bytes()
                           for name in ["s.hies", "s.hies.names.json", "s.hies.preds.txt"]))
         assert sorted(os.listdir(out)) == ["s.hies", "s.hies.names.json", "s.hies.preds.txt"]
@@ -135,24 +123,8 @@ def test_infer_writes_text_scores_in_one_process(instance, tmp_path, monkeypatch
     capsys.readouterr()
 
 
-def fail_call(monkeypatch, name: str, n: int) -> list:
-    """Make the ``n``-th call of ``os.<name>`` from now on fail as when no process can start.
-
-    Returns the list that gets an entry per call.
-    """
-    real, calls = getattr(os, name), []
-
-    def failing():
-        calls.append(name)
-        if len(calls) == n:
-            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-        return real()
-
-    monkeypatch.setattr(os, name, failing)
-    return calls
-
-
-# The queue's pipe is the first of a run, so the third is the second worker's.
+# eval and compare first make their hasher's pipe and fork; then the queue's pipe
+# is the first of _in_workers, so its third is the second worker's.
 @pytest.mark.parametrize("workers, name, n", [(2, "fork", 1), (3, "fork", 2), (3, "pipe", 3)],
                          ids=["first-fork-of-2", "second-fork-of-3", "second-pipe-of-3"])
 def test_a_failed_fork_leaves_every_range_to_the_processes_running(
@@ -168,9 +140,10 @@ def test_a_failed_fork_leaves_every_range_to_the_processes_running(
         out.mkdir()
         printed = []
         for argv in commands:
-            calls = fail_call(monkeypatch, name, n) if fail else []
+            hasher = argv[0] != "infer"  # its pipe and fork come before the workers'
+            calls = fail_call(monkeypatch, name, n + hasher) if fail else []
             assert run([*argv[:-1], str(out / argv[-1])], workers=workers) == 0
-            assert len(calls) == (n if fail else 0)
+            assert len(calls) == (n + hasher if fail else 0)
             std = capsys.readouterr()
             assert std.err == ""
             printed.append(std.out.replace(str(out), "OUT"))
@@ -235,7 +208,7 @@ def test_the_first_fault_in_row_order_wins_whatever_the_workers(
         for command in (["eval", "--method", "hie"], ["compare", "--methods", "argmax,hie"]):
             code = run([*command, *base], workers=workers)
             results.append((code, capsys.readouterr().err))
-    assert len(forks) == 2 * 2
+    assert forks == ["hashing", "commands", "commands"] * 2  # at 3 processes
     assert len(set(results)) == 1
     code, err = results[0]
     assert code == (3 if "zero-mass" in faults.values() else 2)
@@ -269,7 +242,7 @@ def test_an_infer_fault_in_a_worker_is_reported_as_in_one_process(
         results.append((run(["infer", *base[:-4], "--method", "hie", "--out", str(out / "s.hies")],
                             workers=workers), capsys.readouterr().err))
         assert os.listdir(out) == []
-    assert len(forks) == 2
+    assert forks == ["commands"] * 2
     assert results[0] == results[1]
     assert results[0][0] == code
     assert results[0][1].startswith(first.format(d=tmp_path)) and results[0][1].count("\n") == 1
@@ -302,12 +275,6 @@ def _poisoned_instance(tmp_path) -> tuple:
     return tmp_path / "hierarchy.json", fine, coarse
 
 
-def _entry_point_env() -> dict:
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    return dict(os.environ,
-                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
 @pytest.mark.skipif(_usable_cpus() < 2, reason="python -m hieval forks one worker per usable CPU")
 def test_a_fault_in_a_worker_prints_one_line_through_the_entry_point(tmp_path, capsys):
     hierarchy, fine, coarse = _poisoned_instance(tmp_path)
@@ -323,7 +290,7 @@ def test_a_fault_in_a_worker_prints_one_line_through_the_entry_point(tmp_path, c
         serial = capsys.readouterr()
         assert serial.err.startswith(first) and serial.err.count("\n") == 1
         done = subprocess.run([sys.executable, "-m", "hieval", *argv, *base],
-                              env=_entry_point_env(), capture_output=True, text=True)
+                              env=entry_point_env(), capture_output=True, text=True)
         assert (done.returncode, done.stdout, done.stderr) == (code, "", serial.err)
 
 
@@ -340,7 +307,7 @@ def test_an_infer_fault_in_a_worker_leaves_no_output_through_the_entry_point(tmp
     serial = capsys.readouterr()
     assert serial.err.startswith(f"ZeroDenominator: {fine}, {coarse}: row 400: ")
     assert serial.err.count("\n") == 1
-    done = subprocess.run([sys.executable, "-m", "hieval", *argv], env=_entry_point_env(),
+    done = subprocess.run([sys.executable, "-m", "hieval", *argv], env=entry_point_env(),
                           capture_output=True, text=True)
     assert (done.returncode, done.stdout, done.stderr) == (3, "", serial.err)
     assert os.listdir(out) == []
