@@ -12,6 +12,8 @@ it back in; importing the package changes neither setting.
 
 :func:`main`, the process entry, runs ``eval``, ``compare`` and ``infer`` on every
 usable CPU and exits without teardown when done; :func:`run` runs in-process and returns.
+Every process besides the caller is a ``procs.Child``: where one cannot start, or
+ends without a result, the caller does its work, with the same bytes and messages.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import io
 import os
 import sys
 
-from . import hashing
+from . import hashing, procs
 from .errors import DataError, InputError
 
 _THREAD_VARS = (
@@ -123,7 +125,7 @@ def run(argv=None, workers: int = 1) -> int:
     and ``infer`` spread their rows over up to ``workers`` processes, this one included.
 
     With ``workers > 1``, ``eval`` and ``compare`` also hash their inputs in a
-    process of their own (``hashing.Hasher``), killed and reaped on return.
+    child process of their own (``hashing.digests``), killed and reaped on return.
     """
     _pin_single_threaded_math()
     _keep_freed_memory()
@@ -131,7 +133,7 @@ def run(argv=None, workers: int = 1) -> int:
     args.workers = workers
     # Forked before numpy loads, so that it is small and this process never loads OpenSSL.
     multi = workers > 1 and args.command in ("eval", "compare")
-    args.hasher = hashing.Hasher(hashing.input_paths(args)) if multi else None
+    args.digests = procs.Child(lambda: hashing.digests(args)) if multi else None
     try:
         from . import commands
 
@@ -154,8 +156,8 @@ def run(argv=None, workers: int = 1) -> int:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 3
     finally:
-        if args.hasher:
-            args.hasher.close()
+        if args.digests:
+            args.digests.close()
 
 
 def main(argv=None) -> int:

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import contextlib
 import os
-import pickle
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import ensemble, fileio, risk, synth
+from . import ensemble, fileio, hashing, procs, risk, synth
 from . import taxonomy as tx
 from .errors import (DimensionMismatch, DuplicateMethod, InputError, KTooLarge, LengthMismatch,
                      ZeroDenominator)
@@ -238,17 +237,16 @@ def run_methods(methods: list[str], inputs: MethodInputs, start: int = 0, stop: 
 def _config_echo(args, ks) -> dict:
     """The config every report of one run shares; each input is hashed once.
 
-    The digests come from the run's hasher (``hashing.Hasher``), or, where
-    it gave none, from ``fileio.sha256_digest`` here. A report's config is
-    ``{"method": name, **echo}``.
+    The digests come from the run's hashing child (``args.digests``), or,
+    where it gave none, from ``fileio.sha256_digest`` here. A report's config
+    is ``{"method": name, **echo}``.
     """
-    levels = parse_levels(getattr(args, "level", None))
-    roles = [(role, getattr(args, role, None)) for role in ("hierarchy", "fine", "coarse", "labels")]
-    roles += [(f"level{d}", path) for d, path in levels] + [("preds", getattr(args, "preds", None))]
-    hasher, inputs = args.hasher, {}
-    for role, path in roles:
-        if path:
-            inputs[role] = (hasher and hasher.digest(path)) or fileio.sha256_digest(path)
+    levels, digests = parse_levels(getattr(args, "level", None)), {}
+    if args.digests:
+        with contextlib.suppress(EOFError):  # it did not start or ended without a result
+            digests = args.digests.result()
+    inputs = {role: digests.get(path) or fileio.sha256_digest(path)
+              for role, path in hashing.input_roles(args, levels)}
     kind = getattr(args, "kind", None) or "auto"
     return {"kind": kind, "levels": [d for d, _ in levels], "inputs": inputs, "ks": list(ks)}
 
@@ -296,7 +294,6 @@ def cmd_infer(args, out) -> int:
     if os.path.abspath(preds_path) in map(os.path.abspath, taken):
         raise InputError(f"--preds-out {preds_path} would overwrite what --out {args.out} writes")
     with load_method_inputs(args, [method]) as inputs, contextlib.ExitStack() as undo:
-        block0, ranges, n_procs = _row_ranges(inputs, args.workers if binary else 1)
         caller, written = os.getpid(), 0  # rows whose predictions are written
 
         def write_all(write):
@@ -314,9 +311,7 @@ def cmd_infer(args, out) -> int:
                             tops.append(top.astype(np.int32))
                     return tops
 
-                parts = [rows(*block0)]  # before any fork, so the workers inherit its caches
-                parts += _in_workers(rows, ranges, n_procs, inputs.readers())
-                for tops in parts:
+                for tops in _in_workers(rows, inputs, args.workers if binary else 1):
                     for top in tops:
                         write_preds(top)
             # Renamed into place before the scores file, and removed again if
@@ -334,115 +329,89 @@ def cmd_infer(args, out) -> int:
 _RANGES_PER_PROCESS, _MAX_RANGES = 32, 1024
 
 
-def _in_workers(work, ranges: list, n_procs: int, readers: list) -> list:
-    """``work(start, stop)`` for each row range; the results in range order.
+def _in_workers(work, inputs: MethodInputs, workers: int) -> list:
+    """``work(start, stop)`` for block 0, then each row range after it; the results in row order.
 
-    This process (first, before any fork) and ``n_procs - 1`` forked workers
-    take the ranges in order from a pipe of their indices, so a process that
-    gets less CPU time takes fewer. A worker re-opens ``readers`` (see
-    ``ScoreReader.reopen``) and sends its results, and its error as (type,
-    args, attributes), through its own pipe; it never returns into its caller.
-    A process stops at its first error and empties the queue. Every earlier
-    range was taken earlier and runs to its end, so the first failing range's
-    error, raised here with its type, message and attributes, is the one a
-    single process meets. If a worker's pipe or fork fails, no more are
-    started. Every worker is killed and reaped before this returns.
-    """
-    queue, fill = os.pipe()
-    os.write(fill, np.arange(len(ranges), dtype="<u4").tobytes())
-    os.close(fill)
-
-    def take(first=b""):
-        done = []
-        while index := first or os.read(queue, 4):
-            first, i = b"", int.from_bytes(index, "little")
-            try:
-                done.append((i, work(*ranges[i])))
-            except Exception as e:
-                while os.read(queue, 4 * _MAX_RANGES):
-                    pass
-                return done, (i, e)
-        return done, None
-
-    procs = []
-    try:
-        mine = os.read(queue, 4)
-        for _ in range(n_procs - 1):
-            fds = []
-            try:
-                fds += os.pipe()
-                pid = os.fork()
-            except OSError:  # no process can start: those running take every range left
-                for fd in fds:
-                    os.close(fd)
-                break
-            read_end, write_end = fds
-            if pid == 0:
-                try:
-                    with open(write_end, "wb") as pipe:
-                        try:
-                            for reader in readers:
-                                reader.reopen()
-                            done, fault = take()
-                        except BaseException as e:  # no range's: ranked after all of theirs
-                            done, fault = [], (len(ranges), e)
-                        if fault:
-                            i, e = fault
-                            fault = i, (type(e), e.args, vars(e))
-                        pickle.dump((done, fault), pipe)
-                finally:
-                    os._exit(0)
-            os.close(write_end)
-            procs.append((pid, open(read_end, "rb")))
-        done, fault = take(mine)
-        if fault and fault[0] == len(done):  # this process ran every range before it
-            raise fault[1]
-        faults = [fault] if fault else []
-        for pid, pipe in procs:
-            try:
-                theirs, fault = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError(f"worker {pid} ended without a result") from None
-            done += theirs
-            if fault:
-                i, (kind, args, attributes) = fault
-                error = kind.__new__(kind, *args)
-                error.__dict__.update(attributes)
-                faults.append((i, error))
-        if faults:
-            raise min(faults, key=lambda f: f[0])[1]
-        return [result for _, result in sorted(done, key=lambda d: d[0])]
-    finally:
-        os.close(queue)
-        for pid, pipe in procs:  # a worker whose result was read has nothing left to do
-            pipe.close()
-            os.kill(pid, 9)  # SIGKILL; importing signal adds ~0.1 MB to every run's peak RSS
-            os.waitpid(pid, 0)
-
-
-def _row_ranges(inputs: MethodInputs, workers: int):
-    """Block 0's rows, the row ranges after it, and how many processes share those.
-
-    The processes are one, plus one more per 8 blocks after block 0, up to
-    ``workers``. A range is as many consecutive blocks as keep the ranges to
-    ``_RANGES_PER_PROCESS`` a process and ``_MAX_RANGES`` in all.
+    Block 0 runs first, so that the workers forked after it inherit its caches.
+    A range is as many consecutive blocks as keep the ranges to
+    ``_RANGES_PER_PROCESS`` a process and ``_MAX_RANGES`` in all. This process
+    (its first range before any fork) and up to ``workers - 1`` workers
+    (``procs.Child``), one per 8 blocks after block 0, take the ranges in order
+    from a pipe of their indices, so a process that gets less CPU time takes
+    fewer; a worker first re-opens the readers (``ScoreReader.reopen``). A
+    process stops at its first error and empties the queue; every earlier range
+    was taken earlier, so the first failing range's error is the one a single
+    process meets. A range whose worker ended without a result runs here, in
+    row order, if it lies below that error. Every worker is killed and reaped.
     """
     n = inputs.fine.n_rows
     step = block_rows(len(inputs.fine.class_names))
     left = -(-n // step) - 1  # blocks after block 0
     n_procs = min(workers, 1 + left // 8)
     span = step * (-(-left // min(_MAX_RANGES, _RANGES_PER_PROCESS * n_procs)) or 1)
-    ranges = [(lo, min(n, lo + span)) for lo in range(step, n, span)]
-    return (0, min(step, n)), ranges, n_procs
+    ranges = [(0, min(step, n))] + [(lo, min(n, lo + span)) for lo in range(step, n, span)]
+    done = {0: work(*ranges[0])}
+    queue, fill = os.pipe()
+    os.write(fill, np.arange(1, len(ranges), dtype="<u4").tobytes())
+    os.close(fill)
+
+    def take(first=b""):
+        results = {}
+        while index := first or os.read(queue, 4):
+            first, i = b"", int.from_bytes(index, "little")
+            try:
+                results[i] = work(*ranges[i])
+            except Exception as e:
+                while os.read(queue, 4 * _MAX_RANGES):
+                    pass
+                return results, (i, e)
+        return results, None
+
+    def worker():
+        try:
+            for reader in inputs.readers():
+                reader.reopen()
+        except Exception as e:  # no range's: ranked after all of theirs
+            return {}, (len(ranges), e)
+        return take()
+
+    children = []
+    try:
+        first = os.read(queue, 4)
+        for _ in range(n_procs - 1):
+            child = procs.Child(worker)
+            if not child.pid:  # no process can start: those running take every range left
+                break
+            children.append(child)
+        mine, fault = take(first)
+        done.update(mine)
+        if fault and fault[0] == len(done):  # this process ran every range before it
+            raise fault[1]
+        faults = [fault] if fault else []
+        for child in children:
+            with contextlib.suppress(EOFError):  # it ended without a result
+                theirs, fault = child.result()
+                done.update(theirs)
+                faults += [fault] if fault else []
+        end, error = min(faults, key=lambda f: f[0], default=(len(ranges), None))
+        for i in range(end):
+            if i not in done:  # taken by a worker that ended without a result
+                done[i] = work(*ranges[i])
+        if error is not None:
+            raise error
+        return [done[i] for i in range(len(ranges))]
+    finally:
+        os.close(queue)
+        for child in children:  # a worker whose result was read has nothing left to do
+            child.close()
 
 
 def _evaluate(args, methods: list[str], ks) -> list[EvalReport]:
     """One report per method, in the order given; inputs are hashed once.
 
     The labels are read and counted before any row; then each block's top
-    max(ks) classes per row are ranked, scored and added to its method's report.
-    Block 0 builds the per-run caches; the blocks after it are shared out by
-    ``_row_ranges`` and ``_in_workers``.
+    max(ks) classes per row are ranked, scored and added to its method's report,
+    in the processes that ``_in_workers`` shares the blocks out to.
     """
     k, totals = max(ks), {}
     with load_method_inputs(args, methods) as inputs:
@@ -459,10 +428,7 @@ def _evaluate(args, methods: list[str], ks) -> list[EvalReport]:
                 part[m] = part[m] + block if m in part else block
             return part
 
-        block0, ranges, n_procs = _row_ranges(inputs, args.workers)
-        parts = [tally(*block0)]  # before any fork, so the workers inherit its caches
-        parts += _in_workers(tally, ranges, n_procs, inputs.readers())
-        for part in parts:
+        for part in _in_workers(tally, inputs, args.workers):
             for m, block in part.items():
                 totals[m] = totals[m] + block if m in totals else block
     echo = _config_echo(args, ks)

@@ -350,6 +350,8 @@ class ScoreReader:
                 raise ColumnMismatch(f"{where}: {len(fields)} fields, header has {n_cols}")
             for c, token in enumerate(fields):
                 try:
+                    if "_" in token:  # float() takes digit separators; the format has none
+                        raise ValueError
                     v = float(token)
                 except ValueError:
                     raise ParseError(f"{where}: not a number: {token.strip()!r}") from None

@@ -43,14 +43,14 @@ def no_child_process_outlives_a_test():
 
 
 def count_forks(monkeypatch) -> list:
-    """The module of each fork this process makes from now on: "hashing" for
-    a run's hasher, "commands" for a row worker."""
+    """The module that starts each child (``procs.Child``) this process forks from now
+    on: "cli" for a run's hashing child, "commands" for a row worker."""
     forks, fork = [], os.fork
 
     def counted():
         pid = fork()
-        if pid:
-            forks.append(sys._getframe(1).f_globals["__name__"].rpartition(".")[2])
+        if pid:  # frame 1 is Child.__init__, frame 2 its caller
+            forks.append(sys._getframe(2).f_globals["__name__"].rpartition(".")[2])
         return pid
 
     monkeypatch.setattr(os, "fork", counted)

@@ -297,21 +297,24 @@ def test_row_ranges_read_as_slices_of_the_whole(tmp_path, suffix):
 def test_row_range_errors_name_file_rows_and_lines(tmp_path):
     body = "".join(f"0.5,0.5\n" for _ in range(30))
     path = tmp_path / "late.csv"
-    path.write_text("# a comment\na,b\n" + body + "0.5,oops\n0.6,0.5\n-1.0,2.0\n")
+    path.write_text("# a comment\na,b\n" + body + "0.5,oops\n0.2_5,0.75\n0.6,0.5\n-1.0,2.0\n")
     with ScoreReader(str(path)) as reader:
-        assert reader.n_rows == 33
+        assert reader.n_rows == 34
         assert load_scores(str(path), rows=(20, 30), reader=reader).first_row == 20
         with pytest.raises(ParseError, match=r"late.csv:33: not a number: 'oops'"):
             reader.read(25, 31)
-        with pytest.raises(RowSumViolation, match="row 31 sums to 1.1"):
+        # float() would read a digit separator; the format has none
+        with pytest.raises(ParseError, match=r"late.csv:34: not a number: '0.2_5'"):
             reader.read(31, 32)
-        with pytest.raises(NegativeEntry, match="row 32, column 0") as exc:
+        with pytest.raises(RowSumViolation, match="row 32 sums to 1.1"):
             reader.read(32, 33)
+        with pytest.raises(NegativeEntry, match="row 33, column 0") as exc:
+            reader.read(33, 34)
         with pytest.raises(ValueError):
-            reader.read(30, 34)
+            reader.read(30, 35)
     # Row faults name the file, and keep their type and position attributes.
-    assert str(exc.value) == f"{path}: negative entry at row 32, column 0"
-    assert (exc.value.row, exc.value.col) == (32, 0)
+    assert str(exc.value) == f"{path}: negative entry at row 33, column 0"
+    assert (exc.value.row, exc.value.col) == (33, 0)
 
 
 def test_text_utf8_is_checked_across_read_chunks(tmp_path):

@@ -87,7 +87,7 @@ def test_each_echoed_digest_is_the_sha256_of_the_file(inputs, tmp_path, monkeypa
     for argv in commands(inputs(), out):
         assert run(argv, workers=workers) == 0
     capsys.readouterr()
-    assert forks == ["hashing"] * 2 * (workers > 1)
+    assert forks == ["cli"] * 2 * (workers > 1)
     assert echoed(out) == expected(tmp_path)
 
 
@@ -112,7 +112,7 @@ def test_the_caller_of_a_two_worker_compare_never_loads_hashlib(inputs, tmp_path
         "def counted():",
         "    pid = fork()",
         "    if pid:",
-        "        forks.append(sys._getframe(1).f_globals['__name__'])",
+        "        forks.append(sys._getframe(2).f_globals['__name__'])",  # Child's caller
         "    return pid",
         "os.fork = counted",
         "from hieval import cli, scores",
@@ -123,7 +123,7 @@ def test_the_caller_of_a_two_worker_compare_never_loads_hashlib(inputs, tmp_path
     done = subprocess.run([sys.executable, "-c", script, *compare], env=entry_point_env(),
                           capture_output=True, text=True)
     assert done.stderr == ""
-    assert done.stdout.endswith("0 ['hieval.hashing', 'hieval.commands'] []\n"), done.stdout
+    assert done.stdout.endswith("0 ['hieval.cli', 'hieval.commands'] []\n"), done.stdout
     table = json.loads((out / "table.json").read_text())["reports"]
     assert [r["config"]["inputs"] for r in table] == expected(tmp_path)[:3]
 
@@ -149,7 +149,7 @@ def test_a_fault_before_the_echo_is_the_same_with_a_hasher(inputs, tmp_path, mon
     results = {w: [(run(argv, workers=w), capsys.readouterr().err) for argv in argvs]
                for w in (1, 2)}
     assert results[1] == results[2]
-    assert forks == ["hashing"] * len(argvs)
+    assert forks == ["cli"] * len(argvs)
     for code, err in results[1]:
         assert code == 2
         assert err.startswith(first.format(d=tmp_path)) and err.count("\n") == 1

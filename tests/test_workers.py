@@ -23,7 +23,7 @@ import pytest
 
 from conftest import (SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES, count_forks, entry_point_env,
                       fail_call)
-from hieval import scores
+from hieval import fileio, scores
 from hieval.cli import run
 from hieval.commands import METHODS, _in_workers
 from hieval.errors import InputError, NonFiniteValue
@@ -69,7 +69,7 @@ def test_eval_and_compare_bytes_do_not_depend_on_the_worker_count(instance, monk
         assert run(["eval", *base, "--method", "hie-crm", "--out", str(report)],
                    workers=workers) == 0
         # Each command forks its hasher, then its workers, when more than one process may run.
-        assert forks == (["hashing"] + ["commands"] * (workers - 1)) * 2 * (workers > 1)
+        assert forks == (["cli"] + ["commands"] * (workers - 1)) * 2 * (workers > 1)
         outputs[workers] = (table.read_bytes(), report.read_bytes(), capsys.readouterr().out)
     assert outputs[1] == outputs[2] == outputs[3]
 
@@ -81,7 +81,7 @@ def test_too_few_blocks_stay_in_one_process(instance, monkeypatch, capsys):
     forks = count_forks(monkeypatch)
     assert run(["eval", *base, "--method", "hie"], workers=4) == 0
     capsys.readouterr()
-    assert forks == ["hashing"]  # the run may use 4 processes, so it hashes in one
+    assert forks == ["cli"]  # the run may use 4 processes, so it hashes in one
 
 
 @pytest.mark.parametrize("method", ["cascade", "crm"])
@@ -208,7 +208,7 @@ def test_the_first_fault_in_row_order_wins_whatever_the_workers(
         for command in (["eval", "--method", "hie"], ["compare", "--methods", "argmax,hie"]):
             code = run([*command, *base], workers=workers)
             results.append((code, capsys.readouterr().err))
-    assert forks == ["hashing", "commands", "commands"] * 2  # at 3 processes
+    assert forks == ["cli", "commands", "commands"] * 2  # at 3 processes
     assert len(set(results)) == 1
     code, err = results[0]
     assert code == (3 if "zero-mass" in faults.values() else 2)
@@ -246,6 +246,41 @@ def test_an_infer_fault_in_a_worker_is_reported_as_in_one_process(
     assert results[0] == results[1]
     assert results[0][0] == code
     assert results[0][1].startswith(first.format(d=tmp_path)) and results[0][1].count("\n") == 1
+
+
+@pytest.mark.parametrize("faults", [{}, {60: "nan", 110: "negative"}], ids=["no-fault", "faults"])
+@pytest.mark.parametrize("command", [["eval", "--method", "hie"],
+                                     ["compare", "--methods", "argmax,hie"],
+                                     ["infer", "--method", "hie"]], ids=lambda c: c[0])
+def test_a_worker_that_ends_without_a_result_is_reported_as_in_one_process(
+    probability_inputs, tmp_path, monkeypatch, capsys, command, faults
+):
+    # Each worker ends on its first block read, as when the OOM killer ends it.
+    base = probability_inputs(faults)
+    if command[0] == "infer":
+        base = base[:-4]  # no --labels, no --k
+    use_block_rows(monkeypatch, 7, 4)
+    caller, load_scores = os.getpid(), fileio.load_scores
+
+    def ending(*args, **kwargs):
+        if os.getpid() != caller:
+            os._exit(0)
+        return load_scores(*args, **kwargs)
+
+    forks = count_forks(monkeypatch)
+    results = []
+    for workers in (1, 3):
+        if workers > 1:
+            monkeypatch.setattr(fileio, "load_scores", ending)
+        out = tmp_path / str(workers)
+        out.mkdir()
+        code = run([*command, *base, "--out", str(out / "out.hies")], workers=workers)
+        std = capsys.readouterr()
+        results.append((code, std.out.replace(str(out), "OUT"), std.err,
+                        {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}))
+    assert forks == ["cli"] * (command[0] != "infer") + ["commands"] * 2  # at 3 processes
+    assert results[0] == results[1]
+    assert results[0][0] == (2 if faults else 0)
 
 
 def _usable_cpus() -> int:
@@ -316,23 +351,36 @@ def test_an_infer_fault_in_a_worker_leaves_no_output_through_the_entry_point(tmp
 # --------------------------------------------------------- the worker helper
 
 
+def one_row_blocks(monkeypatch, n_rows: int):
+    """What ``_in_workers`` reads of a run's inputs: ``n_rows`` rows in one-row blocks,
+    so that range i is rows [i, i + 1), and no reader to re-open."""
+    monkeypatch.setattr(scores, "BLOCK_ENTRIES", 1)
+    return SimpleNamespace(fine=SimpleNamespace(n_rows=n_rows, class_names=("c",)),
+                           readers=lambda: [])
+
+
+# Block 0 and 16 more: enough for 3 processes (one per 8 blocks after block 0).
+N_BLOCKS = 17
+
+
 @pytest.fixture
 def held_until_taken():
-    """``held_until_taken(work, n_workers)``: ``work``, except that range 0, which this
-    process takes, and each worker's range wait until ``n_workers`` workers have each
-    taken one, so every worker runs one."""
+    """``held_until_taken(work, n_workers)``: ``work``, except that range 1, which this
+    process takes before any fork, waits until ``n_workers`` workers have each taken a
+    range, and each range in a worker waits for range 1, so every worker runs one."""
     fds = []
 
     def hold(work, n_workers: int):
         taken, take = os.pipe()
         go, release = os.pipe()
         fds.extend([taken, take, go, release])
+        caller = os.getpid()
 
         def held(start, stop):
-            if start:
+            if os.getpid() != caller:
                 os.write(take, b"x")
                 os.read(go, 1)
-            else:
+            elif start == 1:
                 seen, deadline = 0, time.monotonic() + 30
                 os.set_blocking(taken, False)
                 while seen < n_workers and time.monotonic() < deadline:
@@ -349,11 +397,11 @@ def held_until_taken():
         os.close(fd)
 
 
-def test_results_come_back_in_range_order_from_other_processes(held_until_taken):
-    ranges = [(0, 4), (4, 9), (9, 10)]
-    results = _in_workers(held_until_taken(lambda a, b: (a, b, os.getpid()), 2), ranges, 3, [])
-    assert [r[:2] for r in results] == ranges
-    assert results[0][2] == os.getpid()
+def test_results_come_back_in_range_order_from_other_processes(monkeypatch, held_until_taken):
+    inputs = one_row_blocks(monkeypatch, N_BLOCKS)
+    results = _in_workers(held_until_taken(lambda a, b: (a, b, os.getpid()), 2), inputs, 3)
+    assert [r[:2] for r in results] == [(i, i + 1) for i in range(N_BLOCKS)]
+    assert results[0][2] == results[1][2] == os.getpid()  # block 0, then range 1 before any fork
     assert len({r[2] for r in results}) == 3
 
 
@@ -367,54 +415,81 @@ def test_every_range_is_run_once_whatever_the_processes(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", fork_and_let_the_worker_start)
-    ranges = [(i, i + 1) for i in range(50)]
-    for n_procs in (1, 2, 3):
-        results = _in_workers(lambda a, b: (a, os.getpid()), ranges, n_procs, [])
-        assert [r[0] for r in results] == list(range(50))
-        assert results[0][1] == os.getpid()  # taken before any fork
+    inputs = one_row_blocks(monkeypatch, 33)  # 32 ranges after block 0 at 1 process
+    for workers in (1, 2, 3):
+        results = _in_workers(lambda a, b: (a, os.getpid()), inputs, workers)
+        assert [r[0] for r in results] == list(range(33))
+        assert results[0][1] == results[1][1] == os.getpid()  # taken before any fork
 
 
-def test_a_worker_error_is_raised_with_its_type_message_and_attributes(held_until_taken):
+def test_a_worker_error_is_raised_with_its_type_message_and_attributes(monkeypatch,
+                                                                       held_until_taken):
+    caller = os.getpid()
+
     def work(start, stop):
-        if start:
+        if os.getpid() != caller:  # the workers take ranges 2 and 3
             e = NonFiniteValue(start + 1, 3)
             e.args = (f"some.hies: {e}",)
             raise e
         return start
 
     with pytest.raises(NonFiniteValue) as exc:
-        _in_workers(held_until_taken(work, 2), [(0, 4), (4, 8), (8, 12)], 3, [])
-    assert str(exc.value) == "some.hies: non-finite value at row 5, column 3"
-    assert (exc.value.row, exc.value.col) == (5, 3)
+        _in_workers(held_until_taken(work, 2), one_row_blocks(monkeypatch, N_BLOCKS), 3)
+    assert str(exc.value) == "some.hies: non-finite value at row 3, column 3"
+    assert (exc.value.row, exc.value.col) == (3, 3)
 
 
-def test_the_first_failing_range_wins_over_a_later_one_here(held_until_taken):
+def test_the_first_failing_range_wins_over_a_later_one_here(monkeypatch, held_until_taken):
     def work(start, stop):
-        if start in (1, 2):  # the workers' ranges; this process then takes range 3
+        if start in (2, 3):  # the workers' ranges; this process then takes range 4
             time.sleep(0.3)
-        if start in (1, 3):
+        if start in (2, 4):
             raise ValueError(start)
         return start
 
     with pytest.raises(ValueError) as exc:
-        _in_workers(held_until_taken(work, 2), [(i, i + 1) for i in range(4)], 3, [])
-    assert exc.value.args == (1,)
+        _in_workers(held_until_taken(work, 2), one_row_blocks(monkeypatch, N_BLOCKS), 3)
+    assert exc.value.args == (2,)
 
 
-def test_a_worker_that_ends_without_a_result_is_an_error():
-    with pytest.raises(RuntimeError, match=r"worker \d+ ended without a result"):
-        _in_workers(lambda a, b: a, [(0, 4), (4, 8)], 2, [SimpleNamespace(reopen=lambda: os._exit(0))])
+@pytest.mark.parametrize("failing, first, last", [((), None, 16), ((10,), 10, 10),
+                                                  ((3, 10), 3, 10)],
+                         ids=["no-fault", "fault-above", "fault-in-a-lost-range"])
+def test_the_ranges_of_a_worker_that_ends_without_a_result_run_here(monkeypatch, held_until_taken,
+                                                                    failing, first, last):
+    # The workers take ranges 2 and 3 and end, as when the OOM killer ends them; this
+    # process takes ranges 4 to `last` (its first fault or the last range), then runs
+    # 2 and 3 in row order, and the first fault in row order is raised.
+    caller, ran = os.getpid(), []
 
-
-def test_an_error_here_kills_and_reaps_every_worker(held_until_taken):
     def work(start, stop):
-        if start == 0:
+        if os.getpid() != caller:
+            os._exit(0)
+        ran.append(start)
+        if start in failing:
+            raise ValueError(start)
+        return start
+
+    inputs = one_row_blocks(monkeypatch, N_BLOCKS)
+    if first is None:
+        assert _in_workers(held_until_taken(work, 2), inputs, 3) == list(range(N_BLOCKS))
+    else:
+        with pytest.raises(ValueError) as exc:
+            _in_workers(held_until_taken(work, 2), inputs, 3)
+        assert exc.value.args == (first,)
+    assert ran == [0, 1, *range(4, last + 1), 2, 3]
+
+
+def test_an_error_here_kills_and_reaps_every_worker(monkeypatch, held_until_taken):
+    def work(start, stop):
+        if start == 1:
             raise KeyError("here")
-        time.sleep(60)
+        if start:
+            time.sleep(60)
 
     begun = time.perf_counter()
     with pytest.raises(KeyError):
-        _in_workers(held_until_taken(work, 2), [(0, 1), (1, 2), (2, 3)], 3, [])
+        _in_workers(held_until_taken(work, 2), one_row_blocks(monkeypatch, N_BLOCKS), 3)
     assert time.perf_counter() - begun < 30
 
 
