@@ -12,8 +12,8 @@ it back in; importing the package changes neither setting.
 
 :func:`main`, the process entry, runs ``eval``, ``compare`` and ``infer`` on every
 usable CPU and exits without teardown when done; :func:`run` runs in-process and returns.
-Every process besides the caller is a ``procs.Child``: where one cannot start, or
-ends without a result, the caller does its work, with the same bytes and messages.
+Every process besides the caller is a ``procs.Child``: where one cannot start, ends
+without a result or meets a fault, the caller does its work and raises any fault itself.
 """
 
 from __future__ import annotations
@@ -60,6 +60,16 @@ def _keep_freed_memory() -> None:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     for param in (-1, -3):
         mallopt(param, 32 << 20)
+
+
+def integer(text: str) -> int:
+    """``int(text)``, refusing the PEP 515 ``_`` and the other scripts' digits ``int`` takes."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"invalid literal for int(): {text!r}")
+    return int(text)
+
+
+integer.__name__ = "int"  # as argparse and commands name the type: "invalid int value: '1_0'"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a seeded synthetic instance on disk")
     p.add_argument("--branching", required=True, help="comma list, e.g. 8,8")
     p.add_argument("--noise", required=True, help="comma list of per-level noise scales")
-    p.add_argument("--n-samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-samples", type=integer, required=True)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--out-dir", required=True)
     return parser
 

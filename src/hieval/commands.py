@@ -17,6 +17,7 @@ import numpy as np
 
 from . import ensemble, fileio, hashing, procs, risk, synth
 from . import taxonomy as tx
+from .cli import integer
 from .errors import (DimensionMismatch, DuplicateMethod, InputError, KTooLarge, LengthMismatch,
                      ZeroDenominator)
 from .metrics import EvalReport, _counts, eval_report
@@ -45,7 +46,7 @@ _KIND_FLAG = {"logits": LOGITS, "probs": PROBABILITIES, None: None}
 
 def parse_ks(text: str) -> list[int]:
     try:
-        ks = [int(x) for x in text.split(",") if x.strip()]
+        ks = [integer(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise InputError(f"--k must be a comma list of integers, got {text!r}") from None
     if not ks or any(k < 1 for k in ks):
@@ -63,7 +64,7 @@ def parse_levels(entries) -> list[tuple[int, str]]:
         if not sep or not path:
             raise InputError(f"--level expects depth=path, got {entry!r}")
         try:
-            d = int(depth)
+            d = integer(depth)
         except ValueError:
             raise InputError(f"--level depth must be an integer, got {depth!r}") from None
         if any(d == seen for seen, _ in out):
@@ -238,15 +239,15 @@ def _config_echo(args, ks) -> dict:
     """The config every report of one run shares; each input is hashed once.
 
     The digests come from the run's hashing child (``args.digests``), or,
-    where it gave none, from ``fileio.sha256_digest`` here. A report's config
-    is ``{"method": name, **echo}``.
+    where it gave none, from ``hashing.digests`` here. A report's config is
+    ``{"method": name, **echo}``.
     """
-    levels, digests = parse_levels(getattr(args, "level", None)), {}
+    levels, digests = parse_levels(getattr(args, "level", None)), None
     if args.digests:
-        with contextlib.suppress(EOFError):  # it did not start or ended without a result
+        with contextlib.suppress(EOFError):  # it did not start, met a fault or ended first
             digests = args.digests.result()
-    inputs = {role: digests.get(path) or fileio.sha256_digest(path)
-              for role, path in hashing.input_roles(args, levels)}
+    digests = digests or hashing.digests(args)
+    inputs = {role: digests[path] for role, path in hashing.input_roles(args, levels)}
     kind = getattr(args, "kind", None) or "auto"
     return {"kind": kind, "levels": [d for d, _ in levels], "inputs": inputs, "ks": list(ks)}
 
@@ -338,11 +339,11 @@ def _in_workers(work, inputs: MethodInputs, workers: int) -> list:
     (its first range before any fork) and up to ``workers - 1`` workers
     (``procs.Child``), one per 8 blocks after block 0, take the ranges in order
     from a pipe of their indices, so a process that gets less CPU time takes
-    fewer; a worker first re-opens the readers (``ScoreReader.reopen``). A
-    process stops at its first error and empties the queue; every earlier range
-    was taken earlier, so the first failing range's error is the one a single
-    process meets. A range whose worker ended without a result runs here, in
-    row order, if it lies below that error. Every worker is killed and reaped.
+    fewer; a worker first re-opens the readers (``ScoreReader.reopen``), and where
+    it cannot, takes none. A process stops at its first error and empties the
+    queue; a worker then sends what it has. Ranges that no worker sent back run
+    here in row order, up to this process's own first error, so the error raised
+    is the first a single process meets. Every worker is killed and reaped.
     """
     n = inputs.fine.n_rows
     step = block_rows(len(inputs.fine.class_names))
@@ -368,12 +369,9 @@ def _in_workers(work, inputs: MethodInputs, workers: int) -> list:
         return results, None
 
     def worker():
-        try:
-            for reader in inputs.readers():
-                reader.reopen()
-        except Exception as e:  # no range's: ranked after all of theirs
-            return {}, (len(ranges), e)
-        return take()
+        for reader in inputs.readers():
+            reader.reopen()  # where this raises, the worker takes no range and sends nothing
+        return take()[0]
 
     children = []
     try:
@@ -387,15 +385,12 @@ def _in_workers(work, inputs: MethodInputs, workers: int) -> list:
         done.update(mine)
         if fault and fault[0] == len(done):  # this process ran every range before it
             raise fault[1]
-        faults = [fault] if fault else []
         for child in children:
-            with contextlib.suppress(EOFError):  # it ended without a result
-                theirs, fault = child.result()
-                done.update(theirs)
-                faults += [fault] if fault else []
-        end, error = min(faults, key=lambda f: f[0], default=(len(ranges), None))
+            with contextlib.suppress(EOFError):  # it met a fault or ended without a result
+                done.update(child.result())
+        end, error = fault or (len(ranges), None)
         for i in range(end):
-            if i not in done:  # taken by a worker that ended without a result
+            if i not in done:  # a worker took it and sent no result for it
                 done[i] = work(*ranges[i])
         if error is not None:
             raise error
@@ -496,7 +491,7 @@ def _comma_list(text: str, parse, flag: str) -> tuple:
 
 def cmd_synth(args, out) -> int:
     cfg = synth.SynthConfig(
-        branching=_comma_list(args.branching, int, "--branching"),
+        branching=_comma_list(args.branching, integer, "--branching"),
         n_samples=args.n_samples,
         noise=_comma_list(args.noise, float, "--noise"),
         seed=args.seed,

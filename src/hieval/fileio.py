@@ -44,7 +44,7 @@ from .errors import (
     UnknownClass,
     UnknownLeaf,
 )
-from .hashing import sha256_digest  # noqa: F401  (commands looks it up here at each call)
+from .hashing import sha256_digest  # noqa: F401  (the benchmark tracer's target for hashing)
 from .metrics import EvalReport
 from .scores import (FILE_TOL, LOGITS, PROBABILITIES, ScoreMatrix, check_finite,
                      validate_probabilities)

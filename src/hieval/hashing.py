@@ -4,8 +4,8 @@ This module imports neither numpy nor, until a digest is computed, hashlib,
 whose OpenSSL pages would otherwise be a run's peak memory. When the run may
 use more than one process, ``cli.run`` computes :func:`digests` in a
 ``procs.Child`` forked before numpy loads, so that the calling process never
-loads OpenSSL and the hashing overlaps the run. Where that child cannot start
-or ends without a result, the calling process hashes the inputs itself.
+loads OpenSSL and the hashing overlaps the run. Where that child cannot start,
+ends first or meets an unreadable input, the calling process hashes them itself.
 """
 
 from __future__ import annotations

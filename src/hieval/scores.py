@@ -135,8 +135,6 @@ def top_k(m: ScoreMatrix, k: int) -> np.ndarray:
     if k == 1:
         # argmax returns the first index among equal maxima.
         return values.argmax(axis=1)[:, None]
-    if k == n_cols:
-        return np.argsort(-values, axis=1, kind="stable")
     part = np.argpartition(values, n_cols - k - 1, axis=1)
     rows = np.arange(n)[:, None]
     cand = np.sort(part[:, n_cols - k:], axis=1)

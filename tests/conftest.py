@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from hieval import cli
+from hieval import cli, scores
 from hieval.errors import ZeroDenominator
 from hieval.scores import ScoreMatrix
 from hieval.synth import gen_instance, gen_taxonomy
@@ -72,6 +72,11 @@ def fail_call(monkeypatch, name: str, n: int) -> list:
 
     monkeypatch.setattr(os, name, failing)
     return calls
+
+
+def use_block_rows(monkeypatch, rows: int, n_cols: int) -> None:
+    """Have the commands read ``rows`` rows a block from files of ``n_cols`` columns."""
+    monkeypatch.setattr(scores, "BLOCK_ENTRIES", rows * n_cols)
 
 
 def entry_point_env() -> dict:

@@ -460,6 +460,42 @@ def test_synth_flag_faults_exit_2_naming_the_flag(tmp_path, capsys, flag, value,
     assert not (tmp_path / "inst").exists()
 
 
+# int() also takes PEP 515 separators ("1_0" is 10) and other scripts' digits ("١٠" is 10).
+INTEGER_FAULTS = [
+    ("--k", "1,1_0", "InputError: --k must be a comma list of integers, got '1,1_0'"),
+    ("--k", "١٠", "InputError: --k must be a comma list of integers, got '١٠'"),
+    ("--level", "0_1={ws}/coarse.csv", "InputError: --level depth must be an integer, got '0_1'"),
+    ("--level", "١={ws}/coarse.csv", "InputError: --level depth must be an integer, got '١'"),
+    ("--branching", "2,1_0", "InputError: --branching must be a comma list of int values, got '2,1_0'"),
+    ("--branching", "2,٢", "InputError: --branching must be a comma list of int values, got '2,٢'"),
+    ("--n-samples", "1_0", "argument --n-samples: invalid int value: '1_0'"),
+    ("--n-samples", "١٠", "argument --n-samples: invalid int value: '١٠'"),
+    ("--seed", "0_1", "argument --seed: invalid int value: '0_1'"),
+    ("--seed", "١", "argument --seed: invalid int value: '١'"),
+]
+
+
+@pytest.mark.parametrize("flag, value, message", INTEGER_FAULTS, ids=[
+    f"{flag[2:]}-{'separator' if '_' in value else 'non-ascii'}" for flag, value, _ in INTEGER_FAULTS])
+def test_an_integer_option_takes_only_ascii_digits(workspace, capsys, flag, value, message):
+    if flag in ("--k", "--level"):
+        hierarchy, fine, labels = paths(workspace, "hierarchy.json", "fine.csv", "labels.txt")
+        argv = ["eval", "--hierarchy", hierarchy, "--fine", fine, "--labels", labels,
+                "--method", "cascade", flag, value.format(ws=workspace)]
+    else:
+        flags = {"--branching": "2,2", "--noise": "1,1", "--n-samples": "4",
+                 "--out-dir": str(workspace / "inst"), flag: value}
+        argv = ["synth", *(x for item in flags.items() for x in item)]
+    try:
+        code = run(argv)
+    except SystemExit as e:  # argparse's own check of a typed option
+        code = e.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) or err.endswith(f"error: {message}\n")
+    assert not (workspace / "inst").exists()
+
+
 def test_cascade_via_level_flags(tmp_path, capsys):
     d = str(tmp_path / "inst")
     assert run(["synth", "--branching", "3,3,4", "--noise", "1.0,0.5,2.0",

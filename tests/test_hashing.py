@@ -17,7 +17,7 @@ import pytest
 
 from conftest import (SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES, count_forks, entry_point_env,
                       fail_call)
-from hieval import fileio, hashing
+from hieval import hashing
 from hieval.cli import run
 
 N_ROWS = 60
@@ -58,6 +58,14 @@ def commands(base, out) -> list:
              "--out", str(out / "report.json")]]
 
 
+def hash_with(monkeypatch, instead, here=True) -> None:
+    """Have ``hashing.sha256_digest`` call ``instead`` in this process only, or,
+    with ``here=False``, in every other process only (the hasher)."""
+    pid, real = os.getpid(), hashing.sha256_digest
+    monkeypatch.setattr(hashing, "sha256_digest",
+                        lambda path: (instead if (os.getpid() == pid) == here else real)(path))
+
+
 def sha256(path) -> str:
     with open(path, "rb") as f:
         return "sha256:" + hashlib.sha256(f.read()).hexdigest()
@@ -83,12 +91,27 @@ def test_each_echoed_digest_is_the_sha256_of_the_file(inputs, tmp_path, monkeypa
     out.mkdir()
     forks = count_forks(monkeypatch)
     if workers > 1:  # the hasher's digests, not this process's
-        monkeypatch.setattr(fileio, "sha256_digest", lambda path: pytest.fail(f"hashed {path}"))
+        hash_with(monkeypatch, lambda path: pytest.fail(f"hashed {path}"))
     for argv in commands(inputs(), out):
         assert run(argv, workers=workers) == 0
     capsys.readouterr()
     assert forks == ["cli"] * 2 * (workers > 1)
     assert echoed(out) == expected(tmp_path)
+
+
+def test_one_process_hashes_a_file_given_under_two_roles_once(inputs, tmp_path, monkeypatch,
+                                                              capsys):
+    # The coarse file is --coarse and --level 1.
+    hashed = []
+    hash_with(monkeypatch, lambda path: hashed.append(path) or sha256(path))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(commands(inputs(), out)[0], workers=1) == 0
+    capsys.readouterr()
+    assert sorted(hashed) == sorted(str(tmp_path / name) for name in [
+        "hierarchy.json", "fine.csv", "coarse.csv", "labels.txt"])
+    table = json.loads((out / "table.json").read_text())["reports"]
+    assert [r["config"]["inputs"] for r in table] == expected(tmp_path)[:3]
 
 
 def test_each_echoed_digest_is_the_sha256_of_the_file_through_the_entry_point(inputs, tmp_path):
@@ -179,8 +202,7 @@ def test_a_hasher_that_cannot_start_leaves_the_hashing_here(inputs, tmp_path, mo
 
 def test_a_hasher_that_ends_without_a_result_leaves_the_hashing_here(inputs, tmp_path, monkeypatch,
                                                                      capsys):
-    # The hasher calls hashing.sha256_digest; fileio's binding, which this process calls, is intact.
-    monkeypatch.setattr(hashing, "sha256_digest", lambda path: os._exit(0))
+    hash_with(monkeypatch, lambda path: os._exit(0), here=False)
     out = tmp_path / "out"
     out.mkdir()
     for argv in commands(inputs(), out):

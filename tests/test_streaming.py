@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES, same_bits
+from conftest import SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES, same_bits, use_block_rows
 from hieval import fileio, risk, scores, taxonomy
 from hieval.cli import build_parser, run
 from hieval.commands import METHODS, load_method_inputs, run_methods
@@ -27,10 +27,6 @@ from hieval.taxonomy import ancestor_index_map, parent_index_map
 
 N_ROWS = 50
 BLOCKS = {"1-row": 1, "7-row": 7, "all-rows": N_ROWS}
-
-
-def use_block_rows(monkeypatch, rows: int, n_cols: int) -> None:
-    monkeypatch.setattr(scores, "BLOCK_ENTRIES", rows * n_cols)
 
 
 @pytest.fixture(scope="module")

@@ -22,8 +22,8 @@ import numpy as np
 import pytest
 
 from conftest import (SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES, count_forks, entry_point_env,
-                      fail_call)
-from hieval import fileio, scores
+                      fail_call, use_block_rows)
+from hieval import fileio
 from hieval.cli import run
 from hieval.commands import METHODS, _in_workers
 from hieval.errors import InputError, NonFiniteValue
@@ -32,10 +32,6 @@ from hieval.scores import LOGITS, ScoreMatrix
 
 # In 7-row blocks: block 0, then 21 blocks, enough for 3 processes (one per 8 blocks).
 N_ROWS = 150
-
-
-def use_block_rows(monkeypatch, rows: int, n_cols: int) -> None:
-    monkeypatch.setattr(scores, "BLOCK_ENTRIES", rows * n_cols)
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +279,43 @@ def test_a_worker_that_ends_without_a_result_is_reported_as_in_one_process(
     assert results[0][0] == (2 if faults else 0)
 
 
+@pytest.mark.parametrize("faults", [{}, {60: "nan", 110: "negative"}], ids=["no-fault", "faults"])
+@pytest.mark.parametrize("command", [["eval", "--method", "hie"],
+                                     ["compare", "--methods", "argmax,hie"],
+                                     ["infer", "--method", "hie"]], ids=lambda c: c[0])
+def test_a_worker_that_cannot_reopen_the_inputs_leaves_its_ranges_to_this_process(
+    probability_inputs, tmp_path, monkeypatch, capsys, command, faults
+):
+    base = probability_inputs(faults)
+    if command[0] == "infer":
+        base = base[:-4]  # no --labels, no --k
+    use_block_rows(monkeypatch, 7, 4)
+    failed, mark = os.pipe()
+
+    def failing(reader):  # only a worker re-opens its inputs
+        os.write(mark, b"x")
+        raise InputError(f"{reader.path} was replaced after it was checked")
+
+    monkeypatch.setattr(ScoreReader, "reopen", failing)
+    results = []
+    try:
+        for workers in (1, 3):
+            out = tmp_path / str(workers)
+            out.mkdir()
+            code = run([*command, *base, "--out", str(out / "out.hies")], workers=workers)
+            std = capsys.readouterr()
+            results.append((code, std.out.replace(str(out), "OUT"), std.err,
+                            {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}))
+        os.set_blocking(failed, False)
+        if not faults:  # a fault at row 60 may end the run before a worker tries
+            assert os.read(failed, 8) == b"xx"  # both workers, at 3 processes
+    finally:
+        os.close(failed)
+        os.close(mark)
+    assert results[0] == results[1]
+    assert results[0][0] == (2 if faults else 0)
+
+
 def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
@@ -354,7 +387,7 @@ def test_an_infer_fault_in_a_worker_leaves_no_output_through_the_entry_point(tmp
 def one_row_blocks(monkeypatch, n_rows: int):
     """What ``_in_workers`` reads of a run's inputs: ``n_rows`` rows in one-row blocks,
     so that range i is rows [i, i + 1), and no reader to re-open."""
-    monkeypatch.setattr(scores, "BLOCK_ENTRIES", 1)
+    use_block_rows(monkeypatch, 1, 1)
     return SimpleNamespace(fine=SimpleNamespace(n_rows=n_rows, class_names=("c",)),
                            readers=lambda: [])
 
@@ -422,21 +455,35 @@ def test_every_range_is_run_once_whatever_the_processes(monkeypatch):
         assert results[0][1] == results[1][1] == os.getpid()  # taken before any fork
 
 
-def test_a_worker_error_is_raised_with_its_type_message_and_attributes(monkeypatch,
-                                                                       held_until_taken):
-    caller = os.getpid()
+def test_a_range_that_fails_in_a_worker_runs_again_here_and_its_error_is_raised_here(
+    monkeypatch, held_until_taken
+):
+    # The workers take ranges 2 and 3, and range 3 fails wherever it runs.
+    caller, ran, (theirs, mark) = os.getpid(), [], os.pipe()
 
     def work(start, stop):
-        if os.getpid() != caller:  # the workers take ranges 2 and 3
-            e = NonFiniteValue(start + 1, 3)
+        if os.getpid() == caller:
+            ran.append(start)
+        else:
+            os.write(mark, bytes([start]))
+        if start == 3:
+            e = NonFiniteValue(start, 1)
             e.args = (f"some.hies: {e}",)
             raise e
         return start
 
-    with pytest.raises(NonFiniteValue) as exc:
-        _in_workers(held_until_taken(work, 2), one_row_blocks(monkeypatch, N_BLOCKS), 3)
-    assert str(exc.value) == "some.hies: non-finite value at row 3, column 3"
-    assert (exc.value.row, exc.value.col) == (3, 3)
+    try:
+        with pytest.raises(NonFiniteValue) as exc:
+            _in_workers(held_until_taken(work, 2), one_row_blocks(monkeypatch, N_BLOCKS), 3)
+        os.set_blocking(theirs, False)
+        assert 3 in os.read(theirs, N_BLOCKS)
+    finally:
+        os.close(theirs)
+        os.close(mark)
+    assert (str(exc.value), exc.value.row) == ("some.hies: non-finite value at row 3, column 1", 3)
+    # This process runs ranges above 3 while it can take them, then range 3 again.
+    assert ran[:2] == [0, 1] and ran[-1] == 3
+    assert ran[2:-1] == sorted(ran[2:-1]) and all(i > 3 for i in ran[2:-1])
 
 
 def test_the_first_failing_range_wins_over_a_later_one_here(monkeypatch, held_until_taken):
