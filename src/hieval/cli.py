@@ -72,6 +72,16 @@ def integer(text: str) -> int:
 integer.__name__ = "int"  # as argparse and commands name the type: "invalid int value: '1_0'"
 
 
+def real(text: str) -> float:
+    """``float(text)``, refusing what :func:`integer` refuses; a score file has no ``_`` either."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
+real.__name__ = "float"  # "--noise must be a comma list of float values, got '1_0,1'"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hieval",

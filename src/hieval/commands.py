@@ -17,7 +17,7 @@ import numpy as np
 
 from . import ensemble, fileio, hashing, procs, risk, synth
 from . import taxonomy as tx
-from .cli import integer
+from .cli import integer, real
 from .errors import (DimensionMismatch, DuplicateMethod, InputError, KTooLarge, LengthMismatch,
                      ZeroDenominator)
 from .metrics import EvalReport, _counts, eval_report
@@ -90,6 +90,7 @@ def check_methods(methods: list[str]) -> None:
 class MethodInputs:
     """The taxonomy and every given score file, opened and checked once.
 
+    ``columns`` maps each reader to its ``fileio.column_order``, bound at open.
     The files stay open for block-by-block reading; ``close`` (or leaving a
     ``with`` block) closes them.
     """
@@ -98,9 +99,10 @@ class MethodInputs:
     fine: fileio.ScoreReader | None
     coarse: fileio.ScoreReader | None
     levels: list[tuple[int, fileio.ScoreReader]]
+    columns: dict[fileio.ScoreReader, tuple]
 
     def readers(self) -> list:
-        return [r for r in [self.fine, self.coarse] + [r for _, r in self.levels] if r is not None]
+        return list(self.columns)  # opened in the order fine, coarse, levels
 
     def close(self) -> None:
         for reader in self.readers():
@@ -115,31 +117,30 @@ class MethodInputs:
     def read(self, start: int, stop: int):
         """Rows ``[start, stop)`` of every file as probabilities: (fine, coarse, [(depth, m)]).
 
-        Each block is read, checked, aligned to the taxonomy and softmaxed
-        (logits), file by file in the order fine, coarse, levels.
+        Each block is read and checked, put in the taxonomy's column order
+        as bound at open, and softmaxed (logits), file by file in the order
+        fine, coarse, levels.
         """
-        t = self.taxonomy
-
-        def block(reader, level):
+        def block(reader):
             if reader is None:
                 return None
-            raw = fileio.load_scores(reader.path, rows=(start, stop), reader=reader)
+            m = reader.read(start, stop)
+            perm, names = self.columns[reader]
+            if perm is not None:  # np.take's copy is C-ordered, unlike m.values[:, perm]
+                m = ScoreMatrix._adopt(np.take(m.values, perm, axis=1), m.kind, names, start)
             # Validated as read; no caller sees the block, so softmax it in place.
-            return as_probabilities(fileio.align_columns(raw, t, level), _in_place=True)
+            return as_probabilities(m, _in_place=True)
 
-        return (
-            block(self.fine, "leaf"),
-            block(self.coarse, "coarse"),
-            [(d, block(r, d)) for d, r in self.levels],
-        )
+        return block(self.fine), block(self.coarse), [(d, block(r)) for d, r in self.levels]
 
 
 def load_method_inputs(args, methods: list[str]) -> MethodInputs:
     """Open every given score file and check everything that needs no rows.
 
-    That is each file's header, kind and columns, the inputs ``methods``
-    need, and that every file has the fine file's row count; rows are read
-    only once all of that holds. Every given file is read, used or not.
+    That is each file's header, kind and columns, bound to the taxonomy here
+    once, the inputs ``methods`` need, and that every file has the fine
+    file's row count; rows are read only once all of that holds. Every
+    given file is read, used or not.
     """
     t = fileio.load_hierarchy(args.hierarchy)
     level_paths = parse_levels(getattr(args, "level", None))
@@ -149,14 +150,14 @@ def load_method_inputs(args, methods: list[str]) -> MethodInputs:
         if depth == t.max_depth:
             # The deepest level holds only leaves; cascading it would square the fine row.
             raise InputError(f"--level depth {depth} is the leaf depth; leaf scores go in --fine")
-    kind = _KIND_FLAG[getattr(args, "kind", None)]
+    kind, columns = _KIND_FLAG[getattr(args, "kind", None)], {}
 
     with contextlib.ExitStack() as stack:
         def open_checked(path, level, flag):
             if path:
                 reader = stack.enter_context(fileio.ScoreReader(path, kind))
                 try:
-                    fileio.column_order(reader.class_names, t, level)
+                    columns[reader] = fileio.column_order(reader.class_names, t, level)
                 except InputError as e:  # DuplicateClass, UnknownClass or MissingClass
                     what = f"depth-{level}" if isinstance(level, int) else level
                     e.args = (f"{path}: {e} ({flag} takes the {what} classes)",)
@@ -166,7 +167,7 @@ def load_method_inputs(args, methods: list[str]) -> MethodInputs:
         fine = open_checked(getattr(args, "fine", None), "leaf", "--fine")
         coarse = open_checked(getattr(args, "coarse", None), "coarse", "--coarse")
         levels = [(d, open_checked(path, d, f"--level {d}")) for d, path in level_paths]
-        inputs = MethodInputs(t, fine, coarse, levels)
+        inputs = MethodInputs(t, fine, coarse, levels, columns)
         _check_sources(methods, inputs)
         stack.pop_all()
     return inputs
@@ -493,7 +494,7 @@ def cmd_synth(args, out) -> int:
     cfg = synth.SynthConfig(
         branching=_comma_list(args.branching, integer, "--branching"),
         n_samples=args.n_samples,
-        noise=_comma_list(args.noise, float, "--noise"),
+        noise=_comma_list(args.noise, real, "--noise"),
         seed=args.seed,
     )
     try:

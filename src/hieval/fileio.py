@@ -11,9 +11,10 @@ Binary files carry their class names in a JSON sidecar at ``<path>.names.json``.
 Score columns are always bound to taxonomy levels by class name, never by
 position, so a misordered file is a detectable error instead of silent
 corruption. A :class:`ScoreReader` checks a file's header once and then reads
-any range of rows, and ``save_scores`` writes row blocks as they come, so
-callers can stream score sets of any length. All writes go through a temp
-file and rename.
+any range of rows in the file's column order; :func:`column_order` binds the
+columns to a level by name once, at open, for one ``np.take`` a block.
+``save_scores`` writes row blocks as they come, so callers can stream score
+sets of any length. All writes go through a temp file and rename.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from . import taxonomy as tx
+from .cli import real
 from .errors import (
     ColumnMismatch,
     DuplicateClass,
@@ -273,6 +275,9 @@ class ScoreReader:
         if not isinstance(class_names, list) or len(class_names) != cols:
             count = len(class_names) if isinstance(class_names, list) else "no list of"
             raise ColumnMismatch(f"{sidecar}: {count} class names for {cols} columns")
+        if not {*map(type, class_names)} <= {str} or "" in class_names:
+            bad = next(c for c in class_names if type(c) is not str or not c)
+            raise ParseError(f"{sidecar}: invalid names sidecar: class name {bad!r}")
         if rows < 1 or cols < 1:
             raise EmptyInput(f"score matrix has shape {(rows, cols)}")
         self.kind, self.class_names, self.n_rows = kind, tuple(class_names), rows
@@ -350,9 +355,7 @@ class ScoreReader:
                 raise ColumnMismatch(f"{where}: {len(fields)} fields, header has {n_cols}")
             for c, token in enumerate(fields):
                 try:
-                    if "_" in token:  # float() takes digit separators; the format has none
-                        raise ValueError
-                    v = float(token)
+                    v = real(token)
                 except ValueError:
                     raise ParseError(f"{where}: not a number: {token.strip()!r}") from None
                 if not np.isfinite(v):
@@ -378,25 +381,6 @@ class ScoreReader:
             e.args = (f"{self.path}: {e}",)  # type and row/column attributes stay
             raise
         return m
-
-
-def load_scores(
-    path: str,
-    declared_kind: str | None = None,
-    rows: tuple[int, int] | None = None,
-    reader: ScoreReader | None = None,
-) -> ScoreMatrix:
-    """Load a score matrix, or rows ``[start, stop)`` of it; see :class:`ScoreReader`.
-
-    Binary and text files are told apart by the magic bytes. ``reader`` is a
-    ScoreReader already open on ``path``: a caller that reads a file block by
-    block opens and checks it once and reads each block through it, and its
-    ``declared_kind`` was checked on opening.
-    """
-    if reader is not None:
-        return reader.read(*(rows or (0, reader.n_rows)))
-    with ScoreReader(path, declared_kind) as r:
-        return r.read(*(rows or (0, r.n_rows)))
 
 
 def save_scores(m, path: str) -> None:
@@ -453,30 +437,25 @@ def save_scores(m, path: str) -> None:
             raise
 
 
-def _canonical_names(t: tx.Taxonomy, level) -> tuple:
+def column_order(names: Sequence[str], t: tx.Taxonomy, level) -> tuple[np.ndarray | None, tuple]:
+    """How columns named ``names`` bind to ``level``'s classes: ``(perm, canonical names)``.
+
+    ``level`` is "leaf", "coarse", or an integer depth. ``np.take(values, perm,
+    axis=1)`` puts a block's columns into the canonical order; ``perm`` is None
+    when they are in it already. Raises DuplicateClass, UnknownClass or
+    MissingClass, so a file's columns are bound once, before any row is read.
+    """
     if level == "leaf":
-        build = t.leaf_names
+        canonical = t.leaf_names()
     elif level == "coarse":
-        build = t.coarse_names
+        canonical = t.coarse_names()
     elif isinstance(level, int):
-        def build():
-            return tuple(t.names[i] for i in tx.level_order(t, level))
+        canonical = tuple(t.names[i] for i in tx.level_order(t, level))
     else:
         raise ParseError(f"unknown level selector {level!r}")
-    return tx.cached(t, ("names", level), build)
-
-
-def column_order(names: Sequence[str], t: tx.Taxonomy, level) -> np.ndarray | None:
-    """The column permutation that puts ``names`` into the canonical order for ``level``.
-
-    ``level`` is "leaf", "coarse", or an integer depth. None when the names
-    are canonical already. Raises DuplicateClass, UnknownClass or
-    MissingClass, so a file's columns can be checked before any row is read.
-    """
-    canonical = _canonical_names(t, level)
     got = tuple(names)
     if got == canonical:
-        return None
+        return None, canonical
     seen: set[str] = set()
     for name in got:
         if name in seen:
@@ -490,20 +469,7 @@ def column_order(names: Sequence[str], t: tx.Taxonomy, level) -> np.ndarray | No
         if name not in seen:
             raise MissingClass(f"class {name!r} has no column")
     col = {name: i for i, name in enumerate(got)}
-    return np.array([col[name] for name in canonical], dtype=np.intp)
-
-
-def align_columns(m: ScoreMatrix, t: tx.Taxonomy, level) -> ScoreMatrix:
-    """Permute columns into the taxonomy's canonical order for ``level``.
-
-    See :func:`column_order`. Already-canonical input is returned as-is, so
-    alignment is idempotent.
-    """
-    perm = column_order(m.class_names, t, level)
-    if perm is None:
-        return m
-    values = np.take(m.values, perm, axis=1)  # C-ordered, unlike m.values[:, perm]
-    return ScoreMatrix._adopt(values, m.kind, _canonical_names(t, level), m.first_row)
+    return np.array([col[name] for name in canonical], dtype=np.intp), canonical
 
 
 # ------------------------------------------------------------ label files

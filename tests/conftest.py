@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from hieval import cli, scores
 from hieval.errors import ZeroDenominator
+from hieval.fileio import ScoreReader
 from hieval.scores import ScoreMatrix
 from hieval.synth import gen_instance, gen_taxonomy
 from hieval.taxonomy import Taxonomy, build_taxonomy, cost_matrix
@@ -72,6 +73,12 @@ def fail_call(monkeypatch, name: str, n: int) -> list:
 
     monkeypatch.setattr(os, name, failing)
     return calls
+
+
+def read_scores(path, declared_kind=None) -> ScoreMatrix:
+    """Every row of the score file at ``path`` as one matrix, its columns in the file's order."""
+    with ScoreReader(str(path), declared_kind) as reader:
+        return reader.read(0, reader.n_rows)
 
 
 def use_block_rows(monkeypatch, rows: int, n_cols: int) -> None:

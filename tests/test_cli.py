@@ -11,12 +11,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES, dense_expected_costs
+from conftest import SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES, dense_expected_costs, read_scores
 from hieval import cli, taxonomy
 from hieval.cli import run
 from hieval.commands import METHODS
 from hieval.ensemble import hie_combine, hie_self
-from hieval.fileio import load_hierarchy, load_labels, load_scores
+from hieval.fileio import load_hierarchy, load_labels
 from hieval.metrics import eval_report
 from hieval.risk import crm_rerank
 from hieval.scores import softmax_rows, top_k
@@ -78,7 +78,7 @@ def test_infer_hie_flips_to_bus(workspace):
                 "--coarse", coarse, "--method", "hie", "--out", out])
     assert code == 0
     assert (workspace / "combined.csv.preds.txt").read_text() == "bus\n"
-    m = load_scores(out)
+    m = read_scores(out)
     np.testing.assert_allclose(m.values[0], [0.16, 0.04, 0.56, 0.24], atol=1e-12)
 
 
@@ -187,7 +187,7 @@ def test_infer_logits_kind_applies_softmax(workspace):
     code = run(["infer", "--hierarchy", str(workspace / "hierarchy.json"),
                 "--fine", str(logits), "--out", out])
     assert code == 0
-    assert load_scores(out).values.tolist() == [[0.25, 0.25, 0.25, 0.25]]
+    assert read_scores(out).values.tolist() == [[0.25, 0.25, 0.25, 0.25]]
 
 
 # -------------------------------------------------------------------- eval
@@ -325,7 +325,10 @@ def test_a_column_fault_names_the_file_and_the_expected_level(workspace, capsys,
     ("0.2,nan", ".hies", "NonFiniteValue: {path}: non-finite value at row 0, column 1"),
     ("1.2,-0.2", ".csv", "NegativeEntry: {path}: negative entry at row 0, column 1"),
     ("0.3,0.8", ".csv", "RowSumViolation: {path}: row 0 sums to 1.1"),
-], ids=["non-finite-text", "non-finite-binary", "negative", "row-sum"])
+    # float() also takes PEP 515 separators ("0.2_5" is 0.25) and other scripts' digits.
+    ("0.2_5,0.75", ".csv", "ParseError: {path}:3: not a number: '0.2_5'"),
+    ("٠.٢,0.8", ".csv", "ParseError: {path}:3: not a number: '٠.٢'"),
+], ids=["non-finite-text", "non-finite-binary", "negative", "row-sum", "separator", "non-ascii"])
 def test_a_coarse_row_fault_names_the_coarse_file(workspace, capsys, row, suffix, message):
     path = workspace / f"bad_coarse{suffix}"
     if suffix == ".hies":
@@ -340,6 +343,21 @@ def test_a_coarse_row_fault_names_the_coarse_file(workspace, capsys, row, suffix
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(message.format(path=path)) and err.count("\n") == 1
+
+
+# As a text header's, each class name in a '.names.json' sidecar must be a non-empty string.
+@pytest.mark.parametrize("name", [[1], 1, ""], ids=["list", "number", "empty"])
+def test_a_sidecar_class_name_that_is_no_string_exits_2(workspace, capsys, name):
+    path = workspace / "coarse.hies"
+    path.write_bytes(struct.pack("<4sBBII", b"HIES", 1, 1, 1, 2) + struct.pack("<2d", 0.2, 0.8))
+    sidecar = Path(f"{path}.names.json")
+    sidecar.write_text(json.dumps({"class_names": ["flower", name]}))
+    hierarchy, fine, labels = paths(workspace, "hierarchy.json", "fine.csv", "labels.txt")
+    code = run(["eval", "--hierarchy", hierarchy, "--fine", fine, "--coarse", str(path),
+                "--labels", labels, "--method", "hie", "--k", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"ParseError: {sidecar}: invalid names sidecar: class name {name!r}\n")
 
 
 # ----------------------------------------------------------------- compare
@@ -415,7 +433,7 @@ def test_infer_then_eval_matches_compare_row(workspace, capsys):
 def test_costs_file(workspace, flower_vehicle):
     out = str(workspace / "costs.csv")
     assert run(["costs", "--hierarchy", str(workspace / "hierarchy.json"), "--out", out]) == 0
-    m = load_scores(out, declared_kind="logits")
+    m = read_scores(out, declared_kind="logits")
     assert m.values.tolist() == cost_matrix(flower_vehicle).astype(float).tolist()
     assert m.class_names == ("rose", "tulip", "bus", "car")
 
@@ -442,13 +460,16 @@ def test_synth_is_byte_deterministic(tmp_path):
 @pytest.mark.parametrize("flag, value, message", [
     ("--branching", "8,x", "--branching must be a comma list of int values, got '8,x'"),
     ("--noise", "1,x", "--noise must be a comma list of float values, got '1,x'"),
+    # float() also takes PEP 515 separators ("1_0" is 10) and other scripts' digits.
+    ("--noise", "1_0,1", "--noise must be a comma list of float values, got '1_0,1'"),
+    ("--noise", "1,١", "--noise must be a comma list of float values, got '1,١'"),
     ("--seed", "-1", "seed must be a non-negative integer: -1"),
     ("--noise", "nan,1", "noise scales must be finite and non-negative: (nan, 1.0)"),
     ("--noise", "1,inf", "noise scales must be finite and non-negative: (1.0, inf)"),
     ("--out-dir", "{tmp}/a_file/inst", "cannot create --out-dir '{tmp}/a_file/inst': "),
     ("--out-dir", "", "cannot create --out-dir '': "),
-], ids=["branching-int", "noise-float", "seed-negative", "noise-nan", "noise-inf",
-        "out-dir-under-file", "out-dir-empty"])
+], ids=["branching-int", "noise-float", "noise-separator", "noise-non-ascii", "seed-negative",
+        "noise-nan", "noise-inf", "out-dir-under-file", "out-dir-empty"])
 def test_synth_flag_faults_exit_2_naming_the_flag(tmp_path, capsys, flag, value, message):
     (tmp_path / "a_file").write_text("")
     flags = {"--branching": "2,2", "--noise": "1,1", "--n-samples": "4",
@@ -563,9 +584,9 @@ def test_crm_infer_then_eval_matches_compare_row(tmp_path, capsys):
     risks_out = str(tmp_path / "risks.hies")
     assert run(["infer", *base, "--method", "crm", "--out", risks_out]) == 0
     capsys.readouterr()
-    fine = softmax_rows(load_scores(f"{d}/fine.hies", declared_kind="logits"))
+    fine = softmax_rows(read_scores(f"{d}/fine.hies", declared_kind="logits"))
     t = load_hierarchy(f"{d}/hierarchy.json")
-    written = load_scores(risks_out).values
+    written = read_scores(risks_out).values
     assert np.array_equal(written, crm_rerank(fine, t).values)
     np.testing.assert_allclose(written, -dense_expected_costs(fine.values, t), rtol=0, atol=1e-12)
     piped = str(tmp_path / "piped.json")
@@ -607,7 +628,7 @@ def test_compare_reports_match_the_library_composition(every_method_table):
     d, _, reports = every_method_table
     inst = d / "inst"
     t = load_hierarchy(str(inst / "hierarchy.json"))
-    fine, d1, d2 = (softmax_rows(load_scores(str(inst / name), declared_kind="logits"))
+    fine, d1, d2 = (softmax_rows(read_scores(str(inst / name), declared_kind="logits"))
                     for name in ("fine.hies", "level_d1.hies", "level_d2.hies"))
     pmap = parent_index_map(t)
     hie = hie_combine(fine, [(d2, pmap)])

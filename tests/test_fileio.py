@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES, random_taxonomy
+from conftest import SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES, random_taxonomy, read_scores
 from hieval.errors import (
     ColumnMismatch,
     CycleDetected,
@@ -24,10 +24,9 @@ from hieval.errors import (
 )
 from hieval.fileio import (
     ScoreReader,
-    align_columns,
+    column_order,
     load_hierarchy,
     load_labels,
-    load_scores,
     save_hierarchy,
     save_scores,
     write_labels,
@@ -186,7 +185,7 @@ def test_hierarchy_round_trip_preserves_custom_orders(tmp_path, flower_vehicle):
 def test_text_scores_parse(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("rose,tulip,bus,car\n0.4,0.1,0.35,0.15\n")
-    m = load_scores(str(path))
+    m = read_scores(str(path))
     assert m.kind == PROBABILITIES
     assert m.class_names == ("rose", "tulip", "bus", "car")
     assert m.values.tolist() == [[0.4, 0.1, 0.35, 0.15]]
@@ -195,39 +194,39 @@ def test_text_scores_parse(tmp_path):
 def test_text_scores_kind_comment_and_conflict(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("# kind: logits\na,b\n1.0,2.0\n")
-    assert load_scores(str(path)).kind == LOGITS
-    assert load_scores(str(path), declared_kind=LOGITS).kind == LOGITS
+    assert read_scores(str(path)).kind == LOGITS
+    assert read_scores(str(path), declared_kind=LOGITS).kind == LOGITS
     with pytest.raises(KindConflict):
-        load_scores(str(path), declared_kind=PROBABILITIES)
+        read_scores(str(path), declared_kind=PROBABILITIES)
 
 
 def test_text_scores_errors(tmp_path):
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("a,b\n1.0\n")
     with pytest.raises(ColumnMismatch):
-        load_scores(str(ragged))
+        read_scores(str(ragged))
 
     junk = tmp_path / "junk.csv"
     junk.write_text("a,b\n1.0,oops\n")
     with pytest.raises(ParseError, match="oops"):
-        load_scores(str(junk))
+        read_scores(str(junk))
 
     inf = tmp_path / "inf.csv"
     inf.write_text("# kind: logits\na,b\n1.0,inf\n")
     with pytest.raises(NonFiniteValue):
-        load_scores(str(inf))
+        read_scores(str(inf))
 
     empty = tmp_path / "empty.csv"
     empty.write_text("a,b\n")
     with pytest.raises(EmptyInput):
-        load_scores(str(empty))
+        read_scores(str(empty))
 
 
 def test_loaded_probabilities_are_validated(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n0.6,0.5\n")
     with pytest.raises(RowSumViolation):
-        load_scores(str(path))
+        read_scores(str(path))
 
 
 def test_text_round_trip_is_value_exact(tmp_path):
@@ -237,7 +236,7 @@ def test_text_round_trip_is_value_exact(tmp_path):
     m = ScoreMatrix(values, PROBABILITIES, tuple("abcde"))
     path = str(tmp_path / "rt.csv")
     save_scores(m, path)
-    back = load_scores(path)
+    back = read_scores(path)
     assert back.values.tolist() == m.values.tolist()
     assert back.kind == m.kind
     assert back.class_names == m.class_names
@@ -248,7 +247,7 @@ def test_binary_round_trip_bitwise(tmp_path):
     m = ScoreMatrix(rng.normal(size=(50, 9)), LOGITS, tuple(f"k{i}" for i in range(9)))
     path = str(tmp_path / "rt.hies")
     save_scores(m, path)
-    back = load_scores(path)
+    back = read_scores(path)
     assert np.array_equal(back.values, m.values)
     assert back.kind == LOGITS
     assert back.class_names == m.class_names
@@ -265,17 +264,17 @@ def test_binary_header_errors(tmp_path):
     bad = tmp_path / "badver.hies"
     bad.write_bytes(bytes(raw))
     with pytest.raises(ParseError, match="version"):
-        load_scores(str(bad))
+        read_scores(str(bad))
 
     truncated = tmp_path / "short.hies"
     truncated.write_bytes(Path(path).read_bytes()[:-8])
     with pytest.raises(ParseError):
-        load_scores(str(truncated))
+        read_scores(str(truncated))
 
     orphan = tmp_path / "orphan.hies"
     orphan.write_bytes(Path(path).read_bytes())
     with pytest.raises(ParseError, match="sidecar"):
-        load_scores(str(orphan))
+        read_scores(str(orphan))
 
 
 @pytest.mark.parametrize("suffix", [".hies", ".csv"])
@@ -288,10 +287,11 @@ def test_row_ranges_read_as_slices_of_the_whole(tmp_path, suffix):
         assert (reader.kind, reader.class_names, reader.n_rows) == (LOGITS, m.class_names, 40)
         # Out of order on purpose: a text reader rewinds for an earlier range.
         for start, stop in [(0, 40), (30, 33), (5, 9), (9, 10), (0, 1), (39, 40)]:
-            block = load_scores(path, rows=(start, stop), reader=reader)
+            block = reader.read(start, stop)
             assert np.array_equal(block.values, m.values[start:stop])
             assert block.first_row == start
-    assert np.array_equal(load_scores(path, rows=(12, 20)).values, m.values[12:20])
+    with ScoreReader(path) as reader:
+        assert np.array_equal(reader.read(12, 20).values, m.values[12:20])
 
 
 def test_row_range_errors_name_file_rows_and_lines(tmp_path):
@@ -300,7 +300,7 @@ def test_row_range_errors_name_file_rows_and_lines(tmp_path):
     path.write_text("# a comment\na,b\n" + body + "0.5,oops\n0.2_5,0.75\n0.6,0.5\n-1.0,2.0\n")
     with ScoreReader(str(path)) as reader:
         assert reader.n_rows == 34
-        assert load_scores(str(path), rows=(20, 30), reader=reader).first_row == 20
+        assert reader.read(20, 30).first_row == 20
         with pytest.raises(ParseError, match=r"late.csv:33: not a number: 'oops'"):
             reader.read(25, 31)
         # float() would read a digit separator; the format has none
@@ -323,10 +323,10 @@ def test_text_utf8_is_checked_across_read_chunks(tmp_path):
     head = b"# " + b"x" * ((1 << 20) - 3) + "\u00e9".encode("utf-8") + b"\n"
     path = tmp_path / "big.csv"
     path.write_bytes(head + b"a,b\n0.25,0.75\n")
-    assert load_scores(str(path)).values.tolist() == [[0.25, 0.75]]
+    assert read_scores(str(path)).values.tolist() == [[0.25, 0.75]]
     path.write_bytes(head + b"a,b\n0.25,0.75\xff\n")
     with pytest.raises(ParseError, match=rf"not valid UTF-8: .* position {len(head) + 13}:"):
-        load_scores(str(path))
+        read_scores(str(path))
 
 
 @pytest.mark.parametrize("suffix", [".hies", ".csv"])
@@ -363,44 +363,30 @@ def test_a_block_that_raises_leaves_no_file(tmp_path):
 # ---------------------------------------------------------------- aligning
 
 
-def test_align_identity_returns_same_object(flower_vehicle):
-    m = ScoreMatrix([[0.4, 0.1, 0.35, 0.15]], PROBABILITIES, flower_vehicle.leaf_names())
-    assert align_columns(m, flower_vehicle, "leaf") is m
-
-
 def test_align_permutes_by_name(flower_vehicle):
-    reversed_names = tuple(reversed(flower_vehicle.leaf_names()))
-    m = ScoreMatrix([[0.15, 0.35, 0.1, 0.4]], PROBABILITIES, reversed_names)
-    aligned = align_columns(m, flower_vehicle, "leaf")
-    assert aligned.class_names == flower_vehicle.leaf_names()
-    assert aligned.values.tolist() == [[0.4, 0.1, 0.35, 0.15]]
-    assert align_columns(aligned, flower_vehicle, "leaf") is aligned
+    t = flower_vehicle
+    assert column_order(t.leaf_names(), t, "leaf") == (None, t.leaf_names())
+    perm, names = column_order(tuple(reversed(t.leaf_names())), t, "leaf")
+    assert perm.tolist() == [3, 2, 1, 0] and names == t.leaf_names()
+    values = np.array([[0.15, 0.35, 0.1, 0.4]])
+    assert np.take(values, perm, axis=1).tolist() == [[0.4, 0.1, 0.35, 0.15]]
 
 
 def test_align_error_cases(flower_vehicle):
     t = flower_vehicle
     with pytest.raises(UnknownClass, match="weed"):
-        align_columns(
-            ScoreMatrix([[0.25] * 4], PROBABILITIES, ("rose", "tulip", "bus", "weed")),
-            t, "leaf",
-        )
+        column_order(("rose", "tulip", "bus", "weed"), t, "leaf")
     with pytest.raises(DuplicateClass):
-        align_columns(
-            ScoreMatrix([[0.25] * 4], PROBABILITIES, ("rose", "rose", "bus", "car")),
-            t, "leaf",
-        )
+        column_order(("rose", "rose", "bus", "car"), t, "leaf")
     with pytest.raises(MissingClass, match="car"):
-        align_columns(
-            ScoreMatrix([[0.25] * 3], PROBABILITIES, ("rose", "tulip", "bus")),
-            t, "leaf",
-        )
+        column_order(("rose", "tulip", "bus"), t, "leaf")
 
 
 def test_align_coarse_and_depth(flower_vehicle):
     t = flower_vehicle
-    m = ScoreMatrix([[0.8, 0.2]], PROBABILITIES, ("vehicle", "flower"))
-    assert align_columns(m, t, "coarse").values.tolist() == [[0.2, 0.8]]
-    assert align_columns(m, t, 1).values.tolist() == [[0.2, 0.8]]
+    for level in ("coarse", 1):
+        perm, names = column_order(("vehicle", "flower"), t, level)
+        assert perm.tolist() == [1, 0] and names == ("flower", "vehicle")
 
 
 # ------------------------------------------------------------------ labels

@@ -15,12 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES, same_bits, use_block_rows
+from conftest import SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES, read_scores, same_bits, use_block_rows
 from hieval import fileio, risk, scores, taxonomy
 from hieval.cli import build_parser, run
 from hieval.commands import METHODS, load_method_inputs, run_methods
 from hieval.ensemble import hie_combine, hie_self
-from hieval.fileio import align_columns, load_hierarchy, load_scores, save_scores, write_labels
+from hieval.fileio import column_order, load_hierarchy, save_scores, write_labels
 from hieval.risk import crm_rerank
 from hieval.scores import LOGITS, ScoreMatrix, as_probabilities, softmax_rows, top_k
 from hieval.taxonomy import ancestor_index_map, parent_index_map
@@ -35,7 +35,7 @@ def instance(tmp_path_factory):
     d = tmp_path_factory.mktemp("streaming")
     assert run(["synth", "--branching", "3,3,4", "--noise", "1.0,0.5,2.0",
                 "--n-samples", str(N_ROWS), "--seed", "5", "--out-dir", str(d)]) == 0
-    level2 = load_scores(str(d / "level_d2.hies"))
+    level2 = read_scores(str(d / "level_d2.hies"))
     reversed_names = tuple(reversed(level2.class_names))
     save_scores(ScoreMatrix(level2.values[:, ::-1], LOGITS, reversed_names), str(d / "coarse.csv"))
     base = ["--hierarchy", str(d / "hierarchy.json"), "--fine", str(d / "fine.hies"),
@@ -47,9 +47,11 @@ def instance(tmp_path_factory):
 def library_outputs(d: Path, method: str):
     """The scores and predictions infer writes for ``method``, from whole matrices."""
     t = load_hierarchy(str(d / "hierarchy.json"))
-    fine = softmax_rows(load_scores(str(d / "fine.hies"), LOGITS))
-    d1 = softmax_rows(load_scores(str(d / "level_d1.hies"), LOGITS))
-    coarse = softmax_rows(align_columns(load_scores(str(d / "coarse.csv"), LOGITS), t, "coarse"))
+    fine = softmax_rows(read_scores(str(d / "fine.hies"), LOGITS))
+    d1 = softmax_rows(read_scores(str(d / "level_d1.hies"), LOGITS))
+    reversed_coarse = read_scores(d / "coarse.csv", LOGITS)
+    perm, names = column_order(reversed_coarse.class_names, t, "coarse")
+    coarse = softmax_rows(ScoreMatrix(reversed_coarse.values[:, perm], LOGITS, names))
     pmap = parent_index_map(t)
     hie = hie_combine(fine, [(coarse, pmap)])
     ranked = {
@@ -157,16 +159,16 @@ def test_loading_never_changes_a_matrix_a_caller_holds(instance):
     d, _ = instance
     path = str(d / "fine.hies")
     with fileio.ScoreReader(path) as reader:
-        first = load_scores(path, rows=(0, 7), reader=reader)
+        first = reader.read(0, 7)
         before = first.values.copy()
         for f in (softmax_rows, as_probabilities):
             assert not np.shares_memory(f(first).values, first.values)
         for start in range(7, N_ROWS, 7):
-            later = load_scores(path, rows=(start, min(start + 7, N_ROWS)), reader=reader)
+            later = reader.read(start, min(start + 7, N_ROWS))
             as_probabilities(later)
             assert not np.shares_memory(later.values, first.values)
     assert same_bits(first.values, before)
-    assert same_bits(first.values, load_scores(path).values[:7])
+    assert same_bits(first.values, read_scores(path).values[:7])
     assert first.kind == LOGITS and not first.values.flags.writeable
 
 

@@ -1,11 +1,11 @@
 """Worker processes behind eval, compare and infer.
 
 Block 0 runs in the calling process; the caller and its forked workers
-then take the blocks after it one at a time, each the next one left, and
-infer's processes write their rows of a '.hies' file by position.
-Outputs, the fault reported and its exit code must not depend on the
-number of processes, and no process may outlive a command (conftest checks
-that after every test).
+then take the blocks after it in ranges of consecutive blocks, each the
+next range left in one shared queue, and infer's processes write their
+rows of a '.hies' file by position. Outputs, the fault reported and its
+exit code must not depend on the number of processes, and no process may
+outlive a command (conftest checks that after every test).
 """
 
 import contextlib
@@ -22,12 +22,11 @@ import numpy as np
 import pytest
 
 from conftest import (SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES, count_forks, entry_point_env,
-                      fail_call, use_block_rows)
-from hieval import fileio
+                      fail_call, read_scores, use_block_rows)
 from hieval.cli import run
 from hieval.commands import METHODS, _in_workers
 from hieval.errors import InputError, NonFiniteValue
-from hieval.fileio import ScoreReader, load_hierarchy, load_scores, save_scores
+from hieval.fileio import ScoreReader, load_hierarchy, save_scores
 from hieval.scores import LOGITS, ScoreMatrix
 
 # In 7-row blocks: block 0, then 21 blocks, enough for 3 processes (one per 8 blocks).
@@ -40,7 +39,7 @@ def instance(tmp_path_factory):
     d = tmp_path_factory.mktemp("workers")
     assert run(["synth", "--branching", "3,3,4", "--noise", "1.0,0.5,2.0",
                 "--n-samples", str(N_ROWS), "--seed", "8", "--out-dir", str(d)]) == 0
-    level2 = load_scores(str(d / "level_d2.hies"))
+    level2 = read_scores(str(d / "level_d2.hies"))
     reversed_names = tuple(reversed(level2.class_names))
     save_scores(ScoreMatrix(level2.values[:, ::-1], LOGITS, reversed_names), str(d / "coarse.csv"))
     base = ["--hierarchy", str(d / "hierarchy.json"), "--fine", str(d / "fine.hies"),
@@ -68,6 +67,32 @@ def test_eval_and_compare_bytes_do_not_depend_on_the_worker_count(instance, monk
         assert forks == (["cli"] + ["commands"] * (workers - 1)) * 2 * (workers > 1)
         outputs[workers] = (table.read_bytes(), report.read_bytes(), capsys.readouterr().out)
     assert outputs[1] == outputs[2] == outputs[3]
+
+
+def test_a_column_permuted_input_gives_the_canonical_bytes_in_workers(instance, tmp_path,
+                                                                      monkeypatch, capsys):
+    # The coarse and depth-2 file is bound to the taxonomy at open, with its columns
+    # reversed; every worker reads its blocks through that one binding.
+    d, base = instance
+    canonical = [str(d / "level_d2.hies") if arg == str(d / "coarse.csv") else arg for arg in base]
+    use_block_rows(monkeypatch, 7, 36)
+    forks = count_forks(monkeypatch)
+    outputs = []
+    for flags in (base, canonical):
+        out = tmp_path / str(len(outputs))
+        out.mkdir()
+        assert run(["compare", *flags, "--methods", ",".join(METHODS), "--out",
+                    str(out / "table.json")], workers=3) == 0
+        reports = json.loads((out / "table.json").read_text())["reports"]
+        for report in reports:
+            del report["config"]["inputs"]  # the digests of the files given
+        for method in ("hie", "cascade"):
+            assert run(["infer", *flags[:-4], "--method", method, "--out",
+                        str(out / f"{method}.hies")], workers=3) == 0
+        outputs.append((capsys.readouterr().out.replace(str(out), "OUT"), reports,
+                        {f: (out / f).read_bytes() for f in os.listdir(out) if f != "table.json"}))
+    assert forks == ["cli"] + ["commands"] * 6 + ["cli"] + ["commands"] * 6
+    assert outputs[0] == outputs[1]
 
 
 def test_too_few_blocks_stay_in_one_process(instance, monkeypatch, capsys):
@@ -256,18 +281,18 @@ def test_a_worker_that_ends_without_a_result_is_reported_as_in_one_process(
     if command[0] == "infer":
         base = base[:-4]  # no --labels, no --k
     use_block_rows(monkeypatch, 7, 4)
-    caller, load_scores = os.getpid(), fileio.load_scores
+    caller, read = os.getpid(), ScoreReader.read
 
-    def ending(*args, **kwargs):
+    def ending(reader, start, stop):
         if os.getpid() != caller:
             os._exit(0)
-        return load_scores(*args, **kwargs)
+        return read(reader, start, stop)
 
     forks = count_forks(monkeypatch)
     results = []
     for workers in (1, 3):
         if workers > 1:
-            monkeypatch.setattr(fileio, "load_scores", ending)
+            monkeypatch.setattr(ScoreReader, "read", ending)
         out = tmp_path / str(workers)
         out.mkdir()
         code = run([*command, *base, "--out", str(out / "out.hies")], workers=workers)
