@@ -91,14 +91,16 @@ class MethodInputs:
     """The taxonomy and every given score file, opened and checked once.
 
     ``columns`` maps each reader to its ``fileio.column_order``, bound at open.
-    The files stay open for block-by-block reading; ``close`` (or leaving a
-    ``with`` block) closes them.
+    ``uppers`` maps each level source the methods use, in method order, to the
+    (reader, fine-column map) pairs multiplied into the fine row: the coarse
+    file for ``"coarse"``, each ``--level`` file for ``"levels"``, none for
+    ``None`` and ``"self"``. The files stay open for block-by-block reading;
+    ``close`` (or leaving a ``with`` block) closes them.
     """
 
     taxonomy: tx.Taxonomy
-    fine: fileio.ScoreReader | None
-    coarse: fileio.ScoreReader | None
-    levels: list[tuple[int, fileio.ScoreReader]]
+    fine: fileio.ScoreReader
+    uppers: dict[str | None, list[tuple[fileio.ScoreReader, np.ndarray]]]
     columns: dict[fileio.ScoreReader, tuple]
 
     def readers(self) -> list:
@@ -114,33 +116,31 @@ class MethodInputs:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def read(self, start: int, stop: int):
-        """Rows ``[start, stop)`` of every file as probabilities: (fine, coarse, [(depth, m)]).
+    def read(self, start: int, stop: int) -> dict:
+        """Rows ``[start, stop)`` of every file as probabilities, by reader.
 
         Each block is read and checked, put in the taxonomy's column order
         as bound at open, and softmaxed (logits), file by file in the order
         fine, coarse, levels.
         """
-        def block(reader):
-            if reader is None:
-                return None
+        blocks = {}
+        for reader, (perm, names) in self.columns.items():
             m = reader.read(start, stop)
-            perm, names = self.columns[reader]
             if perm is not None:  # np.take's copy is C-ordered, unlike m.values[:, perm]
                 m = ScoreMatrix._adopt(np.take(m.values, perm, axis=1), m.kind, names, start)
             # Validated as read; no caller sees the block, so softmax it in place.
-            return as_probabilities(m, _in_place=True)
-
-        return block(self.fine), block(self.coarse), [(d, block(r)) for d, r in self.levels]
+            blocks[reader] = as_probabilities(m, _in_place=True)
+        return blocks
 
 
 def load_method_inputs(args, methods: list[str]) -> MethodInputs:
     """Open every given score file and check everything that needs no rows.
 
     That is each file's header, kind and columns, bound to the taxonomy here
-    once, the inputs ``methods`` need, and that every file has the fine
-    file's row count; rows are read only once all of that holds. Every
-    given file is read, used or not.
+    once, the inputs each of ``methods`` needs, in method order (cascading
+    needs a leveled tree), and that every file has the fine file's row count;
+    rows are read only once all of that holds. Every given file is read,
+    used or not.
     """
     t = fileio.load_hierarchy(args.hierarchy)
     level_paths = parse_levels(getattr(args, "level", None))
@@ -167,45 +167,31 @@ def load_method_inputs(args, methods: list[str]) -> MethodInputs:
         fine = open_checked(getattr(args, "fine", None), "leaf", "--fine")
         coarse = open_checked(getattr(args, "coarse", None), "coarse", "--coarse")
         levels = [(d, open_checked(path, d, f"--level {d}")) for d, path in level_paths]
-        inputs = MethodInputs(t, fine, coarse, levels, columns)
-        _check_sources(methods, inputs)
+        if fine is None:
+            raise InputError(f"method {methods[0]} requires --fine")
+        uppers = {}
+        for method in methods:
+            source = METHODS[method][0]
+            if source == "coarse":
+                if coarse is None:
+                    raise InputError(f"method {method} requires --coarse")
+                uppers[source] = [(coarse, tx.parent_index_map(t))]
+            elif source == "levels":
+                if not levels:
+                    raise InputError(f"method {method} requires at least one --level depth=path")
+                # ancestor_index_map raises NonLeveledTree for unleveled trees
+                uppers[source] = [(r, tx.ancestor_index_map(t, d)) for d, r in levels]
+            else:
+                uppers[source] = []
+        if coarse is not None and coarse.n_rows != fine.n_rows:
+            raise DimensionMismatch(f"fine has {fine.n_rows} samples, coarse has {coarse.n_rows}")
+        for i, (_, reader) in enumerate(levels):
+            if reader.n_rows != fine.n_rows:
+                raise DimensionMismatch(
+                    f"upper level {i} has {reader.n_rows} samples, fine has {fine.n_rows}"
+                )
         stack.pop_all()
-    return inputs
-
-
-def _check_sources(methods: list[str], inputs: MethodInputs) -> None:
-    t, fine = inputs.taxonomy, inputs.fine
-    if fine is None:
-        raise InputError(f"method {methods[0]} requires --fine")
-    for method in methods:
-        source = METHODS[method][0]
-        if source == "coarse" and inputs.coarse is None:
-            raise InputError(f"method {method} requires --coarse")
-        if source == "levels":
-            if not inputs.levels:
-                raise InputError(f"method {method} requires at least one --level depth=path")
-            for d, _ in inputs.levels:
-                tx.ancestor_index_map(t, d)  # raises NonLeveledTree for unleveled trees
-    if inputs.coarse is not None and inputs.coarse.n_rows != fine.n_rows:
-        raise DimensionMismatch(
-            f"fine has {fine.n_rows} samples, coarse has {inputs.coarse.n_rows}"
-        )
-    for i, (_, reader) in enumerate(inputs.levels):
-        if reader.n_rows != fine.n_rows:
-            raise DimensionMismatch(
-                f"upper level {i} has {reader.n_rows} samples, fine has {fine.n_rows}"
-            )
-
-
-def _combined(source, t: tx.Taxonomy, fine, coarse, levels) -> ScoreMatrix:
-    """One block's fine probabilities combined with the factor that ``source`` names."""
-    if source is None:
-        return fine
-    if source == "self":
-        return ensemble.hie_self(fine, tx.parent_index_map(t), t.n_coarse)
-    if source == "coarse":
-        return ensemble.hie_combine(fine, [(coarse, tx.parent_index_map(t))])
-    return ensemble.hie_combine(fine, [(m, tx.ancestor_index_map(t, d)) for d, m in levels])
+    return MethodInputs(t, fine, uppers, columns)
 
 
 def run_methods(methods: list[str], inputs: MethodInputs, start: int = 0, stop: int | None = None):
@@ -215,21 +201,25 @@ def run_methods(methods: list[str], inputs: MethodInputs, start: int = 0, stop: 
     score-ranked methods, negated expected costs (logits, see
     ``risk.crm_rerank``) for cost-ranked ones. A block holds about
     ``scores.BLOCK_ENTRIES`` fine entries. Each file's block is read once,
-    and each level source is combined once per block and shared by its
-    methods, so memory holds one block of each, never a whole matrix.
+    and each level source in ``inputs.uppers`` is combined once per block and
+    shared by its methods, so memory holds one block of each, never a whole matrix.
     """
     t, n = inputs.taxonomy, inputs.fine.n_rows if stop is None else stop
-    sources = dict.fromkeys(METHODS[m][0] for m in methods)
     step = block_rows(len(inputs.fine.class_names))
     for lo in range(start, n, step):
-        fine, coarse, levels = inputs.read(lo, min(lo + step, n))
-        for source in sources:
+        blocks = inputs.read(lo, min(lo + step, n))
+        fine = blocks[inputs.fine]
+        for source, uppers in inputs.uppers.items():
             try:
-                probs = _combined(source, t, fine, coarse, levels)
+                if source is None:
+                    probs = fine
+                elif source == "self":
+                    probs = ensemble.hie_self(fine, tx.parent_index_map(t), t.n_coarse)
+                else:
+                    probs = ensemble.hie_combine(fine, [(blocks[r], amap) for r, amap in uppers])
             except ZeroDenominator as e:  # the fault is the product's: name each file in it
-                uppers = {"self": [], "coarse": [inputs.coarse]}.get(
-                    source, [r for _, r in inputs.levels])
-                e.args = (", ".join(r.path for r in [inputs.fine, *uppers]) + f": {e}",)
+                e.args = (", ".join(r.path for r in [inputs.fine] + [r for r, _ in uppers])
+                          + f": {e}",)
                 raise
             for m in methods:
                 if METHODS[m][0] == source:
@@ -436,6 +426,9 @@ def cmd_eval(args, out) -> int:
         check_methods([args.method])
     ks = parse_ks(args.k)
     if getattr(args, "preds", None):
+        for flag in ("fine", "coarse", "level", "kind"):  # a predictions file is read alone
+            if getattr(args, flag, None) is not None:
+                raise InputError(f"--preds takes no --{flag}")
         if max(ks) > 1:
             raise KTooLarge(
                 f"k={max(ks)} needs a ranking, but predictions file {args.preds} "

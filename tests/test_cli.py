@@ -541,6 +541,59 @@ def test_cascade_requires_level_files(tmp_path, workspace, capsys):
     assert "--level" in capsys.readouterr().err
 
 
+# Each method's inputs are resolved at open, in one order: --fine, then each
+# method's own files in method order, then the coarse row count, then each level's.
+REQUIRES = {m: f"InputError: method {m} requires {flag}" for m, flag in [
+    ("argmax", "--fine"), ("hie", "--coarse"), ("cascade", "at least one --level depth=path")]}
+SHORT_COARSE = "DimensionMismatch: fine has 50 samples, coarse has 40"
+SHORT_LEVEL = "DimensionMismatch: upper level 0 has 40 samples, fine has 50"
+
+
+@pytest.mark.parametrize("methods, files, line, code", [
+    ("argmax", [], REQUIRES["argmax"], 2),
+    ("hie", ["--fine"], REQUIRES["hie"], 2),
+    ("cascade", ["--fine"], REQUIRES["cascade"], 2),
+    ("hie,cascade", ["--fine"], REQUIRES["hie"], 2),
+    ("cascade,hie", ["--fine"], REQUIRES["cascade"], 2),
+    ("hie", ["--fine", "--coarse"], SHORT_COARSE, 3),
+    ("cascade", ["--fine", "--level"], SHORT_LEVEL, 3),
+    ("hie,cascade", ["--fine", "--level"], REQUIRES["hie"], 2),
+    ("hie,cascade", ["--fine", "--coarse", "--level"], SHORT_COARSE, 3),
+], ids=["no-fine", "no-coarse", "no-level", "hie-first", "cascade-first", "short-coarse",
+        "short-level", "requires-before-rows", "coarse-rows-first"])
+def test_each_open_time_method_input_fault_prints_one_line(workspace, capsys, methods, files,
+                                                          line, code):
+    # 50 fine rows; the coarse and level files are given 40 rows, as --coarse and as --level 1.
+    (workspace / "fine50.csv").write_text(
+        "# kind: probabilities\nrose,tulip,bus,car\n" + "0.4,0.1,0.35,0.15\n" * 50)
+    (workspace / "coarse40.csv").write_text("# kind: probabilities\nflower,vehicle\n"
+                                            + "0.2,0.8\n" * 40)
+    given = {"--fine": str(workspace / "fine50.csv"), "--coarse": str(workspace / "coarse40.csv"),
+             "--level": f"1={workspace / 'coarse40.csv'}"}
+    argv = ["compare", "--hierarchy", str(workspace / "hierarchy.json"), "--labels",
+            str(workspace / "labels.txt"), "--methods", methods, "--k", "1"]
+    for flag in files:
+        argv += [flag, given[flag]]
+    assert run(argv) == code
+    assert capsys.readouterr() == ("", line + "\n")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--fine", "{ws}/fine.csv"), ("--coarse", "{ws}/missing.csv"), ("--level", "1={ws}/coarse.csv"),
+    ("--kind", "probs"),
+], ids=["fine", "coarse", "level", "kind"])
+def test_eval_of_predictions_refuses_score_file_flags(workspace, capsys, flag, value):
+    # A predictions file is evaluated alone: no score file is opened, hashed or echoed.
+    (workspace / "preds.txt").write_text("bus\n")
+    hierarchy, labels = paths(workspace, "hierarchy.json", "labels.txt")
+    code = run(["eval", "--hierarchy", hierarchy, "--preds", str(workspace / "preds.txt"),
+                "--labels", labels, "--k", "1", flag, value.format(ws=workspace),
+                "--out", str(workspace / "r.json")])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"InputError: --preds takes no {flag}\n")
+    assert not (workspace / "r.json").exists()
+
+
 @pytest.fixture
 def unleveled(tmp_path):
     """Leaf a under the root beside leaves b and c a level lower; a NaN row and an unknown label."""

@@ -51,10 +51,11 @@ def inputs(tmp_path):
 
 
 def commands(base, out) -> list:
-    """A compare that reads every input, and an eval of a predictions file."""
+    """A compare that reads every input, and an eval of a predictions file (which takes
+    only the hierarchy and the labels besides)."""
     return [["compare", *base, "--methods", "argmax,hie,cascade", "--k", "1,2",
              "--out", str(out / "table.json")],
-            ["eval", *base, "--preds", str(out.parent / "preds.txt"), "--k", "1",
+            ["eval", *base[:2], *base[-2:], "--preds", str(out.parent / "preds.txt"), "--k", "1",
              "--out", str(out / "report.json")]]
 
 
@@ -81,7 +82,8 @@ def expected(tmp_path) -> list:
     roles = {role: sha256(tmp_path / name) for role, name in [
         ("hierarchy", "hierarchy.json"), ("fine", "fine.csv"), ("coarse", "coarse.csv"),
         ("labels", "labels.txt"), ("level1", "coarse.csv")]}
-    return [roles] * 3 + [{**roles, "preds": sha256(tmp_path / "preds.txt")}]
+    preds = {role: roles[role] for role in ("hierarchy", "labels")}
+    return [roles] * 3 + [{**preds, "preds": sha256(tmp_path / "preds.txt")}]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -162,12 +164,12 @@ def test_a_fault_before_the_echo_is_the_same_with_a_hasher(inputs, tmp_path, mon
     base = inputs(**poison or {})
     out = tmp_path / "out"
     out.mkdir()
-    compare, preds = commands(base, out)
+    compare, _ = commands(base, out)
     if poison:
         argvs = [compare, ["eval", *base, "--method", "hie", "--out", str(out / "report.json")]]
-    else:  # an eval of a predictions file reads no score file, so its echo meets this first
+    else:  # met on open, before any row is read or any digest echoed
         os.remove(tmp_path / "fine.csv")
-        argvs = [preds]
+        argvs = [compare]
     forks = count_forks(monkeypatch)
     results = {w: [(run(argv, workers=w), capsys.readouterr().err) for argv in argvs]
                for w in (1, 2)}
