@@ -19,7 +19,7 @@ from . import ensemble, fileio, hashing, procs, risk, synth
 from . import taxonomy as tx
 from .cli import integer, real
 from .errors import (DimensionMismatch, DuplicateMethod, InputError, KTooLarge, LengthMismatch,
-                     ZeroDenominator)
+                     NonFiniteValue, ZeroDenominator)
 from .metrics import EvalReport, _counts, eval_report
 from .scores import (
     LOGITS,
@@ -498,17 +498,7 @@ def cmd_synth(args, out) -> int:
     labels, levels = synth.gen_instance(cfg, t)
 
     paths = {"hierarchy": "hierarchy.json", "labels": "labels.txt", "fine": "fine.hies"}
-    fileio.save_hierarchy(t, os.path.join(args.out_dir, paths["hierarchy"]))
-    step = block_rows(t.n_leaves)
-    with fileio.write_labels(t, os.path.join(args.out_dir, paths["labels"])) as write:
-        for start in range(0, cfg.n_samples, step):
-            write(labels[start:start + step])
     paths.update((f"level{d}", f"level_d{d}.hies") for d in range(1, cfg.n_levels))
-    # Each level's blocks are written as they are drawn, topmost level first.
-    for depth, blocks in enumerate(levels, start=1):
-        name = paths["fine"] if depth == cfg.n_levels else paths[f"level{depth}"]
-        fileio.save_scores(blocks, os.path.join(args.out_dir, name))
-
     manifest = {
         "branching": list(cfg.branching),
         "noise": list(cfg.noise),
@@ -518,6 +508,23 @@ def cmd_synth(args, out) -> int:
         "rng": synth.RNG_ALGORITHM,
         "files": paths,
     }
-    fileio.write_json(manifest, os.path.join(args.out_dir, "manifest.json"))
+    # A failure leaves the directory as it was: nothing is renamed into place
+    # until every file is written, and the manifest is renamed last.
+    with fileio.renamed_together() as staged:
+        fileio.save_hierarchy(t, os.path.join(args.out_dir, paths["hierarchy"]), staged)
+        step = block_rows(t.n_leaves)
+        with fileio.write_labels(t, os.path.join(args.out_dir, paths["labels"]), staged) as write:
+            for start in range(0, cfg.n_samples, step):
+                write(labels[start:start + step])
+        # Each level's blocks are written as they are drawn, topmost level first.
+        for depth, blocks in enumerate(levels, start=1):
+            name = paths["fine"] if depth == cfg.n_levels else paths[f"level{depth}"]
+            path = os.path.join(args.out_dir, name)
+            try:
+                fileio.save_scores(blocks, path, staged)
+            except NonFiniteValue as e:  # a huge noise scale can overflow
+                e.args = (f"{path}: {e}",)
+                raise
+        fileio.write_json(manifest, os.path.join(args.out_dir, "manifest.json"), staged)
     print(f"wrote synthetic instance to {args.out_dir}", file=out)
     return 0

@@ -106,51 +106,21 @@ def hie_combine(fine: ScoreMatrix,
 
 
 @functools.lru_cache(maxsize=8)
-def _marginal_plan(map_bytes: bytes, n_coarse: int):
-    """``marginalize_to_parents``' plan for one map, keyed on its bytes; arrays read-only.
-
-    np.add.at's additions in its order: each group's members added to 0.0 by
-    column. The j largest groups are summed one at a time by cumsum
-    (sequential); the rest rank by rank, where rank r adds the r-th member of
-    every group longer than r, a prefix when sorted by size. j minimises the
-    j + sizes[j] passes.
-    """
-    col_map = np.frombuffer(map_bytes, dtype=np.int64)
-    counts = np.bincount(col_map, minlength=n_coarse)
-    by_size = np.argsort(-counts, kind="stable")
-    sizes = np.r_[counts[by_size], 0]
-    j = int(np.argmin(np.arange(n_coarse + 1) + sizes))
-    members = np.argsort(col_map, kind="stable")
-    firsts = (np.cumsum(counts) - counts)[by_size]
-    rank, g = np.nonzero(sizes[j:-1] > np.arange(sizes[j])[:, None])
-    run_cols = members[firsts[j + g] + rank]
-    inverse = np.argsort(by_size)
-    for a in (members, run_cols, inverse):
-        a.setflags(write=False)
-    groups = tuple(members[firsts[i]:firsts[i] + sizes[i]] for i in range(j))
-    bounds = tuple(np.r_[0, np.cumsum(np.bincount(rank))].tolist())
-    return groups, run_cols, bounds, inverse, tuple(f"group{i}" for i in range(n_coarse))
+def _group_names(n_coarse: int) -> tuple[str, ...]:
+    return tuple(f"group{i}" for i in range(n_coarse))
 
 
 def marginalize_to_parents(fine: ScoreMatrix, pmap, n_coarse: int) -> ScoreMatrix:
-    """Sum fine probabilities within each parent group.
+    """Sum fine probabilities within each parent group, in ``np.add.at`` order.
 
-    Pure regrouping: row mass is preserved, column ``j`` of the result holds
-    the total probability of leaves with ``pmap[i] == j``.
+    One ``np.bincount`` over bins ``row * n_coarse + pmap[i]`` adds members to 0.0 by column
+    (all -0.0 sums to 0.0); ``pmap`` is range-checked, so no bin spills into the next row.
     """
     _require_probabilities(fine, "fine scores")
     col_map = _as_col_map(pmap, fine.n_classes, n_coarse, "parent index map")
-    groups, run_cols, bounds, inverse, names = _marginal_plan(col_map.tobytes(), n_coarse)
-    j = len(groups)
-    acc = np.zeros((fine.n_samples, n_coarse))
-    for i, members in enumerate(groups):
-        group = np.take(fine.values, members, axis=1)
-        acc[:, i] += np.cumsum(group, axis=1)[:, -1]  # to 0.0, so all -0.0 gives 0.0
-    runs = np.take(fine.values, run_cols, axis=1)
-    for lo, hi in zip(bounds, bounds[1:]):
-        acc[:, j:j + hi - lo] += runs[:, lo:hi]
-    out = np.take(acc, inverse, axis=1)
-    return ScoreMatrix._adopt(out, PROBABILITIES, names, fine.first_row)
+    bins = (np.arange(fine.n_samples)[:, None] * n_coarse + col_map).ravel()
+    sums = np.bincount(bins, fine.values.ravel(), fine.n_samples * n_coarse).reshape(-1, n_coarse)
+    return ScoreMatrix._adopt(sums, PROBABILITIES, _group_names(n_coarse), fine.first_row)
 
 
 def hie_self(fine: ScoreMatrix, pmap, n_coarse: int) -> ScoreMatrix:

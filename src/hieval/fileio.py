@@ -14,7 +14,8 @@ corruption. A :class:`ScoreReader` checks a file's header once and then reads
 any range of rows in the file's column order; :func:`column_order` binds the
 columns to a level by name once, at open, for one ``np.take`` a block.
 ``save_scores`` writes row blocks as they come, so callers can stream score
-sets of any length. All writes go through a temp file and rename.
+sets of any length. All writes go through a temp file and rename; inside a
+:func:`renamed_together` block, the renames of several files wait for its end.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import codecs
 import contextlib
 import json
+import math
 import os
 import struct
 from operator import itemgetter
@@ -59,8 +61,34 @@ _HEADER = struct.Struct("<4sBBII")
 
 
 @contextlib.contextmanager
-def _atomic_file(path: str):
-    """A new binary file that replaces ``path`` when the block exits normally.
+def renamed_together():
+    """A list to pass as ``staged`` to writers: their files replace their paths
+    only once the block exits normally.
+
+    They are renamed in the order they were written, so the last one written
+    lands last. On an exception in the block no path is touched and no temp
+    file is left; a rename that fails leaves the renames before it done.
+    """
+    staged: list[tuple[str, str]] = []  # (temp, path) pairs awaiting their renames
+    try:
+        yield staged
+        while staged:
+            tmp, path = staged[0]
+            try:
+                os.replace(tmp, path)
+            except OSError as e:
+                raise _cannot_write(path, e) from e
+            staged.pop(0)
+    finally:
+        for tmp, _ in staged:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+
+
+@contextlib.contextmanager
+def _atomic_file(path: str, staged: list | None = None):
+    """A new binary file that replaces ``path`` when the block exits normally,
+    or, given ``renamed_together``'s ``staged`` list, when that block does.
 
     On any exception the temp file is removed, and an OSError becomes
     InputError naming ``path``.
@@ -71,7 +99,10 @@ def _atomic_file(path: str):
     try:
         with open(tmp, "xb") as f:
             yield f
-        os.replace(tmp, path)
+        if staged is None:
+            os.replace(tmp, path)
+        else:
+            staged.append((tmp, path))
     except BaseException as e:
         with contextlib.suppress(OSError):
             os.remove(tmp)
@@ -100,8 +131,8 @@ def _read_bytes(path: str) -> bytes:
         raise ParseError(f"cannot read {path}: {e}") from e
 
 
-def write_json(doc: dict, path: str) -> None:
-    with _atomic_file(path) as f:
+def write_json(doc: dict, path: str, staged: list | None = None) -> None:
+    with _atomic_file(path, staged) as f:
         f.write((json.dumps(doc, indent=2) + "\n").encode("utf-8"))
 
 
@@ -176,7 +207,7 @@ def _raise_node_fault(path: str, nodes: list) -> None:
         names.add(name)
 
 
-def save_hierarchy(t: tx.Taxonomy, path: str) -> None:
+def save_hierarchy(t: tx.Taxonomy, path: str, staged: list | None = None) -> None:
     """Write a taxonomy as hierarchy JSON, orders pinned explicitly."""
     # Node ids follow name order, so the nodes are listed sorted by name.
     nodes = [
@@ -188,7 +219,7 @@ def save_hierarchy(t: tx.Taxonomy, path: str) -> None:
         "leaf_order": list(t.leaf_names()),
         "coarse_order": list(t.coarse_names()),
     }
-    write_json(doc, path)
+    write_json(doc, path, staged)
 
 
 # ------------------------------------------------------------ score files
@@ -349,20 +380,31 @@ class ScoreReader:
         n_cols = len(self.class_names)
         values = np.empty((stop - start, n_cols), dtype=np.float64)
         for r in range(start, stop):
-            where = f"{self.path}:{self._body_start + r + 2}"
             fields = self._next_line().split(",")
             if len(fields) != n_cols:
-                raise ColumnMismatch(f"{where}: {len(fields)} fields, header has {n_cols}")
-            for c, token in enumerate(fields):
-                try:
-                    v = real(token)
-                except ValueError:
-                    raise ParseError(f"{where}: not a number: {token.strip()!r}") from None
-                if not np.isfinite(v):
-                    raise NonFiniteValue(r, c)
-                values[r - start, c] = v
+                raise ColumnMismatch(f"{self._where(r)}: {len(fields)} fields, header has {n_cols}")
+            try:
+                row = [*map(real, fields)]
+            except ValueError:
+                row = None
+            if row is None or not all(map(math.isfinite, row)):
+                self._raise_token_fault(r, fields)
+            values[r - start] = row
         self._next_row = stop
         return values
+
+    def _where(self, row: int) -> str:
+        return f"{self.path}:{self._body_start + row + 2}"
+
+    def _raise_token_fault(self, row: int, fields: list[str]) -> None:
+        """The row's first bad token: ParseError if it is no number, else NonFiniteValue."""
+        for c, token in enumerate(fields):
+            try:
+                v = real(token)
+            except ValueError:
+                raise ParseError(f"{self._where(row)}: not a number: {token.strip()!r}") from None
+            if not math.isfinite(v):
+                raise NonFiniteValue(row, c)
 
     def read(self, start: int, stop: int) -> ScoreMatrix:
         """Rows ``[start, stop)``: finite values, and probability rows validated within FILE_TOL.
@@ -383,7 +425,7 @@ class ScoreReader:
         return m
 
 
-def save_scores(m, path: str) -> None:
+def save_scores(m, path: str, staged: list | None = None) -> None:
     """Write a score matrix; '.hies' paths get the binary format, others text.
 
     ``m`` is a ScoreMatrix, an iterable of one matrix's row blocks in order,
@@ -394,7 +436,7 @@ def save_scores(m, path: str) -> None:
     the '.names.json' sidecar fails, neither ``path`` nor the temp file is left behind.
     """
     binary, first = path.endswith(".hies"), None
-    with _atomic_file(path) as f:
+    with _atomic_file(path, staged) as f:
         def write(block):
             nonlocal first
             try:
@@ -431,9 +473,10 @@ def save_scores(m, path: str) -> None:
             ))
     if binary:
         try:
-            write_json({"class_names": list(first.class_names)}, _names_sidecar(path))
+            write_json({"class_names": list(first.class_names)}, _names_sidecar(path), staged)
         except BaseException:
-            os.remove(path)  # unreadable without its names
+            if staged is None:  # else the file is still a temp, which renamed_together removes
+                os.remove(path)  # unreadable without its names
             raise
 
 
@@ -497,7 +540,7 @@ def load_labels(path: str, t: tx.Taxonomy) -> np.ndarray:
 
 
 @contextlib.contextmanager
-def write_labels(t: tx.Taxonomy, path: str):
+def write_labels(t: tx.Taxonomy, path: str, staged: list | None = None):
     """A file of leaf names, one per line (labels or predictions), written block by block.
 
     Yields ``write(indices)``, which appends the leaf_order indices of the
@@ -505,7 +548,7 @@ def write_labels(t: tx.Taxonomy, path: str):
     ``with`` block exits normally; on an exception, no file is left behind.
     """
     lines = [name + "\n" for name in t.leaf_names()]
-    with _atomic_file(path) as f:
+    with _atomic_file(path, staged) as f:
         def write(indices):
             f.write("".join(lines[i] for i in np.asarray(indices).tolist()).encode("utf-8"))
 

@@ -10,7 +10,6 @@ from conftest import (
     random_taxonomy,
     same_bits,
 )
-from hieval import ensemble
 from hieval.ensemble import hie_combine, hie_self, marginalize_to_parents
 from hieval.errors import DimensionMismatch, KindConflict, ZeroDenominator
 from hieval.scores import LOGITS, PROBABILITIES, ScoreMatrix, validate_probabilities
@@ -347,12 +346,13 @@ def test_marginals_match_add_at_bitwise(seed, n, n_fine, shape, negatives):
     assert got == expected if isinstance(expected, str) else same_bits(got, expected)
 
 
-# Group sizes that send the largest groups down the one-group-at-a-time sum
-# and the rest rank by rank, both, or one of the two.
+# Wide and narrow groups, equal and skewed sizes, and empty groups; 201 groups
+# of about 3 are shaped like tieredImageNet-H's 608 leaves.
 @pytest.mark.parametrize("sizes", [
     [3000] + [1] * 1000, [2000, 2000], [10000], [500] + [1] * 500, [14] * 72,
-    list(range(100, 0, -1)), [40, 40, 3, 2, 2, 1, 0, 0],
-], ids=["3000+1000x1", "2x2000", "10000", "500+500x1", "72x14", "staircase-100", "mixed"])
+    list(range(100, 0, -1)), [40, 40, 3, 2, 2, 1, 0, 0], [3] * 196 + [4] * 5,
+], ids=["3000+1000x1", "2x2000", "10000", "500+500x1", "72x14", "staircase-100", "mixed",
+        "201x3"])
 def test_marginals_match_add_at_bitwise_on_wide_groups(sizes):
     rng = np.random.default_rng(len(sizes))
     pmap = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
@@ -366,7 +366,7 @@ def test_marginals_match_add_at_bitwise_on_wide_groups(sizes):
 
 def test_marginal_plans_stay_apart_across_interleaved_maps():
     # Equal lengths, different groupings and group counts, and one map
-    # changed in place between calls: each call must use its own map's plan.
+    # changed in place between calls: each call must sum by its own map.
     rng = np.random.default_rng(9)
     maps = [(np.array([0, 0, 1, 1, 2, 2, 2, 0]), 3), (np.array([2, 1, 0, 0, 0, 1, 3, 3]), 4),
             (np.array([0, 1, 0, 1, 0, 1, 0, 1]), 3)]
@@ -377,9 +377,13 @@ def test_marginal_plans_stay_apart_across_interleaved_maps():
                                          pmap, n_groups)
             assert same_bits(got.values, add_at_marginals(values, pmap, n_groups))
         maps[2][0][round_] = 2
-    plan = ensemble._marginal_plan(maps[0][0].tobytes(), maps[0][1])
-    arrays = [a for a in (*plan[0], *plan[1:]) if isinstance(a, np.ndarray)]
-    assert arrays and not any(a.flags.writeable for a in arrays)
+
+
+def test_a_parent_map_out_of_range_is_refused_not_summed_into_the_next_row():
+    values = np.full((2, 4), 0.25)
+    for pmap in ([0, 0, 1, 2], [0, -1, 1, 1]):
+        with pytest.raises(DimensionMismatch, match="parent index map entries must lie in"):
+            marginalize_to_parents(ScoreMatrix(values, PROBABILITIES, LEAVES), pmap, 2)
 
 
 @settings(max_examples=300, deadline=None)

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES, random_taxonomy, read_scores
+from hieval import fileio
 from hieval.errors import (
     ColumnMismatch,
     CycleDetected,
     DuplicateClass,
     EmptyInput,
+    InputError,
     KindConflict,
     MissingClass,
     NegativeEntry,
@@ -27,6 +29,7 @@ from hieval.fileio import (
     column_order,
     load_hierarchy,
     load_labels,
+    renamed_together,
     save_hierarchy,
     save_scores,
     write_labels,
@@ -315,6 +318,17 @@ def test_row_range_errors_name_file_rows_and_lines(tmp_path):
     # Row faults name the file, and keep their type and position attributes.
     assert str(exc.value) == f"{path}: negative entry at row 33, column 0"
     assert (exc.value.row, exc.value.col) == (33, 0)
+    # Within a row, the first bad token is named, be it not finite or no number.
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_text("a,b,c\n0.5,inf,x\n0.5,x,nan\n1e999,-inf,nan\n")
+    with ScoreReader(str(mixed), LOGITS) as reader:
+        with pytest.raises(NonFiniteValue) as exc:
+            reader.read(0, 1)
+        assert str(exc.value) == f"{mixed}: non-finite value at row 0, column 1"
+        with pytest.raises(ParseError, match=r"mixed.csv:3: not a number: 'x'"):
+            reader.read(1, 2)
+        with pytest.raises(NonFiniteValue, match="row 2, column 0"):
+            reader.read(2, 3)
 
 
 def test_text_utf8_is_checked_across_read_chunks(tmp_path):
@@ -358,6 +372,31 @@ def test_a_block_that_raises_leaves_no_file(tmp_path):
     with pytest.raises(EmptyInput):
         save_scores(iter([]), str(tmp_path / "y.csv"))
     assert os.listdir(tmp_path) == []
+
+
+def test_files_renamed_together_replace_nothing_until_the_block_ends(tmp_path, monkeypatch):
+    m = ScoreMatrix([[0.5, 0.5]], PROBABILITIES, ("a", "b"))
+    save_scores(m, str(tmp_path / "x.hies"))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    new = ScoreMatrix([[0.25, 0.75]], PROBABILITIES, ("a", "b"))
+    with pytest.raises(NonFiniteValue), renamed_together() as staged:
+        save_scores(new, str(tmp_path / "x.hies"), staged)
+        save_scores(new, str(tmp_path / "y.csv"), staged)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.suffix != ".tmp"} == before
+        raise NonFiniteValue(0, 0)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    # A sidecar that cannot be written leaves the file at its path as it was.
+    def no_sidecar(doc, path, staged):
+        raise InputError(f"cannot write {path}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fileio, "write_json", no_sidecar)
+        with pytest.raises(InputError, match="x.hies.names.json"), renamed_together() as staged:
+            save_scores(new, str(tmp_path / "x.hies"), staged)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    with renamed_together() as staged:
+        save_scores(new, str(tmp_path / "x.hies"), staged)
+    assert read_scores(str(tmp_path / "x.hies")).values.tolist() == [[0.25, 0.75]]
 
 
 # ---------------------------------------------------------------- aligning

@@ -291,8 +291,21 @@ def test_synth_names_the_file_row_of_a_logit_its_noise_overflows(tmp_path, monke
     use_block_rows(monkeypatch, 2, 2)
     assert run(["synth", "--branching", "2,2", "--noise", "1e308,1", "--n-samples", "5",
                 "--seed", "0", "--out-dir", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == "NonFiniteValue: non-finite value at row 4, column 1\n"
-    assert not (tmp_path / "level_d1.hies").exists() and not (tmp_path / "manifest.json").exists()
+    assert capsys.readouterr().err == (
+        f"NonFiniteValue: {tmp_path}/level_d1.hies: non-finite value at row 4, column 1\n"
+    )
+    assert os.listdir(tmp_path) == []  # not even the hierarchy or labels, and no temp file
+
+
+def test_a_failing_synth_leaves_an_earlier_instance_as_it_was(tmp_path, capsys):
+    # The second instance's labels, hierarchy and top level are drawn before its
+    # fine level overflows; none of them may replace the first instance's files.
+    args = ["synth", "--branching", "3,4", "--n-samples", "50", "--out-dir", str(tmp_path)]
+    assert run([*args, "--noise", "0.5,1", "--seed", "1"]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run([*args, "--noise", "0.5,1e308", "--seed", "2"]) == 2
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before  # and no temp file
+    assert capsys.readouterr().err.startswith(f"NonFiniteValue: {tmp_path}/fine.hies: ")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
