@@ -1,14 +1,15 @@
 """Command-line interface: validate, infer, eval, compare, costs, synth.
 
 Exit codes are a stable contract: 0 on success, 2 for input or usage
-problems, 3 for shape or semantic mismatches between otherwise valid inputs;
-a command's summary is printed once it is done, and a closed or full
-standard output exits 2. Output files are byte-identical across repeated
-runs; to keep that true regardless of the host's BLAS threading
-configuration, the entry point pins numerical libraries to one thread before
-numpy is first imported. It also has glibc keep the memory each block of
-rows frees for the next block, rather than return it to the system and fault
-it back in; importing the package changes neither setting.
+problems and for an allocation that fails, 3 for shape or semantic mismatches
+between otherwise valid inputs; a command's summary is printed once it is
+done, and a closed or full standard output exits 2. Output files are
+byte-identical across repeated runs; to keep that true regardless of the
+host's BLAS threading configuration, the entry point pins numerical
+libraries to one thread before numpy is first imported. It also has glibc
+keep the memory each block of rows frees for the next block, rather than
+return it to the system and fault it back in; importing the package changes
+neither setting.
 
 :func:`main`, the process entry, runs ``eval``, ``compare`` and ``infer`` on every
 usable CPU and exits without teardown when done; :func:`run` runs in-process and returns.
@@ -144,17 +145,19 @@ def run(argv=None, workers: int = 1) -> int:
     """Run one command in this process and return its exit code; ``eval``, ``compare``
     and ``infer`` spread their rows over up to ``workers`` processes, this one included.
 
-    With ``workers > 1``, ``eval`` and ``compare`` also hash their inputs in a
-    child process of their own (``hashing.digests``), killed and reaped on return.
+    ``eval`` and ``compare`` first refuse an input that is not a regular file
+    (``hashing.check_regular``); with ``workers > 1``, they then hash their inputs
+    in a child process of their own (``hashing.digests``), killed and reaped on return.
     """
     _pin_single_threaded_math()
     _keep_freed_memory()
     args = build_parser().parse_args(argv)
-    args.workers = workers
-    # Forked before numpy loads, so that it is small and this process never loads OpenSSL.
-    multi = workers > 1 and args.command in ("eval", "compare")
-    args.digests = procs.Child(lambda: hashing.digests(args)) if multi else None
+    args.workers, args.digests = workers, None
     try:
+        if args.command in ("eval", "compare"):
+            hashing.check_regular(args)
+            if workers > 1:  # forked before numpy loads: small, and this process never loads OpenSSL
+                args.digests = procs.Child(lambda: hashing.digests(args))
         from . import commands
 
         # infer requires --out even though other commands treat it as optional
@@ -175,6 +178,9 @@ def run(argv=None, workers: int = 1) -> int:
     except DataError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:  # numpy's names the allocation it could not make
+        print(f"MemoryError: {e or 'out of memory'}", file=sys.stderr)
+        return 2
     finally:
         if args.digests:
             args.digests.close()

@@ -285,11 +285,11 @@ def cmd_infer(args, out) -> int:
     taken = [args.out, fileio._names_sidecar(args.out)] if binary else [args.out]
     if os.path.abspath(preds_path) in map(os.path.abspath, taken):
         raise InputError(f"--preds-out {preds_path} would overwrite what --out {args.out} writes")
-    with load_method_inputs(args, [method]) as inputs, contextlib.ExitStack() as undo:
+    with load_method_inputs(args, [method]) as inputs, fileio.renamed_together() as staged:
         caller, written = os.getpid(), 0  # rows whose predictions are written
 
         def write_all(write):
-            with fileio.write_labels(inputs.taxonomy, preds_path) as write_preds:
+            with fileio.write_labels(inputs.taxonomy, preds_path, staged) as write_preds:
                 def rows(start, stop):
                     nonlocal written
                     tops = []  # those not written yet; int32, 4 B a row through a worker's pipe
@@ -306,12 +306,8 @@ def cmd_infer(args, out) -> int:
                 for tops in _in_workers(rows, inputs, args.workers if binary else 1):
                     for top in tops:
                         write_preds(top)
-            # Renamed into place before the scores file, and removed again if
-            # that fails, so a failing write of either leaves neither behind.
-            undo.callback(os.remove, preds_path)
 
-        fileio.save_scores(write_all, args.out)
-        undo.pop_all()
+        fileio.save_scores(write_all, args.out, staged)
     print(f"wrote {args.out} and {preds_path}", file=out)
     return 0
 
@@ -508,8 +504,8 @@ def cmd_synth(args, out) -> int:
         "rng": synth.RNG_ALGORITHM,
         "files": paths,
     }
-    # A failure leaves the directory as it was: nothing is renamed into place
-    # until every file is written, and the manifest is renamed last.
+    # Nothing is renamed into place until every file is written, the manifest
+    # last, so a failure leaves no new file in the directory.
     with fileio.renamed_together() as staged:
         fileio.save_hierarchy(t, os.path.join(args.out_dir, paths["hierarchy"]), staged)
         step = block_rows(t.n_leaves)

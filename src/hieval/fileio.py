@@ -14,8 +14,9 @@ corruption. A :class:`ScoreReader` checks a file's header once and then reads
 any range of rows in the file's column order; :func:`column_order` binds the
 columns to a level by name once, at open, for one ``np.take`` a block.
 ``save_scores`` writes row blocks as they come, so callers can stream score
-sets of any length. All writes go through a temp file and rename; inside a
-:func:`renamed_together` block, the renames of several files wait for its end.
+sets of any length. Every write goes to a temp file, renamed into place when
+its :func:`renamed_together` block ends, together with the other files of that
+block; a writer given no block opens one of its own.
 """
 
 from __future__ import annotations
@@ -63,52 +64,51 @@ _HEADER = struct.Struct("<4sBBII")
 @contextlib.contextmanager
 def renamed_together():
     """A list to pass as ``staged`` to writers: their files replace their paths
-    only once the block exits normally.
+    only once the block exits normally, in the order the files were opened.
 
-    They are renamed in the order they were written, so the last one written
-    lands last. On an exception in the block no path is touched and no temp
-    file is left; a rename that fails leaves the renames before it done.
+    On an exception in the block no path is touched and no temp file is left.
+    If a rename fails, the files this block already renamed are removed too,
+    so no new file is left.
     """
     staged: list[tuple[str, str]] = []  # (temp, path) pairs awaiting their renames
+    renamed: list[str] = []
     try:
         yield staged
-        while staged:
-            tmp, path = staged[0]
+        for tmp, path in staged:
             try:
                 os.replace(tmp, path)
             except OSError as e:
                 raise _cannot_write(path, e) from e
-            staged.pop(0)
-    finally:
-        for tmp, _ in staged:
+            renamed.append(path)
+    except BaseException:
+        for path in renamed + [tmp for tmp, _ in staged]:  # a renamed temp is gone already
             with contextlib.suppress(OSError):
-                os.remove(tmp)
+                os.remove(path)
+        raise
+
+
+def _staging(staged: list | None):
+    """``staged`` itself, or, where it is None, a ``renamed_together`` block of its own."""
+    return renamed_together() if staged is None else contextlib.nullcontext(staged)
 
 
 @contextlib.contextmanager
 def _atomic_file(path: str, staged: list | None = None):
-    """A new binary file that replaces ``path`` when the block exits normally,
-    or, given ``renamed_together``'s ``staged`` list, when that block does.
+    """A new binary file that replaces ``path`` when ``renamed_together``'s
+    block for ``staged`` ends, or, without ``staged``, when this block does.
 
-    On any exception the temp file is removed, and an OSError becomes
-    InputError naming ``path``.
+    An OSError becomes InputError naming ``path``.
     """
     # A unique temp name beside the target keeps concurrent writers apart and
     # the final rename on one file system.
     tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
-    try:
-        with open(tmp, "xb") as f:
-            yield f
-        if staged is None:
-            os.replace(tmp, path)
-        else:
-            staged.append((tmp, path))
-    except BaseException as e:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        if isinstance(e, OSError):
+    with _staging(staged) as staged:
+        try:
+            with open(tmp, "xb") as f:
+                staged.append((tmp, path))
+                yield f
+        except OSError as e:
             raise _cannot_write(path, e) from e
-        raise
 
 
 def _cannot_write(path: str, e: OSError) -> InputError:
@@ -431,12 +431,12 @@ def save_scores(m, path: str, staged: list | None = None) -> None:
     ``m`` is a ScoreMatrix, an iterable of one matrix's row blocks in order,
     or a function that passes its blocks to the ``write`` it is given, in
     order, except that '.hies' blocks go to their own rows (``first_row``), so
-    processes it forks after its first block may write theirs. The file
-    appears at ``path`` only after the last block is written; if a block or
-    the '.names.json' sidecar fails, neither ``path`` nor the temp file is left behind.
+    processes it forks after its first block may write theirs. A '.hies'
+    file and its '.names.json' sidecar are renamed together: when ``staged``'s
+    block ends, or, without ``staged``, when this call does.
     """
     binary, first = path.endswith(".hies"), None
-    with _atomic_file(path, staged) as f:
+    with _staging(staged) as staged, _atomic_file(path, staged) as f:
         def write(block):
             nonlocal first
             try:
@@ -471,13 +471,7 @@ def save_scores(m, path: str, staged: list | None = None) -> None:
             f.write(_HEADER.pack(
                 BINARY_MAGIC, BINARY_VERSION, _KIND_BYTE[first.kind], rows, first.n_classes
             ))
-    if binary:
-        try:
             write_json({"class_names": list(first.class_names)}, _names_sidecar(path), staged)
-        except BaseException:
-            if staged is None:  # else the file is still a temp, which renamed_together removes
-                os.remove(path)  # unreadable without its names
-            raise
 
 
 def column_order(names: Sequence[str], t: tx.Taxonomy, level) -> tuple[np.ndarray | None, tuple]:

@@ -438,6 +438,16 @@ def test_costs_file(workspace, flower_vehicle):
     assert m.class_names == ("rose", "tulip", "bus", "car")
 
 
+def test_a_costs_whose_sidecar_cannot_land_leaves_no_new_file(workspace, capsys):
+    # The matrix is renamed first, then removed again when its names cannot follow.
+    out = workspace / "costs.hies"
+    (workspace / "costs.hies.names.json").mkdir()
+    before = sorted(os.listdir(workspace))
+    assert run(["costs", "--hierarchy", str(workspace / "hierarchy.json"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"InputError: cannot write {out}.names.json: Is a directory\n"
+    assert sorted(os.listdir(workspace)) == before  # and no temp file
+
+
 # ------------------------------------------------------------------- synth
 
 
@@ -479,6 +489,15 @@ def test_synth_flag_faults_exit_2_naming_the_flag(tmp_path, capsys, flag, value,
     assert err.startswith(f"InputError: {message.format(tmp=tmp_path)}")
     assert err.count("\n") == 1
     assert not (tmp_path / "inst").exists()
+
+
+def test_an_allocation_that_fails_exits_2_in_one_line(tmp_path, capsys):
+    # 8 bytes a label for 10**18 rows is more than any address space, so this fails at once.
+    assert run(["synth", "--branching", "2,2", "--noise", "1,1", "--n-samples", str(10**18),
+                "--out-dir", str(tmp_path / "inst")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("MemoryError: Unable to allocate ") and err.count("\n") == 1
+    assert os.listdir(tmp_path / "inst") == []
 
 
 # int() also takes PEP 515 separators ("1_0" is 10) and other scripts' digits ("١٠" is 10).

@@ -399,6 +399,16 @@ def test_files_renamed_together_replace_nothing_until_the_block_ends(tmp_path, m
     assert read_scores(str(tmp_path / "x.hies")).values.tolist() == [[0.25, 0.75]]
 
 
+def test_a_save_scores_whose_sidecar_cannot_land_leaves_no_new_file(tmp_path):
+    # Given no block, the file and its sidecar are renamed in one of their own:
+    # the file lands first and is removed again when the sidecar's rename fails.
+    (tmp_path / "x.hies.names.json").mkdir()
+    m = ScoreMatrix([[0.5, 0.5]], PROBABILITIES, ("a", "b"))
+    with pytest.raises(InputError, match=r"cannot write .*/x\.hies\.names\.json: Is a directory"):
+        save_scores(m, str(tmp_path / "x.hies"))
+    assert os.listdir(tmp_path) == ["x.hies.names.json"]  # and no temp file
+
+
 # ---------------------------------------------------------------- aligning
 
 

@@ -181,6 +181,29 @@ def test_a_fault_before_the_echo_is_the_same_with_a_hasher(inputs, tmp_path, mon
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("command, flag", [(0, "--labels"), (0, "--level"), (1, "--preds")],
+                         ids=["compare-labels", "compare-level", "eval-preds"])
+def test_an_input_that_is_no_regular_file_is_refused_before_any_read(
+    inputs, tmp_path, monkeypatch, capsys, workers, command, flag
+):
+    # A pipe's bytes go to one reader: the hasher would drain it before the command,
+    # or the command before the hasher. Only stat is called, so the FIFO blocks nothing.
+    out = tmp_path / "out"
+    out.mkdir()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    argv = commands(inputs(), out)[command]
+    i = argv.index(flag) + 1
+    argv[i] = f"1={fifo}" if flag == "--level" else str(fifo)
+    forks = count_forks(monkeypatch)
+    assert run(argv, workers=workers) == 2
+    given = f"--level 1={fifo}" if flag == "--level" else f"{flag} {fifo}"
+    assert capsys.readouterr().err == (f"InputError: {given} is not a regular file; {argv[0]} "
+                                       "reads each input twice, to hash it and to use it\n")
+    assert forks == [] and os.listdir(out) == []
+
+
 @pytest.mark.parametrize("name", ["pipe", "fork"])
 def test_a_hasher_that_cannot_start_leaves_the_hashing_here(inputs, tmp_path, monkeypatch, capsys,
                                                             name):

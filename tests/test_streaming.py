@@ -308,6 +308,24 @@ def test_a_failing_synth_leaves_an_earlier_instance_as_it_was(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"NonFiniteValue: {tmp_path}/fine.hies: ")
 
 
+def test_a_synth_whose_rename_fails_leaves_no_new_file(tmp_path, capsys):
+    # The hierarchy and the labels are renamed before level_d1.hies, whose path is
+    # a directory; they are removed again, so no file of the second instance is left.
+    args = ["synth", "--branching", "3,4", "--noise", "0.5,1", "--n-samples", "50",
+            "--out-dir", str(tmp_path)]
+    assert run([*args, "--seed", "1"]) == 0
+    (tmp_path / "level_d1.hies").unlink()
+    (tmp_path / "level_d1.hies").mkdir()
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    assert run([*args, "--seed", "2"]) == 2
+    assert capsys.readouterr().err == (
+        f"InputError: cannot write {tmp_path}/level_d1.hies: Is a directory\n")
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    assert after.items() <= before.items()  # and no temp file
+    assert sorted(before.keys() - after.keys()) == ["hierarchy.json", "labels.txt"]
+    assert not os.listdir(tmp_path / "level_d1.hies")
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 def test_a_non_finite_value_in_a_late_binary_block_names_the_file_row(
     probability_inputs, monkeypatch, capsys, bad
