@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "Taxonomy": "taxonomy",
     "build_taxonomy": "taxonomy",
-    "cost_matrix": "taxonomy",
     "parent_index_map": "taxonomy",
     "ancestor_index_map": "taxonomy",
     "level_order": "taxonomy",

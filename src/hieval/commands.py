@@ -459,11 +459,11 @@ def cmd_compare(args, out) -> int:
 
 def cmd_costs(args, out) -> int:
     t = fileio.load_hierarchy(args.hierarchy)
-    names, step = t.leaf_names(), block_rows(t.n_leaves)
+    names, step, cols = t.leaf_names(), block_rows(t.n_leaves), np.arange(t.n_leaves)
 
-    def block(lo):  # rows [lo, lo + step); no whole matrix is held
-        return ScoreMatrix._adopt(tx.cost_matrix(t, slice(lo, lo + step)).astype(np.float64),
-                                  LOGITS, names, lo)
+    def block(lo):  # rows [lo, lo + step) of LCA heights; no whole matrix is held
+        heights = tx.lca_heights(t, cols[lo:lo + step, None], cols)
+        return ScoreMatrix._adopt(heights.astype(np.float64), LOGITS, names, lo)
 
     fileio.save_scores(map(block, range(0, t.n_leaves, step)), args.out)
     print(f"wrote {args.out}", file=out)

@@ -67,24 +67,38 @@ def renamed_together():
     only once the block exits normally, in the order the files were opened.
 
     On an exception in the block no path is touched and no temp file is left.
-    If a rename fails, the files this block already renamed are removed too,
-    so no new file is left.
+    If a rename fails, the files this block renamed are removed and the files
+    they replaced (kept under hard links until the block ends) are put back.
     """
     staged: list[tuple[str, str]] = []  # (temp, path) pairs awaiting their renames
-    renamed: list[str] = []
+    renamed: list[tuple[str, str | None]] = []  # (path, link to the file it replaced, or None)
     try:
         yield staged
         for tmp, path in staged:
+            kept = None  # a link, so that a reader sees the old file or the new one, never neither
+            with contextlib.suppress(OSError):  # no file there (one failed call), or a directory
+                os.link(path, f"{tmp}.old", follow_symlinks=False)
+                kept = f"{tmp}.old"
             try:
                 os.replace(tmp, path)
             except OSError as e:
                 raise _cannot_write(path, e) from e
-            renamed.append(path)
+            renamed.append((path, kept))
     except BaseException:
-        for path in renamed + [tmp for tmp, _ in staged]:  # a renamed temp is gone already
+        for path, kept in reversed(renamed):
             with contextlib.suppress(OSError):
-                os.remove(path)
+                if kept:
+                    os.replace(kept, path)
+                else:
+                    os.remove(path)
+        for tmp, _ in staged:  # a renamed temp is gone already, and so is a link put back
+            for name in (tmp, f"{tmp}.old"):
+                with contextlib.suppress(OSError):
+                    os.remove(name)
         raise
+    for _, kept in filter(itemgetter(1), renamed):
+        with contextlib.suppress(OSError):
+            os.remove(kept)
 
 
 def _staging(staged: list | None):

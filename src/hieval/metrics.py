@@ -6,7 +6,7 @@ mistakes gives the average mistake severity, and averaging the LCA heights of
 the top-k ranked classes over all samples gives hierarchical distance@k, whose
 k=1 case decomposes exactly as (1 - top-1 accuracy) * severity. All three are
 read off one table of LCA heights, each row's top max(ks) classes against its
-label (``taxonomy.lca_heights``), never through the leaf-by-leaf cost matrix.
+label (``taxonomy.lca_heights``); no leaf-by-leaf table is built.
 
 A report holds integer counts and sums of LCA heights, and each metric is one
 division of them. Reports of disjoint row sets add up exactly, so a score set

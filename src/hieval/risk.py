@@ -75,7 +75,7 @@ def _build_path_layout(t: tx.Taxonomy) -> _PathLayout:
 
 
 def _tree_expected_costs(p: np.ndarray, t: tx.Taxonomy) -> np.ndarray:
-    """``p @ cost_matrix(t).T`` from subtree masses, one block of rows at a time.
+    """Each row's expected LCA-height cost of every leaf, by subtree masses, a block at a time.
 
     Blocks keep the per-depth mass arrays (rows x nodes) small when a whole
     matrix comes in.

@@ -252,10 +252,10 @@ def _build_ancestor_table(t: Taxonomy) -> np.ndarray:
 def lca_heights(t: Taxonomy, a, b) -> np.ndarray:
     """LCA heights of leaf columns ``a`` and ``b``, index arrays broadcast together.
 
-    Equals ``cost_matrix(t)[a, b]`` without building the matrix: the LCA is
-    the deepest depth at which both leaves' ancestors agree. O(size * depth),
-    reading the ancestor table's columns below the root and their heights,
-    each contiguous and cached on the taxonomy.
+    The one routine that computes them: the height at the deepest depth where
+    both leaves' ancestors agree. O(size * depth), reading the ancestor table's
+    columns below the root and their heights, each contiguous and cached on the
+    taxonomy.
     """
     a, b = np.asarray(a), np.asarray(b)
     if a.size < b.size:  # heights are gathered through the smaller one
@@ -270,20 +270,6 @@ def _build_lca_columns(t: Taxonomy) -> np.ndarray:
     """``[ancestor columns, their heights]``, one row per depth 1 .. max_depth."""
     cols = ancestor_table(t).T[1:]
     return np.stack([cols, np.asarray(t.height, dtype=np.int64)[cols]])
-
-
-def cost_matrix(t: Taxonomy, rows: slice | None = None) -> np.ndarray:
-    """Leaf-by-leaf LCA-height costs in ``leaf_order`` convention, or only their ``rows``.
-
-    Symmetric with a zero diagonal; off-diagonal entries are at least 1.
-    The whole array is cached on the taxonomy and returned read-only; a
-    slice of rows is built on each call, so that a caller can go through
-    the matrix a block at a time.
-    """
-    cols = np.arange(t.n_leaves)
-    if rows is not None:
-        return lca_heights(t, cols[rows, None], cols)
-    return cached(t, "cost_matrix", lambda: lca_heights(t, cols[:, None], cols))
 
 
 def _positions(t: Taxonomy, order: Sequence[int]) -> np.ndarray:

@@ -17,7 +17,7 @@ from hieval.errors import ZeroDenominator
 from hieval.fileio import ScoreReader
 from hieval.scores import ScoreMatrix
 from hieval.synth import gen_instance, gen_taxonomy
-from hieval.taxonomy import Taxonomy, build_taxonomy, cost_matrix
+from hieval.taxonomy import Taxonomy, build_taxonomy
 
 # Four leaves under two groups; column order pinned to rose,tulip,bus,car so
 # that score-matrix fixtures read naturally.
@@ -166,9 +166,15 @@ def lca_height(t: Taxonomy, a: int, b: int) -> int:
     return t.height[a]
 
 
+def dense_lca_heights(t: Taxonomy) -> np.ndarray:
+    """The leaf-by-leaf LCA heights in ``leaf_order`` convention, one walk per pair."""
+    leaves = t.leaf_order
+    return np.array([[lca_height(t, a, b) for b in leaves] for a in leaves], dtype=np.int64)
+
+
 def dense_expected_costs(p: np.ndarray, t: Taxonomy) -> np.ndarray:
     """Each row's expected LCA-height cost of every leaf, by its definition (``risk``'s reference)."""
-    return p @ cost_matrix(t).T
+    return p @ dense_lca_heights(t).T
 
 
 # ------------------------------------------------- bitwise kernel oracles

@@ -14,7 +14,8 @@ import time
 import numpy as np
 
 import hieval
-from conftest import criterion, random_prob_rows, random_taxonomy, read_scores, star, synth_instance
+from conftest import (criterion, dense_lca_heights, random_prob_rows, random_taxonomy, read_scores, star,
+                      synth_instance)
 from hieval.ensemble import hie_combine, hie_self, marginalize_to_parents
 from hieval.fileio import load_hierarchy, save_hierarchy, save_scores
 from hieval.metrics import eval_report
@@ -24,7 +25,6 @@ from hieval.synth import SynthConfig
 from hieval.taxonomy import (
     ancestor_index_map,
     build_taxonomy,
-    cost_matrix,
     parent_index_map,
 )
 
@@ -149,7 +149,7 @@ def test_c04_crm_oracle_suite():
             t = random_taxonomy(rng, int(rng.integers(3, 16)))
             if t.n_leaves > 10:
                 continue
-            costs = cost_matrix(t)
+            costs = dense_lca_heights(t)
             p = random_prob_rows(rng, 1, t.n_leaves)
             ranking = crm_rerank(prob_matrix(p, t.leaf_names()), t)
             best, best_risk = 0, float("inf")
@@ -197,7 +197,7 @@ def test_c05_metric_identity_suite():
             t = random_taxonomy(rng, int(rng.integers(4, 24)))
             if t.n_leaves > 16:
                 continue
-            costs = cost_matrix(t)
+            costs = dense_lca_heights(t)
             n = int(rng.integers(1, 100))
             k = int(rng.integers(1, t.n_leaves + 1))
             ranking = np.stack([rng.permutation(t.n_leaves) for _ in range(n)])

@@ -11,7 +11,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES, dense_expected_costs, read_scores
+from conftest import (SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES, dense_expected_costs, dense_lca_heights,
+                      read_scores)
 from hieval import cli, taxonomy
 from hieval.cli import run
 from hieval.commands import METHODS
@@ -20,7 +21,7 @@ from hieval.fileio import load_hierarchy, load_labels
 from hieval.metrics import eval_report
 from hieval.risk import crm_rerank
 from hieval.scores import softmax_rows, top_k
-from hieval.taxonomy import ancestor_index_map, cost_matrix, parent_index_map
+from hieval.taxonomy import ancestor_index_map, parent_index_map
 
 
 @pytest.fixture
@@ -434,7 +435,7 @@ def test_costs_file(workspace, flower_vehicle):
     out = str(workspace / "costs.csv")
     assert run(["costs", "--hierarchy", str(workspace / "hierarchy.json"), "--out", out]) == 0
     m = read_scores(out, declared_kind="logits")
-    assert m.values.tolist() == cost_matrix(flower_vehicle).astype(float).tolist()
+    assert m.values.tolist() == dense_lca_heights(flower_vehicle).astype(float).tolist()
     assert m.class_names == ("rose", "tulip", "bus", "car")
 
 
@@ -724,16 +725,24 @@ def test_compare_reports_match_the_library_composition(every_method_table):
 
 
 def test_eval_and_compare_never_build_the_cost_matrix(every_method_table, monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("dense cost matrix used on the eval/compare path")
+    # Each LCA-height lookup pairs a row's top 5 classes with its label, never a
+    # row with all 36 leaves, as even one block of the leaf-by-leaf matrix would.
+    lca_heights, calls = taxonomy.lca_heights, []
 
-    monkeypatch.setattr(taxonomy, "cost_matrix", forbidden)
+    def guarded(t, a, b):
+        heights = lca_heights(t, a, b)
+        calls.append(heights.shape)
+        assert heights.shape[-1] < t.n_leaves, "leaf-by-leaf LCA heights on the eval/compare path"
+        return heights
+
+    monkeypatch.setattr(taxonomy, "lca_heights", guarded)
     d, base, reports = every_method_table
     assert run(["eval", *base, "--method", "crm", "--out", str(d / "guard.json")]) == 0
     assert json.loads((d / "guard.json").read_text()) == reports[list(METHODS).index("crm")]
     assert run(["compare", *base, "--methods", ",".join(METHODS),
                 "--out", str(d / "guard_table.json")]) == 0
     assert json.loads((d / "guard_table.json").read_text())["reports"] == reports
+    assert calls  # the guard sat on the path the reports came from
 
 
 def test_synth_noiseless_compare_all_perfect(tmp_path, capsys):

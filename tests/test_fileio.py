@@ -409,6 +409,42 @@ def test_a_save_scores_whose_sidecar_cannot_land_leaves_no_new_file(tmp_path):
     assert os.listdir(tmp_path) == ["x.hies.names.json"]  # and no temp file
 
 
+def test_a_failed_rename_puts_back_every_file_the_block_replaced(tmp_path):
+    # a.json is a file and b.json a link to one; c.json is a directory, so its
+    # rename fails after the other two have landed.
+    (tmp_path / "a.json").write_text("old a")
+    (tmp_path / "t.json").write_text("old t")
+    (tmp_path / "b.json").symlink_to("t.json")
+    (tmp_path / "c.json").mkdir()
+    with pytest.raises(InputError, match=r"cannot write .*/c\.json: Is a directory"):
+        with renamed_together() as staged:
+            for name in ("a.json", "b.json", "c.json"):
+                fileio.write_json({"new": name}, str(tmp_path / name), staged)
+    assert sorted(os.listdir(tmp_path)) == ["a.json", "b.json", "c.json", "t.json"]  # no link kept
+    assert (tmp_path / "a.json").read_text() == "old a"
+    assert os.readlink(tmp_path / "b.json") == "t.json"
+    assert (tmp_path / "t.json").read_text() == "old t"
+    assert os.listdir(tmp_path / "c.json") == []
+
+
+def test_files_renamed_together_keep_no_link_once_they_land(tmp_path, monkeypatch):
+    # A target with no file yet costs one failed link; a replaced one's link goes at the end.
+    (tmp_path / "a.json").write_text("old a")
+    links, link = [], os.link
+
+    def counted(src, dst, **kwargs):
+        links.append(Path(src).name)
+        return link(src, dst, **kwargs)
+
+    monkeypatch.setattr(os, "link", counted)
+    with renamed_together() as staged:
+        for name in ("a.json", "b.json"):
+            fileio.write_json({"new": name}, str(tmp_path / name), staged)
+    assert links == ["a.json", "b.json"]
+    assert sorted(os.listdir(tmp_path)) == ["a.json", "b.json"]
+    assert json.loads((tmp_path / "a.json").read_text()) == {"new": "a.json"}
+
+
 # ---------------------------------------------------------------- aligning
 
 

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_prob_rows, random_taxonomy
+from conftest import dense_lca_heights, random_prob_rows, random_taxonomy
 from hieval.ensemble import hie_combine
 from hieval.errors import EmptyInput, InvalidIndex, KTooLarge, LengthMismatch
 from hieval.metrics import eval_report
 from hieval.scores import PROBABILITIES, ScoreMatrix, top_k
-from hieval.taxonomy import build_taxonomy, cost_matrix, parent_index_map
+from hieval.taxonomy import build_taxonomy, parent_index_map
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +155,7 @@ def test_metrics_match_direct_loop_oracle():
         k = int(rng.integers(1, t.n_leaves + 1))
         ranking = np.stack([rng.permutation(t.n_leaves) for _ in range(n)])
         gt = rng.integers(0, t.n_leaves, size=n)
-        costs = cost_matrix(t)
+        costs = dense_lca_heights(t)
         # One call for several ks, the largest first and each usually below
         # the ranking's width, so every k reads its own prefix of the ranking.
         ks = list(dict.fromkeys([k, 1, (k + 1) // 2]))
@@ -221,7 +221,7 @@ def test_eval_report_matches_manual_top_k(flower_vehicle):
     gt = rng.integers(0, 4, size=30)
     ranking = top_k(m, 2)
     r = eval_report(ranking, gt, t, [1, 2], "argmax")
-    costs = cost_matrix(t)
+    costs = dense_lca_heights(t)
     hd2 = sum(int(costs[ranking[i, j], gt[i]]) for i in range(30) for j in range(2))
     assert r.hier_dist_at_k[2] == hd2 / 60
     assert r.n_samples == 30

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (dense_expected_costs, random_prob_rows, random_taxonomy, star, taxonomies,
-                      tied_matrix_and_k)
+from conftest import (dense_expected_costs, dense_lca_heights, random_prob_rows, random_taxonomy, star,
+                      taxonomies, tied_matrix_and_k)
 from hieval import scores
 from hieval.ensemble import hie_combine
 from hieval.errors import DimensionMismatch, KindConflict
 from hieval.risk import crm_rerank
 from hieval.scores import LOGITS, PROBABILITIES, ScoreMatrix, top_k
-from hieval.taxonomy import cost_matrix
 
 # The leaves of conftest's flower_vehicle taxonomy, in its leaf order.
 LEAVES = ("rose", "tulip", "bus", "car")
@@ -92,7 +91,7 @@ def test_tree_risk_on_fixture_and_one_hot_rows(flower_vehicle):
     ranking = crm_rerank(probs([0.40, 0.10, 0.35, 0.15]), flower_vehicle)
     np.testing.assert_allclose(-ranking.values[0], [1.10, 1.40, 1.15, 1.35], atol=1e-12)
     one_hot = -crm_rerank(probs(np.eye(4)), flower_vehicle).values
-    assert one_hot.tolist() == cost_matrix(flower_vehicle).T.tolist()
+    assert one_hot.tolist() == dense_lca_heights(flower_vehicle).T.tolist()
 
 
 def test_tree_risk_rows_do_not_depend_on_the_block_size(monkeypatch):
@@ -146,7 +145,7 @@ def test_prediction_matches_bruteforce_argmin():
         t = random_taxonomy(rng, int(rng.integers(3, 20)))
         if t.n_leaves > 10:
             continue
-        costs = cost_matrix(t)
+        costs = dense_lca_heights(t)
         p = random_prob_rows(rng, 1, t.n_leaves)
         ranking = crm_rerank(probs(p, names=t.leaf_names()), t)
         best, best_risk = 0, float("inf")

@@ -14,13 +14,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES, read_scores, same_bits, use_block_rows
+from conftest import (SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES, dense_lca_heights, read_scores, same_bits,
+                      taxonomies, use_block_rows)
 from hieval import fileio, risk, scores, taxonomy
 from hieval.cli import build_parser, run
 from hieval.commands import METHODS, load_method_inputs, run_methods
 from hieval.ensemble import hie_combine, hie_self
-from hieval.fileio import column_order, load_hierarchy, save_scores, write_labels
+from hieval.fileio import column_order, load_hierarchy, save_hierarchy, save_scores, write_labels
 from hieval.risk import crm_rerank
 from hieval.scores import LOGITS, ScoreMatrix, as_probabilities, softmax_rows, top_k
 from hieval.taxonomy import ancestor_index_map, parent_index_map
@@ -310,7 +312,7 @@ def test_a_failing_synth_leaves_an_earlier_instance_as_it_was(tmp_path, capsys):
 
 def test_a_synth_whose_rename_fails_leaves_no_new_file(tmp_path, capsys):
     # The hierarchy and the labels are renamed before level_d1.hies, whose path is
-    # a directory; they are removed again, so no file of the second instance is left.
+    # a directory; the files they replaced are put back, so the first instance stays.
     args = ["synth", "--branching", "3,4", "--noise", "0.5,1", "--n-samples", "50",
             "--out-dir", str(tmp_path)]
     assert run([*args, "--seed", "1"]) == 0
@@ -321,8 +323,7 @@ def test_a_synth_whose_rename_fails_leaves_no_new_file(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"InputError: cannot write {tmp_path}/level_d1.hies: Is a directory\n")
     after = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
-    assert after.items() <= before.items()  # and no temp file
-    assert sorted(before.keys() - after.keys()) == ["hierarchy.json", "labels.txt"]
+    assert after == before  # and no temp file or kept link
     assert not os.listdir(tmp_path / "level_d1.hies")
 
 
@@ -510,13 +511,32 @@ def test_costs_bytes_do_not_depend_on_the_block_size(instance, tmp_path, monkeyp
     d, _ = instance
     t = load_hierarchy(str(d / "hierarchy.json"))
     use_block_rows(monkeypatch, block, t.n_leaves)
-    whole = ScoreMatrix(taxonomy.cost_matrix(t).astype(float), LOGITS, t.leaf_names())
+    cols = np.arange(t.n_leaves)  # the whole matrix in one call
+    whole = ScoreMatrix(taxonomy.lca_heights(t, cols[:, None], cols).astype(float), LOGITS,
+                        t.leaf_names())
     for name in ("costs.hies", "costs.csv"):
         save_scores(whole, str(tmp_path / f"whole-{name}"))
         assert run(["costs", "--hierarchy", str(d / "hierarchy.json"),
                     "--out", str(tmp_path / name)]) == 0
         assert (tmp_path / name).read_bytes() == (tmp_path / f"whole-{name}").read_bytes()
     capsys.readouterr()
+
+
+@settings(max_examples=40, deadline=None)
+@given(taxonomies())
+def test_costs_equal_the_brute_force_lca_heights(tmp_path_factory, t):
+    d = tmp_path_factory.mktemp("costs")
+    save_hierarchy(t, str(d / "hierarchy.json"))
+    expected = dense_lca_heights(t).astype(float).tolist()
+    with pytest.MonkeyPatch.context() as patch:
+        for block in (1, 7, t.n_leaves):
+            use_block_rows(patch, block, t.n_leaves)
+            for name in ("costs.hies", "costs.csv"):  # the .hies file's names from its sidecar
+                assert run(["costs", "--hierarchy", str(d / "hierarchy.json"),
+                            "--out", str(d / name)]) == 0
+                m = read_scores(d / name, declared_kind="logits")
+                assert m.values.tolist() == expected, (block, name)
+                assert m.class_names == t.leaf_names()
 
 
 def test_costs_holds_no_whole_matrix_at_its_peak(tmp_path, capsys):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SEVEN_NODE_EDGES, ancestor_at_depth, lca_height, random_taxonomy, taxonomies
+from conftest import (SEVEN_NODE_EDGES, ancestor_at_depth, dense_lca_heights, lca_height, random_taxonomy,
+                      taxonomies)
 from hieval.errors import (
     CycleDetected,
     DepthOutOfRange,
@@ -17,7 +18,6 @@ from hieval.taxonomy import (
     ancestor_index_map,
     ancestor_table,
     build_taxonomy,
-    cost_matrix,
     lca_heights,
     level_order,
     parent_index_map,
@@ -150,16 +150,10 @@ def test_lca_height_examples(flower_vehicle):
     assert lca_height(t, bus, rose) == 2
     # leaf columns rose, tulip, bus, car are 0 .. 3
     assert lca_heights(t, [0, 0, 0, 2], [0, 1, 2, 0]).tolist() == [0, 1, 2, 2]
-
-
-def test_cost_matrix_fixture(flower_vehicle):
     expected = [[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]]
-    costs = cost_matrix(flower_vehicle)
-    assert costs.tolist() == expected
-    # cached and read-only
-    assert cost_matrix(flower_vehicle) is costs
-    with pytest.raises(ValueError):
-        costs[0, 0] = 1
+    cols = np.arange(4)
+    assert lca_heights(t, cols[:, None], cols).tolist() == expected
+    assert dense_lca_heights(t).tolist() == expected
 
 
 def test_hierarchy_maps_are_cached_read_only(flower_vehicle):
@@ -191,18 +185,19 @@ def test_lca_caches_stay_apart_across_interleaved_taxonomies():
         for t in shapes:
             a, b = rng.integers(0, 6, (4, 3)), rng.integers(0, 6, (4, 1))
             heights = lca_heights(t, a, b)
-            assert heights.tolist() == cost_matrix(t)[a, b].tolist()
+            assert heights.tolist() == dense_lca_heights(t)[a, b].tolist()
             assert lca_heights(t, b, a).tolist() == heights.tolist()
             for (i, j), h in np.ndenumerate(heights):
                 assert h == lca_height(t, t.leaf_order[a[i, j]], t.leaf_order[b[i, 0]])
     for t in shapes:
         cached = [v for v in t._cache.values() if isinstance(v, np.ndarray)]
-        assert len(cached) >= 3 and not any(v.flags.writeable for v in cached)
+        assert len(cached) == 2 and not any(v.flags.writeable for v in cached)
 
 
 def test_cost_matrix_star():
+    # A star's leaf-by-leaf LCA heights are the 0/1 costs.
     t = build_taxonomy([(f"leaf{i}", "hub") for i in range(5)])
-    costs = cost_matrix(t)
+    costs = lca_heights(t, np.arange(5)[:, None], np.arange(5))
     assert (np.diag(costs) == 0).all()
     off = costs[~np.eye(5, dtype=bool)]
     assert (off == 1).all()
@@ -269,7 +264,7 @@ def test_lca_heights_match_the_cost_matrix_and_bruteforce(t, n, k, data):
     b = np.array(data.draw(st.lists(cols, min_size=n, max_size=n))).reshape(n, 1)
     heights = lca_heights(t, a, b)
     assert heights.shape == (n, k)
-    assert heights.tolist() == cost_matrix(t)[a, b].tolist()
+    assert heights.tolist() == dense_lca_heights(t)[a, b].tolist()
     for (i, j), h in np.ndenumerate(heights):
         assert h == _brute_force_lca_height(t, t.leaf_order[a[i, j]], t.leaf_order[b[i, 0]])
     assert lca_heights(t, a[:, 0], b[:, 0]).tolist() == heights[:, 0].tolist()
@@ -328,8 +323,10 @@ def _brute_force_lca_height(t, a, b):
 @settings(max_examples=50, deadline=None)
 @given(tree_edges(max_nodes=50))
 def test_cost_matrix_matches_bruteforce(edges):
+    # The whole matrix in one lca_heights call, against the ancestor-set oracle.
     t = build_taxonomy(edges)
-    costs = cost_matrix(t)
+    cols = np.arange(t.n_leaves)
+    costs = lca_heights(t, cols[:, None], cols)
     for i, a in enumerate(t.leaf_order):
         for j, b in enumerate(t.leaf_order):
             assert costs[i, j] == _brute_force_lca_height(t, a, b)
