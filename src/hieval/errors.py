@@ -35,10 +35,6 @@ class MultipleRoots(InputError):
     pass
 
 
-class NodeWithTwoParents(InputError):
-    pass
-
-
 class OrderMismatch(InputError):
     """An explicit leaf or coarse ordering is not a permutation of the set."""
 

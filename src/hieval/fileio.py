@@ -41,7 +41,6 @@ from .errors import (
     InputError,
     KindConflict,
     MissingClass,
-    MultipleRoots,
     NegativeEntry,
     NonFiniteValue,
     ParseError,
@@ -156,8 +155,18 @@ def load_hierarchy(path: str) -> tx.Taxonomy:
     """Parse a hierarchy JSON file and build the validated taxonomy.
 
     The file lists every node with its parent name (null for the root) and
-    may pin explicit leaf and coarse column orders.
+    may pin explicit leaf and coarse column orders. Every fault names the file.
     """
+    parents, leaf_order, coarse_order = _read_hierarchy(path)
+    try:
+        return tx.from_parents(parents, leaf_order, coarse_order)
+    except InputError as e:
+        raise type(e)(f"{path}: {e}") from e
+
+
+def _read_hierarchy(path: str):
+    """The file's ``(parents, leaf_order, coarse_order)``, each checked as JSON only:
+    the tree is for ``taxonomy.from_parents`` to check."""
     raw = _read_bytes(path)
     try:
         doc = json.loads(raw.decode("utf-8"))
@@ -183,27 +192,10 @@ def load_hierarchy(path: str) -> tx.Taxonomy:
         or not {*map(type, parents.values())} <= {str, type(None)}
     ):
         _raise_node_fault(path, nodes)
-
-    edges = [*filter(itemgetter(1), parents.items())]  # all but the null-parent nodes
-    if len(edges) < len(parents) - 1:
-        roots = sorted(n for n, p in parents.items() if p is None)
-        raise MultipleRoots(
-            f"{path}: multiple null-parent nodes: " + ", ".join(repr(r) for r in roots)
-        )
-    undeclared = sorted({*parents.values()}.difference(parents, [None]))
-    if undeclared:
-        raise ParseError(
-            f"{path}: parent names never declared as nodes: "
-            + ", ".join(repr(u) for u in undeclared)
-        )
     for key in ("leaf_order", "coarse_order"):
         if key in doc and not (isinstance(doc[key], list) and {*map(type, doc[key])} <= {str}):
             raise ParseError(f"{path}: {key} must be a list of names")
-    return tx.build_taxonomy(
-        edges,
-        leaf_order=doc.get("leaf_order"),
-        coarse_order=doc.get("coarse_order"),
-    )
+    return parents, doc.get("leaf_order"), doc.get("coarse_order")
 
 
 def _raise_node_fault(path: str, nodes: list) -> None:

@@ -97,7 +97,8 @@ def _tree_expected_costs(p: np.ndarray, t: tx.Taxonomy) -> np.ndarray:
         o = out[r : r + step]
         # group is in range, and the default mode="raise" would buffer out=.
         np.take(risk, lay.group, axis=1, out=o, mode="clip")
-        o -= block * lay.leaf_drop
+        # masses[0], the permuted leaf masses, is read by now: it takes the product.
+        o -= np.multiply(block, lay.leaf_drop, out=masses[0])
     return out
 
 

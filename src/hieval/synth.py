@@ -66,14 +66,14 @@ class SynthConfig:
 
 def gen_taxonomy(cfg: SynthConfig) -> tx.Taxonomy:
     """Complete leveled tree for the config; node names are ``n{level}_{index}``."""
-    edges = []
+    parents = {"n0_0": None}
     for level, b in enumerate(cfg.branching, start=1):
         width = 1
         for factor in cfg.branching[: level - 1]:
             width *= factor
         for i in range(width * b):
-            edges.append((f"n{level}_{i}", f"n{level - 1}_{i // b}"))
-    return tx.build_taxonomy(edges)
+            parents[f"n{level}_{i}"] = f"n{level - 1}_{i // b}"
+    return tx.build_taxonomy(parents)
 
 
 def gen_instance(cfg: SynthConfig, t: tx.Taxonomy):

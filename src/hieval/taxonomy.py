@@ -7,7 +7,9 @@ height 0), so the height of two leaves' lowest common ancestor measures how
 bad it is to confuse one for the other: 0 for a correct prediction, 1 for a
 sibling mix-up, up to the root's height for maximally distant classes.
 
-``leaf_order`` and ``coarse_order`` fix the column conventions that score
+A taxonomy is built from a map of each node name to its parent's name, the
+table a hierarchy file holds; :func:`from_parents` is the one place its tree
+is checked. ``leaf_order`` and ``coarse_order`` fix the column conventions that score
 matrices are bound to. They default to lexicographic name order and can be
 overridden explicitly when a hierarchy file says so.
 """
@@ -15,7 +17,7 @@ overridden explicitly when a hierarchy file says so.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -24,9 +26,9 @@ from .errors import (
     DepthOutOfRange,
     EmptyInput,
     MultipleRoots,
-    NodeWithTwoParents,
     NonLeveledTree,
     OrderMismatch,
+    ParseError,
 )
 
 
@@ -76,51 +78,52 @@ class Taxonomy:
 
 
 def build_taxonomy(
-    edges: Sequence[tuple[str, str]],
+    parents: Mapping[str, str | None],
     leaf_order: Sequence[str] | None = None,
     coarse_order: Sequence[str] | None = None,
 ) -> Taxonomy:
-    """Build and validate a taxonomy from (child_name, parent_name) edges.
+    """Build and validate a taxonomy from a map of each node name to its parent name.
 
-    The root is the one name that never appears as a child. Orderings default
-    to lexicographic; explicit overrides must be permutations of the actual
-    leaf set and parent-of-leaf set.
-
-    Raises EmptyInput, NodeWithTwoParents, MultipleRoots, CycleDetected, or
-    OrderMismatch, each naming the offending node(s).
+    The root's parent is None. Orderings default to lexicographic; explicit
+    overrides must be permutations of the actual leaf set and parent-of-leaf
+    set. Names and parents must be non-empty strings (EmptyInput otherwise);
+    the tree itself is checked by :func:`from_parents`.
     """
-    if not edges:
-        raise EmptyInput("edge list is empty")
-    # Checked in bulk; on any doubt the edge walk names the first faulty edge
-    # (or accepts repeated equal edges).
-    try:
-        parent_name = dict(edges)
-    except (TypeError, ValueError):
-        parent_name = {}
-    if (
-        len(parent_name) != len(edges)
-        or "" in parent_name
-        or "" in parent_name.values()
-        or {*map(type, parent_name), *map(type, parent_name.values())} != {str}
-    ):
-        parent_name = _parent_names(edges)
-    roots = {*parent_name.values()}.difference(parent_name)
+    for name, parent in parents.items():
+        if not (isinstance(name, str) and name and (parent is None or isinstance(parent, str) and parent)):
+            raise EmptyInput(f"node {name!r} with parent {parent!r} has an empty or non-string name")
+    return from_parents(parents, leaf_order, coarse_order)
 
-    # Children first in edge order: files list nodes in name order, and
-    # sorting a sorted run is one pass.
-    all_names = sorted([*parent_name, *roots])
-    roots = sorted(roots)
+
+def from_parents(parents: Mapping[str, str | None], leaf_order, coarse_order) -> Taxonomy:
+    """:func:`build_taxonomy` for a map whose names and parents are non-empty strings.
+
+    The one place a hierarchy's tree is checked. Raises MultipleRoots,
+    ParseError (a parent that is no node), EmptyInput (no edge),
+    CycleDetected or OrderMismatch, each naming the offending node(s).
+    """
+    roots = [name for name, parent in parents.items() if parent is None]
+    if len(roots) > 1:
+        raise MultipleRoots("multiple null-parent nodes: " + ", ".join(map(repr, sorted(roots))))
+    undeclared = sorted({*parents.values()}.difference(parents, [None]))
+    if undeclared:
+        raise ParseError(
+            "parent names never declared as nodes: " + ", ".join(map(repr, undeclared))
+        )
+    if len(parents) < 2:
+        raise EmptyInput(f"{len(parents)} node(s); a hierarchy needs a root and a node below it")
+
+    # Files list nodes in name order, and sorting a sorted run is one pass.
+    all_names = sorted(parents)
     if not roots:
         raise CycleDetected(
             "every node has a parent; cycle through: "
-            + ", ".join(repr(x) for x in _find_cycle(parent_name, all_names[0]))
+            + ", ".join(map(repr, _find_cycle(parents, all_names[0])))
         )
-    if len(roots) > 1:
-        raise MultipleRoots("multiple root nodes: " + ", ".join(repr(r) for r in roots))
 
     n = len(all_names)
     ids = dict(zip(all_names, range(n)))
-    parent = list(map(ids.get, map(parent_name.get, all_names)))
+    parent = list(map(ids.get, map(parents.__getitem__, all_names)))
     root = ids[roots[0]]
     children: list[list[int]] = [[] for _ in range(n)]
     for child, par in enumerate(parent):
@@ -162,26 +165,12 @@ def build_taxonomy(
     )
 
 
-def _parent_names(edges) -> dict[str, str]:
-    parent_name: dict[str, str] = {}
-    for child, parent in edges:
-        if not isinstance(child, str) or not isinstance(parent, str) or not child or not parent:
-            raise EmptyInput(f"edge ({child!r}, {parent!r}) has an empty or non-string name")
-        prior = parent_name.get(child)
-        if prior is not None and prior != parent:
-            raise NodeWithTwoParents(
-                f"node {child!r} has parents {prior!r} and {parent!r}"
-            )
-        parent_name[child] = parent
-    return parent_name
-
-
-def _find_cycle(parent_name: dict[str, str], start: str) -> list[str]:
+def _find_cycle(parents: Mapping[str, str], start: str) -> list[str]:
     seen: dict[str, int] = {}
     node, step = start, 0
     while node not in seen:
         seen[node] = step
-        node, step = parent_name[node], step + 1
+        node, step = parents[node], step + 1
     cycle = [n for n, s in seen.items() if s >= seen[node]]
     return sorted(cycle)
 
@@ -191,16 +180,21 @@ def _resolve_order(requested, canonical, all_names, ids, label) -> tuple[int, ..
     if requested is None:
         return tuple(canonical)
     try:
+        requested = list(requested)
+    except TypeError:  # not iterable: a lone unexpected entry
+        requested = [requested]
+    try:
         resolved = tuple(map(ids.__getitem__, requested))
     except (KeyError, TypeError):
         resolved = None
     if resolved is None or sorted(resolved) != canonical:
         want = [all_names[i] for i in canonical]
-        got = sorted(requested)
-        want_set, got_set = set(want), set(got)
-        extra = [x for x in got if x not in want_set]
-        missing = [x for x in want if x not in got_set]
-        repeated = sorted({x for x, y in zip(got, got[1:]) if x == y} & want_set)
+        got = sorted(requested, key=str)  # str keys sort an order of mixed types
+        want_set = set(want)
+        known = [x for x in got if isinstance(x, str) and x in want_set]
+        extra = [x for x in got if not (isinstance(x, str) and x in want_set)]
+        missing = sorted(want_set.difference(known))
+        repeated = sorted({x for x, y in zip(known, known[1:]) if x == y})
         raise OrderMismatch(
             f"{label} is not a permutation of the node set"
             + (f"; unexpected: {extra}" if extra else "")

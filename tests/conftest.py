@@ -21,14 +21,15 @@ from hieval.taxonomy import Taxonomy, build_taxonomy
 
 # Four leaves under two groups; column order pinned to rose,tulip,bus,car so
 # that score-matrix fixtures read naturally.
-SEVEN_NODE_EDGES = [
-    ("rose", "flower"),
-    ("tulip", "flower"),
-    ("bus", "vehicle"),
-    ("car", "vehicle"),
-    ("flower", "entity"),
-    ("vehicle", "entity"),
-]
+SEVEN_NODE_PARENTS = {
+    "entity": None,
+    "rose": "flower",
+    "tulip": "flower",
+    "bus": "vehicle",
+    "car": "vehicle",
+    "flower": "entity",
+    "vehicle": "entity",
+}
 SEVEN_NODE_LEAVES = ["rose", "tulip", "bus", "car"]
 
 
@@ -95,21 +96,18 @@ def entry_point_env() -> dict:
 
 @pytest.fixture(scope="session")
 def flower_vehicle() -> Taxonomy:
-    return build_taxonomy(SEVEN_NODE_EDGES, leaf_order=SEVEN_NODE_LEAVES)
-
-
-def random_tree_edges(rng: np.random.Generator, n_nodes: int) -> list[tuple[str, str]]:
-    """Random rooted tree: node i attaches below a uniformly chosen earlier node."""
-    return [(f"v{i}", f"v{int(rng.integers(0, i))}") for i in range(1, n_nodes)]
+    return build_taxonomy(SEVEN_NODE_PARENTS, leaf_order=SEVEN_NODE_LEAVES)
 
 
 def random_taxonomy(rng: np.random.Generator, n_nodes: int) -> Taxonomy:
-    return build_taxonomy(random_tree_edges(rng, n_nodes))
+    """Random rooted tree: node i attaches below a uniformly chosen earlier node."""
+    parents = {f"v{i}": f"v{int(rng.integers(0, i))}" for i in range(1, n_nodes)}
+    return build_taxonomy({"v0": None} | parents)
 
 
 def star(n: int) -> Taxonomy:
     """A root over ``n`` leaves, whose LCA-height costs are the 0/1 costs ``1 - I``."""
-    return build_taxonomy([(f"leaf{i}", "hub") for i in range(n)])
+    return build_taxonomy({"hub": None} | {f"leaf{i}": "hub" for i in range(n)})
 
 
 @st.composite
@@ -121,13 +119,13 @@ def taxonomies(draw, max_nodes=40):
         return random_taxonomy(np.random.default_rng(seed), draw(st.integers(2, max_nodes)))
     n = draw(st.integers(1, 8))
     if shape == "chain":  # a unary chain n edges long, beside one leaf under the root
-        edges = [(f"c{i + 1}", f"c{i}") for i in range(n)] + [("near", "c0")]
+        parents = {"c0": None, "near": "c0"} | {f"c{i + 1}": f"c{i}" for i in range(n)}
     elif shape == "star":
         return star(n)
     else:  # leaves directly under the root next to a two-level subtree
-        edges = [(f"top{i}", "root") for i in range(n)]
-        edges += [("mid", "root"), ("deep0", "mid"), ("deep1", "mid")]
-    return build_taxonomy(edges)
+        parents = {"root": None, "mid": "root", "deep0": "mid", "deep1": "mid"}
+        parents |= {f"top{i}": "root" for i in range(n)}
+    return build_taxonomy(parents)
 
 
 def stack(blocks) -> ScoreMatrix:

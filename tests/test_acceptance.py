@@ -223,8 +223,8 @@ def test_c05_metric_identity_suite():
 def test_c06_worked_example_reproduction():
     with criterion(6, "rose/tulip/bus/car example: scores and rose-to-bus flip") as d:
         t = build_taxonomy(
-            [("rose", "flower"), ("tulip", "flower"), ("bus", "vehicle"),
-             ("car", "vehicle"), ("flower", "entity"), ("vehicle", "entity")],
+            {"entity": None, "rose": "flower", "tulip": "flower", "bus": "vehicle",
+             "car": "vehicle", "flower": "entity", "vehicle": "entity"},
             leaf_order=["rose", "tulip", "bus", "car"],
         )
         q = prob_matrix([[0.40, 0.10, 0.35, 0.15]], t.leaf_names())
@@ -405,9 +405,9 @@ def test_c10_reference_shape_fixtures(tmp_path, capsys):
         shapes = [(1010, 72), (608, 201)]
         seen = []
         for n_leaves, n_coarse in shapes:
-            edges = [(f"leaf{i:04d}", f"parent{i % n_coarse:03d}") for i in range(n_leaves)]
-            edges += [(f"parent{j:03d}", "root") for j in range(n_coarse)]
-            t = build_taxonomy(edges)
+            parents = {f"leaf{i:04d}": f"parent{i % n_coarse:03d}" for i in range(n_leaves)}
+            parents |= {f"parent{j:03d}": "root" for j in range(n_coarse)} | {"root": None}
+            t = build_taxonomy(parents)
             path = str(tmp_path / f"shape_{n_leaves}.json")
             save_hierarchy(t, path)
             assert run(["validate", "--hierarchy", path]) == 0

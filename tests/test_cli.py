@@ -1,23 +1,27 @@
+import contextlib
 import ctypes
+import io
 import json
 import os
 import pstats
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import (SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES, dense_expected_costs, dense_lca_heights,
-                      read_scores)
+from conftest import (SEVEN_NODE_PARENTS, SEVEN_NODE_LEAVES, dense_expected_costs, dense_lca_heights,
+                      read_scores, taxonomies)
 from hieval import cli, taxonomy
 from hieval.cli import run
 from hieval.commands import METHODS
 from hieval.ensemble import hie_combine, hie_self
-from hieval.fileio import load_hierarchy, load_labels
+from hieval.fileio import load_hierarchy, load_labels, save_hierarchy
 from hieval.metrics import eval_report
 from hieval.risk import crm_rerank
 from hieval.scores import softmax_rows, top_k
@@ -27,8 +31,7 @@ from hieval.taxonomy import ancestor_index_map, parent_index_map
 @pytest.fixture
 def workspace(tmp_path):
     """Hierarchy, fine/coarse probability files, and labels for one sample."""
-    nodes = [{"name": "entity", "parent": None}]
-    nodes += [{"name": c, "parent": p} for c, p in SEVEN_NODE_EDGES]
+    nodes = [{"name": c, "parent": p} for c, p in SEVEN_NODE_PARENTS.items()]
     (tmp_path / "hierarchy.json").write_text(
         json.dumps({"nodes": nodes, "leaf_order": SEVEN_NODE_LEAVES})
     )
@@ -67,6 +70,43 @@ def test_validate_cycle(tmp_path, capsys):
     code = run(["validate", "--hierarchy", str(path)])
     assert code == 2
     assert "CycleDetected" in capsys.readouterr().err
+
+
+# One fault each, injected into a saved hierarchy document; added names start
+# with "+", which no drawn tree uses.
+HIERARCHY_FAULTS = {
+    "second-root": ("MultipleRoots", lambda doc: doc["nodes"].append({"name": "+r", "parent": None})),
+    "cycle-beside-root": ("CycleDetected", lambda doc: doc["nodes"].extend(
+        [{"name": "+a", "parent": "+b"}, {"name": "+b", "parent": "+a"}])),
+    "undeclared-parent": ("ParseError", lambda doc: doc["nodes"].append({"name": "+x", "parent": "+y"})),
+    "repeated-name": ("ParseError", lambda doc: doc["nodes"].append(dict(doc["nodes"][-1]))),
+    "order-missing-a-leaf": ("OrderMismatch", lambda doc: doc["leaf_order"].pop()),
+    "lone-root": ("EmptyInput", lambda doc: doc.update(
+        nodes=[n for n in doc["nodes"] if n["parent"] is None], leaf_order=[], coarse_order=[])),
+}
+
+
+@pytest.mark.parametrize("fault", HIERARCHY_FAULTS)
+@settings(max_examples=15, deadline=None)
+@given(taxonomies())
+def test_validate_names_the_file_of_each_fault_in_one_line(fault, t):
+    error, inject = HIERARCHY_FAULTS[fault]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "h.json")
+        save_hierarchy(t, path)
+        u = load_hierarchy(path)
+        assert (u.names, u.parent, u.leaf_order, u.coarse_order) == (
+            t.names, t.parent, t.leaf_order, t.coarse_order)
+        with open(path) as f:
+            doc = json.load(f)
+        inject(doc)
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run(["validate", "--hierarchy", path]) == 2
+    assert err.getvalue().startswith(f"{error}: {path}: ")
+    assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
 # ------------------------------------------------------------------- infer

@@ -219,10 +219,7 @@ def test_cascade_three_levels_matches_bruteforce():
 
 def test_cascade_via_real_three_level_tree():
     rng = np.random.default_rng(14)
-    edges = [("m0", "r"), ("m1", "r")] + [
-        (f"leaf{i}", f"m{i // 2}") for i in range(4)
-    ]
-    t = build_taxonomy(edges)
+    t = build_taxonomy({"r": None, "m0": "r", "m1": "r"} | {f"leaf{i}": f"m{i // 2}" for i in range(4)})
     amap1 = ancestor_index_map(t, 1)
     amap2 = ancestor_index_map(t, 2)
     assert amap2.tolist() == [0, 1, 2, 3]
@@ -236,7 +233,7 @@ def test_cascade_via_real_three_level_tree():
 def test_combine_works_on_uneven_trees():
     # leaves at different depths still have well-defined parents, so the
     # two-level combination stays available even when cascading would not be
-    t = build_taxonomy([("shallow", "r"), ("deep", "mid"), ("deep2", "mid"), ("mid", "r")])
+    t = build_taxonomy({"r": None, "shallow": "r", "deep": "mid", "deep2": "mid", "mid": "r"})
     pmap = parent_index_map(t)
     assert t.coarse_names() == ("mid", "r")
     q = ScoreMatrix([[0.2, 0.3, 0.5]], PROBABILITIES, t.leaf_names())

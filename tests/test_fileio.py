@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES, random_taxonomy, read_scores
+from conftest import SEVEN_NODE_PARENTS, SEVEN_NODE_LEAVES, random_taxonomy, read_scores
 from hieval import fileio
 from hieval.errors import (
     ColumnMismatch,
@@ -42,8 +42,7 @@ from hieval.taxonomy import build_taxonomy
 
 
 def hierarchy_doc():
-    nodes = [{"name": "entity", "parent": None}]
-    nodes += [{"name": child, "parent": parent} for child, parent in SEVEN_NODE_EDGES]
+    nodes = [{"name": child, "parent": parent} for child, parent in SEVEN_NODE_PARENTS.items()]
     return {"nodes": nodes, "leaf_order": SEVEN_NODE_LEAVES}
 
 
@@ -101,7 +100,7 @@ def _nodes(*extra):
 @pytest.mark.parametrize("doc, error, message", [
     ([], ParseError, "{p}: expected an object with a 'nodes' list"),
     ({"nodes": {}}, ParseError, "{p}: expected an object with a 'nodes' list"),
-    ({"nodes": []}, EmptyInput, "edge list is empty"),
+    ({"nodes": []}, EmptyInput, "{p}: 0 node(s); a hierarchy needs a root and a node below it"),
     ({"nodes": _nodes(5)}, ParseError, "{p}: nodes[2] must have 'name' and 'parent'"),
     ({"nodes": _nodes(["b", "r"])}, ParseError, "{p}: nodes[2] must have 'name' and 'parent'"),
     ({"nodes": _nodes({"name": "b"})}, ParseError, "{p}: nodes[2] must have 'name' and 'parent'"),
@@ -130,14 +129,14 @@ def _nodes(*extra):
     ({"nodes": _nodes(), "coarse_order": {"r": 0}}, ParseError,
      "{p}: coarse_order must be a list of names"),
     ({"nodes": _nodes({"name": "b", "parent": "r"}), "leaf_order": ["b", "z", "z"]}, OrderMismatch,
-     "leaf_order is not a permutation of the node set; unexpected: ['z', 'z']; missing: ['a']"),
+     "{p}: leaf_order is not a permutation of the node set; unexpected: ['z', 'z']; missing: ['a']"),
     ({"nodes": _nodes(), "coarse_order": []}, OrderMismatch,
-     "coarse_order is not a permutation of the node set; missing: ['r']"),
+     "{p}: coarse_order is not a permutation of the node set; missing: ['r']"),
     ({"nodes": _nodes({"name": "b", "parent": "c"}, {"name": "c", "parent": "b"})}, CycleDetected,
-     "nodes unreachable from the root (cycle): 'b', 'c'"),
+     "{p}: nodes unreachable from the root (cycle): 'b', 'c'"),
     ({"nodes": [{"name": "r", "parent": None}, {"name": "b", "parent": "c"},
                 {"name": "c", "parent": "b"}]}, CycleDetected,
-     "every node has a parent; cycle through: 'b', 'c'"),
+     "{p}: nodes unreachable from the root (cycle): 'b', 'c'"),
 ], ids=["not-object", "nodes-not-list", "no-nodes", "node-int", "node-list", "no-parent",
         "no-name", "name-int", "name-empty", "name-list", "parent-empty", "parent-int",
         "duplicate", "first-fault-wins", "duplicate-before-bad-name", "extra-roots",
@@ -162,8 +161,8 @@ def test_hierarchy_round_trip(tmp_path):
     trees = [random_taxonomy(rng, int(rng.integers(2, 120))) for _ in range(10)]
     trees += [gen_taxonomy(SynthConfig(b, 1, (1.0,) * len(b), 0)) for b in [(3,), (2, 3), (4, 1, 2)]]
     for i, t in enumerate(trees):
-        edges = [(t.names[c], t.names[p]) for c, p in enumerate(t.parent) if p is not None]
-        shuffled = build_taxonomy(edges, leaf_order=rng.permutation(t.leaf_names()).tolist(),
+        parents = {name: None if p is None else t.names[p] for name, p in zip(t.names, t.parent)}
+        shuffled = build_taxonomy(parents, leaf_order=rng.permutation(t.leaf_names()).tolist(),
                                   coarse_order=rng.permutation(t.coarse_names()).tolist())
         for j, u in enumerate((t, shuffled)):
             path = tmp_path / f"rt{i}-{j}.json"

@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from conftest import (SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES, count_forks, entry_point_env,
+from conftest import (SEVEN_NODE_PARENTS, SEVEN_NODE_LEAVES, count_forks, entry_point_env,
                       fail_call)
 from hieval import hashing
 from hieval.cli import run
@@ -30,8 +30,7 @@ def inputs(tmp_path):
     The fine file has comment lines and no final newline, and the coarse file
     is given twice: as ``--coarse`` and as ``--level 1``.
     """
-    nodes = [{"name": "entity", "parent": None}]
-    nodes += [{"name": c, "parent": p} for c, p in SEVEN_NODE_EDGES]
+    nodes = [{"name": c, "parent": p} for c, p in SEVEN_NODE_PARENTS.items()]
     (tmp_path / "hierarchy.json").write_text(
         json.dumps({"nodes": nodes, "leaf_order": SEVEN_NODE_LEAVES}))
     (tmp_path / "coarse.csv").write_text("# kind: probabilities\nflower,vehicle\n"

@@ -11,7 +11,7 @@ from hieval.taxonomy import build_taxonomy, parent_index_map
 
 @pytest.fixture(scope="module")
 def star8():
-    return build_taxonomy([(f"leaf{i}", "hub") for i in range(8)])
+    return build_taxonomy({"hub": None} | {f"leaf{i}": "hub" for i in range(8)})
 
 
 def idx(t, *names):
@@ -120,8 +120,8 @@ def test_eval_report_combined_fixture(flower_vehicle):
 def test_eval_report_k_columns(flower_vehicle):
     rng = np.random.default_rng(3)
     t = build_taxonomy(
-        [(f"s{i:04d}", f"g{i % 72:02d}") for i in range(1010)]
-        + [(f"g{j:02d}", "root") for j in range(72)]
+        {f"s{i:04d}": f"g{i % 72:02d}" for i in range(1010)}
+        | {f"g{j:02d}": "root" for j in range(72)} | {"root": None}
     )
     m = ScoreMatrix(random_prob_rows(rng, 5, 1010), PROBABILITIES, t.leaf_names())
     ranking = top_k(m, 20)
@@ -195,13 +195,12 @@ def test_hier_dist_bounded_by_root_height():
 
 def test_metrics_invariant_under_relabeling():
     rng = np.random.default_rng(7)
-    edges = [(f"l{i}", f"m{i // 3}") for i in range(9)] + [
-        (f"m{j}", "root") for j in range(3)
-    ]
+    parents = {f"l{i}": f"m{i // 3}" for i in range(9)} | {f"m{j}": "root" for j in range(3)}
+    parents["root"] = None
     base_order = [f"l{i}" for i in range(9)]
     perm = rng.permutation(9)
-    t1 = build_taxonomy(edges, leaf_order=base_order)
-    t2 = build_taxonomy(edges, leaf_order=[base_order[p] for p in perm])
+    t1 = build_taxonomy(parents, leaf_order=base_order)
+    t2 = build_taxonomy(parents, leaf_order=[base_order[p] for p in perm])
     inv = np.empty(9, dtype=int)
     inv[perm] = np.arange(9)  # position of t1-leaf i inside t2's order
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,9 @@ from conftest import (dense_expected_costs, dense_lca_heights, random_prob_rows,
 from hieval import scores
 from hieval.ensemble import hie_combine
 from hieval.errors import DimensionMismatch, KindConflict
-from hieval.risk import crm_rerank
+from hieval.risk import _tree_expected_costs, crm_rerank
 from hieval.scores import LOGITS, PROBABILITIES, ScoreMatrix, top_k
+from hieval.synth import SynthConfig, gen_taxonomy
 
 # The leaves of conftest's flower_vehicle taxonomy, in its leaf order.
 LEAVES = ("rose", "tulip", "bus", "car")
@@ -103,6 +106,21 @@ def test_tree_risk_rows_do_not_depend_on_the_block_size(monkeypatch):
     assert np.array_equal(crm_rerank(m, t).values, whole)
     alone = crm_rerank(probs(m.values[5], names=m.class_names), t).values
     assert np.array_equal(alone[0], whole[5])
+
+
+def test_tree_risk_allocates_two_blocks_at_peak():
+    # One block, 13 rows of 5000 leaves: the output, and the permuted leaf masses,
+    # which then take the leaf-drop products; the 50 upper nodes' masses are small.
+    t = gen_taxonomy(SynthConfig((50, 100), 1, (1.0, 1.0), 0))
+    p = random_prob_rows(np.random.default_rng(44), scores.block_rows(t.n_leaves), t.n_leaves)
+    _tree_expected_costs(p, t)  # builds the path layout, cached on t
+    tracemalloc.start()
+    try:
+        _tree_expected_costs(p, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * p.nbytes
 
 
 def test_hie_then_crm_fixture(flower_vehicle):

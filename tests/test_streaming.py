@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import (SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES, dense_lca_heights, read_scores, same_bits,
+from conftest import (SEVEN_NODE_PARENTS, SEVEN_NODE_LEAVES, dense_lca_heights, read_scores, same_bits,
                       taxonomies, use_block_rows)
 from hieval import fileio, risk, scores, taxonomy
 from hieval.cli import build_parser, run
@@ -209,8 +209,7 @@ def test_hierarchy_arrays_are_built_once_per_run(instance, monkeypatch, capsys):
 @pytest.fixture
 def probability_inputs(tmp_path):
     """Fifty rows of fine and coarse probabilities on the four-leaf fixture."""
-    nodes = [{"name": "entity", "parent": None}]
-    nodes += [{"name": c, "parent": p} for c, p in SEVEN_NODE_EDGES]
+    nodes = [{"name": c, "parent": p} for c, p in SEVEN_NODE_PARENTS.items()]
     (tmp_path / "hierarchy.json").write_text(
         json.dumps({"nodes": nodes, "leaf_order": SEVEN_NODE_LEAVES})
     )

@@ -3,16 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (SEVEN_NODE_EDGES, ancestor_at_depth, dense_lca_heights, lca_height, random_taxonomy,
+from conftest import (SEVEN_NODE_PARENTS, ancestor_at_depth, dense_lca_heights, lca_height, random_taxonomy,
                       taxonomies)
 from hieval.errors import (
     CycleDetected,
     DepthOutOfRange,
     EmptyInput,
     MultipleRoots,
-    NodeWithTwoParents,
     NonLeveledTree,
     OrderMismatch,
+    ParseError,
 )
 from hieval.taxonomy import (
     ancestor_index_map,
@@ -25,10 +25,10 @@ from hieval.taxonomy import (
 
 
 @st.composite
-def tree_edges(draw, max_nodes=60):
+def tree_parents(draw, max_nodes=60):
     n = draw(st.integers(min_value=2, max_value=max_nodes))
     parents = [draw(st.integers(min_value=0, max_value=i - 1)) for i in range(1, n)]
-    return [(f"v{i}", f"v{p}") for i, p in enumerate(parents, start=1)]
+    return {"v0": None} | {f"v{i}": f"v{p}" for i, p in enumerate(parents, start=1)}
 
 
 # ------------------------------------------------------------- construction
@@ -46,87 +46,88 @@ def test_seven_node_fixture(flower_vehicle):
 
 
 def test_default_orders_are_lexicographic():
-    t = build_taxonomy(SEVEN_NODE_EDGES)
+    t = build_taxonomy(SEVEN_NODE_PARENTS)
     assert t.leaf_names() == ("bus", "car", "rose", "tulip")
     assert t.coarse_names() == ("flower", "vehicle")
 
 
 def test_empty_edges_rejected():
-    with pytest.raises(EmptyInput):
-        build_taxonomy([])
-    with pytest.raises(EmptyInput):
-        build_taxonomy([("", "x")])
-
-
-def test_two_parents_rejected():
-    with pytest.raises(NodeWithTwoParents, match="'a'"):
-        build_taxonomy([("a", "p"), ("a", "q")])
+    for parents in ({}, {"r": None}, {"": "x"}):
+        with pytest.raises(EmptyInput):
+            build_taxonomy(parents)
 
 
 def test_multiple_roots_rejected():
     with pytest.raises(MultipleRoots, match="r1"):
-        build_taxonomy([("a", "r1"), ("b", "r2")])
+        build_taxonomy({"a": "r1", "b": "r2", "r1": None, "r2": None})
 
 
 def test_cycles_rejected():
     with pytest.raises(CycleDetected):
-        build_taxonomy([("a", "b"), ("b", "a")])
+        build_taxonomy({"a": "b", "b": "a"})
     # cycle in a side component, root still present
     with pytest.raises(CycleDetected, match="'a'"):
-        build_taxonomy([("x", "root"), ("a", "b"), ("b", "a")])
+        build_taxonomy({"root": None, "x": "root", "a": "b", "b": "a"})
     with pytest.raises(CycleDetected):
-        build_taxonomy([("a", "a"), ("b", "a")])
+        build_taxonomy({"a": "a", "b": "a"})
 
 
-# Each fault's type and whole message. When several edges are faulty, the
-# first one in edge order is named.
-@pytest.mark.parametrize("edges, orders, error, message", [
-    ([("", "x")], {}, EmptyInput, "edge ('', 'x') has an empty or non-string name"),
-    ([("a", "r"), (1, "r")], {}, EmptyInput, "edge (1, 'r') has an empty or non-string name"),
-    ([("a", "r"), (["b"], "r")], {}, EmptyInput, "edge (['b'], 'r') has an empty or non-string name"),
-    ([("a", "r"), ("b", {})], {}, EmptyInput, "edge ('b', {}) has an empty or non-string name"),
-    ([("a", "p"), ("a", "q"), ("", "x")], {}, NodeWithTwoParents, "node 'a' has parents 'p' and 'q'"),
-    ([("", "x"), ("a", "p"), ("a", "q")], {}, EmptyInput,
-     "edge ('', 'x') has an empty or non-string name"),
-    ([("a", "r2"), ("b", "r1"), ("c", "r3")], {}, MultipleRoots,
-     "multiple root nodes: 'r1', 'r2', 'r3'"),
-    ([("b", "a"), ("a", "c"), ("c", "b")], {}, CycleDetected,
+# Each fault's type and whole message. When several nodes are faulty, the
+# first one in the map's order is named.
+@pytest.mark.parametrize("parents, orders, error, message", [
+    ({"": "x"}, {}, EmptyInput, "node '' with parent 'x' has an empty or non-string name"),
+    ({"r": None, "a": "r", 1: "r"}, {}, EmptyInput,
+     "node 1 with parent 'r' has an empty or non-string name"),
+    ({"r": None, "a": "r", ("b",): "r"}, {}, EmptyInput,
+     "node ('b',) with parent 'r' has an empty or non-string name"),
+    ({"r": None, "a": "r", "b": {}}, {}, EmptyInput,
+     "node 'b' with parent {} has an empty or non-string name"),
+    ({"": "x", "a": 1}, {}, EmptyInput,
+     "node '' with parent 'x' has an empty or non-string name"),
+    ({"a": "r2", "b": "r1", "c": "r3", "r1": None, "r2": None, "r3": None}, {}, MultipleRoots,
+     "multiple null-parent nodes: 'r1', 'r2', 'r3'"),
+    ({"r": None, "a": "x", "b": "r", "c": "w"}, {}, ParseError,
+     "parent names never declared as nodes: 'w', 'x'"),
+    ({}, {}, EmptyInput, "0 node(s); a hierarchy needs a root and a node below it"),
+    ({"r": None}, {}, EmptyInput, "1 node(s); a hierarchy needs a root and a node below it"),
+    ({"b": "a", "a": "c", "c": "b"}, {}, CycleDetected,
      "every node has a parent; cycle through: 'a', 'b', 'c'"),
-    ([("x", "r"), ("b", "a"), ("a", "b"), ("c", "a")], {}, CycleDetected,
+    ({"r": None, "x": "r", "b": "a", "a": "b", "c": "a"}, {}, CycleDetected,
      "nodes unreachable from the root (cycle): 'a', 'b', 'c'"),
-    (SEVEN_NODE_EDGES, {"leaf_order": ["rose", "tulip", "bus"]}, OrderMismatch,
+    (SEVEN_NODE_PARENTS, {"leaf_order": ["rose", "tulip", "bus"]}, OrderMismatch,
      "leaf_order is not a permutation of the node set; missing: ['car']"),
-    (SEVEN_NODE_EDGES, {"leaf_order": ["rose", "tulip", "bus", "car", "car"]}, OrderMismatch,
+    (SEVEN_NODE_PARENTS, {"leaf_order": ["rose", "tulip", "bus", "car", "car"]}, OrderMismatch,
      "leaf_order is not a permutation of the node set; repeated: ['car']"),
-    (SEVEN_NODE_EDGES, {"leaf_order": ["rose", "bus", "car", "flower"]}, OrderMismatch,
+    (SEVEN_NODE_PARENTS, {"leaf_order": ["rose", "bus", "car", "flower"]}, OrderMismatch,
      "leaf_order is not a permutation of the node set; unexpected: ['flower']; missing: ['tulip']"),
-    (SEVEN_NODE_EDGES, {"coarse_order": ["vehicle", "entity"]}, OrderMismatch,
+    (SEVEN_NODE_PARENTS, {"coarse_order": ["vehicle", "entity"]}, OrderMismatch,
      "coarse_order is not a permutation of the node set; unexpected: ['entity']; missing: ['flower']"),
-], ids=["empty-name", "int-name", "list-name", "dict-parent", "two-parents-first",
-        "empty-name-first", "roots", "cycle-only", "cycle-beside-root", "leaf-missing",
-        "leaf-repeated", "leaf-internal", "coarse-root"])
-def test_build_faults_name_the_problem(edges, orders, error, message):
+    (SEVEN_NODE_PARENTS, {"leaf_order": 5}, OrderMismatch,
+     "leaf_order is not a permutation of the node set; unexpected: [5]; "
+     "missing: ['bus', 'car', 'rose', 'tulip']"),
+    (SEVEN_NODE_PARENTS, {"leaf_order": ["rose", "tulip", "bus", 1, ["car"]]}, OrderMismatch,
+     "leaf_order is not a permutation of the node set; unexpected: [1, ['car']]; missing: ['car']"),
+], ids=["empty-name", "int-name", "tuple-name", "dict-parent", "empty-name-first", "roots",
+        "undeclared-parents", "no-nodes", "lone-root", "cycle-only", "cycle-beside-root",
+        "leaf-missing", "leaf-repeated", "leaf-internal", "coarse-root", "leaf-order-int",
+        "leaf-order-mixed"])
+def test_build_faults_name_the_problem(parents, orders, error, message):
     with pytest.raises(error) as caught:
-        build_taxonomy(edges, **orders)
+        build_taxonomy(parents, **orders)
     assert type(caught.value) is error
     assert str(caught.value) == message
 
 
-def test_duplicate_edges_tolerated():
-    t = build_taxonomy([("a", "r"), ("a", "r"), ("b", "r")])
-    assert t.n_nodes == 3
-
-
 def test_order_override_must_be_permutation():
     with pytest.raises(OrderMismatch):
-        build_taxonomy(SEVEN_NODE_EDGES, leaf_order=["rose", "tulip", "bus"])
+        build_taxonomy(SEVEN_NODE_PARENTS, leaf_order=["rose", "tulip", "bus"])
     with pytest.raises(OrderMismatch, match="weed"):
-        build_taxonomy(SEVEN_NODE_EDGES, leaf_order=["rose", "tulip", "bus", "weed"])
+        build_taxonomy(SEVEN_NODE_PARENTS, leaf_order=["rose", "tulip", "bus", "weed"])
 
 
 def test_single_child_chain_allowed():
     # Internal nodes with one child shift depths but not parent-of-leaf maps.
-    t = build_taxonomy([("leaf", "mid"), ("mid", "root")])
+    t = build_taxonomy({"root": None, "leaf": "mid", "mid": "root"})
     assert t.n_leaves == 1
     assert t.depth[t.names.index("leaf")] == 2
     assert t.coarse_names() == ("mid",)
@@ -166,7 +167,7 @@ def test_hierarchy_maps_are_cached_read_only(flower_vehicle):
     for array in (parent_index_map(t), ancestor_index_map(t, 1)):
         with pytest.raises(ValueError):
             array[0] = 1
-    uneven = build_taxonomy([("a", "r"), ("b", "m"), ("c", "m"), ("m", "r")])
+    uneven = build_taxonomy({"r": None, "a": "r", "b": "m", "c": "m", "m": "r"})
     for _ in range(2):  # a failed build is not cached
         with pytest.raises(NonLeveledTree):
             ancestor_index_map(uneven, 1)
@@ -175,10 +176,10 @@ def test_hierarchy_maps_are_cached_read_only(flower_vehicle):
 def test_lca_caches_stay_apart_across_interleaved_taxonomies():
     # Six leaves each: a star, two groups of three, and an unleveled tree.
     shapes = [
-        build_taxonomy([(f"l{i}", "r") for i in range(6)]),
-        build_taxonomy([(f"l{i}", f"g{i // 3}") for i in range(6)] + [("g0", "r"), ("g1", "r")]),
-        build_taxonomy([("l0", "r"), ("l1", "r"), ("m", "r"), ("l2", "m"), ("n", "m"),
-                        ("l3", "n"), ("l4", "n"), ("l5", "n")]),
+        build_taxonomy({"r": None} | {f"l{i}": "r" for i in range(6)}),
+        build_taxonomy({"r": None, "g0": "r", "g1": "r"} | {f"l{i}": f"g{i // 3}" for i in range(6)}),
+        build_taxonomy({"r": None, "l0": "r", "l1": "r", "m": "r", "l2": "m", "n": "m",
+                        "l3": "n", "l4": "n", "l5": "n"}),
     ]
     rng = np.random.default_rng(5)
     for _ in range(3):
@@ -196,7 +197,7 @@ def test_lca_caches_stay_apart_across_interleaved_taxonomies():
 
 def test_cost_matrix_star():
     # A star's leaf-by-leaf LCA heights are the 0/1 costs.
-    t = build_taxonomy([(f"leaf{i}", "hub") for i in range(5)])
+    t = build_taxonomy({"hub": None} | {f"leaf{i}": "hub" for i in range(5)})
     costs = lca_heights(t, np.arange(5)[:, None], np.arange(5))
     assert (np.diag(costs) == 0).all()
     off = costs[~np.eye(5, dtype=bool)]
@@ -205,7 +206,7 @@ def test_cost_matrix_star():
 
 def test_parent_index_map(flower_vehicle):
     assert parent_index_map(flower_vehicle).tolist() == [0, 0, 1, 1]
-    star = build_taxonomy([(f"leaf{i}", "hub") for i in range(3)])
+    star = build_taxonomy({"hub": None} | {f"leaf{i}": "hub" for i in range(3)})
     assert parent_index_map(star).tolist() == [0, 0, 0]
 
 
@@ -231,7 +232,7 @@ def test_ancestor_index_map(flower_vehicle):
     amap = ancestor_index_map(flower_vehicle, 1)
     assert amap.tolist() == parent_index_map(flower_vehicle).tolist()
     assert ancestor_index_map(flower_vehicle, 2).tolist() == [0, 1, 2, 3]
-    uneven = build_taxonomy([("a", "r"), ("b", "mid"), ("mid", "r")])
+    uneven = build_taxonomy({"r": None, "a": "r", "b": "mid", "mid": "r"})
     with pytest.raises(NonLeveledTree):
         ancestor_index_map(uneven, 1)
 
@@ -246,7 +247,7 @@ def test_ancestor_table_repeats_a_shallow_leaf(flower_vehicle):
         ["entity", "vehicle", "car"],
     ]
     assert ancestor_table(t) is table
-    uneven = build_taxonomy([("a", "r"), ("b", "mid"), ("mid", "r")])
+    uneven = build_taxonomy({"r": None, "a": "r", "b": "mid", "mid": "r"})
     assert [[uneven.names[n] for n in row] for row in ancestor_table(uneven)] == [
         ["r", "a", "a"],
         ["r", "mid", "b"],
@@ -321,10 +322,10 @@ def _brute_force_lca_height(t, a, b):
 
 
 @settings(max_examples=50, deadline=None)
-@given(tree_edges(max_nodes=50))
-def test_cost_matrix_matches_bruteforce(edges):
+@given(tree_parents(max_nodes=50))
+def test_cost_matrix_matches_bruteforce(parents):
     # The whole matrix in one lca_heights call, against the ancestor-set oracle.
-    t = build_taxonomy(edges)
+    t = build_taxonomy(parents)
     cols = np.arange(t.n_leaves)
     costs = lca_heights(t, cols[:, None], cols)
     for i, a in enumerate(t.leaf_order):
@@ -333,9 +334,9 @@ def test_cost_matrix_matches_bruteforce(edges):
 
 
 @settings(max_examples=60, deadline=None)
-@given(tree_edges(max_nodes=60), st.data())
-def test_lca_symmetric_bounded_ultrametric(edges, data):
-    t = build_taxonomy(edges)
+@given(tree_parents(max_nodes=60), st.data())
+def test_lca_symmetric_bounded_ultrametric(parents, data):
+    t = build_taxonomy(parents)
     pick = st.integers(min_value=0, max_value=t.n_leaves - 1)
     a, b, c = (data.draw(pick) for _ in range(3))
     hab = lca_heights(t, a, b)

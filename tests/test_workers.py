@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import (SEVEN_NODE_EDGES, SEVEN_NODE_LEAVES, count_forks, entry_point_env,
+from conftest import (SEVEN_NODE_PARENTS, SEVEN_NODE_LEAVES, count_forks, entry_point_env,
                       fail_call, read_scores, use_block_rows)
 from hieval.cli import run
 from hieval.commands import METHODS, _in_workers
@@ -182,8 +182,7 @@ def test_a_failed_fork_leaves_every_range_to_the_processes_running(
 @pytest.fixture
 def probability_inputs(tmp_path):
     """N_ROWS rows of fine and coarse probabilities, as text, on the four-leaf fixture."""
-    nodes = [{"name": "entity", "parent": None}]
-    nodes += [{"name": c, "parent": p} for c, p in SEVEN_NODE_EDGES]
+    nodes = [{"name": c, "parent": p} for c, p in SEVEN_NODE_PARENTS.items()]
     (tmp_path / "hierarchy.json").write_text(
         json.dumps({"nodes": nodes, "leaf_order": SEVEN_NODE_LEAVES})
     )
