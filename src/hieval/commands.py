@@ -391,9 +391,10 @@ def _in_workers(work, inputs: MethodInputs, workers: int) -> list:
 def _evaluate(args, methods: list[str], ks) -> list[EvalReport]:
     """One report per method, in the order given; inputs are hashed once.
 
-    The labels are read and counted before any row; then each block's top
-    max(ks) classes per row are ranked, scored and added to its method's report,
-    in the processes that ``_in_workers`` shares the blocks out to.
+    The labels are read and counted, and max(ks) checked against the leaf
+    count, before any row; then each block's top max(ks) classes per row are
+    ranked, scored and added to its method's report, in the processes that
+    ``_in_workers`` shares the blocks out to.
     """
     k, totals = max(ks), {}
     with load_method_inputs(args, methods) as inputs:
@@ -401,6 +402,8 @@ def _evaluate(args, methods: list[str], ks) -> list[EvalReport]:
         gt = fileio.load_labels(args.labels, t)
         if gt.size != n:
             raise LengthMismatch(f"{n} predictions vs {gt.size} labels")
+        if k > t.n_leaves:
+            raise KTooLarge(f"--k {k} is above the {t.n_leaves} leaves of {args.hierarchy}")
 
         def tally(start, stop):
             part = {}

@@ -451,6 +451,7 @@ def save_scores(m, path: str, staged: list | None = None) -> None:
                     if binary:  # the row count is filled in after the last block
                         f.write(_HEADER.pack(BINARY_MAGIC, BINARY_VERSION, 0, 0, block.n_classes))
                     else:
+                        _check_header_names(block.class_names, path)
                         header = f"# kind: {block.kind}\n{','.join(block.class_names)}\n"
                         f.write(header.encode("utf-8"))
                 values = np.ascontiguousarray(block.values, dtype="<f8")
@@ -478,6 +479,17 @@ def save_scores(m, path: str, staged: list | None = None) -> None:
                 BINARY_MAGIC, BINARY_VERSION, _KIND_BYTE[first.kind], rows, first.n_classes
             ))
             write_json({"class_names": list(first.class_names)}, _names_sidecar(path), staged)
+
+
+def _check_header_names(names: Sequence[str], path: str) -> None:
+    """Refuse names that a text header would not give back: ``_open_text`` splits
+    the header at commas, strips each name, refuses an empty one and skips a first
+    line starting '#'."""
+    for i, name in enumerate(names):
+        if (not name or name != name.strip() or any(c in name for c in ",\n\r")
+                or i == 0 and name.startswith("#")):
+            raise InputError(f"cannot write {path}: class name {name!r} cannot be read back from "
+                             "a text header; write a .hies file instead")
 
 
 def column_order(names: Sequence[str], t: tx.Taxonomy, level) -> tuple[np.ndarray | None, tuple]:
@@ -547,6 +559,9 @@ def write_labels(t: tx.Taxonomy, path: str, staged: list | None = None):
     next block of rows as it comes. The file replaces ``path`` when the
     ``with`` block exits normally; on an exception, no file is left behind.
     """
+    for name in t.leaf_names():
+        if "\n" in name or "\r" in name:
+            raise InputError(f"cannot write {path}: leaf name {name!r} holds a line break")
     lines = [name + "\n" for name in t.leaf_names()]
     with _atomic_file(path, staged) as f:
         def write(indices):

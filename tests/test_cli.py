@@ -21,10 +21,10 @@ from hieval import cli, taxonomy
 from hieval.cli import run
 from hieval.commands import METHODS
 from hieval.ensemble import hie_combine, hie_self
-from hieval.fileio import load_hierarchy, load_labels, save_hierarchy
+from hieval.fileio import load_hierarchy, load_labels, save_hierarchy, save_scores
 from hieval.metrics import eval_report
 from hieval.risk import crm_rerank
-from hieval.scores import softmax_rows, top_k
+from hieval.scores import PROBABILITIES, ScoreMatrix, softmax_rows, top_k
 from hieval.taxonomy import ancestor_index_map, parent_index_map
 
 
@@ -221,6 +221,25 @@ def test_infer_refuses_predictions_over_its_scores(workspace, capsys, monkeypatc
     assert sorted(os.listdir(workspace)) == before
 
 
+@pytest.mark.parametrize("leaf, refused", [
+    ("tu,lip", "o.csv: class name 'tu,lip' cannot be read back from a text header; "
+               "write a .hies file instead"),
+    ("car\nx", "o.csv.preds.txt: leaf name 'car\\nx' holds a line break"),
+], ids=["comma", "line-break"])
+def test_infer_refuses_a_text_output_that_would_not_read_back(tmp_path, capsys, leaf, refused):
+    parents = {leaf if c == "tulip" else c: p for c, p in SEVEN_NODE_PARENTS.items()}
+    nodes = [{"name": c, "parent": p} for c, p in parents.items()]
+    (tmp_path / "hierarchy.json").write_text(json.dumps({"nodes": nodes}))
+    names = sorted(set(parents) - set(parents.values()))  # the leaves
+    save_scores(ScoreMatrix(np.eye(4)[:1], PROBABILITIES, names), str(tmp_path / "fine.hies"))
+    before = sorted(os.listdir(tmp_path))
+    code = run(["infer", "--hierarchy", str(tmp_path / "hierarchy.json"),
+                "--fine", str(tmp_path / "fine.hies"), "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"InputError: cannot write {tmp_path}/{refused}\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_infer_logits_kind_applies_softmax(workspace):
     logits = workspace / "fine_logits.csv"
     logits.write_text("# kind: logits\nrose,tulip,bus,car\n0.0,0.0,0.0,0.0\n")
@@ -258,6 +277,15 @@ def test_eval_k_too_large(workspace, capsys, method):
                 "--labels", labels, "--method", method, "--k", "2000"])
     assert code == 3
     assert "KTooLarge" in capsys.readouterr().err
+
+
+def test_eval_refuses_a_k_above_the_leaf_count_before_any_row(workspace, capsys):
+    # The default --k 1,5,20 on four leaves; row 0 also holds a NaN, met only on reading it.
+    (workspace / "fine.csv").write_text("rose,tulip,bus,car\nnan,0.1,0.35,0.15\n")
+    hierarchy, fine, labels = paths(workspace, "hierarchy.json", "fine.csv", "labels.txt")
+    code = run(["eval", "--hierarchy", hierarchy, "--fine", fine, "--labels", labels])
+    assert code == 3
+    assert capsys.readouterr().err == f"KTooLarge: --k 20 is above the 4 leaves of {hierarchy}\n"
 
 
 def test_eval_length_mismatch(workspace, capsys):

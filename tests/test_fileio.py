@@ -1,9 +1,12 @@
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SEVEN_NODE_PARENTS, SEVEN_NODE_LEAVES, random_taxonomy, read_scores
 from hieval import fileio
@@ -242,6 +245,26 @@ def test_text_round_trip_is_value_exact(tmp_path):
     assert back.values.tolist() == m.values.tolist()
     assert back.kind == m.kind
     assert back.class_names == m.class_names
+
+
+# Names drawn mostly from the characters a text file's lines and header give meaning to.
+NAMES = st.text(st.sampled_from(",#\n\r \t\x0b\x85\u2028ab") | st.characters(), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(NAMES, min_size=1, max_size=4))
+def test_every_text_class_name_reads_back_or_is_refused_with_no_file(names):
+    m = ScoreMatrix(np.zeros((1, len(names))), LOGITS, names)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scores.csv")
+        try:
+            save_scores(m, path)
+        except InputError as e:
+            assert any(str(e).startswith(f"cannot write {path}: class name {name!r} ")
+                       for name in names)
+            assert os.listdir(tmp) == []
+        else:
+            assert read_scores(path).class_names == tuple(names)
 
 
 def test_binary_round_trip_bitwise(tmp_path):
@@ -483,6 +506,23 @@ def test_labels_round_trip(tmp_path, flower_vehicle):
         write([2, 0])
         write(np.array([3, 3]))
     assert load_labels(path, t).tolist() == [2, 0, 3, 3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(NAMES.filter(bool), min_size=2, max_size=4, unique=True))
+def test_every_leaf_name_reads_back_from_a_labels_file_or_is_refused_with_no_file(leaves):
+    t = build_taxonomy({"root!": None, **dict.fromkeys(leaves, "root!")}, leaf_order=leaves)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "labels.txt")
+        try:
+            with write_labels(t, path) as write:
+                write(range(len(leaves)))
+        except InputError as e:
+            assert any(str(e) == f"cannot write {path}: leaf name {name!r} holds a line break"
+                       for name in leaves)
+            assert os.listdir(tmp) == []
+        else:
+            assert load_labels(path, t).tolist() == list(range(len(leaves)))
 
 
 def test_labels_internal_node_rejected(tmp_path, flower_vehicle):

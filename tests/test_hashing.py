@@ -165,7 +165,8 @@ def test_a_fault_before_the_echo_is_the_same_with_a_hasher(inputs, tmp_path, mon
     out.mkdir()
     compare, _ = commands(base, out)
     if poison:
-        argvs = [compare, ["eval", *base, "--method", "hie", "--out", str(out / "report.json")]]
+        argvs = [compare, ["eval", *base, "--method", "hie", "--k", "1,2",
+                           "--out", str(out / "report.json")]]
     else:  # met on open, before any row is read or any digest echoed
         os.remove(tmp_path / "fine.csv")
         argvs = [compare]
