@@ -117,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hierarchy", required=True)
 
     p = sub.add_parser("infer", help="apply a decision rule and write scores plus predictions")
-    add_common(p, method=True, outfile=True)
+    add_common(p, method=True)
+    p.add_argument("--out", required=True, help="output file path")
     p.add_argument("--preds-out", help="predictions path (default: OUT.preds.txt)")
 
     p = sub.add_parser("eval", help="evaluate one method against labels")
@@ -160,9 +161,6 @@ def run(argv=None, workers: int = 1) -> int:
                 args.digests = procs.Child(lambda: hashing.digests(args))
         from . import commands
 
-        # infer requires --out even though other commands treat it as optional
-        if args.command == "infer" and not args.out:
-            raise InputError("infer requires --out")
         out = io.StringIO()
         code = getattr(commands, f"cmd_{args.command}")(args, out)
         try:

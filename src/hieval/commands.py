@@ -103,11 +103,8 @@ class MethodInputs:
     uppers: dict[str | None, list[tuple[fileio.ScoreReader, np.ndarray]]]
     columns: dict[fileio.ScoreReader, tuple]
 
-    def readers(self) -> list:
-        return list(self.columns)  # opened in the order fine, coarse, levels
-
     def close(self) -> None:
-        for reader in self.readers():
+        for reader in self.columns:
             reader.close()
 
     def __enter__(self) -> "MethodInputs":
@@ -326,11 +323,11 @@ def _in_workers(work, inputs: MethodInputs, workers: int) -> list:
     (its first range before any fork) and up to ``workers - 1`` workers
     (``procs.Child``), one per 8 blocks after block 0, take the ranges in order
     from a pipe of their indices, so a process that gets less CPU time takes
-    fewer; a worker first re-opens the readers (``ScoreReader.reopen``), and where
-    it cannot, takes none. A process stops at its first error and empties the
-    queue; a worker then sends what it has. Ranges that no worker sent back run
-    here in row order, up to this process's own first error, so the error raised
-    is the first a single process meets. Every worker is killed and reaped.
+    fewer; a worker reads through the readers it inherits, which read by
+    position. A process stops at its first error and empties the queue; a
+    worker then sends what it has. Ranges that no worker sent back run here in
+    row order, up to this process's own first error, so the error raised is
+    the first a single process meets. Every worker is killed and reaped.
     """
     n = inputs.fine.n_rows
     step = block_rows(len(inputs.fine.class_names))
@@ -355,16 +352,11 @@ def _in_workers(work, inputs: MethodInputs, workers: int) -> list:
                 return results, (i, e)
         return results, None
 
-    def worker():
-        for reader in inputs.readers():
-            reader.reopen()  # where this raises, the worker takes no range and sends nothing
-        return take()[0]
-
     children = []
     try:
         first = os.read(queue, 4)
         for _ in range(n_procs - 1):
-            child = procs.Child(worker)
+            child = procs.Child(lambda: take()[0])
             if not child.pid:  # no process can start: those running take every range left
                 break
             children.append(child)

@@ -182,7 +182,8 @@ def _read_hierarchy(path: str):
     # isinstance would. On any fault the node walk names the first faulty node.
     try:
         parents = {node["name"]: node["parent"] for node in nodes}
-    except (KeyError, TypeError):
+        "".join(parents).encode("utf-8")  # JSON allows a lone surrogate; no UTF-8 file holds one
+    except (KeyError, TypeError, UnicodeEncodeError):
         parents = {}
     if (
         len(parents) != len(nodes)
@@ -204,13 +205,18 @@ def _raise_node_fault(path: str, nodes: list) -> None:
         if not isinstance(node, dict) or "name" not in node or "parent" not in node:
             raise ParseError(f"{path}: nodes[{i}] must have 'name' and 'parent'")
         name, parent = node["name"], node["parent"]
-        if not isinstance(name, str) or not name:
+        if not isinstance(name, str) or not name or _lone_surrogate(name):
             raise ParseError(f"{path}: nodes[{i}] has an invalid name {name!r}")
         if name in names:
             raise ParseError(f"{path}: duplicate node name {name!r}")
         if parent is not None and (not isinstance(parent, str) or not parent):
             raise ParseError(f"{path}: nodes[{i}] has an invalid parent {parent!r}")
         names.add(name)
+
+
+def _lone_surrogate(name: str) -> bool:
+    """Whether ``name`` holds a lone UTF-16 surrogate, which JSON allows and no UTF-8 file holds."""
+    return any("\ud800" <= c <= "\udfff" for c in name)
 
 
 def save_hierarchy(t: tx.Taxonomy, path: str, staged: list | None = None) -> None:
@@ -239,10 +245,11 @@ class ScoreReader:
 
     Opening reads no payload (a text file is scanned once for its line count
     and its UTF-8). :meth:`read` then reads any range of rows into a fresh
-    array, which the matrix it returns adopts. ``declared_kind`` cross-checks
-    the file's own kind marker (KindConflict on disagreement) and supplies it
-    for plain text files without one. Close the reader, or use it as a context
-    manager.
+    array, which the matrix it returns adopts; it reads by position, so a
+    forked process reads through the reader it inherits. ``declared_kind``
+    cross-checks the file's own kind marker (KindConflict on disagreement) and
+    supplies it for plain text files without one. Close the reader, or use it
+    as a context manager.
     """
 
     def __init__(self, path: str, declared_kind: str | None = None):
@@ -264,19 +271,6 @@ class ScoreReader:
 
     def close(self) -> None:
         self._file.close()
-
-    def reopen(self) -> None:
-        """Re-open the checked file by path, as a forked worker must: a fork
-        shares each open file's offset. A text file rewinds on its next read."""
-        try:
-            f = open(self.path, "rb")
-        except OSError as e:
-            raise ParseError(f"cannot read {self.path}: {e}") from e
-        same = os.path.samestat(os.fstat(f.fileno()), os.fstat(self._file.fileno()))
-        self._file.close()  # this process's descriptor only; the offset is left alone
-        self._file, self._next_row = f, self.n_rows
-        if not same:
-            raise InputError(f"{self.path} was replaced after it was checked")
 
     def __enter__(self) -> "ScoreReader":
         return self
@@ -322,8 +316,8 @@ class ScoreReader:
 
     def _read_binary(self, start: int, stop: int) -> np.ndarray:
         values = np.empty((stop - start, len(self.class_names)), dtype="<f8")
-        self._file.seek(_HEADER.size + start * values.shape[1] * 8)
-        if self._file.readinto(values) != values.nbytes:
+        offset = _HEADER.size + start * values[0].nbytes
+        if os.preadv(self._file.fileno(), [values], offset) != values.nbytes:
             raise ParseError(f"{self.path}: payload ended before row {stop}")
         check_finite(values, start)
         return values.astype(np.float64, copy=False)
@@ -348,11 +342,8 @@ class ScoreReader:
             raise ParseError(f"{path}: not valid UTF-8: {e}") from e
         # As str.split("\n") with a trailing empty piece dropped.
         n_lines = newlines + (last not in (b"", b"\n"))
-        f.seek(0)
-        file_kind = None
-        body_start = n_lines
-        for i in range(n_lines):
-            line = self._next_line()
+        file_kind, body_start = None, n_lines
+        for i, (line, pos) in zip(range(n_lines), self._lines(0)):
             if not line.startswith("#"):
                 body_start = i
                 break
@@ -370,23 +361,34 @@ class ScoreReader:
             raise ParseError(f"{path}:{body_start + 1}: empty class name in header")
         self.kind = declared_kind or file_kind or PROBABILITIES
         self.class_names, self.n_rows = tuple(class_names), n_lines - body_start - 1
-        self._body_start, self._data_offset, self._next_row = body_start, f.tell(), 0
+        # The next row and the byte it starts at, kept in this object, which a fork copies.
+        self._body_start, self._data_offset, self._next_row, self._pos = body_start, pos, 0, pos
         self._read_rows = self._read_text
 
-    def _next_line(self) -> str:
-        return self._file.readline().decode("utf-8").removesuffix("\n")
+    def _lines(self, pos: int):
+        """``(line, end)`` for each line from byte ``pos`` on, decoded without its "\\n",
+        and the byte after it; read by position, never through the offset a fork shares."""
+        fd, rest = self._file.fileno(), b""
+        # A read as long as the line so far, where one outruns it: a long line costs linear time.
+        while chunk := os.pread(fd, max(1 << 16, len(rest)), pos + len(rest)):
+            *whole, rest = (rest + chunk).split(b"\n")
+            for line in whole:
+                pos += len(line) + 1
+                yield line.decode("utf-8"), pos
+        if rest:  # a last line that no "\n" ends
+            yield rest.decode("utf-8"), pos + len(rest)
 
     def _read_text(self, start: int, stop: int) -> np.ndarray:
         if start < self._next_row:
-            self._file.seek(self._data_offset)
-            self._next_row = 0
+            self._next_row, self._pos = 0, self._data_offset
+        lines = self._lines(self._pos)
         for _ in range(self._next_row, start):
-            self._file.readline()
-        self._next_row = self.n_rows  # unknown until this block is read; the next read rewinds
+            next(lines, None)
         n_cols = len(self.class_names)
         values = np.empty((stop - start, n_cols), dtype=np.float64)
         for r in range(start, stop):
-            fields = self._next_line().split(",")
+            line, pos = next(lines, ("", None))  # past the end, "" as readline gives: a fault
+            fields = line.split(",")
             if len(fields) != n_cols:
                 raise ColumnMismatch(f"{self._where(r)}: {len(fields)} fields, header has {n_cols}")
             try:
@@ -396,7 +398,7 @@ class ScoreReader:
             if row is None or not all(map(math.isfinite, row)):
                 self._raise_token_fault(r, fields)
             values[r - start] = row
-        self._next_row = stop
+        self._next_row, self._pos = stop, pos
         return values
 
     def _where(self, row: int) -> str:
@@ -484,10 +486,10 @@ def save_scores(m, path: str, staged: list | None = None) -> None:
 def _check_header_names(names: Sequence[str], path: str) -> None:
     """Refuse names that a text header would not give back: ``_open_text`` splits
     the header at commas, strips each name, refuses an empty one and skips a first
-    line starting '#'."""
+    line starting '#'; and a lone surrogate, which UTF-8 cannot encode."""
     for i, name in enumerate(names):
         if (not name or name != name.strip() or any(c in name for c in ",\n\r")
-                or i == 0 and name.startswith("#")):
+                or i == 0 and name.startswith("#") or _lone_surrogate(name)):
             raise InputError(f"cannot write {path}: class name {name!r} cannot be read back from "
                              "a text header; write a .hies file instead")
 
@@ -562,6 +564,8 @@ def write_labels(t: tx.Taxonomy, path: str, staged: list | None = None):
     for name in t.leaf_names():
         if "\n" in name or "\r" in name:
             raise InputError(f"cannot write {path}: leaf name {name!r} holds a line break")
+        if _lone_surrogate(name):
+            raise InputError(f"cannot write {path}: leaf name {name!r} holds a lone surrogate")
     lines = [name + "\n" for name in t.leaf_names()]
     with _atomic_file(path, staged) as f:
         def write(indices):

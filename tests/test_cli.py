@@ -109,6 +109,27 @@ def test_validate_names_the_file_of_each_fault_in_one_line(fault, t):
     assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
+def test_a_node_name_that_no_utf8_file_holds_is_refused_in_one_line(workspace, capsys):
+    # JSON's "\ud800" is a lone surrogate: json.loads takes it, and no UTF-8 file holds it,
+    # so a header or predictions file naming it could not be written.
+    bad = "car\ud800"
+    parents = {bad if c == "car" else c: p for c, p in SEVEN_NODE_PARENTS.items()}
+    nodes = [{"name": c, "parent": p} for c, p in parents.items()]
+    leaves = [bad if c == "car" else c for c in SEVEN_NODE_LEAVES]
+    hierarchy, fine, out = workspace / "surrogate.json", workspace / "f.hies", workspace / "out"
+    hierarchy.write_text(json.dumps({"nodes": nodes, "leaf_order": leaves}))
+    save_scores(ScoreMatrix(np.full((1, 4), 0.25), PROBABILITIES, leaves), str(fine))
+    i = [*parents].index(bad)
+    message = f"ParseError: {hierarchy}: nodes[{i}] has an invalid name {bad!r}\n"
+    assert run(["validate", "--hierarchy", str(hierarchy)]) == 2
+    assert capsys.readouterr().err == message
+    out.mkdir()
+    assert run(["infer", "--hierarchy", str(hierarchy), "--fine", str(fine),
+                "--out", str(out / "o.csv")]) == 2
+    assert capsys.readouterr().err == message
+    assert os.listdir(out) == []
+
+
 # ------------------------------------------------------------------- infer
 
 
@@ -157,9 +178,14 @@ def test_infer_hie_requires_coarse(workspace, capsys):
     assert "--coarse" in capsys.readouterr().err
 
 
-def test_infer_requires_out(workspace):
+def test_infer_requires_out(workspace, capsys):
     hierarchy, fine = paths(workspace, "hierarchy.json", "fine.csv")
-    assert run(["infer", "--hierarchy", hierarchy, "--fine", fine]) == 2
+    with pytest.raises(SystemExit) as exc:  # argparse's check, as for every required flag
+        run(["infer", "--hierarchy", hierarchy, "--fine", fine])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hieval infer ")
+    assert err.endswith("error: the following arguments are required: --out\n")
 
 
 @pytest.mark.parametrize("command", ["infer", "eval"])

@@ -12,6 +12,7 @@ import contextlib
 import errno
 import json
 import os
+import select
 import subprocess
 import sys
 import time
@@ -23,9 +24,10 @@ import pytest
 
 from conftest import (SEVEN_NODE_PARENTS, SEVEN_NODE_LEAVES, count_forks, entry_point_env,
                       fail_call, read_scores, use_block_rows)
+from hieval import procs
 from hieval.cli import run
 from hieval.commands import METHODS, _in_workers
-from hieval.errors import InputError, NonFiniteValue
+from hieval.errors import NonFiniteValue
 from hieval.fileio import ScoreReader, load_hierarchy, save_scores
 from hieval.scores import LOGITS, ScoreMatrix
 
@@ -303,43 +305,6 @@ def test_a_worker_that_ends_without_a_result_is_reported_as_in_one_process(
     assert results[0][0] == (2 if faults else 0)
 
 
-@pytest.mark.parametrize("faults", [{}, {60: "nan", 110: "negative"}], ids=["no-fault", "faults"])
-@pytest.mark.parametrize("command", [["eval", "--method", "hie"],
-                                     ["compare", "--methods", "argmax,hie"],
-                                     ["infer", "--method", "hie"]], ids=lambda c: c[0])
-def test_a_worker_that_cannot_reopen_the_inputs_leaves_its_ranges_to_this_process(
-    probability_inputs, tmp_path, monkeypatch, capsys, command, faults
-):
-    base = probability_inputs(faults)
-    if command[0] == "infer":
-        base = base[:-4]  # no --labels, no --k
-    use_block_rows(monkeypatch, 7, 4)
-    failed, mark = os.pipe()
-
-    def failing(reader):  # only a worker re-opens its inputs
-        os.write(mark, b"x")
-        raise InputError(f"{reader.path} was replaced after it was checked")
-
-    monkeypatch.setattr(ScoreReader, "reopen", failing)
-    results = []
-    try:
-        for workers in (1, 3):
-            out = tmp_path / str(workers)
-            out.mkdir()
-            code = run([*command, *base, "--out", str(out / "out.hies")], workers=workers)
-            std = capsys.readouterr()
-            results.append((code, std.out.replace(str(out), "OUT"), std.err,
-                            {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}))
-        os.set_blocking(failed, False)
-        if not faults:  # a fault at row 60 may end the run before a worker tries
-            assert os.read(failed, 8) == b"xx"  # both workers, at 3 processes
-    finally:
-        os.close(failed)
-        os.close(mark)
-    assert results[0] == results[1]
-    assert results[0][0] == (2 if faults else 0)
-
-
 def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
@@ -410,10 +375,9 @@ def test_an_infer_fault_in_a_worker_leaves_no_output_through_the_entry_point(tmp
 
 def one_row_blocks(monkeypatch, n_rows: int):
     """What ``_in_workers`` reads of a run's inputs: ``n_rows`` rows in one-row blocks,
-    so that range i is rows [i, i + 1), and no reader to re-open."""
+    so that range i is rows [i, i + 1)."""
     use_block_rows(monkeypatch, 1, 1)
-    return SimpleNamespace(fine=SimpleNamespace(n_rows=n_rows, class_names=("c",)),
-                           readers=lambda: [])
+    return SimpleNamespace(fine=SimpleNamespace(n_rows=n_rows, class_names=("c",)))
 
 
 # Block 0 and 16 more: enough for 3 processes (one per 8 blocks after block 0).
@@ -564,23 +528,98 @@ def test_an_error_here_kills_and_reaps_every_worker(monkeypatch, held_until_take
     assert time.perf_counter() - begun < 30
 
 
-# ---------------------------------------------------------- re-opened inputs
+# ------------------------------------------------------ inputs read by position
 
 
-def test_a_reopened_text_reader_rewinds(instance):
+@pytest.mark.parametrize("suffix", [".csv", ".hies"])
+def test_a_reader_used_in_a_forked_process_leaves_this_process_reading_its_rows(tmp_path, suffix):
+    # 1008 columns make a text row longer than a file object's buffer, so that a
+    # read through the file offset that a fork shares would pick up the child's rows.
+    values = np.random.default_rng(0).normal(size=(40, 1008))
+    path = str(tmp_path / f"s{suffix}")
+    save_scores(ScoreMatrix(values, LOGITS, tuple(f"c{i}" for i in range(1008))), path)
+    with ScoreReader(path) as reader:
+        assert np.array_equal(reader.read(0, 5).values, values[:5])
+        child = procs.Child(lambda: reader.read(20, 30).values)
+        try:
+            assert np.array_equal(child.result(), values[20:30])
+        finally:
+            child.close()
+        assert np.array_equal(reader.read(5, 9).values, values[5:9])
+
+
+def test_a_text_reader_rewinds_to_an_earlier_row(instance):
     d, _ = instance
     with ScoreReader(str(d / "coarse.csv")) as reader:
         first = reader.read(0, 5).values.copy()
         reader.read(5, 9)
-        reader.reopen()
         assert np.array_equal(reader.read(0, 5).values, first)
+        assert np.array_equal(reader.read(3, 6).values[:2], first[3:])
 
 
-def test_reopening_a_replaced_file_is_refused(tmp_path):
-    path = tmp_path / "scores.csv"
-    path.write_text("a,b\n0.5,0.5\n")
-    with ScoreReader(str(path)) as reader:
-        (tmp_path / "other.csv").write_text("a,b\n0.5,0.5\n")
-        os.replace(tmp_path / "other.csv", path)
-        with pytest.raises(InputError, match="was replaced after it was checked"):
-            reader.reopen()
+@pytest.mark.parametrize("command", [["compare", "--methods", ",".join(METHODS)],
+                                     ["infer", "--method", "cascade"]], ids=lambda c: c[0])
+def test_workers_read_the_file_checked_when_its_path_is_replaced(instance, tmp_path, monkeypatch,
+                                                                 capsys, command):
+    # After block 0, the fine file's path names a file of other values; the workers,
+    # which read through the readers they inherit, still read the file checked.
+    d, base = instance
+    fine = tmp_path / "fine.hies"
+    for name in ("fine.hies", "fine.hies.names.json"):
+        (tmp_path / name).write_bytes((d / name).read_bytes())
+    other = read_scores(fine)
+    save_scores(ScoreMatrix(-other.values, other.kind, other.class_names), str(tmp_path / "o.hies"))
+    argv = [*command, *(str(fine) if a == str(d / "fine.hies") else a for a in base)]
+    if command[0] == "infer":
+        argv = argv[:-4]  # no --labels, no --k
+    use_block_rows(monkeypatch, 7, 36)
+    caller, read, (marked, mark), waited = os.getpid(), ScoreReader.read, os.pipe(), []
+
+    def replaced_after_block_0(reader, start, stop):
+        if os.getpid() != caller:
+            os.write(mark, b"x")
+        elif start == 0 and reader.path == str(fine):
+            os.replace(tmp_path / "o.hies", fine)
+        elif start >= 14 and not waited:  # past range 1, wait until a worker has read a block
+            waited.append(select.select([marked], [], [], 10))
+        return read(reader, start, stop)
+
+    results = []
+    try:
+        for workers in (1, 3):
+            if workers > 1:
+                monkeypatch.setattr(ScoreReader, "read", replaced_after_block_0)
+            out = tmp_path / str(workers)
+            out.mkdir()
+            # compare's table only: its hasher reads the path, at a time of its own
+            outfile = ["--out", str(out / "s.hies")] if command[0] == "infer" else []
+            assert run([*argv, *outfile], workers=workers) == 0
+            results.append((capsys.readouterr().out.replace(str(out), "OUT"),
+                            {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}))
+        assert select.select([marked], [], [], 0)[0]  # a worker read at least one block
+    finally:
+        os.close(marked)
+        os.close(mark)
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("cut", [0, 4], ids=["at-a-line-end", "inside-a-line"])
+def test_a_text_file_cut_short_after_it_was_checked_is_one_fault(probability_inputs, tmp_path,
+                                                                 monkeypatch, capsys, cut):
+    # Rows 0-899 stay whole, and `cut` bytes of row 900; the file is cut before block 0 is read.
+    base = probability_inputs({})
+    fine, row = tmp_path / "fine.csv", b"0.4,0.1,0.35,0.15\n"
+    header = b"# kind: probabilities\nrose,tulip,bus,car\n"
+    fine.write_bytes(header + row * 1000)
+    read = ScoreReader.read
+
+    def cut_short(reader, start, stop):
+        if reader.path == str(fine):
+            os.truncate(fine, len(header) + 900 * len(row) + cut)
+        return read(reader, start, stop)
+
+    monkeypatch.setattr(ScoreReader, "read", cut_short)
+    assert run(["infer", *base[:2], "--fine", str(fine), "--out", str(tmp_path / "s.hies")]) == 2
+    fields = 2 if cut else 1  # "0.4," is 2 fields, and "" one
+    assert capsys.readouterr().err == f"ColumnMismatch: {fine}:903: {fields} fields, header has 4\n"
+    assert not (tmp_path / "s.hies").exists()
