@@ -4,12 +4,13 @@ Exit codes are a stable contract: 0 on success, 2 for input or usage
 problems and for an allocation that fails, 3 for shape or semantic mismatches
 between otherwise valid inputs; a command's summary is printed once it is
 done, and a closed or full standard output exits 2. Output files are
-byte-identical across repeated runs; to keep that true regardless of the
-host's BLAS threading configuration, the entry point pins numerical
-libraries to one thread before numpy is first imported. It also has glibc
-keep the memory each block of rows frees for the next block, rather than
-return it to the system and fault it back in; importing the package changes
-neither setting.
+byte-identical across runs on one host (a score file's last bits may change
+with the SIMD kernels numpy picks, AVX-512 or not). The entry point pins
+numerical libraries to one thread before numpy is first imported, as
+OpenBLAS's pool nearly doubles that import's CPU time (the package calls no
+BLAS routine), and has glibc keep the memory each block of rows frees for the
+next block rather than return it to the system and fault it back in;
+importing the package changes neither setting.
 
 :func:`main`, the process entry, runs ``eval``, ``compare`` and ``infer`` on every
 usable CPU and exits without teardown when done; :func:`run` runs in-process and returns.

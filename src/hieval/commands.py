@@ -20,7 +20,7 @@ from . import taxonomy as tx
 from .cli import integer, real
 from .errors import (DimensionMismatch, DuplicateMethod, InputError, KTooLarge, LengthMismatch,
                      NonFiniteValue, ZeroDenominator)
-from .metrics import EvalReport, _counts, eval_report
+from .metrics import EvalReport, eval_report
 from .scores import (
     LOGITS,
     PROBABILITIES,
@@ -401,7 +401,7 @@ def _evaluate(args, methods: list[str], ks) -> list[EvalReport]:
             part = {}
             for m, ranked in run_methods(methods, inputs, start, stop):
                 rows = gt[ranked.first_row:ranked.first_row + ranked.n_samples]
-                block = _counts(top_k(ranked, k), rows, t, ks, m)
+                block = eval_report(top_k(ranked, k), rows, t, ks, m)
                 part[m] = part[m] + block if m in part else block
             return part
 

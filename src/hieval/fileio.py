@@ -159,14 +159,14 @@ def load_hierarchy(path: str) -> tx.Taxonomy:
     """
     parents, leaf_order, coarse_order = _read_hierarchy(path)
     try:
-        return tx.from_parents(parents, leaf_order, coarse_order)
+        return tx.build_taxonomy(parents, leaf_order, coarse_order)
     except InputError as e:
         raise type(e)(f"{path}: {e}") from e
 
 
 def _read_hierarchy(path: str):
     """The file's ``(parents, leaf_order, coarse_order)``, each checked as JSON only:
-    the tree is for ``taxonomy.from_parents`` to check."""
+    the tree is for ``taxonomy.build_taxonomy`` to check."""
     raw = _read_bytes(path)
     try:
         doc = json.loads(raw.decode("utf-8"))
@@ -343,7 +343,7 @@ class ScoreReader:
         # As str.split("\n") with a trailing empty piece dropped.
         n_lines = newlines + (last not in (b"", b"\n"))
         file_kind, body_start = None, n_lines
-        for i, (line, pos) in zip(range(n_lines), self._lines(0)):
+        for i, (line, pos) in zip(range(n_lines), self._lines(0, 1)):
             if not line.startswith("#"):
                 body_start = i
                 break
@@ -365,23 +365,28 @@ class ScoreReader:
         self._body_start, self._data_offset, self._next_row, self._pos = body_start, pos, 0, pos
         self._read_rows = self._read_text
 
-    def _lines(self, pos: int):
-        """``(line, end)`` for each line from byte ``pos`` on, decoded without its "\\n",
-        and the byte after it; read by position, never through the offset a fork shares."""
+    def _lines(self, pos: int, line_no: int):
+        """``(line, end)`` for each line from byte ``pos`` (line ``line_no``) on, decoded
+        without its "\\n", and the byte after it; read by position, never through the offset
+        a fork shares."""
         fd, rest = self._file.fileno(), b""
-        # A read as long as the line so far, where one outruns it: a long line costs linear time.
-        while chunk := os.pread(fd, max(1 << 16, len(rest)), pos + len(rest)):
-            *whole, rest = (rest + chunk).split(b"\n")
-            for line in whole:
-                pos += len(line) + 1
-                yield line.decode("utf-8"), pos
-        if rest:  # a last line that no "\n" ends
-            yield rest.decode("utf-8"), pos + len(rest)
+        try:
+            # A read as long as the line so far, where one outruns it: a long line costs linear time.
+            while chunk := os.pread(fd, max(1 << 16, len(rest)), pos + len(rest)):
+                *whole, rest = (rest + chunk).split(b"\n")
+                for line in whole:
+                    pos += len(line) + 1
+                    yield line.decode("utf-8"), pos
+                    line_no += 1
+            if rest:  # a last line that no "\n" ends
+                yield rest.decode("utf-8"), pos + len(rest)
+        except UnicodeDecodeError as e:  # the file changed after it was scanned at open
+            raise ParseError(f"{self.path}:{line_no}: not valid UTF-8: {e}") from e
 
     def _read_text(self, start: int, stop: int) -> np.ndarray:
         if start < self._next_row:
             self._next_row, self._pos = 0, self._data_offset
-        lines = self._lines(self._pos)
+        lines = self._lines(self._pos, self._body_start + self._next_row + 2)
         for _ in range(self._next_row, start):
             next(lines, None)
         n_cols = len(self.class_names)

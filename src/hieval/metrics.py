@@ -99,22 +99,10 @@ def eval_report(
     ranking = ranking[:, :max(ks)]
     if min(ranking.min(), gt.min()) < 0 or max(ranking.max(), gt.max()) >= t.n_leaves:
         raise InvalidIndex(f"ranking and label entries must lie in [0, {t.n_leaves})")
-    return _counts(ranking, gt, t, ks, method, config)
-
-
-def _counts(ranking: np.ndarray, gt: np.ndarray, t: tx.Taxonomy, ks: list[int], method: str,
-            config: dict | None = None) -> EvalReport:
-    """``eval_report`` without its checks, for the block loop, which guarantees them.
-
-    ``ranking`` is a non-empty int64 array of exactly max(ks) leaf columns per
-    row, as ``scores.top_k`` returns; ``gt`` the rows' int64 leaf columns, as
-    ``fileio.load_labels`` returns; ``ks`` distinct positive ints, as
-    ``commands.parse_ks`` returns.
-    """
     h = tx.lca_heights(t, ranking, gt[:, None])
     return EvalReport(
         method=method,
-        n_samples=gt.size,
+        n_samples=n,
         n_mistakes=int((ranking[:, 0] != gt).sum()),
         severity_sum=int(h[:, 0].sum()),
         hd_sums={k: int(h[:, :k].sum()) for k in ks},

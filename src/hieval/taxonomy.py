@@ -8,7 +8,7 @@ bad it is to confuse one for the other: 0 for a correct prediction, 1 for a
 sibling mix-up, up to the root's height for maximally distant classes.
 
 A taxonomy is built from a map of each node name to its parent's name, the
-table a hierarchy file holds; :func:`from_parents` is the one place its tree
+table a hierarchy file holds; :func:`build_taxonomy` is the one place its tree
 is checked. ``leaf_order`` and ``coarse_order`` fix the column conventions that score
 matrices are bound to. They default to lexicographic name order and can be
 overridden explicitly when a hierarchy file says so.
@@ -84,24 +84,16 @@ def build_taxonomy(
 ) -> Taxonomy:
     """Build and validate a taxonomy from a map of each node name to its parent name.
 
-    The root's parent is None. Orderings default to lexicographic; explicit
-    overrides must be permutations of the actual leaf set and parent-of-leaf
-    set. Names and parents must be non-empty strings (EmptyInput otherwise);
-    the tree itself is checked by :func:`from_parents`.
+    The one place a hierarchy's tree is checked. The root's parent is None.
+    Orderings default to lexicographic; explicit overrides must be
+    permutations of the actual leaf set and parent-of-leaf set. Raises
+    EmptyInput (an empty or non-string name or parent, or no edge),
+    MultipleRoots, ParseError (a parent that is no node), CycleDetected or
+    OrderMismatch, each naming the offending node(s).
     """
     for name, parent in parents.items():
         if not (isinstance(name, str) and name and (parent is None or isinstance(parent, str) and parent)):
             raise EmptyInput(f"node {name!r} with parent {parent!r} has an empty or non-string name")
-    return from_parents(parents, leaf_order, coarse_order)
-
-
-def from_parents(parents: Mapping[str, str | None], leaf_order, coarse_order) -> Taxonomy:
-    """:func:`build_taxonomy` for a map whose names and parents are non-empty strings.
-
-    The one place a hierarchy's tree is checked. Raises MultipleRoots,
-    ParseError (a parent that is no node), EmptyInput (no edge),
-    CycleDetected or OrderMismatch, each naming the offending node(s).
-    """
     roots = [name for name, parent in parents.items() if parent is None]
     if len(roots) > 1:
         raise MultipleRoots("multiple null-parent nodes: " + ", ".join(map(repr, sorted(roots))))

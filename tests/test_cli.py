@@ -994,3 +994,126 @@ def test_a_process_started_without_stdout_prints_nothing(workspace):
                            "validate", "--hierarchy", "hierarchy.json"],
                           cwd=workspace, env=_child_env(), stderr=subprocess.PIPE, text=True)
     assert (done.returncode, done.stderr) == (0, "")
+
+
+# ---------------------------------------------------------- numpy's SIMD dispatch
+#
+# numpy picks each loop's kernel when it loads, by what the CPU supports. On x86 the
+# AVX-512 kernels of exp and log round some entries differently from the AVX2 ones,
+# so score files may differ in their last bits between hosts; a ranking, a report
+# and a predictions file must not. The largest gap seen on this instance is 9 ulp
+# (x86 with AVX-512, numpy 2.4).
+ULP_BOUND = 16
+
+
+def _dispatch_above_x86_v3() -> list[str]:
+    """The dispatch targets above X86_V3 (AVX2 and FMA3) that this CPU runs."""
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    targets = umath.__cpu_dispatch__
+    if "X86_V3" in targets:
+        above = targets[targets.index("X86_V3") + 1:]
+    else:  # numpy before 2.4 names the AVX-512 groups alone
+        above = [t for t in targets if t.startswith("AVX512")]
+    return [t for t in above if umath.__cpu_features__.get(t)]
+
+
+def _synth_compare_infer(workdir: Path, env: dict) -> tuple[bytes, dict[str, bytes]]:
+    """A seeded synth, a five-method compare and a cascade infer; their stdout and files."""
+    workdir.mkdir()
+    argvs = [
+        ["synth", "--branching", "8,9,14", "--noise", "0.5,1.0,2.0", "--n-samples", "600",
+         "--seed", "3", "--out-dir", "inst"],
+        ["compare", "--hierarchy", "inst/hierarchy.json", "--fine", "inst/fine.hies",
+         "--kind", "logits", "--coarse", "inst/level_d2.hies", "--labels", "inst/labels.txt",
+         "--k", "1,5,20", "--methods", ",".join(m for m in METHODS if m != "cascade"),
+         "--out", "table.json"],
+        ["infer", "--hierarchy", "inst/hierarchy.json", "--fine", "inst/fine.hies",
+         "--kind", "logits", "--level", "1=inst/level_d1.hies", "--level", "2=inst/level_d2.hies",
+         "--method", "cascade", "--out", "cascade.hies"],
+    ]
+    stdout = b""
+    for argv in argvs:
+        done = subprocess.run([sys.executable, "-m", "hieval", *argv], cwd=workdir, env=env,
+                              capture_output=True)
+        assert (done.returncode, done.stderr) == (0, b""), done.stderr
+        stdout += done.stdout
+    files = {str(p.relative_to(workdir)): p.read_bytes() for p in workdir.rglob("*") if p.is_file()}
+    return stdout, files
+
+
+def test_outputs_agree_under_both_simd_dispatches(tmp_path):
+    below = _dispatch_above_x86_v3()
+    if not below:
+        pytest.skip("this CPU runs no numpy dispatch target above X86_V3")
+    as_is = _synth_compare_infer(tmp_path / "as-is", _child_env())
+    env = dict(_child_env(), NPY_DISABLE_CPU_FEATURES=" ".join(below))
+    stdout, files = _synth_compare_infer(tmp_path / "below", env)
+    assert stdout == as_is[0]
+    assert sorted(files) == sorted(as_is[1])
+    for name, data in files.items():
+        if not name.endswith(".hies"):
+            assert data == as_is[1][name], name
+            continue
+        a, b = read_scores(tmp_path / "as-is" / name), read_scores(tmp_path / "below" / name)
+        assert (a.kind, a.class_names, a.values.shape) == (b.kind, b.class_names, b.values.shape)
+        assert np.array_equal(np.sign(a.values), np.sign(b.values)), name
+        gap = np.abs(a.values.view(np.int64) - b.values.view(np.int64)).max()
+        assert gap <= ULP_BOUND, f"{name}: {gap} ulp"
+
+
+# ------------------------------------------------------- faults through the entry point
+
+
+@pytest.fixture(scope="module")
+def workers_instance(tmp_path_factory):
+    """2000 rows of 1008 leaves: 31 blocks, enough for a worker per CPU up to 4."""
+    d = tmp_path_factory.mktemp("workers")
+    assert run(["synth", "--branching", "8,9,14", "--noise", "0.5,1.0,2.0",
+                "--n-samples", "2000", "--seed", "3", "--out-dir", str(d)]) == 0
+    return d
+
+
+def _first_cpu_only():
+    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
+
+
+def test_an_infer_in_workers_whose_sidecar_path_is_a_directory_leaves_no_output(
+        workers_instance, tmp_path):
+    # Every output lands by one rule: a rename that fails removes the files renamed before it.
+    sidecar = tmp_path / "scores.hies.names.json"
+    sidecar.mkdir()
+    done = subprocess.run([sys.executable, "-m", "hieval", "infer",
+                           "--hierarchy", str(workers_instance / "hierarchy.json"),
+                           "--fine", str(workers_instance / "fine.hies"), "--kind", "logits",
+                           "--out", str(tmp_path / "scores.hies")],
+                          env=_child_env(), capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"InputError: cannot write {sidecar}: Is a directory\n"
+    assert os.listdir(tmp_path) == [sidecar.name]
+    assert os.listdir(sidecar) == []
+
+
+@pytest.mark.parametrize("cpus", ["all", "one"])
+def test_eval_refuses_labels_from_a_pipe_in_one_line(workers_instance, cpus):
+    # eval hashes its inputs apart from reading them: on several CPUs a hashing process
+    # would drain the pipe first, and on one CPU the report would echo an empty input's digest.
+    if cpus == "one" and not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity here")
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, (workers_instance / "labels.txt").read_bytes())  # fits a pipe's buffer
+        os.close(write_end)
+        labels = f"/dev/fd/{read_end}"
+        done = subprocess.run([sys.executable, "-m", "hieval", "eval",
+                               "--hierarchy", str(workers_instance / "hierarchy.json"),
+                               "--fine", str(workers_instance / "fine.hies"), "--kind", "logits",
+                               "--labels", labels],
+                              env=_child_env(), capture_output=True, text=True, pass_fds=[read_end],
+                              preexec_fn=_first_cpu_only if cpus == "one" else None)
+    finally:
+        os.close(read_end)
+        with contextlib.suppress(OSError):
+            os.close(write_end)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (f"InputError: --labels {labels} is not a regular file; eval reads "
+                           "each input twice, to hash it and to use it\n")

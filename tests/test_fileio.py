@@ -366,6 +366,22 @@ def test_text_utf8_is_checked_across_read_chunks(tmp_path):
         read_scores(str(path))
 
 
+@pytest.mark.parametrize("start", [0, 1], ids=["read-from-it", "skipped-over"])
+def test_a_text_row_that_stops_being_utf8_after_open_is_a_parse_error(tmp_path, start):
+    # The scan at open saw valid UTF-8; the byte written after it is met by a read,
+    # whether the read returns the row or passes over it to a later one.
+    path = tmp_path / "s.csv"
+    path.write_bytes(b"# kind: probabilities\na,b\n0.5,0.5\n0.25,0.75\n")
+    with ScoreReader(str(path)) as reader:
+        with open(path, "r+b") as f:
+            f.seek(len(b"# kind: probabilities\na,b\n0"))
+            f.write(b"\xff")
+        with pytest.raises(ParseError) as exc:
+            reader.read(start, 2)
+    assert str(exc.value) == (f"{path}:3: not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+                              "in position 1: invalid start byte")
+
+
 @pytest.mark.parametrize("suffix", [".hies", ".csv"])
 def test_saving_blocks_writes_the_bytes_of_the_whole(tmp_path, suffix):
     rng = np.random.default_rng(6)

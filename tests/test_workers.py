@@ -623,3 +623,27 @@ def test_a_text_file_cut_short_after_it_was_checked_is_one_fault(probability_inp
     fields = 2 if cut else 1  # "0.4," is 2 fields, and "" one
     assert capsys.readouterr().err == f"ColumnMismatch: {fine}:903: {fields} fields, header has 4\n"
     assert not (tmp_path / "s.hies").exists()
+
+
+def test_a_text_row_that_stops_being_utf8_after_it_was_checked_exits_2(probability_inputs,
+                                                                        tmp_path, monkeypatch,
+                                                                        capsys):
+    # Row 900 gets a byte that is no UTF-8 after the file was opened and scanned.
+    base = probability_inputs({})
+    fine, row = tmp_path / "fine.csv", b"0.4,0.1,0.35,0.15\n"
+    header = b"# kind: probabilities\nrose,tulip,bus,car\n"
+    fine.write_bytes(header + row * 1000)
+    read = ScoreReader.read
+
+    def spoiled(reader, start, stop):
+        if reader.path == str(fine):
+            with open(fine, "r+b") as f:
+                f.seek(len(header) + 900 * len(row) + 1)
+                f.write(b"\xff")
+        return read(reader, start, stop)
+
+    monkeypatch.setattr(ScoreReader, "read", spoiled)
+    assert run(["infer", *base[:2], "--fine", str(fine), "--out", str(tmp_path / "s.hies")]) == 2
+    assert capsys.readouterr().err == (f"ParseError: {fine}:903: not valid UTF-8: 'utf-8' codec "
+                                       "can't decode byte 0xff in position 1: invalid start byte\n")
+    assert not (tmp_path / "s.hies").exists()
