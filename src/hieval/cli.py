@@ -14,8 +14,9 @@ importing the package changes neither setting.
 
 :func:`main`, the process entry, runs ``eval``, ``compare`` and ``infer`` on every
 usable CPU and exits without teardown when done; :func:`run` runs in-process and returns.
-Every process besides the caller is a ``procs.Child``: where one cannot start, ends
-without a result or meets a fault, the caller does its work and raises any fault itself.
+The input hasher is spawned (``hashing.Hasher``) and each row worker forked (``procs.Child``):
+where one cannot start, ends without a result or meets a fault, the caller does its work and
+raises any fault itself.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import io
 import os
 import sys
 
-from . import hashing, procs
+from . import hashing
 from .errors import DataError, InputError
 
 _THREAD_VARS = (
@@ -149,7 +150,7 @@ def run(argv=None, workers: int = 1) -> int:
 
     ``eval`` and ``compare`` first refuse an input that is not a regular file
     (``hashing.check_regular``); with ``workers > 1``, they then hash their inputs
-    in a child process of their own (``hashing.digests``), killed and reaped on return.
+    in a spawned ``python -I -S`` (``hashing.Hasher``), killed and reaped on return.
     """
     _pin_single_threaded_math()
     _keep_freed_memory()
@@ -158,8 +159,8 @@ def run(argv=None, workers: int = 1) -> int:
     try:
         if args.command in ("eval", "compare"):
             hashing.check_regular(args)
-            if workers > 1:  # forked before numpy loads: small, and this process never loads OpenSSL
-                args.digests = procs.Child(lambda: hashing.digests(args))
+            if workers > 1:  # spawned: no fork before numpy loads, and no OpenSSL in this process
+                args.digests = hashing.Hasher(args)
         from . import commands
 
         out = io.StringIO()

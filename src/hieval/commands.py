@@ -226,13 +226,13 @@ def run_methods(methods: list[str], inputs: MethodInputs, start: int = 0, stop: 
 def _config_echo(args, ks) -> dict:
     """The config every report of one run shares; each input is hashed once.
 
-    The digests come from the run's hashing child (``args.digests``), or,
-    where it gave none, from ``hashing.digests`` here. A report's config is
+    The digests come from the run's hasher (``args.digests``), or, where it
+    gave none, from ``hashing.digests`` here. A report's config is
     ``{"method": name, **echo}``.
     """
     levels, digests = parse_levels(getattr(args, "level", None)), None
     if args.digests:
-        with contextlib.suppress(EOFError):  # it did not start, met a fault or ended first
+        with contextlib.suppress(EOFError):  # it did not start, failed or sent no digest of each
             digests = args.digests.result()
     digests = digests or hashing.digests(args)
     inputs = {role: digests[path] for role, path in hashing.input_roles(args, levels)}

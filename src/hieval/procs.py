@@ -1,9 +1,9 @@
 """A forked child process that runs one function and sends back its result.
 
-``cli`` hashes a run's inputs in one and ``commands`` runs row workers in them.
+``commands`` runs its row workers in them, forked after numpy loads so that each
+inherits the open readers (``hashing.Hasher`` spawns the input hasher instead).
 A child sends what its function returns and nothing else: where it cannot start,
 ends first or meets a fault, its caller does the work and meets any fault itself.
-This module imports no numpy, so that a child forked before numpy loads is small.
 """
 
 from __future__ import annotations

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import errno
 import os
-import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -45,17 +44,23 @@ def no_child_process_outlives_a_test():
 
 
 def count_forks(monkeypatch) -> list:
-    """The module that starts each child (``procs.Child``) this process forks from now
-    on: "cli" for a run's hashing child, "commands" for a row worker."""
-    forks, fork = [], os.fork
+    """How each child process this process starts from now on was started: "spawn" for
+    a run's hasher (``hashing.Hasher``), "fork" for a row worker (``procs.Child``)."""
+    forks = []
 
-    def counted():
-        pid = fork()
-        if pid:  # frame 1 is Child.__init__, frame 2 its caller
-            forks.append(sys._getframe(2).f_globals["__name__"].rpartition(".")[2])
-        return pid
+    def counted(name, how):
+        real = getattr(os, name)
 
-    monkeypatch.setattr(os, "fork", counted)
+        def call(*args, **kwargs):
+            pid = real(*args, **kwargs)
+            if pid:
+                forks.append(how)
+            return pid
+
+        monkeypatch.setattr(os, name, call)
+
+    counted("fork", "fork")
+    counted("posix_spawn", "spawn")
     return forks
 
 
@@ -66,11 +71,11 @@ def fail_call(monkeypatch, name: str, n: int) -> list:
     """
     real, calls = getattr(os, name), []
 
-    def failing():
+    def failing(*args, **kwargs):
         calls.append(name)
         if len(calls) == n:
             raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-        return real()
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(os, name, failing)
     return calls

@@ -1,10 +1,11 @@
 """The sha256 digests that eval and compare reports echo for their inputs.
 
-When a run may use more than one process, a hasher forked before numpy
-loads computes them, so the calling process never loads OpenSSL. Reports,
-the first fault and its exit code must be the same whether it ran, failed
-to start, or ended without a result; no hasher outlives its command
-(conftest checks that after every test).
+When a run may use more than one process, a hasher spawned as a fresh
+``python -I -S`` computes them, so the calling process forks nothing before
+numpy loads and never loads OpenSSL. Reports, the first fault and its exit
+code must be the same whether it ran, failed to start, or sent no digest of
+each input; no hasher outlives its command (conftest checks that after every
+test).
 """
 
 import hashlib
@@ -58,14 +59,6 @@ def commands(base, out) -> list:
              "--out", str(out / "report.json")]]
 
 
-def hash_with(monkeypatch, instead, here=True) -> None:
-    """Have ``hashing.sha256_digest`` call ``instead`` in this process only, or,
-    with ``here=False``, in every other process only (the hasher)."""
-    pid, real = os.getpid(), hashing.sha256_digest
-    monkeypatch.setattr(hashing, "sha256_digest",
-                        lambda path: (instead if (os.getpid() == pid) == here else real)(path))
-
-
 def sha256(path) -> str:
     with open(path, "rb") as f:
         return "sha256:" + hashlib.sha256(f.read()).hexdigest()
@@ -92,11 +85,11 @@ def test_each_echoed_digest_is_the_sha256_of_the_file(inputs, tmp_path, monkeypa
     out.mkdir()
     forks = count_forks(monkeypatch)
     if workers > 1:  # the hasher's digests, not this process's
-        hash_with(monkeypatch, lambda path: pytest.fail(f"hashed {path}"))
+        monkeypatch.setattr(hashing, "sha256_digest", lambda path: pytest.fail(f"hashed {path}"))
     for argv in commands(inputs(), out):
         assert run(argv, workers=workers) == 0
     capsys.readouterr()
-    assert forks == ["cli"] * 2 * (workers > 1)
+    assert forks == ["spawn"] * 2 * (workers > 1)
     assert echoed(out) == expected(tmp_path)
 
 
@@ -104,7 +97,7 @@ def test_one_process_hashes_a_file_given_under_two_roles_once(inputs, tmp_path, 
                                                               capsys):
     # The coarse file is --coarse and --level 1.
     hashed = []
-    hash_with(monkeypatch, lambda path: hashed.append(path) or sha256(path))
+    monkeypatch.setattr(hashing, "sha256_digest", lambda path: hashed.append(path) or sha256(path))
     out = tmp_path / "out"
     out.mkdir()
     assert run(commands(inputs(), out)[0], workers=1) == 0
@@ -125,31 +118,73 @@ def test_each_echoed_digest_is_the_sha256_of_the_file_through_the_entry_point(in
     assert echoed(out) == expected(tmp_path)
 
 
-def test_the_caller_of_a_two_worker_compare_never_loads_hashlib(inputs, tmp_path):
-    # 4-entry blocks put each row in a block of its own, so a row worker runs too.
+def traced_compare(inputs, tmp_path) -> str:
+    """What a two-worker compare prints, run by a wrapper that then prints its exit code,
+    each child it started (how, and whether numpy was loaded by then) and the hashlib
+    modules it loaded. 4-entry blocks, set once ``hieval.scores`` loads, put each row
+    in a block of its own, so a row worker runs too."""
     out = tmp_path / "out"
     out.mkdir()
     [compare, _] = commands(inputs(), out)
     script = "\n".join([
-        "import os, sys",
-        "forks, fork = [], os.fork",
-        "def counted():",
-        "    pid = fork()",
-        "    if pid:",
-        "        forks.append(sys._getframe(2).f_globals['__name__'])",  # Child's caller
-        "    return pid",
-        "os.fork = counted",
-        "from hieval import cli, scores",
-        "scores.BLOCK_ENTRIES = 4",
+        "import builtins, os, sys",
+        "started, fork, spawn, load = [], os.fork, os.posix_spawn, builtins.__import__",
+        "def forked():",
+        "    started.append(('fork', 'numpy' in sys.modules))",
+        "    return fork()",
+        "def spawned(*args, **kwargs):",
+        "    started.append(('spawn', 'numpy' in sys.modules))",
+        "    return spawn(*args, **kwargs)",
+        "def loaded(*args, **kwargs):",
+        "    module = load(*args, **kwargs)",
+        "    if 'hieval.scores' in sys.modules:",
+        "        sys.modules['hieval.scores'].BLOCK_ENTRIES = 4",
+        "    return module",
+        "os.fork, os.posix_spawn, builtins.__import__ = forked, spawned, loaded",
+        "from hieval import cli",
         "code = cli.run(sys.argv[1:], workers=2)",
-        "print(code, forks, sorted(m for m in sys.modules if 'hashlib' in m))",
+        "print(code, started, sorted(m for m in sys.modules if 'hashlib' in m))",
     ])
     done = subprocess.run([sys.executable, "-c", script, *compare], env=entry_point_env(),
                           capture_output=True, text=True)
     assert done.stderr == ""
-    assert done.stdout.endswith("0 ['hieval.cli', 'hieval.commands'] []\n"), done.stdout
     table = json.loads((out / "table.json").read_text())["reports"]
     assert [r["config"]["inputs"] for r in table] == expected(tmp_path)[:3]
+    return done.stdout
+
+
+def test_the_caller_of_a_two_worker_compare_never_loads_hashlib(inputs, tmp_path):
+    last = traced_compare(inputs, tmp_path).splitlines()[-1]
+    assert last.startswith("0 ") and last.endswith(" []"), last
+
+
+def test_a_two_worker_compare_forks_nothing_before_numpy_loads(inputs, tmp_path):
+    # The hasher is spawned before numpy loads; the row worker is forked after it.
+    printed = traced_compare(inputs, tmp_path)
+    assert printed.endswith("0 [('spawn', False), ('fork', True)] []\n"), printed
+
+
+@pytest.mark.parametrize("name", ["-fine.csv", os.fsdecode(b"fine-\xff.csv")],
+                         ids=["leading-dash", "not-utf-8"])
+def test_any_input_name_reaches_the_hasher_unchanged(inputs, tmp_path, monkeypatch, capsys, name):
+    # Given relative to the working directory, so that the path itself starts with "-".
+    base = inputs()
+    (tmp_path / "fine.csv").rename(tmp_path / name)
+    fine = base.index("--fine")
+    base[fine:fine + 2] = [f"--fine={name}"]
+    monkeypatch.chdir(tmp_path)
+    echoes = []
+    for workers in (1, 2):
+        out = tmp_path / str(workers)
+        out.mkdir()
+        if workers > 1:  # the hasher's digests, not this process's
+            monkeypatch.setattr(hashing, "sha256_digest", lambda path: pytest.fail(f"hashed {path}"))
+        for argv in commands(base, out):
+            assert run(argv, workers=workers) == 0
+        echoes.append(echoed(out))
+    capsys.readouterr()
+    assert echoes[0] == echoes[1]
+    assert echoes[0][0]["fine"] == sha256(tmp_path / name)
 
 
 @pytest.mark.parametrize("poison, first", [
@@ -174,7 +209,7 @@ def test_a_fault_before_the_echo_is_the_same_with_a_hasher(inputs, tmp_path, mon
     results = {w: [(run(argv, workers=w), capsys.readouterr().err) for argv in argvs]
                for w in (1, 2)}
     assert results[1] == results[2]
-    assert forks == ["cli"] * len(argvs)
+    assert forks == ["spawn"] * len(argvs)
     for code, err in results[1]:
         assert code == 2
         assert err.startswith(first.format(d=tmp_path)) and err.count("\n") == 1
@@ -204,7 +239,7 @@ def test_an_input_that_is_no_regular_file_is_refused_before_any_read(
     assert forks == [] and os.listdir(out) == []
 
 
-@pytest.mark.parametrize("name", ["pipe", "fork"])
+@pytest.mark.parametrize("name", ["pipe", "posix_spawn"])
 def test_a_hasher_that_cannot_start_leaves_the_hashing_here(inputs, tmp_path, monkeypatch, capsys,
                                                             name):
     base = inputs()
@@ -225,12 +260,90 @@ def test_a_hasher_that_cannot_start_leaves_the_hashing_here(inputs, tmp_path, mo
     assert outputs[True] == outputs[False]
 
 
-def test_a_hasher_that_ends_without_a_result_leaves_the_hashing_here(inputs, tmp_path, monkeypatch,
-                                                                     capsys):
-    hash_with(monkeypatch, lambda path: os._exit(0), here=False)
+def test_an_interpreter_that_cannot_tell_its_path_hashes_here(inputs, tmp_path, monkeypatch,
+                                                              capsys):
+    # sys.executable is empty then, and there is nothing to spawn.
+    monkeypatch.setattr(sys, "executable", "")
+    forks = count_forks(monkeypatch)
     out = tmp_path / "out"
     out.mkdir()
     for argv in commands(inputs(), out):
         assert run(argv, workers=2) == 0
     assert capsys.readouterr().err == ""
+    assert forks == []
     assert echoed(out) == expected(tmp_path)
+
+
+def test_a_hasher_that_ends_without_a_result_leaves_the_hashing_here(inputs, tmp_path, monkeypatch,
+                                                                     capsys):
+    monkeypatch.setattr(hashing, "_STUB", "import os; os._exit(0)")
+    forks = count_forks(monkeypatch)
+    out = tmp_path / "out"
+    out.mkdir()
+    for argv in commands(inputs(), out):
+        assert run(argv, workers=2) == 0
+    assert capsys.readouterr().err == ""
+    assert forks == ["spawn"] * 2
+    assert echoed(out) == expected(tmp_path)
+
+
+@pytest.mark.parametrize("stub", [
+    hashing._STUB.replace("sys.argv[2:]", "sys.argv[2:-1]"),
+    hashing._STUB.replace("sys.argv[2:]", "sys.argv[2:] + sys.argv[2:3]"),
+    hashing._STUB.replace("sha256_digest, ", "lambda p: sha256_digest(p).upper(), "),
+    hashing._STUB.replace("sep=", "end='', sep="),
+    hashing._STUB + "; sys.exit(1)",
+], ids=["one-line-short", "one-line-over", "upper-case", "no-final-newline", "exit-1"])
+def test_a_hasher_that_sends_a_short_or_garbled_result_leaves_the_hashing_here(
+    inputs, tmp_path, monkeypatch, capsys, stub
+):
+    base = inputs()
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / str(workers)
+        out.mkdir()
+        hashed = []
+        with monkeypatch.context() as m:
+            m.setattr(hashing, "_STUB", stub)
+            m.setattr(hashing, "sha256_digest", lambda path: hashed.append(path) or sha256(path))
+            for argv in commands(base, out):
+                assert run(argv, workers=workers) == 0
+        std = capsys.readouterr()
+        assert std.err == ""
+        assert len(hashed) == 4 + 3  # compare's four distinct inputs, then eval's three
+        outputs.append((std.out.replace(str(out), "OUT"),
+                        [(out / f).read_bytes() for f in ("table.json", "report.json")]))
+    assert outputs[0] == outputs[1]
+
+
+def test_an_unreadable_input_prints_only_the_callers_fault(inputs, tmp_path, monkeypatch, capfd):
+    # The hasher meets the missing file too: it is let end before it is killed, and what it
+    # prints to its stderr must not reach this one.
+    base = inputs()
+    os.remove(tmp_path / "fine.csv")
+    kill = os.kill
+
+    def after_its_end(pid, signal):
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        kill(pid, signal)
+
+    monkeypatch.setattr(os, "kill", after_its_end)
+    forks = count_forks(monkeypatch)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(commands(base, out)[0], workers=2) == 2
+    assert forks == ["spawn"]
+    fine = tmp_path / "fine.csv"
+    assert capfd.readouterr().err == (
+        f"ParseError: cannot read {fine}: [Errno 2] No such file or directory: '{fine}'\n")
+
+
+@pytest.mark.parametrize("fault", [False, True], ids=["no-fault", "nan-row"])
+def test_no_hasher_is_left_when_a_command_returns(inputs, tmp_path, capsys, fault):
+    out = tmp_path / "out"
+    out.mkdir()
+    for argv in commands(inputs(fine_row="0.4,nan,0.35,0.15") if fault else inputs(), out):
+        assert run(argv, workers=2) == (2 if fault and argv[0] == "compare" else 0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    capsys.readouterr()

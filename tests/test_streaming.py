@@ -9,6 +9,8 @@ import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -16,8 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import (SEVEN_NODE_PARENTS, SEVEN_NODE_LEAVES, dense_lca_heights, read_scores, same_bits,
-                      taxonomies, use_block_rows)
+from conftest import (SEVEN_NODE_PARENTS, SEVEN_NODE_LEAVES, dense_lca_heights, entry_point_env,
+                      read_scores, same_bits, taxonomies, use_block_rows)
 from hieval import fileio, risk, scores, taxonomy
 from hieval.cli import build_parser, run
 from hieval.commands import METHODS, load_method_inputs, run_methods
@@ -298,31 +300,48 @@ def test_synth_names_the_file_row_of_a_logit_its_noise_overflows(tmp_path, monke
     assert os.listdir(tmp_path) == []  # not even the hierarchy or labels, and no temp file
 
 
+def through_the_entry_point(argv) -> tuple[int, str]:
+    """``python -m hieval *argv``'s exit code and standard error."""
+    done = subprocess.run([sys.executable, "-m", "hieval", *argv], env=entry_point_env(),
+                          capture_output=True, text=True)
+    return done.returncode, done.stderr
+
+
 def test_a_failing_synth_leaves_an_earlier_instance_as_it_was(tmp_path, capsys):
     # The second instance's labels, hierarchy and top level are drawn before its
-    # fine level overflows; none of them may replace the first instance's files.
+    # fine level overflows; none of them may replace the first instance's files,
+    # in this process or through the entry point.
     args = ["synth", "--branching", "3,4", "--n-samples", "50", "--out-dir", str(tmp_path)]
     assert run([*args, "--noise", "0.5,1", "--seed", "1"]) == 0
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert run([*args, "--noise", "0.5,1e308", "--seed", "2"]) == 2
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before  # and no temp file
-    assert capsys.readouterr().err.startswith(f"NonFiniteValue: {tmp_path}/fine.hies: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"NonFiniteValue: {tmp_path}/fine.hies: ") and err.count("\n") == 1
+    assert through_the_entry_point([*args, "--noise", "0.5,1e308", "--seed", "2"]) == (2, err)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_a_synth_whose_rename_fails_leaves_no_new_file(tmp_path, capsys):
     # The hierarchy and the labels are renamed before level_d1.hies, whose path is
-    # a directory; the files they replaced are put back, so the first instance stays.
+    # a directory; the files they replaced are put back, so the first instance stays,
+    # in this process and through the entry point.
     args = ["synth", "--branching", "3,4", "--noise", "0.5,1", "--n-samples", "50",
             "--out-dir", str(tmp_path)]
     assert run([*args, "--seed", "1"]) == 0
     (tmp_path / "level_d1.hies").unlink()
     (tmp_path / "level_d1.hies").mkdir()
-    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+
+    def files():
+        return {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+
+    before = files()
+    err = f"InputError: cannot write {tmp_path}/level_d1.hies: Is a directory\n"
     assert run([*args, "--seed", "2"]) == 2
-    assert capsys.readouterr().err == (
-        f"InputError: cannot write {tmp_path}/level_d1.hies: Is a directory\n")
-    after = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
-    assert after == before  # and no temp file or kept link
+    assert capsys.readouterr().err == err
+    assert files() == before  # and no temp file or kept link
+    assert through_the_entry_point([*args, "--seed", "2"]) == (2, err)
+    assert files() == before
     assert not os.listdir(tmp_path / "level_d1.hies")
 
 

@@ -65,8 +65,8 @@ def test_eval_and_compare_bytes_do_not_depend_on_the_worker_count(instance, monk
                    workers=workers) == 0
         assert run(["eval", *base, "--method", "hie-crm", "--out", str(report)],
                    workers=workers) == 0
-        # Each command forks its hasher, then its workers, when more than one process may run.
-        assert forks == (["cli"] + ["commands"] * (workers - 1)) * 2 * (workers > 1)
+        # Each command spawns its hasher, then forks its workers, when more than one process may run.
+        assert forks == (["spawn"] + ["fork"] * (workers - 1)) * 2 * (workers > 1)
         outputs[workers] = (table.read_bytes(), report.read_bytes(), capsys.readouterr().out)
     assert outputs[1] == outputs[2] == outputs[3]
 
@@ -93,7 +93,7 @@ def test_a_column_permuted_input_gives_the_canonical_bytes_in_workers(instance, 
                         str(out / f"{method}.hies")], workers=3) == 0
         outputs.append((capsys.readouterr().out.replace(str(out), "OUT"), reports,
                         {f: (out / f).read_bytes() for f in os.listdir(out) if f != "table.json"}))
-    assert forks == ["cli"] + ["commands"] * 6 + ["cli"] + ["commands"] * 6
+    assert forks == ["spawn"] + ["fork"] * 6 + ["spawn"] + ["fork"] * 6
     assert outputs[0] == outputs[1]
 
 
@@ -104,7 +104,7 @@ def test_too_few_blocks_stay_in_one_process(instance, monkeypatch, capsys):
     forks = count_forks(monkeypatch)
     assert run(["eval", *base, "--method", "hie"], workers=4) == 0
     capsys.readouterr()
-    assert forks == ["cli"]  # the run may use 4 processes, so it hashes in one
+    assert forks == ["spawn"]  # the run may use 4 processes, so it hashes in one
 
 
 @pytest.mark.parametrize("method", ["cascade", "crm"])
@@ -121,7 +121,7 @@ def test_infer_bytes_do_not_depend_on_the_worker_count(instance, tmp_path, monke
         out = tmp_path / f"{block}-{workers}"
         out.mkdir()
         assert run([*infer, "--out", str(out / "s.hies")], workers=workers) == 0
-        assert forks == ["commands"] * (0 if block == N_ROWS else workers - 1)  # and no hasher
+        assert forks == ["fork"] * (0 if block == N_ROWS else workers - 1)  # and no hasher
         outputs.add(tuple((out / name).read_bytes()
                           for name in ["s.hies", "s.hies.names.json", "s.hies.preds.txt"]))
         assert sorted(os.listdir(out)) == ["s.hies", "s.hies.names.json", "s.hies.preds.txt"]
@@ -146,8 +146,8 @@ def test_infer_writes_text_scores_in_one_process(instance, tmp_path, monkeypatch
     capsys.readouterr()
 
 
-# eval and compare first make their hasher's pipe and fork; then the queue's pipe
-# is the first of _in_workers, so its third is the second worker's.
+# eval and compare first make their hasher's pipe and spawn it, which forks nothing;
+# then the queue's pipe is the first of _in_workers, so its third is the second worker's.
 @pytest.mark.parametrize("workers, name, n", [(2, "fork", 1), (3, "fork", 2), (3, "pipe", 3)],
                          ids=["first-fork-of-2", "second-fork-of-3", "second-pipe-of-3"])
 def test_a_failed_fork_leaves_every_range_to_the_processes_running(
@@ -163,7 +163,7 @@ def test_a_failed_fork_leaves_every_range_to_the_processes_running(
         out.mkdir()
         printed = []
         for argv in commands:
-            hasher = argv[0] != "infer"  # its pipe and fork come before the workers'
+            hasher = argv[0] != "infer" and name == "pipe"  # its pipe comes before the workers'
             calls = fail_call(monkeypatch, name, n + hasher) if fail else []
             assert run([*argv[:-1], str(out / argv[-1])], workers=workers) == 0
             assert len(calls) == (n + hasher if fail else 0)
@@ -230,7 +230,7 @@ def test_the_first_fault_in_row_order_wins_whatever_the_workers(
         for command in (["eval", "--method", "hie"], ["compare", "--methods", "argmax,hie"]):
             code = run([*command, *base], workers=workers)
             results.append((code, capsys.readouterr().err))
-    assert forks == ["cli", "commands", "commands"] * 2  # at 3 processes
+    assert forks == ["spawn", "fork", "fork"] * 2  # at 3 processes
     assert len(set(results)) == 1
     code, err = results[0]
     assert code == (3 if "zero-mass" in faults.values() else 2)
@@ -264,7 +264,7 @@ def test_an_infer_fault_in_a_worker_is_reported_as_in_one_process(
         results.append((run(["infer", *base[:-4], "--method", "hie", "--out", str(out / "s.hies")],
                             workers=workers), capsys.readouterr().err))
         assert os.listdir(out) == []
-    assert forks == ["commands"] * 2
+    assert forks == ["fork"] * 2
     assert results[0] == results[1]
     assert results[0][0] == code
     assert results[0][1].startswith(first.format(d=tmp_path)) and results[0][1].count("\n") == 1
@@ -300,7 +300,7 @@ def test_a_worker_that_ends_without_a_result_is_reported_as_in_one_process(
         std = capsys.readouterr()
         results.append((code, std.out.replace(str(out), "OUT"), std.err,
                         {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}))
-    assert forks == ["cli"] * (command[0] != "infer") + ["commands"] * 2  # at 3 processes
+    assert forks == ["spawn"] * (command[0] != "infer") + ["fork"] * 2  # at 3 processes
     assert results[0] == results[1]
     assert results[0][0] == (2 if faults else 0)
 
