@@ -14,9 +14,9 @@ importing the package changes neither setting.
 
 :func:`main`, the process entry, runs ``eval``, ``compare`` and ``infer`` on every
 usable CPU and exits without teardown when done; :func:`run` runs in-process and returns.
-The input hasher is spawned (``hashing.Hasher``) and each row worker forked (``procs.Child``):
-where one cannot start, ends without a result or meets a fault, the caller does its work and
-raises any fault itself.
+Every child process is a ``procs.Child``: the input hasher is spawned and each row worker
+forked. Where one cannot start, ends without a result or meets a fault, the caller does its
+work and raises any fault itself.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import io
 import os
 import sys
 
-from . import hashing
+from . import hashing, procs
 from .errors import DataError, InputError
 
 _THREAD_VARS = (
@@ -150,7 +150,7 @@ def run(argv=None, workers: int = 1) -> int:
 
     ``eval`` and ``compare`` first refuse an input that is not a regular file
     (``hashing.check_regular``); with ``workers > 1``, they then hash their inputs
-    in a spawned ``python -I -S`` (``hashing.Hasher``), killed and reaped on return.
+    in a spawned ``python -I -S`` (``hashing.hasher_argv``), killed and reaped on return.
     """
     _pin_single_threaded_math()
     _keep_freed_memory()
@@ -160,7 +160,7 @@ def run(argv=None, workers: int = 1) -> int:
         if args.command in ("eval", "compare"):
             hashing.check_regular(args)
             if workers > 1:  # spawned: no fork before numpy loads, and no OpenSSL in this process
-                args.digests = hashing.Hasher(args)
+                args.digests = procs.Child(argv=hashing.hasher_argv(args))
         from . import commands
 
         out = io.StringIO()

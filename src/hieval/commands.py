@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import pickle
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -233,7 +234,7 @@ def _config_echo(args, ks) -> dict:
     levels, digests = parse_levels(getattr(args, "level", None)), None
     if args.digests:
         with contextlib.suppress(EOFError):  # it did not start, failed or sent no digest of each
-            digests = args.digests.result()
+            digests = hashing.sent_digests(args, args.digests.result())
     digests = digests or hashing.digests(args)
     inputs = {role: digests[path] for role, path in hashing.input_roles(args, levels)}
     kind = getattr(args, "kind", None) or "auto"
@@ -325,8 +326,8 @@ def _in_workers(work, inputs: MethodInputs, workers: int) -> list:
     from a pipe of their indices, so a process that gets less CPU time takes
     fewer; a worker reads through the readers it inherits, which read by
     position. A process stops at its first error and empties the queue; a
-    worker then sends what it has. Ranges that no worker sent back run here in
-    row order, up to this process's own first error, so the error raised is
+    worker then sends what it has, pickled. Ranges no worker sent back run here
+    in row order, up to this process's own first error, so the error raised is
     the first a single process meets. Every worker is killed and reaped.
     """
     n = inputs.fine.n_rows
@@ -356,7 +357,7 @@ def _in_workers(work, inputs: MethodInputs, workers: int) -> list:
     try:
         first = os.read(queue, 4)
         for _ in range(n_procs - 1):
-            child = procs.Child(lambda: take()[0])
+            child = procs.Child(lambda: pickle.dumps(take()[0], pickle.HIGHEST_PROTOCOL))
             if not child.pid:  # no process can start: those running take every range left
                 break
             children.append(child)
@@ -366,7 +367,7 @@ def _in_workers(work, inputs: MethodInputs, workers: int) -> list:
             raise fault[1]
         for child in children:
             with contextlib.suppress(EOFError):  # it met a fault or ended without a result
-                done.update(child.result())
+                done.update(pickle.loads(child.result()))
         end, error = fault or (len(ranges), None)
         for i in range(end):
             if i not in done:  # a worker took it and sent no result for it
@@ -481,6 +482,9 @@ def cmd_synth(args, out) -> int:
         noise=_comma_list(args.noise, real, "--noise"),
         seed=args.seed,
     )
+    if cfg.n_samples >= 1 << 32:  # a .hies header stores its row count as u32
+        raise InputError(f"--n-samples must be at most {(1 << 32) - 1}, the rows a .hies file "
+                         f"holds, got {cfg.n_samples}")
     try:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as e:

@@ -2,10 +2,11 @@
 
 This module imports neither numpy nor, until a digest is computed, hashlib,
 whose OpenSSL pages would otherwise be a run's peak memory. When the run may
-use more than one process, ``cli.run`` computes :func:`digests` in a spawned
-:class:`Hasher`, so that the calling process never loads OpenSSL nor forks before
-numpy loads, and the hashing overlaps the run. Where it cannot start, fails or
-sends anything but one digest per input, the calling process hashes them itself.
+use more than one process, ``cli.run`` spawns :func:`hasher_argv` as a
+``procs.Child`` before numpy loads, so that the calling process never loads
+OpenSSL nor forks before numpy loads, and the hashing overlaps the run. Where it
+cannot start, fails or sends anything but one digest per input
+(:func:`sent_digests`), the calling process hashes them itself.
 Each input is read twice, to hash it and to use it, so :func:`check_regular`
 first refuses one that is not a regular file, such as a pipe.
 """
@@ -75,52 +76,25 @@ def digests(args) -> dict[str, str]:
     return {path: sha256_digest(path) for path in _given_roles(args)}
 
 
+def sent_digests(args, sent: bytes) -> dict[str, str]:
+    """:func:`digests` from what a hasher started on :func:`hasher_argv` sent; EOFError
+    unless that is one ``sha256:<hex>`` line per path."""
+    import re  # argparse has loaded it here; the hasher, which imports this module, need not
+
+    paths = list(_given_roles(args))
+    if not re.fullmatch(rb"(sha256:[0-9a-f]{64}\n){%d}" % len(paths), sent):
+        raise EOFError("the hasher sent no digest of each input")
+    return dict(zip(paths, sent.decode().split()))
+
+
 # ``python -I -S -c _STUB <package parent> <path>...`` prints each path's digest on a line.
 _STUB = ("import sys; sys.path.insert(0, sys.argv[1]); from hieval.hashing import sha256_digest; "
          "print(*map(sha256_digest, sys.argv[2:]), sep='\\n')")
 
 
-class Hasher:
-    """:func:`digests` in a spawned ``python -I -S`` (``-B`` too where this process writes no
-    bytecode): it starts without a copy of this process's pages, takes each path as bytes and
-    sends its stderr to ``/dev/null``. Where it cannot start, ``pid`` is 0 and no pipe end is
-    left open."""
-
-    def __init__(self, args):
-        self.paths, self.pid, self._pipe = list(_given_roles(args)), 0, None
-        parent = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        argv = [sys.executable, "-I", "-S", *["-B"] * sys.dont_write_bytecode, "-c", _STUB,
-                *map(os.fsencode, [parent, *self.paths])]
-        fds = []
-        try:
-            fds += os.pipe()
-            if sys.executable:  # empty where the interpreter cannot tell its own path
-                self.pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=[
-                    (os.POSIX_SPAWN_DUP2, fds[1], 1),  # stdout: the pipe
-                    (os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0)])
-        except OSError:  # no process can start
-            pass
-        for fd in fds[bool(self.pid):]:  # both ends, or the write end only once spawned
-            os.close(fd)
-        self._pipe = open(fds[0], "rb") if self.pid else None
-
-    def result(self) -> dict[str, str]:
-        """Each path's digest; EOFError unless the hasher exited 0 after one line per path."""
-        import re  # argparse has loaded it here; the hasher, which imports this module, need not
-
-        if self._pipe is None:
-            raise EOFError("no hasher started")
-        sent, status = self._pipe.read(), os.waitpid(self.pid, 0)[1]
-        self.pid = 0
-        if status or not re.fullmatch(rb"(sha256:[0-9a-f]{64}\n){%d}" % len(self.paths), sent):
-            raise EOFError("the hasher sent no digest of each input")
-        return dict(zip(self.paths, sent.decode().split()))
-
-    def close(self) -> None:
-        if self._pipe is not None:
-            self._pipe.close()
-            self._pipe = None
-        if self.pid:
-            os.kill(self.pid, 9)  # SIGKILL, as procs.Child.close: no import of signal
-            os.waitpid(self.pid, 0)
-            self.pid = 0
+def hasher_argv(args) -> list:
+    """``python -I -S [-B] -c _STUB <package parent> <path>...``, ``-B`` where this process
+    writes no bytecode, each distinct input path as bytes in :func:`digests`' order."""
+    parent = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return [sys.executable, "-I", "-S", *["-B"] * sys.dont_write_bytecode, "-c", _STUB,
+            *map(os.fsencode, [parent, *_given_roles(args)])]

@@ -44,8 +44,8 @@ def no_child_process_outlives_a_test():
 
 
 def count_forks(monkeypatch) -> list:
-    """How each child process this process starts from now on was started: "spawn" for
-    a run's hasher (``hashing.Hasher``), "fork" for a row worker (``procs.Child``)."""
+    """How each child process (``procs.Child``) this process starts from now on was started:
+    "spawn" for a run's hasher (``hashing.hasher_argv``), "fork" for a row worker."""
     forks = []
 
     def counted(name, how):

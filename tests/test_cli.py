@@ -17,7 +17,7 @@ from hypothesis import given, settings
 
 from conftest import (SEVEN_NODE_PARENTS, SEVEN_NODE_LEAVES, dense_expected_costs, dense_lca_heights,
                       read_scores, taxonomies)
-from hieval import cli, taxonomy
+from hieval import cli, synth, taxonomy
 from hieval.cli import run
 from hieval.commands import METHODS
 from hieval.ensemble import hie_combine, hie_self
@@ -573,8 +573,11 @@ def test_synth_is_byte_deterministic(tmp_path):
     ("--noise", "1,inf", "noise scales must be finite and non-negative: (1.0, inf)"),
     ("--out-dir", "{tmp}/a_file/inst", "cannot create --out-dir '{tmp}/a_file/inst': "),
     ("--out-dir", "", "cannot create --out-dir '': "),
+    *[("--n-samples", str(n), f"--n-samples must be at most 4294967295, the rows a .hies file "
+                              f"holds, got {n}\n") for n in (1 << 32, 1 << 62, 1 << 63, 10**23)],
 ], ids=["branching-int", "noise-float", "noise-separator", "noise-non-ascii", "seed-negative",
-        "noise-nan", "noise-inf", "out-dir-under-file", "out-dir-empty"])
+        "noise-nan", "noise-inf", "out-dir-under-file", "out-dir-empty", "n-samples-over-u32",
+        "n-samples-array-too-big", "n-samples-over-int64", "n-samples-huge"])
 def test_synth_flag_faults_exit_2_naming_the_flag(tmp_path, capsys, flag, value, message):
     (tmp_path / "a_file").write_text("")
     flags = {"--branching": "2,2", "--noise": "1,1", "--n-samples": "4",
@@ -586,9 +589,14 @@ def test_synth_flag_faults_exit_2_naming_the_flag(tmp_path, capsys, flag, value,
     assert not (tmp_path / "inst").exists()
 
 
-def test_an_allocation_that_fails_exits_2_in_one_line(tmp_path, capsys):
-    # 8 bytes a label for 10**18 rows is more than any address space, so this fails at once.
-    assert run(["synth", "--branching", "2,2", "--noise", "1,1", "--n-samples", str(10**18),
+def test_an_allocation_that_fails_exits_2_in_one_line(tmp_path, monkeypatch, capsys):
+    # The label draw fails as numpy's does where the machine cannot hold the array.
+    def unable(cfg, t):
+        raise MemoryError("Unable to allocate 7.28 EiB for an array with shape "
+                          "(1000000000000000000,) and data type int64")
+
+    monkeypatch.setattr(synth, "gen_instance", unable)
+    assert run(["synth", "--branching", "2,2", "--noise", "1,1", "--n-samples", "4",
                 "--out-dir", str(tmp_path / "inst")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("MemoryError: Unable to allocate ") and err.count("\n") == 1

@@ -515,6 +515,33 @@ def test_the_ranges_of_a_worker_that_ends_without_a_result_run_here(monkeypatch,
     assert ran == [0, 1, *range(4, last + 1), 2, 3]
 
 
+def test_the_ranges_of_a_worker_whose_results_cannot_be_pickled_run_here(monkeypatch,
+                                                                          held_until_taken):
+    # A lambda cannot be pickled: each worker exits 1 without sending anything, and this
+    # process runs every range it took, in row order, once it has taken the rest.
+    caller, ran, exits = os.getpid(), [], []
+    waitpid = os.waitpid
+
+    def work(start, stop):
+        if os.getpid() != caller:
+            return lambda: start
+        ran.append(start)
+        return start
+
+    def reaped(pid, options):
+        got = waitpid(pid, options)
+        exits.append(os.waitstatus_to_exitcode(got[1]))
+        return got
+
+    monkeypatch.setattr(os, "waitpid", reaped)
+    inputs = one_row_blocks(monkeypatch, N_BLOCKS)
+    assert _in_workers(held_until_taken(work, 2), inputs, 3) == list(range(N_BLOCKS))
+    assert exits == [1, 1]
+    assert ran[:2] == [0, 1] and sorted(ran) == list(range(N_BLOCKS))  # each range once
+    mine, theirs = ran[2:ran.index(2)], ran[ran.index(2):]
+    assert mine == sorted(mine) and all(i > 3 for i in mine) and theirs == sorted(theirs)
+
+
 def test_an_error_here_kills_and_reaps_every_worker(monkeypatch, held_until_taken):
     def work(start, stop):
         if start == 1:
@@ -540,9 +567,9 @@ def test_a_reader_used_in_a_forked_process_leaves_this_process_reading_its_rows(
     save_scores(ScoreMatrix(values, LOGITS, tuple(f"c{i}" for i in range(1008))), path)
     with ScoreReader(path) as reader:
         assert np.array_equal(reader.read(0, 5).values, values[:5])
-        child = procs.Child(lambda: reader.read(20, 30).values)
+        child = procs.Child(lambda: reader.read(20, 30).values.tobytes())
         try:
-            assert np.array_equal(child.result(), values[20:30])
+            assert np.array_equal(np.frombuffer(child.result()).reshape(10, 1008), values[20:30])
         finally:
             child.close()
         assert np.array_equal(reader.read(5, 9).values, values[5:9])
