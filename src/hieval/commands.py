@@ -181,13 +181,10 @@ def load_method_inputs(args, methods: list[str]) -> MethodInputs:
                 uppers[source] = [(r, tx.ancestor_index_map(t, d)) for d, r in levels]
             else:
                 uppers[source] = []
-        if coarse is not None and coarse.n_rows != fine.n_rows:
-            raise DimensionMismatch(f"fine has {fine.n_rows} samples, coarse has {coarse.n_rows}")
-        for i, (_, reader) in enumerate(levels):
-            if reader.n_rows != fine.n_rows:
-                raise DimensionMismatch(
-                    f"upper level {i} has {reader.n_rows} samples, fine has {fine.n_rows}"
-                )
+        for reader, flag in [(coarse, "--coarse")] + [(r, f"--level {d}") for d, r in levels]:
+            if reader is not None and reader.n_rows != fine.n_rows:
+                raise DimensionMismatch(f"{reader.path}: {flag} has {reader.n_rows} samples, "
+                                        f"--fine has {fine.n_rows}")
         stack.pop_all()
     return MethodInputs(t, fine, uppers, columns)
 
@@ -228,14 +225,11 @@ def _config_echo(args, ks) -> dict:
     """The config every report of one run shares; each input is hashed once.
 
     The digests come from the run's hasher (``args.digests``), or, where it
-    gave none, from ``hashing.digests`` here. A report's config is
-    ``{"method": name, **echo}``.
+    gave none, are hashed here, both by ``hashing.digests``. A report's config
+    is ``{"method": name, **echo}``.
     """
-    levels, digests = parse_levels(getattr(args, "level", None)), None
-    if args.digests:
-        with contextlib.suppress(EOFError):  # it did not start, failed or sent no digest of each
-            digests = hashing.sent_digests(args, args.digests.result())
-    digests = digests or hashing.digests(args)
+    levels = parse_levels(getattr(args, "level", None))
+    digests = hashing.digests(args, args.digests)
     inputs = {role: digests[path] for role, path in hashing.input_roles(args, levels)}
     kind = getattr(args, "kind", None) or "auto"
     return {"kind": kind, "levels": [d for d, _ in levels], "inputs": inputs, "ks": list(ks)}

@@ -11,7 +11,8 @@ Binary files carry their class names in a JSON sidecar at ``<path>.names.json``.
 Score columns are always bound to taxonomy levels by class name, never by
 position, so a misordered file is a detectable error instead of silent
 corruption. A :class:`ScoreReader` checks a file's header once and then reads
-any range of rows in the file's column order; :func:`column_order` binds the
+any range of rows in the file's column order, by position in either format (a
+text file's line starts are found at open); :func:`column_order` binds the
 columns to a level by name once, at open, for one ``np.take`` a block.
 ``save_scores`` writes row blocks as they come, so callers can stream score
 sets of any length. Every write goes to a temp file, renamed into place when
@@ -21,7 +22,6 @@ block; a writer given no block opens one of its own.
 
 from __future__ import annotations
 
-import codecs
 import contextlib
 import json
 import math
@@ -243,13 +243,14 @@ def _names_sidecar(path: str) -> str:
 class ScoreReader:
     """An open score file whose header, kind and class names have been checked.
 
-    Opening reads no payload (a text file is scanned once for its line count
-    and its UTF-8). :meth:`read` then reads any range of rows into a fresh
-    array, which the matrix it returns adopts; it reads by position, so a
-    forked process reads through the reader it inherits. ``declared_kind``
-    cross-checks the file's own kind marker (KindConflict on disagreement) and
-    supplies it for plain text files without one. Close the reader, or use it
-    as a context manager.
+    Opening reads no payload: a text file is scanned once for where each line
+    starts (8 B a line), and only its comment and header lines are decoded.
+    :meth:`read` then reads any range of rows into a fresh array, which the
+    matrix it returns adopts, decoding only the text rows it returns; it reads
+    by position and moves no cursor, so a forked process reads through the
+    reader it inherits. ``declared_kind`` cross-checks the file's own kind
+    marker (KindConflict on disagreement) and supplies it for plain text files
+    without one. Close the reader, or use it as a context manager.
     """
 
     def __init__(self, path: str, declared_kind: str | None = None):
@@ -310,7 +311,7 @@ class ScoreReader:
             bad = next(c for c in class_names if type(c) is not str or not c)
             raise ParseError(f"{sidecar}: invalid names sidecar: class name {bad!r}")
         if rows < 1 or cols < 1:
-            raise EmptyInput(f"score matrix has shape {(rows, cols)}")
+            raise EmptyInput(f"{path}: score matrix has shape {(rows, cols)}")
         self.kind, self.class_names, self.n_rows = kind, tuple(class_names), rows
         self._read_rows = self._read_binary
 
@@ -325,25 +326,18 @@ class ScoreReader:
     def _open_text(self, declared_kind) -> None:
         path, f = self.path, self._file
         f.seek(0)
-        decoder = codecs.getincrementaldecoder("utf-8")()
-        newlines, last = 0, b""
-        try:
-            for chunk in iter(lambda: f.read(1 << 20), b""):
-                decoder.decode(chunk)
-                newlines += chunk.count(b"\n")
-                last = chunk[-1:]
-            decoder.decode(b"", final=True)
-        except UnicodeDecodeError as e:
-            # Decoding the whole file gives the offending byte's position in the file.
-            try:
-                _read_bytes(path).decode("utf-8")
-            except UnicodeDecodeError as whole:
-                e = whole
-            raise ParseError(f"{path}: not valid UTF-8: {e}") from e
-        # As str.split("\n") with a trailing empty piece dropped.
-        n_lines = newlines + (last not in (b"", b"\n"))
+        # Where each line starts, one int64 a line, then where the last one ends.
+        bounds, size, last = [[0]], 0, b""
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            bounds.append(np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n")) + (size + 1))
+            size, last = size + len(chunk), chunk[-1:]
+        if last not in (b"", b"\n"):  # a last line that no "\n" ends
+            bounds.append([size])
+        self._bounds = np.concatenate(bounds)
+        n_lines = len(self._bounds) - 1
         file_kind, body_start = None, n_lines
-        for i, (line, pos) in zip(range(n_lines), self._lines(0, 1)):
+        for i in range(n_lines):
+            [line] = self._lines(i, i + 1)
             if not line.startswith("#"):
                 body_start = i
                 break
@@ -361,38 +355,25 @@ class ScoreReader:
             raise ParseError(f"{path}:{body_start + 1}: empty class name in header")
         self.kind = declared_kind or file_kind or PROBABILITIES
         self.class_names, self.n_rows = tuple(class_names), n_lines - body_start - 1
-        # The next row and the byte it starts at, kept in this object, which a fork copies.
-        self._body_start, self._data_offset, self._next_row, self._pos = body_start, pos, 0, pos
-        self._read_rows = self._read_text
+        self._body_start, self._read_rows = body_start, self._read_text
 
-    def _lines(self, pos: int, line_no: int):
-        """``(line, end)`` for each line from byte ``pos`` (line ``line_no``) on, decoded
-        without its "\\n", and the byte after it; read by position, never through the offset
-        a fork shares."""
-        fd, rest = self._file.fileno(), b""
-        try:
-            # A read as long as the line so far, where one outruns it: a long line costs linear time.
-            while chunk := os.pread(fd, max(1 << 16, len(rest)), pos + len(rest)):
-                *whole, rest = (rest + chunk).split(b"\n")
-                for line in whole:
-                    pos += len(line) + 1
-                    yield line.decode("utf-8"), pos
-                    line_no += 1
-            if rest:  # a last line that no "\n" ends
-                yield rest.decode("utf-8"), pos + len(rest)
-        except UnicodeDecodeError as e:  # the file changed after it was scanned at open
-            raise ParseError(f"{self.path}:{line_no}: not valid UTF-8: {e}") from e
+    def _lines(self, i: int, j: int) -> list[str]:
+        """Lines ``[i, j)`` in one read by position, each decoded without its "\\n";
+        a line the file no longer holds reads as ""."""
+        start = int(self._bounds[i])
+        lines = os.pread(self._file.fileno(), int(self._bounds[j]) - start, start).split(b"\n")
+        del lines[j - i:]
+        for k, line in enumerate(lines):
+            try:
+                lines[k] = line.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise ParseError(f"{self.path}:{i + k + 1}: not valid UTF-8: {e}") from e
+        return lines + [""] * (j - i - len(lines))
 
     def _read_text(self, start: int, stop: int) -> np.ndarray:
-        if start < self._next_row:
-            self._next_row, self._pos = 0, self._data_offset
-        lines = self._lines(self._pos, self._body_start + self._next_row + 2)
-        for _ in range(self._next_row, start):
-            next(lines, None)
-        n_cols = len(self.class_names)
+        n_cols, first = len(self.class_names), self._body_start + 1
         values = np.empty((stop - start, n_cols), dtype=np.float64)
-        for r in range(start, stop):
-            line, pos = next(lines, ("", None))  # past the end, "" as readline gives: a fault
+        for r, line in enumerate(self._lines(first + start, first + stop), start):
             fields = line.split(",")
             if len(fields) != n_cols:
                 raise ColumnMismatch(f"{self._where(r)}: {len(fields)} fields, header has {n_cols}")
@@ -403,7 +384,6 @@ class ScoreReader:
             if row is None or not all(map(math.isfinite, row)):
                 self._raise_token_fault(r, fields)
             values[r - start] = row
-        self._next_row, self._pos = stop, pos
         return values
 
     def _where(self, row: int) -> str:

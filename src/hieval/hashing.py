@@ -5,8 +5,8 @@ whose OpenSSL pages would otherwise be a run's peak memory. When the run may
 use more than one process, ``cli.run`` spawns :func:`hasher_argv` as a
 ``procs.Child`` before numpy loads, so that the calling process never loads
 OpenSSL nor forks before numpy loads, and the hashing overlaps the run. Where it
-cannot start, fails or sends anything but one digest per input
-(:func:`sent_digests`), the calling process hashes them itself.
+cannot start, fails or sends anything but one digest per input, :func:`digests`
+hashes them in the calling process.
 Each input is read twice, to hash it and to use it, so :func:`check_regular`
 first refuses one that is not a regular file, such as a pipe.
 """
@@ -71,20 +71,20 @@ def check_regular(args) -> None:
                              "reads each input twice, to hash it and to use it")
 
 
-def digests(args) -> dict[str, str]:
-    """The digest of each distinct input path; raises the first unreadable one's ParseError."""
-    return {path: sha256_digest(path) for path in _given_roles(args)}
-
-
-def sent_digests(args, sent: bytes) -> dict[str, str]:
-    """:func:`digests` from what a hasher started on :func:`hasher_argv` sent; EOFError
-    unless that is one ``sha256:<hex>`` line per path."""
+def digests(args, hasher=None) -> dict[str, str]:
+    """Each distinct input path's digest: as ``hasher``, a ``procs.Child`` on :func:`hasher_argv`,
+    sent them where it sent one ``sha256:<hex>`` line per path; else hashed here, raising
+    the first unreadable path's ParseError."""
     import re  # argparse has loaded it here; the hasher, which imports this module, need not
 
     paths = list(_given_roles(args))
-    if not re.fullmatch(rb"(sha256:[0-9a-f]{64}\n){%d}" % len(paths), sent):
-        raise EOFError("the hasher sent no digest of each input")
-    return dict(zip(paths, sent.decode().split()))
+    try:
+        sent = hasher.result() if hasher else b""
+    except EOFError:  # it did not start, failed or sent nothing
+        sent = b""
+    if re.fullmatch(rb"(sha256:[0-9a-f]{64}\n){%d}" % len(paths), sent):
+        return dict(zip(paths, sent.decode().split()))
+    return {path: sha256_digest(path) for path in paths}
 
 
 # ``python -I -S -c _STUB <package parent> <path>...`` prints each path's digest on a line.

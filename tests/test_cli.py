@@ -667,8 +667,8 @@ def test_cascade_requires_level_files(tmp_path, workspace, capsys):
 # method's own files in method order, then the coarse row count, then each level's.
 REQUIRES = {m: f"InputError: method {m} requires {flag}" for m, flag in [
     ("argmax", "--fine"), ("hie", "--coarse"), ("cascade", "at least one --level depth=path")]}
-SHORT_COARSE = "DimensionMismatch: fine has 50 samples, coarse has 40"
-SHORT_LEVEL = "DimensionMismatch: upper level 0 has 40 samples, fine has 50"
+SHORT_COARSE = "DimensionMismatch: {ws}/coarse40.csv: --coarse has 40 samples, --fine has 50"
+SHORT_LEVEL = "DimensionMismatch: {ws}/coarse40.csv: --level 1 has 40 samples, --fine has 50"
 
 
 @pytest.mark.parametrize("methods, files, line, code", [
@@ -697,7 +697,41 @@ def test_each_open_time_method_input_fault_prints_one_line(workspace, capsys, me
     for flag in files:
         argv += [flag, given[flag]]
     assert run(argv) == code
-    assert capsys.readouterr() == ("", line + "\n")
+    assert capsys.readouterr() == ("", line.format(ws=workspace) + "\n")
+
+
+@pytest.mark.parametrize("command", ["infer", "eval"])
+@pytest.mark.parametrize("shape", [(0, 2), (1, 0)], ids=["no-rows", "no-columns"])
+def test_a_hies_file_with_no_rows_or_no_columns_is_named(workspace, capsys, command, shape):
+    # The --fine file is good and the --coarse file is empty: the line says which one.
+    rows, cols = shape
+    coarse = workspace / "coarse.hies"
+    coarse.write_bytes(struct.pack("<4sBBII", b"HIES", 1, 1, rows, cols) + bytes(8 * rows * cols))
+    (workspace / "coarse.hies.names.json").write_text(
+        json.dumps({"class_names": ["flower", "vehicle"][:cols]}))
+    hierarchy, fine, labels = paths(workspace, "hierarchy.json", "fine.csv", "labels.txt")
+    argv = [command, "--hierarchy", hierarchy, "--fine", fine, "--coarse", str(coarse),
+            "--method", "hie"]
+    argv += ["--out", str(workspace / "s.hies")] if command == "infer" else ["--labels", labels]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"EmptyInput: {coarse}: score matrix has shape {shape}\n")
+
+
+@pytest.mark.parametrize("order", [[1, 2], [2, 1]], ids=["depth-order", "reversed"])
+def test_a_short_level_file_is_named_by_its_path_and_depth(tmp_path, capsys, order):
+    # Two instances of one tree: 50 rows, and 40 rows whose depth-2 file is given.
+    for name, n in [("ok", 50), ("short", 40)]:
+        assert run(["synth", "--branching", "3,3,4", "--noise", "1.0,0.5,2.0", "--n-samples",
+                    str(n), "--seed", "5", "--out-dir", str(tmp_path / name)]) == 0
+    ok, short = tmp_path / "ok", tmp_path / "short"
+    level = {1: f"1={ok}/level_d1.hies", 2: f"2={short}/level_d2.hies"}
+    argv = ["infer", "--hierarchy", f"{ok}/hierarchy.json", "--fine", f"{ok}/fine.hies",
+            "--kind", "logits", "--method", "cascade", "--out", str(tmp_path / "s.hies")]
+    capsys.readouterr()
+    assert run(argv + [arg for d in order for arg in ("--level", level[d])]) == 3
+    assert capsys.readouterr().err == (f"DimensionMismatch: {short}/level_d2.hies: --level 2 has "
+                                       "40 samples, --fine has 50\n")
+    assert not (tmp_path / "s.hies").exists()
 
 
 @pytest.mark.parametrize("flag, value", [

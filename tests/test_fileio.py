@@ -311,7 +311,7 @@ def test_row_ranges_read_as_slices_of_the_whole(tmp_path, suffix):
     save_scores(m, path)
     with ScoreReader(path) as reader:
         assert (reader.kind, reader.class_names, reader.n_rows) == (LOGITS, m.class_names, 40)
-        # Out of order on purpose: a text reader rewinds for an earlier range.
+        # Out of order on purpose: an earlier range after a later one.
         for start, stop in [(0, 40), (30, 33), (5, 9), (9, 10), (0, 1), (39, 40)]:
             block = reader.read(start, stop)
             assert np.array_equal(block.values, m.values[start:stop])
@@ -356,30 +356,90 @@ def test_row_range_errors_name_file_rows_and_lines(tmp_path):
 
 def test_text_utf8_is_checked_across_read_chunks(tmp_path):
     # A two-byte character straddling the scanner's 1 MiB chunk boundary is
-    # valid; a bad byte beyond it is reported at its position in the file.
+    # valid; a bad byte beyond it is met by the read of its row, named by its line.
     head = b"# " + b"x" * ((1 << 20) - 3) + "\u00e9".encode("utf-8") + b"\n"
     path = tmp_path / "big.csv"
     path.write_bytes(head + b"a,b\n0.25,0.75\n")
     assert read_scores(str(path)).values.tolist() == [[0.25, 0.75]]
     path.write_bytes(head + b"a,b\n0.25,0.75\xff\n")
-    with pytest.raises(ParseError, match=rf"not valid UTF-8: .* position {len(head) + 13}:"):
-        read_scores(str(path))
+    with ScoreReader(str(path)) as reader, pytest.raises(ParseError) as exc:
+        reader.read(0, 1)
+    assert str(exc.value) == (f"{path}:3: not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+                              "in position 9: invalid start byte")
 
 
 @pytest.mark.parametrize("start", [0, 1], ids=["read-from-it", "skipped-over"])
 def test_a_text_row_that_stops_being_utf8_after_open_is_a_parse_error(tmp_path, start):
-    # The scan at open saw valid UTF-8; the byte written after it is met by a read,
-    # whether the read returns the row or passes over it to a later one.
+    # The byte written after open is met by the read that returns its row; a read
+    # of a later row passes over it, for rows are read by position.
     path = tmp_path / "s.csv"
     path.write_bytes(b"# kind: probabilities\na,b\n0.5,0.5\n0.25,0.75\n")
     with ScoreReader(str(path)) as reader:
         with open(path, "r+b") as f:
             f.seek(len(b"# kind: probabilities\na,b\n0"))
             f.write(b"\xff")
+        if start:
+            assert reader.read(1, 2).values.tolist() == [[0.25, 0.75]]
         with pytest.raises(ParseError) as exc:
-            reader.read(start, 2)
+            reader.read(0, 1)
     assert str(exc.value) == (f"{path}:3: not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
                               "in position 1: invalid start byte")
+
+
+MIB = 1 << 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_text_file_reads_as_its_hies_twin_in_any_order_of_ranges(data):
+    # Text rows are read by position from the line starts found at open: the
+    # comments, line endings and 1 MiB chunks of that open pass change no value.
+    n_rows, n_cols = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 4))
+    values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    m = ScoreMatrix(np.reshape(values, (n_rows, n_cols)), LOGITS,
+                    tuple(f"c{i}" for i in range(n_cols)))
+    eol = data.draw(st.sampled_from([b"\n", b"\r\n"]), label="line ending")
+    comments = data.draw(st.lists(st.sampled_from(["# kind: logits", "#", "# \u00e9t\u00e9"]),
+                                  max_size=3), label="comments")
+    head = b"".join(c.encode("utf-8") + eol for c in comments)
+    # A comment whose "\n" is the last byte of the open pass's first chunk, or the first
+    # byte of its second; or a comment longer than a chunk; or none.
+    newline_at = data.draw(st.sampled_from([None, MIB - 1, MIB, 3 * MIB // 2]), label="newline at")
+    if newline_at is not None:
+        head += b"#" + b"x" * (newline_at - len(head) - 1) + b"\n"
+    rows = [",".join(map(repr, row)).encode() for row in m.values.tolist()]
+    if data.draw(st.booleans(), label="a row longer than a chunk"):
+        rows[0] += b" " * MIB  # float() strips it
+    text = eol.join([",".join(m.class_names).encode(), *rows])
+    text += eol if data.draw(st.booleans(), label="newline at the end") else b""
+    ranges = data.draw(st.lists(st.integers(0, n_rows - 1).flatmap(
+        lambda a: st.tuples(st.just(a), st.integers(a + 1, n_rows))), min_size=1, max_size=6))
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "m.csv").write_bytes(head + text)
+        save_scores(m, os.path.join(tmp, "m.hies"))
+        with ScoreReader(os.path.join(tmp, "m.csv"), LOGITS) as t, \
+                ScoreReader(os.path.join(tmp, "m.hies")) as b:
+            assert (t.kind, t.class_names, t.n_rows) == (b.kind, b.class_names, b.n_rows)
+            for start, stop in ranges:
+                assert t.read(start, stop).values.tobytes() == b.read(start, stop).values.tobytes()
+
+
+@pytest.mark.parametrize("suffix", [".hies", ".csv"])
+def test_a_read_leaves_the_reader_as_it_was(tmp_path, suffix):
+    # A reader holds no read position: all that a read needs is fixed at open.
+    m = ScoreMatrix(np.random.default_rng(7).normal(size=(30, 3)), LOGITS, ("a", "b", "c"))
+    path = str(tmp_path / f"m{suffix}")
+    save_scores(m, path)
+    with ScoreReader(path) as reader:
+        def state():
+            return {k: v.tobytes() if isinstance(v, np.ndarray) else v
+                    for k, v in vars(reader).items()}
+
+        before = state()
+        for start, stop in [(5, 9), (0, 30), (29, 30), (0, 1)]:
+            assert np.array_equal(reader.read(start, stop).values, m.values[start:stop])
+            assert state() == before
 
 
 @pytest.mark.parametrize("suffix", [".hies", ".csv"])

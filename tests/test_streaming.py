@@ -390,7 +390,7 @@ def test_row_counts_are_checked_before_any_row_is_read(probability_inputs, capsy
     assert run(["eval", *base, "--labels", str(d / "labels.txt"), "--method", "hie",
                 "--k", "1"]) == 3
     err = capsys.readouterr().err
-    assert err == f"DimensionMismatch: fine has {N_ROWS} samples, coarse has 10\n"
+    assert err == f"DimensionMismatch: {d}/coarse.csv: --coarse has 10 samples, --fine has {N_ROWS}\n"
 
 
 def test_a_failing_infer_leaves_no_file_behind(probability_inputs, monkeypatch, capsys):

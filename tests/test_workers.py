@@ -674,3 +674,29 @@ def test_a_text_row_that_stops_being_utf8_after_it_was_checked_exits_2(probabili
     assert capsys.readouterr().err == (f"ParseError: {fine}:903: not valid UTF-8: 'utf-8' codec "
                                        "can't decode byte 0xff in position 1: invalid start byte\n")
     assert not (tmp_path / "s.hies").exists()
+
+
+@pytest.mark.parametrize("cpus", ["all", "one"])
+def test_a_text_row_that_is_not_utf8_past_block_0_prints_one_line_through_the_entry_point(
+        tmp_path, capsys, cpus):
+    # Four columns give 16,384-row blocks: row 50,000 is in block 3, which a worker may take.
+    if cpus == "one" and not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity here")
+    nodes = [{"name": c, "parent": p} for c, p in SEVEN_NODE_PARENTS.items()]
+    (tmp_path / "hierarchy.json").write_text(
+        json.dumps({"nodes": nodes, "leaf_order": SEVEN_NODE_LEAVES}))
+    (tmp_path / "labels.txt").write_text("bus\n" * 100_000)
+    fine, row = tmp_path / "fine.csv", b"0.4,0.1,0.35,0.15\n"
+    fine.write_bytes(b"# kind: probabilities\nrose,tulip,bus,car\n" + row * 50_000
+                     + b"0\xff4,0.1,0.35,0.15\n" + row * 49_999)
+    argv = ["eval", "--hierarchy", str(tmp_path / "hierarchy.json"), "--fine", str(fine),
+            "--labels", str(tmp_path / "labels.txt"), "--method", "argmax", "--k", "1"]
+    line = (f"ParseError: {fine}:50003: not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+            "in position 1: invalid start byte\n")
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", line)
+    narrow = ((lambda: os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1]))
+              if cpus == "one" else None)
+    done = subprocess.run([sys.executable, "-m", "hieval", *argv], env=entry_point_env(),
+                          capture_output=True, text=True, preexec_fn=narrow)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", line)
