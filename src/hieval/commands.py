@@ -281,7 +281,7 @@ def cmd_infer(args, out) -> int:
         caller, written = os.getpid(), 0  # rows whose predictions are written
 
         def write_all(write):
-            with fileio.write_labels(inputs.taxonomy, preds_path, staged) as write_preds:
+            def write_rows(write_preds):
                 def rows(start, stop):
                     nonlocal written
                     tops = []  # those not written yet; int32, 4 B a row through a worker's pipe
@@ -298,6 +298,8 @@ def cmd_infer(args, out) -> int:
                 for tops in _in_workers(rows, inputs, args.workers if binary else 1):
                     for top in tops:
                         write_preds(top)
+
+            fileio.write_labels(inputs.taxonomy, write_rows, preds_path, staged)
 
         fileio.save_scores(write_all, args.out, staged)
     print(f"wrote {args.out} and {preds_path}", file=out)
@@ -424,8 +426,8 @@ def cmd_eval(args, out) -> int:
         gt = fileio.load_labels(args.labels, t)
         pred = fileio.load_labels(args.preds, t)
         method = args.method or "preds"
-        config = {"method": method, **_config_echo(args, ks)}
-        report = eval_report(pred.reshape(-1, 1), gt, t, ks, method, config=config)
+        report = replace(eval_report(pred.reshape(-1, 1), gt, t, ks, method),
+                         config={"method": method, **_config_echo(args, ks)})
     else:
         [report] = _evaluate(args, [args.method or "argmax"], ks)
     if args.out:
@@ -454,6 +456,14 @@ def _comma_list(text: str, parse, flag: str) -> tuple:
         raise InputError(
             f"{flag} must be a comma list of {parse.__name__} values, got {text!r}"
         ) from None
+
+
+def _passing(blocks):
+    """A fill for ``fileio.save_scores`` or ``write_labels``: ``blocks`` passed in order."""
+    def fill(write):
+        for block in blocks:
+            write(block)
+    return fill
 
 
 def cmd_synth(args, out) -> int:
@@ -489,15 +499,15 @@ def cmd_synth(args, out) -> int:
     with fileio.renamed_together() as staged:
         fileio.save_hierarchy(t, os.path.join(args.out_dir, paths["hierarchy"]), staged)
         step = block_rows(t.n_leaves)
-        with fileio.write_labels(t, os.path.join(args.out_dir, paths["labels"]), staged) as write:
-            for start in range(0, cfg.n_samples, step):
-                write(labels[start:start + step])
+        fileio.write_labels(t, _passing(labels[start:start + step]
+                                        for start in range(0, cfg.n_samples, step)),
+                            os.path.join(args.out_dir, paths["labels"]), staged)
         # Each level's blocks are written as they are drawn, topmost level first.
         for depth, blocks in enumerate(levels, start=1):
             name = paths["fine"] if depth == cfg.n_levels else paths[f"level{depth}"]
             path = os.path.join(args.out_dir, name)
             try:
-                fileio.save_scores(blocks, path, staged)
+                fileio.save_scores(_passing(blocks), path, staged)
             except NonFiniteValue as e:  # a huge noise scale can overflow
                 e.args = (f"{path}: {e}",)
                 raise

@@ -14,9 +14,10 @@ corruption. A :class:`ScoreReader` checks a file's header once and then reads
 any range of rows in the file's column order, by position in either format (a
 text file's line starts are found at open); :func:`column_order` binds the
 columns to a level by name once, at open, for one ``np.take`` a block.
-``save_scores`` writes row blocks as they come, so callers can stream score
-sets of any length. Every write goes to a temp file, renamed into place when
-its :func:`renamed_together` block ends, together with the other files of that
+``save_scores`` and ``write_labels`` stream: ``fill(write)`` passes ``write`` one
+block of rows at a time, and a '.hies' block goes to its own rows by position.
+Every write goes to a temp file, renamed into place when its
+:func:`renamed_together` block ends, together with the other files of that
 block; a writer given no block opens one of its own.
 """
 
@@ -129,8 +130,8 @@ def _cannot_write(path: str, e: OSError) -> InputError:
     return InputError(f"cannot write {path}: {e.strerror or e}")
 
 
-def _write_at(fd: int, data: np.ndarray, offset: int) -> None:
-    """All of ``data`` at byte ``offset``; ``os.pwrite`` leaves the file's offset alone."""
+def _write_at(fd: int, data, offset: int) -> None:
+    """All of ``data`` (any buffer) at byte ``offset``; ``os.pwrite`` moves no file offset."""
     view = memoryview(data).cast("B")
     while view:
         written = os.pwrite(fd, view, offset)
@@ -421,53 +422,43 @@ class ScoreReader:
         return m
 
 
-def save_scores(m, path: str, staged: list | None = None) -> None:
-    """Write a score matrix; '.hies' paths get the binary format, others text.
+def save_scores(fill, path: str, staged: list | None = None) -> None:
+    """Write the row blocks that ``fill(write)`` passes to ``write``; '.hies' paths
+    get the binary format, others text.
 
-    ``m`` is a ScoreMatrix, an iterable of one matrix's row blocks in order,
-    or a function that passes its blocks to the ``write`` it is given, in
-    order, except that '.hies' blocks go to their own rows (``first_row``), so
-    processes it forks after its first block may write theirs. A '.hies'
-    file and its '.names.json' sidecar are renamed together: when ``staged``'s
-    block ends, or, without ``staged``, when this call does.
+    Text blocks must come in row order. Each '.hies' block goes to its own rows
+    (``first_row``), so they may come in any order, and processes that ``fill``
+    forks after its first block may write theirs; the header is written once
+    ``fill`` returns. A '.hies' file and its '.names.json' sidecar are renamed
+    together: when ``staged``'s block ends, or, without ``staged``, when this call does.
     """
     binary, first = path.endswith(".hies"), None
     with _staging(staged) as staged, _atomic_file(path, staged) as f:
         def write(block):
             nonlocal first
+            first = first or block
             try:
-                if first is None:
-                    first = block
-                    if binary:  # the row count is filled in after the last block
-                        f.write(_HEADER.pack(BINARY_MAGIC, BINARY_VERSION, 0, 0, block.n_classes))
-                    else:
-                        _check_header_names(block.class_names, path)
-                        header = f"# kind: {block.kind}\n{','.join(block.class_names)}\n"
-                        f.write(header.encode("utf-8"))
-                values = np.ascontiguousarray(block.values, dtype="<f8")
-                if not binary:
-                    f.write("".join(",".join(repr(float(v)) for v in row) + "\n"
-                                    for row in block.values).encode("utf-8"))
-                elif callable(m):
+                if binary:
+                    values = np.ascontiguousarray(block.values, dtype="<f8")
                     _write_at(f.fileno(), values, _HEADER.size + block.first_row * values[0].nbytes)
-                else:
-                    f.write(values)
-            except OSError as e:  # named here, not by an output whose block encloses m(write)
+                    return
+                if not f.tell():  # the header comes before the first block's rows
+                    _check_header_names(block.class_names, path)
+                    header = f"# kind: {block.kind}\n{','.join(block.class_names)}\n"
+                    f.write(header.encode("utf-8"))
+                f.write("".join(",".join(repr(float(v)) for v in row) + "\n"
+                                for row in block.values).encode("utf-8"))
+            except OSError as e:  # named here, not by an output whose block encloses fill(write)
                 raise _cannot_write(path, e) from e
 
-        if callable(m):
-            m(write)
-        else:
-            for block in [m] if isinstance(m, ScoreMatrix) else m:
-                write(block)
+        fill(write)
         if first is None:
             raise EmptyInput(f"{path}: no rows to write")
         if binary:
-            rows = (f.seek(0, os.SEEK_END) - _HEADER.size) // (8 * first.n_classes)
-            f.seek(0)
-            f.write(_HEADER.pack(
-                BINARY_MAGIC, BINARY_VERSION, _KIND_BYTE[first.kind], rows, first.n_classes
-            ))
+            fd, cols = f.fileno(), first.n_classes
+            rows = (os.fstat(fd).st_size - _HEADER.size) // (8 * cols)
+            _write_at(fd, _HEADER.pack(BINARY_MAGIC, BINARY_VERSION, _KIND_BYTE[first.kind], rows,
+                                       cols), 0)
             write_json({"class_names": list(first.class_names)}, _names_sidecar(path), staged)
 
 
@@ -541,25 +532,24 @@ def load_labels(path: str, t: tx.Taxonomy) -> np.ndarray:
     return out
 
 
-@contextlib.contextmanager
-def write_labels(t: tx.Taxonomy, path: str, staged: list | None = None):
+def write_labels(t: tx.Taxonomy, fill, path: str, staged: list | None = None) -> None:
     """A file of leaf names, one per line (labels or predictions), written block by block.
 
-    Yields ``write(indices)``, which appends the leaf_order indices of the
-    next block of rows as it comes. The file replaces ``path`` when the
-    ``with`` block exits normally; on an exception, no file is left behind.
+    ``fill(write)`` passes ``write`` the leaf_order indices of each block of
+    rows, in row order, and each is appended as it comes. The file replaces
+    ``path`` once ``fill`` returns (or, given ``staged``, when its block ends);
+    if ``fill`` raises, no file is left behind.
     """
     for name in t.leaf_names():
-        if "\n" in name or "\r" in name:
-            raise InputError(f"cannot write {path}: leaf name {name!r} holds a line break")
-        if _lone_surrogate(name):
-            raise InputError(f"cannot write {path}: leaf name {name!r} holds a lone surrogate")
+        fault = ("holds a line break" if "\n" in name or "\r" in name else
+                 "holds a lone surrogate" if _lone_surrogate(name) else
+                 "starts with a byte-order mark" if name.startswith("\ufeff") else None)
+        if fault:  # load_labels drops a byte-order mark that starts line 1
+            raise InputError(f"cannot write {path}: leaf name {name!r} {fault}")
     lines = [name + "\n" for name in t.leaf_names()]
     with _atomic_file(path, staged) as f:
-        def write(indices):
-            f.write("".join(lines[i] for i in np.asarray(indices).tolist()).encode("utf-8"))
-
-        yield write
+        fill(lambda indices: f.write(
+            "".join(lines[i] for i in np.asarray(indices).tolist()).encode("utf-8")))
 
 
 # ---------------------------------------------------------------- reports

@@ -74,7 +74,6 @@ def eval_report(
     t: tx.Taxonomy,
     ks: Sequence[int],
     method: str,
-    config: dict | None = None,
 ) -> EvalReport:
     """Counts for top-1 accuracy, mistake severity and distance@k for every k in ``ks``.
 
@@ -106,5 +105,4 @@ def eval_report(
         n_mistakes=int((ranking[:, 0] != gt).sum()),
         severity_sum=int(h[:, 0].sum()),
         hd_sums={k: int(h[:, :k].sum()) for k in ks},
-        config=dict(config or {}),
     )

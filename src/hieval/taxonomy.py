@@ -285,13 +285,13 @@ def level_order(t: Taxonomy, d: int) -> tuple[int, ...]:
     """
     if not 0 <= d <= t.max_depth:
         raise DepthOutOfRange(f"depth {d} outside [0, {t.max_depth}]")
-    at_depth = [i for i in range(t.n_nodes) if t.depth[i] == d]
     if t.is_leveled():
         leaf_depth = t.depth[t.leaf_order[0]]
         if d == leaf_depth:
             return t.leaf_order
-        if d == leaf_depth - 1 and set(at_depth) == set(t.coarse_order):
+        if d == leaf_depth - 1:  # in a leveled tree these nodes are the leaves' parents
             return t.coarse_order
+    at_depth = [i for i in range(t.n_nodes) if t.depth[i] == d]
     return tuple(sorted(at_depth, key=lambda i: t.names[i]))
 
 

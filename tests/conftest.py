@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from hieval import cli, scores
 from hieval.errors import ZeroDenominator
-from hieval.fileio import ScoreReader
+from hieval.fileio import ScoreReader, save_scores
 from hieval.scores import ScoreMatrix
 from hieval.synth import gen_instance, gen_taxonomy
 from hieval.taxonomy import Taxonomy, build_taxonomy
@@ -79,6 +79,11 @@ def fail_call(monkeypatch, name: str, n: int) -> list:
 
     monkeypatch.setattr(os, name, failing)
     return calls
+
+
+def save_matrix(m: ScoreMatrix, path) -> None:
+    """Write ``m`` to ``path`` as ``save_scores``' one block."""
+    save_scores(lambda write: write(m), str(path))
 
 
 def read_scores(path, declared_kind=None) -> ScoreMatrix:

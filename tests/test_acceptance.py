@@ -14,10 +14,10 @@ import time
 import numpy as np
 
 import hieval
-from conftest import (criterion, dense_lca_heights, random_prob_rows, random_taxonomy, read_scores, star,
-                      synth_instance)
+from conftest import (criterion, dense_lca_heights, random_prob_rows, random_taxonomy, read_scores,
+                      save_matrix, star, synth_instance)
 from hieval.ensemble import hie_combine, hie_self, marginalize_to_parents
-from hieval.fileio import load_hierarchy, save_hierarchy, save_scores
+from hieval.fileio import load_hierarchy, save_hierarchy
 from hieval.metrics import eval_report
 from hieval.risk import crm_rerank
 from hieval.scores import LOGITS, PROBABILITIES, ScoreMatrix, softmax_rows, top_k
@@ -315,7 +315,7 @@ def test_c09_io_round_trip_and_determinism(tmp_path):
         )
         path = str(tmp_path / "big.hies")
         start = time.perf_counter()
-        save_scores(big, path)
+        save_matrix(big, path)
         back = read_scores(path)
         elapsed = time.perf_counter() - start
         assert np.array_equal(back.values, big.values)

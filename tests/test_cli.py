@@ -15,12 +15,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import SEVEN_NODE_PARENTS, SEVEN_NODE_LEAVES, dense_expected_costs, read_scores, taxonomies
+from conftest import (SEVEN_NODE_PARENTS, SEVEN_NODE_LEAVES, dense_expected_costs, read_scores,
+                      save_matrix, taxonomies)
 from hieval import cli, synth, taxonomy
 from hieval.cli import run
 from hieval.commands import METHODS
 from hieval.ensemble import hie_combine, hie_self
-from hieval.fileio import load_hierarchy, load_labels, save_hierarchy, save_scores
+from hieval.fileio import load_hierarchy, load_labels, save_hierarchy
 from hieval.metrics import eval_report
 from hieval.risk import crm_rerank
 from hieval.scores import PROBABILITIES, ScoreMatrix, softmax_rows, top_k
@@ -117,7 +118,7 @@ def test_a_node_name_that_no_utf8_file_holds_is_refused_in_one_line(workspace, c
     leaves = [bad if c == "car" else c for c in SEVEN_NODE_LEAVES]
     hierarchy, fine, out = workspace / "surrogate.json", workspace / "f.hies", workspace / "out"
     hierarchy.write_text(json.dumps({"nodes": nodes, "leaf_order": leaves}))
-    save_scores(ScoreMatrix(np.full((1, 4), 0.25), PROBABILITIES, leaves), str(fine))
+    save_matrix(ScoreMatrix(np.full((1, 4), 0.25), PROBABILITIES, leaves), str(fine))
     i = [*parents].index(bad)
     message = f"ParseError: {hierarchy}: nodes[{i}] has an invalid name {bad!r}\n"
     assert run(["validate", "--hierarchy", str(hierarchy)]) == 2
@@ -256,7 +257,7 @@ def test_infer_refuses_a_text_output_that_would_not_read_back(tmp_path, capsys, 
     nodes = [{"name": c, "parent": p} for c, p in parents.items()]
     (tmp_path / "hierarchy.json").write_text(json.dumps({"nodes": nodes}))
     names = sorted(set(parents) - set(parents.values()))  # the leaves
-    save_scores(ScoreMatrix(np.eye(4)[:1], PROBABILITIES, names), str(tmp_path / "fine.hies"))
+    save_matrix(ScoreMatrix(np.eye(4)[:1], PROBABILITIES, names), str(tmp_path / "fine.hies"))
     before = sorted(os.listdir(tmp_path))
     code = run(["infer", "--hierarchy", str(tmp_path / "hierarchy.json"),
                 "--fine", str(tmp_path / "fine.hies"), "--out", str(tmp_path / "o.csv")])
@@ -715,6 +716,58 @@ def test_a_hies_file_with_no_rows_or_no_columns_is_named(workspace, capsys, comm
     argv += ["--out", str(workspace / "s.hies")] if command == "infer" else ["--labels", labels]
     assert run(argv) == 2
     assert capsys.readouterr() == ("", f"EmptyInput: {coarse}: score matrix has shape {shape}\n")
+
+
+def _hies(kind_byte: int, rows: int, cols: int) -> bytes:
+    return struct.pack("<4sBBII", b"HIES", 1, kind_byte, rows, cols) + bytes(8 * rows * cols)
+
+
+LEAF_NAMES = json.dumps({"class_names": SEVEN_NODE_LEAVES})
+SIX_NAMES = json.dumps({"class_names": [f"c{i}" for i in range(6)]})
+INFER = ["infer", "--hierarchy", "{ws}/hierarchy.json", "--out", "{ws}/s.hies", "--fine"]
+COMPARE = ["compare", "--hierarchy", "{ws}/hierarchy.json", "--fine", "{ws}/fine.csv", "--labels",
+           "{ws}/labels.txt", "--out", "{ws}/r.json"]
+ROW = "0.4,0.1,0.35,0.15\n"
+
+
+# (files written into the workspace, argv, the one stderr line); "{ws}" is the workspace.
+@pytest.mark.parametrize("files, argv, line", [
+    ({"f.hies": b"HIES\x01"}, [*INFER, "{ws}/f.hies"],
+     "ParseError: {ws}/f.hies: truncated binary header"),
+    ({"f.hies": _hies(7, 1, 4), "f.hies.names.json": LEAF_NAMES}, [*INFER, "{ws}/f.hies"],
+     "ParseError: {ws}/f.hies: unknown kind byte 7"),
+    ({"f.hies": _hies(0, 1, 4), "f.hies.names.json": LEAF_NAMES},
+     [*INFER, "{ws}/f.hies", "--kind", "probs"],
+     "KindConflict: {ws}/f.hies: file says logits, caller declared probabilities"),
+    ({"f.hies": _hies(1, 1, 6), "f.hies.names.json": json.dumps({"class_names": ["c0"]})},
+     [*INFER, "{ws}/f.hies"], "ColumnMismatch: {ws}/f.hies.names.json: 1 class names for 6 columns"),
+    ({"f.hies": _hies(1, 1, 4), "f.hies.names.json": json.dumps(SEVEN_NODE_LEAVES)},
+     [*INFER, "{ws}/f.hies"], "ParseError: {ws}/f.hies.names.json: invalid names sidecar: "
+                              "list indices must be integers or slices, not str"),
+    ({"f.hies": _hies(1, 0, 6), "f.hies.names.json": SIX_NAMES}, [*INFER, "{ws}/f.hies"],
+     "EmptyInput: {ws}/f.hies: score matrix has shape (0, 6)"),
+    ({"f.csv": "# kind: weird\nrose,tulip,bus,car\n" + ROW}, [*INFER, "{ws}/f.csv"],
+     "ParseError: {ws}/f.csv:1: unknown kind 'weird'"),
+    ({"f.csv": "rose,,bus,car\n" + ROW}, [*INFER, "{ws}/f.csv"],
+     "ParseError: {ws}/f.csv:1: empty class name in header"),
+    ({}, [*COMPARE, "--methods", "argmax", "--k", "0"],
+     "InputError: --k values must be positive integers, got '0'"),
+    ({}, [*COMPARE, "--methods", ",", "--k", "1"], "InputError: --methods must list at least one method"),
+    ({}, [*COMPARE, "--methods", "cascade", "--k", "1", "--level", "1"],
+     "InputError: --level expects depth=path, got '1'"),
+    ({}, ["synth", "--branching", "0,2", "--noise", "1,1", "--n-samples", "4", "--out-dir",
+          "{ws}/inst"], "InputError: branching factors must be positive: (0, 2)"),
+], ids=["truncated-header", "kind-byte", "kind-conflict", "sidecar-count", "sidecar-list",
+        "no-rows", "text-kind", "text-empty-name", "k-zero", "no-methods", "level-no-path",
+        "branching-zero"])
+def test_an_input_fault_exits_2_in_one_line_and_writes_nothing(workspace, capsys, files, argv,
+                                                               line):
+    for name, content in files.items():
+        (workspace / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+    before = sorted(os.listdir(workspace))
+    assert run([arg.format(ws=workspace) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", line.format(ws=workspace) + "\n")
+    assert sorted(os.listdir(workspace)) == before
 
 
 @pytest.mark.parametrize("order", [[1, 2], [2, 1]], ids=["depth-order", "reversed"])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import tempfile
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import SEVEN_NODE_PARENTS, SEVEN_NODE_LEAVES, random_taxonomy, read_scores
+from conftest import (SEVEN_NODE_PARENTS, SEVEN_NODE_LEAVES, random_taxonomy, read_scores,
+                      save_matrix)
 from hieval import fileio
 from hieval.errors import (
     ColumnMismatch,
@@ -250,7 +252,7 @@ def test_text_round_trip_is_value_exact(tmp_path):
     values /= values.sum(axis=1, keepdims=True)
     m = ScoreMatrix(values, PROBABILITIES, tuple("abcde"))
     path = str(tmp_path / "rt.csv")
-    save_scores(m, path)
+    save_matrix(m, path)
     back = read_scores(path)
     assert back.values.tolist() == m.values.tolist()
     assert back.kind == m.kind
@@ -269,7 +271,7 @@ def test_every_text_class_name_reads_back_or_is_refused_with_no_file(names):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "scores.csv")
         try:
-            save_scores(m, path)
+            save_matrix(m, path)
         except InputError as e:
             assert any(str(e).startswith(f"cannot write {path}: class name {name!r} ")
                        for name in names)
@@ -282,7 +284,7 @@ def test_binary_round_trip_bitwise(tmp_path):
     rng = np.random.default_rng(3)
     m = ScoreMatrix(rng.normal(size=(50, 9)), LOGITS, tuple(f"k{i}" for i in range(9)))
     path = str(tmp_path / "rt.hies")
-    save_scores(m, path)
+    save_matrix(m, path)
     back = read_scores(path)
     assert np.array_equal(back.values, m.values)
     assert back.kind == LOGITS
@@ -293,7 +295,7 @@ def test_binary_header_errors(tmp_path):
     rng = np.random.default_rng(4)
     m = ScoreMatrix(rng.normal(size=(2, 2)), LOGITS, ("a", "b"))
     path = str(tmp_path / "x.hies")
-    save_scores(m, path)
+    save_matrix(m, path)
 
     raw = bytearray(Path(path).read_bytes())
     raw[4] = 9  # version byte
@@ -318,7 +320,7 @@ def test_row_ranges_read_as_slices_of_the_whole(tmp_path, suffix):
     rng = np.random.default_rng(5)
     m = ScoreMatrix(rng.normal(size=(40, 6)), LOGITS, tuple("abcdef"))
     path = str(tmp_path / f"m{suffix}")
-    save_scores(m, path)
+    save_matrix(m, path)
     with ScoreReader(path) as reader:
         assert (reader.kind, reader.class_names, reader.n_rows) == (LOGITS, m.class_names, 40)
         # Out of order on purpose: an earlier range after a later one.
@@ -458,7 +460,7 @@ def test_a_text_file_reads_as_its_hies_twin_in_any_order_of_ranges(data):
         lambda a: st.tuples(st.just(a), st.integers(a + 1, n_rows))), min_size=1, max_size=6))
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "m.csv").write_bytes(head + text)
-        save_scores(m, os.path.join(tmp, "m.hies"))
+        save_matrix(m, os.path.join(tmp, "m.hies"))
         with ScoreReader(os.path.join(tmp, "m.csv"), LOGITS) as t, \
                 ScoreReader(os.path.join(tmp, "m.hies")) as b:
             assert (t.kind, t.class_names, t.n_rows) == (b.kind, b.class_names, b.n_rows)
@@ -471,7 +473,7 @@ def test_a_read_leaves_the_reader_as_it_was(tmp_path, suffix):
     # A reader holds no read position: all that a read needs is fixed at open.
     m = ScoreMatrix(np.random.default_rng(7).normal(size=(30, 3)), LOGITS, ("a", "b", "c"))
     path = str(tmp_path / f"m{suffix}")
-    save_scores(m, path)
+    save_matrix(m, path)
     with ScoreReader(path) as reader:
         def state():
             return {k: v.tobytes() if isinstance(v, np.ndarray) else v
@@ -488,40 +490,43 @@ def test_saving_blocks_writes_the_bytes_of_the_whole(tmp_path, suffix):
     rng = np.random.default_rng(6)
     m = ScoreMatrix(rng.normal(size=(23, 5)), LOGITS, tuple("vwxyz"))
     whole, blocks = str(tmp_path / f"whole{suffix}"), str(tmp_path / f"blocks{suffix}")
-    save_scores(m, whole)
-    save_scores((ScoreMatrix(m.values[r:r + 7], LOGITS, m.class_names) for r in range(0, 23, 7)),
-                blocks)
-    assert Path(blocks).read_bytes() == Path(whole).read_bytes()
-    if suffix == ".hies":
-        assert Path(blocks + ".names.json").read_bytes() == Path(whole + ".names.json").read_bytes()
-    # A function's '.hies' blocks go to their own rows, whatever the order it writes them in.
+    save_matrix(m, whole)
     parts = [ScoreMatrix(m.values[r:r + 7], LOGITS, m.class_names, r) for r in range(0, 23, 7)]
-    by_function = str(tmp_path / f"by_function{suffix}")
-    save_scores(lambda write: [write(b) for b in parts[::-1 if suffix == ".hies" else 1]],
-                by_function)
-    assert Path(by_function).read_bytes() == Path(whole).read_bytes()
+    # Text blocks come in row order; '.hies' blocks go to their own rows, whatever the order.
+    for order in [parts] if suffix == ".csv" else itertools.permutations(parts):
+        def fill(write):
+            for block in order:
+                write(block)
+
+        save_scores(fill, blocks)
+        assert Path(blocks).read_bytes() == Path(whole).read_bytes()
+        if suffix == ".hies":
+            assert (Path(blocks + ".names.json").read_bytes()
+                    == Path(whole + ".names.json").read_bytes())
 
 
 def test_a_block_that_raises_leaves_no_file(tmp_path):
-    def blocks():
-        yield ScoreMatrix([[0.5, 0.5]], PROBABILITIES, ("a", "b"))
+    # A fill that raises after a block, or that passes no block, leaves no file.
+    def raising(write):
+        write(ScoreMatrix([[0.5, 0.5]], PROBABILITIES, ("a", "b")))
         raise NonFiniteValue(1, 0)
 
-    with pytest.raises(NonFiniteValue):
-        save_scores(blocks(), str(tmp_path / "x.hies"))
-    with pytest.raises(EmptyInput):
-        save_scores(iter([]), str(tmp_path / "y.csv"))
+    for suffix in (".hies", ".csv"):
+        with pytest.raises(NonFiniteValue):
+            save_scores(raising, str(tmp_path / f"x{suffix}"))
+        with pytest.raises(EmptyInput, match=f"y{suffix}: no rows to write"):
+            save_scores(lambda write: None, str(tmp_path / f"y{suffix}"))
     assert os.listdir(tmp_path) == []
 
 
 def test_files_renamed_together_replace_nothing_until_the_block_ends(tmp_path, monkeypatch):
     m = ScoreMatrix([[0.5, 0.5]], PROBABILITIES, ("a", "b"))
-    save_scores(m, str(tmp_path / "x.hies"))
+    save_matrix(m, str(tmp_path / "x.hies"))
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     new = ScoreMatrix([[0.25, 0.75]], PROBABILITIES, ("a", "b"))
     with pytest.raises(NonFiniteValue), renamed_together() as staged:
-        save_scores(new, str(tmp_path / "x.hies"), staged)
-        save_scores(new, str(tmp_path / "y.csv"), staged)
+        save_scores(lambda write: write(new), str(tmp_path / "x.hies"), staged)
+        save_scores(lambda write: write(new), str(tmp_path / "y.csv"), staged)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.suffix != ".tmp"} == before
         raise NonFiniteValue(0, 0)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
@@ -532,10 +537,10 @@ def test_files_renamed_together_replace_nothing_until_the_block_ends(tmp_path, m
     with monkeypatch.context() as patch:
         patch.setattr(fileio, "write_json", no_sidecar)
         with pytest.raises(InputError, match="x.hies.names.json"), renamed_together() as staged:
-            save_scores(new, str(tmp_path / "x.hies"), staged)
+            save_scores(lambda write: write(new), str(tmp_path / "x.hies"), staged)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     with renamed_together() as staged:
-        save_scores(new, str(tmp_path / "x.hies"), staged)
+        save_scores(lambda write: write(new), str(tmp_path / "x.hies"), staged)
     assert read_scores(str(tmp_path / "x.hies")).values.tolist() == [[0.25, 0.75]]
 
 
@@ -545,7 +550,7 @@ def test_a_save_scores_whose_sidecar_cannot_land_leaves_no_new_file(tmp_path):
     (tmp_path / "x.hies.names.json").mkdir()
     m = ScoreMatrix([[0.5, 0.5]], PROBABILITIES, ("a", "b"))
     with pytest.raises(InputError, match=r"cannot write .*/x\.hies\.names\.json: Is a directory"):
-        save_scores(m, str(tmp_path / "x.hies"))
+        save_matrix(m, str(tmp_path / "x.hies"))
     assert os.listdir(tmp_path) == ["x.hies.names.json"]  # and no temp file
 
 
@@ -620,25 +625,29 @@ def test_align_coarse_and_depth(flower_vehicle):
 def test_labels_round_trip(tmp_path, flower_vehicle):
     t = flower_vehicle
     path = str(tmp_path / "labels.txt")
-    with write_labels(t, path) as write:  # two blocks, appended in order
+    def fill(write):  # two blocks, appended in order
         write([2, 0])
         write(np.array([3, 3]))
+
+    write_labels(t, fill, path)
     assert load_labels(path, t).tolist() == [2, 0, 3, 3]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(NAMES.filter(bool), min_size=2, max_size=4, unique=True))
 @example(["a", "b\ud800"])
+@example(["\ufeff", ","])  # a first line that starts with a byte-order mark loses it
 def test_every_leaf_name_reads_back_from_a_labels_file_or_is_refused_with_no_file(leaves):
     t = build_taxonomy({"root!": None, **dict.fromkeys(leaves, "root!")}, leaf_order=leaves)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "labels.txt")
         try:
-            with write_labels(t, path) as write:
-                write(range(len(leaves)))
+            write_labels(t, lambda write: write(range(len(leaves))), path)
         except InputError as e:
             assert any(str(e) in (f"cannot write {path}: leaf name {name!r} holds a line break",
-                                  f"cannot write {path}: leaf name {name!r} holds a lone surrogate")
+                                  f"cannot write {path}: leaf name {name!r} holds a lone surrogate",
+                                  f"cannot write {path}: leaf name {name!r} starts with a byte-order "
+                                  "mark")
                        for name in leaves)
             assert os.listdir(tmp) == []
         else:

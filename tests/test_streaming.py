@@ -18,12 +18,12 @@ import numpy as np
 import pytest
 
 from conftest import (SEVEN_NODE_PARENTS, SEVEN_NODE_LEAVES, entry_point_env, read_scores, same_bits,
-                      use_block_rows)
+                      save_matrix, use_block_rows)
 from hieval import fileio, risk, scores, taxonomy
 from hieval.cli import build_parser, run
 from hieval.commands import METHODS, load_method_inputs, run_methods
 from hieval.ensemble import hie_combine, hie_self
-from hieval.fileio import column_order, load_hierarchy, save_scores, write_labels
+from hieval.fileio import column_order, load_hierarchy, write_labels
 from hieval.risk import crm_rerank
 from hieval.scores import LOGITS, ScoreMatrix, as_probabilities, softmax_rows, top_k
 from hieval.taxonomy import ancestor_index_map, parent_index_map
@@ -40,7 +40,7 @@ def instance(tmp_path_factory):
                 "--n-samples", str(N_ROWS), "--seed", "5", "--out-dir", str(d)]) == 0
     level2 = read_scores(str(d / "level_d2.hies"))
     reversed_names = tuple(reversed(level2.class_names))
-    save_scores(ScoreMatrix(level2.values[:, ::-1], LOGITS, reversed_names), str(d / "coarse.csv"))
+    save_matrix(ScoreMatrix(level2.values[:, ::-1], LOGITS, reversed_names), str(d / "coarse.csv"))
     base = ["--hierarchy", str(d / "hierarchy.json"), "--fine", str(d / "fine.hies"),
             "--coarse", str(d / "coarse.csv"), "--level", f"1={d / 'level_d1.hies'}",
             "--level", f"2={d / 'coarse.csv'}", "--kind", "logits"]
@@ -75,9 +75,9 @@ def test_infer_bytes_do_not_depend_on_the_block_size(instance, monkeypatch, meth
     d, base = instance
     expected_scores, expected_preds = library_outputs(d, method)
     reference = d / f"reference-{method}{suffix}"
-    save_scores(expected_scores, str(reference))
-    with write_labels(load_hierarchy(str(d / "hierarchy.json")), f"{reference}.preds") as write:
-        write(expected_preds)
+    save_matrix(expected_scores, str(reference))
+    write_labels(load_hierarchy(str(d / "hierarchy.json")), lambda write: write(expected_preds),
+                 f"{reference}.preds")
     names = [""] + ([".names.json"] if suffix == ".hies" else [])
     for label, rows in BLOCKS.items():
         use_block_rows(monkeypatch, rows, expected_scores.n_classes)

@@ -228,6 +228,16 @@ def test_level_orders_match_conventions(flower_vehicle):
         level_order(t, 3)
 
 
+@settings(max_examples=200, deadline=None)
+@given(taxonomies())
+def test_a_leveled_trees_next_to_last_level_is_its_coarse_order(t):
+    # Every node one level above the leaves has children, all of them leaves: the leaves' parents.
+    if t.is_leveled():
+        d = t.max_depth - 1
+        assert {node for node in range(t.n_nodes) if t.depth[node] == d} == set(t.coarse_order)
+        assert level_order(t, d) == t.coarse_order
+
+
 def test_ancestor_index_map(flower_vehicle):
     amap = ancestor_index_map(flower_vehicle, 1)
     assert amap.tolist() == parent_index_map(flower_vehicle).tolist()

@@ -23,13 +23,13 @@ import numpy as np
 import pytest
 
 from conftest import (SEVEN_NODE_PARENTS, SEVEN_NODE_LEAVES, count_forks, entry_point_env,
-                      fail_call, read_scores, use_block_rows)
+                      fail_call, read_scores, save_matrix, use_block_rows)
 from hieval import procs
 from hieval.cli import run
 from hieval.commands import METHODS, _in_workers
 from hieval.errors import NonFiniteValue
-from hieval.fileio import ScoreReader, load_hierarchy, save_scores
-from hieval.scores import LOGITS, ScoreMatrix
+from hieval.fileio import ScoreReader, load_hierarchy
+from hieval.scores import LOGITS, PROBABILITIES, ScoreMatrix
 
 # In 7-row blocks: block 0, then 21 blocks, enough for 3 processes (one per 8 blocks).
 N_ROWS = 150
@@ -43,7 +43,7 @@ def instance(tmp_path_factory):
                 "--n-samples", str(N_ROWS), "--seed", "8", "--out-dir", str(d)]) == 0
     level2 = read_scores(str(d / "level_d2.hies"))
     reversed_names = tuple(reversed(level2.class_names))
-    save_scores(ScoreMatrix(level2.values[:, ::-1], LOGITS, reversed_names), str(d / "coarse.csv"))
+    save_matrix(ScoreMatrix(level2.values[:, ::-1], LOGITS, reversed_names), str(d / "coarse.csv"))
     base = ["--hierarchy", str(d / "hierarchy.json"), "--fine", str(d / "fine.hies"),
             "--coarse", str(d / "coarse.csv"), "--level", f"1={d / 'level_d1.hies'}",
             "--level", f"2={d / 'coarse.csv'}", "--kind", "logits",
@@ -564,7 +564,7 @@ def test_a_reader_used_in_a_forked_process_leaves_this_process_reading_its_rows(
     # read through the file offset that a fork shares would pick up the child's rows.
     values = np.random.default_rng(0).normal(size=(40, 1008))
     path = str(tmp_path / f"s{suffix}")
-    save_scores(ScoreMatrix(values, LOGITS, tuple(f"c{i}" for i in range(1008))), path)
+    save_matrix(ScoreMatrix(values, LOGITS, tuple(f"c{i}" for i in range(1008))), path)
     with ScoreReader(path) as reader:
         assert np.array_equal(reader.read(0, 5).values, values[:5])
         child = procs.Child(lambda: reader.read(20, 30).values.tobytes())
@@ -595,7 +595,7 @@ def test_workers_read_the_file_checked_when_its_path_is_replaced(instance, tmp_p
     for name in ("fine.hies", "fine.hies.names.json"):
         (tmp_path / name).write_bytes((d / name).read_bytes())
     other = read_scores(fine)
-    save_scores(ScoreMatrix(-other.values, other.kind, other.class_names), str(tmp_path / "o.hies"))
+    save_matrix(ScoreMatrix(-other.values, other.kind, other.class_names), str(tmp_path / "o.hies"))
     argv = [*command, *(str(fine) if a == str(d / "fine.hies") else a for a in base)]
     if command[0] == "infer":
         argv = argv[:-4]  # no --labels, no --k
@@ -649,6 +649,26 @@ def test_a_text_file_cut_short_after_it_was_checked_is_one_fault(probability_inp
     assert run(["infer", *base[:2], "--fine", str(fine), "--out", str(tmp_path / "s.hies")]) == 2
     fields = 2 if cut else 1  # "0.4," is 2 fields, and "" one
     assert capsys.readouterr().err == f"ColumnMismatch: {fine}:903: {fields} fields, header has 4\n"
+    assert not (tmp_path / "s.hies").exists()
+
+
+def test_a_hies_file_cut_short_after_it_was_checked_is_one_fault(probability_inputs, tmp_path,
+                                                                 monkeypatch, capsys):
+    # 1000 rows of four columns are one block; the file keeps 900 once it has been opened.
+    base = probability_inputs({})
+    fine = tmp_path / "fine.hies"
+    save_matrix(ScoreMatrix(np.tile([0.4, 0.1, 0.35, 0.15], (1000, 1)), PROBABILITIES,
+                            tuple(SEVEN_NODE_LEAVES)), fine)
+    read = ScoreReader.read
+
+    def cut_short(reader, start, stop):
+        if reader.path == str(fine):
+            os.truncate(fine, 14 + 900 * 4 * 8)
+        return read(reader, start, stop)
+
+    monkeypatch.setattr(ScoreReader, "read", cut_short)
+    assert run(["infer", *base[:2], "--fine", str(fine), "--out", str(tmp_path / "s.hies")]) == 2
+    assert capsys.readouterr() == ("", f"ParseError: {fine}: payload ended before row 1000\n")
     assert not (tmp_path / "s.hies").exists()
 
 
