@@ -407,6 +407,9 @@ class ScoreReader:
         """Rows ``[start, stop)``: finite values, and probability rows validated within FILE_TOL.
 
         Errors name rows and columns of the file. Values are checked here, once.
+        A block is checked one kind of fault at a time (a text block's UTF-8
+        first), so where a row fault is found the rows are read again one at a
+        time, and the first faulty row's fault is the one raised.
         """
         if not 0 <= start < stop <= self.n_rows:
             raise ValueError(f"rows [{start}, {stop}) outside [0, {self.n_rows})")
@@ -416,8 +419,14 @@ class ScoreReader:
                 validate_probabilities(m, FILE_TOL)
         except OSError as e:
             raise ParseError(f"cannot read {self.path}: {e}") from e
-        except (NonFiniteValue, NegativeEntry, RowSumViolation) as e:
-            e.args = (f"{self.path}: {e}",)  # type and row/column attributes stay
+        except (ParseError, ColumnMismatch, NonFiniteValue, NegativeEntry, RowSumViolation) as e:
+            # A '.hies' payload that ends short is no row's fault.
+            if stop - start > 1 and not (isinstance(e, ParseError)
+                                         and self._read_rows == self._read_binary):
+                for row in range(start, stop):
+                    self.read(row, row + 1)
+            if not isinstance(e, (ParseError, ColumnMismatch)):
+                e.args = (f"{self.path}: {e}",)  # type and row/column attributes stay
             raise
         return m
 

@@ -113,34 +113,6 @@ def test_synth_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, labe
     assert digests == SYNTH_DIGESTS
 
 
-def test_output_bytes_do_not_depend_on_the_column_order_of_an_input(instance, monkeypatch):
-    # Alignment permutes the reversed columns back; the softmax that follows
-    # must then sum each row exactly as for a file in canonical order.
-    d, base = instance
-    canonical = [str(d / "level_d2.hies") if arg == str(d / "coarse.csv") else arg for arg in base]
-    for rows in (1, N_ROWS):
-        use_block_rows(monkeypatch, rows, 36)
-        outs = []
-        for flags, name in [(base, "reversed.hies"), (canonical, "canonical.hies")]:
-            assert run(["infer", *flags, "--method", "hie", "--out", str(d / name)]) == 0
-            outs.append((d / name).read_bytes())
-        assert outs[0] == outs[1]
-
-
-def test_eval_and_compare_bytes_do_not_depend_on_the_block_size(instance, monkeypatch, capsys):
-    d, base = instance
-    labels = ["--labels", str(d / "labels.txt"), "--k", "1,3,36"]
-    outputs = {}
-    for label, rows in BLOCKS.items():
-        use_block_rows(monkeypatch, rows, 36)
-        table, report = d / f"table-{label}.json", d / f"report-{label}.json"
-        assert run(["compare", *base, *labels, "--methods", ",".join(METHODS),
-                    "--out", str(table)]) == 0
-        assert run(["eval", *base, *labels, "--method", "hie-crm", "--out", str(report)]) == 0
-        outputs[label] = (table.read_bytes(), report.read_bytes(), capsys.readouterr().out)
-    assert outputs["1-row"] == outputs["7-row"] == outputs["all-rows"]
-
-
 def test_every_block_run_methods_yields_is_read_only_and_c_ordered(instance, monkeypatch):
     # Every file holds logits, softmaxed in the buffer each block is read into,
     # and the coarse file's reversed columns are permuted back first.
@@ -415,6 +387,28 @@ def test_the_first_fault_in_row_order_is_reported(probability_inputs, monkeypatc
     assert capsys.readouterr().err.startswith(
         f"NegativeEntry: {d}/coarse.csv: negative entry at row 12, column 1"
     )
+
+
+# Row 1's fault, then in row 2 a kind that a block checks first.
+SUM_OFF = "RowSumViolation: {d}/fine.csv: row 1 sums to 1.0999999999999999, expected 1"
+ROW_1_FIRST = {
+    "sum-then-negative": ([0.5, 0.1, 0.35, 0.15], [0.5, -0.1, 0.35, 0.25], SUM_OFF),
+    "negative-then-nan": ([0.5, -0.1, 0.35, 0.25], [0.4, np.nan, 0.35, 0.15],
+                          "NegativeEntry: {d}/fine.csv: negative entry at row 1, column 1"),
+    "sum-then-nan": ([0.5, 0.1, 0.35, 0.15], [0.4, np.nan, 0.35, 0.15], SUM_OFF),
+}
+
+
+@pytest.mark.parametrize("rows", list(BLOCKS.values()), ids=list(BLOCKS))
+@pytest.mark.parametrize("case", list(ROW_1_FIRST))
+def test_a_probability_file_names_its_first_faulty_row(probability_inputs, monkeypatch, capsys,
+                                                       case, rows):
+    d, fine, coarse, write = probability_inputs
+    row1, row2, message = ROW_1_FIRST[case]
+    base = write(with_row(with_row(fine, 1, row1), 2, row2), coarse)
+    use_block_rows(monkeypatch, rows, 4)
+    assert run(["eval", *base, "--labels", str(d / "labels.txt"), "--k", "1"]) == 2
+    assert capsys.readouterr().err == message.format(d=d) + "\n"
 
 
 def test_probability_files_are_validated_once(probability_inputs, monkeypatch, capsys):

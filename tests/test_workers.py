@@ -51,52 +51,6 @@ def instance(tmp_path_factory):
     return d, base
 
 
-@pytest.mark.parametrize("block", [1, 7], ids=["1-row", "7-row"])
-def test_eval_and_compare_bytes_do_not_depend_on_the_worker_count(instance, monkeypatch, capsys,
-                                                                   block):
-    d, base = instance
-    use_block_rows(monkeypatch, block, 36)
-    forks = count_forks(monkeypatch)
-    outputs = {}
-    for workers in (1, 2, 3):
-        forks.clear()
-        table, report = d / f"table-{block}-{workers}.json", d / f"report-{block}-{workers}.json"
-        assert run(["compare", *base, "--methods", ",".join(METHODS), "--out", str(table)],
-                   workers=workers) == 0
-        assert run(["eval", *base, "--method", "hie-crm", "--out", str(report)],
-                   workers=workers) == 0
-        # Each command spawns its hasher, then forks its workers, when more than one process may run.
-        assert forks == (["spawn"] + ["fork"] * (workers - 1)) * 2 * (workers > 1)
-        outputs[workers] = (table.read_bytes(), report.read_bytes(), capsys.readouterr().out)
-    assert outputs[1] == outputs[2] == outputs[3]
-
-
-def test_a_column_permuted_input_gives_the_canonical_bytes_in_workers(instance, tmp_path,
-                                                                      monkeypatch, capsys):
-    # The coarse and depth-2 file is bound to the taxonomy at open, with its columns
-    # reversed; every worker reads its blocks through that one binding.
-    d, base = instance
-    canonical = [str(d / "level_d2.hies") if arg == str(d / "coarse.csv") else arg for arg in base]
-    use_block_rows(monkeypatch, 7, 36)
-    forks = count_forks(monkeypatch)
-    outputs = []
-    for flags in (base, canonical):
-        out = tmp_path / str(len(outputs))
-        out.mkdir()
-        assert run(["compare", *flags, "--methods", ",".join(METHODS), "--out",
-                    str(out / "table.json")], workers=3) == 0
-        reports = json.loads((out / "table.json").read_text())["reports"]
-        for report in reports:
-            del report["config"]["inputs"]  # the digests of the files given
-        for method in ("hie", "cascade"):
-            assert run(["infer", *flags[:-4], "--method", method, "--out",
-                        str(out / f"{method}.hies")], workers=3) == 0
-        outputs.append((capsys.readouterr().out.replace(str(out), "OUT"), reports,
-                        {f: (out / f).read_bytes() for f in os.listdir(out) if f != "table.json"}))
-    assert forks == ["spawn"] + ["fork"] * 6 + ["spawn"] + ["fork"] * 6
-    assert outputs[0] == outputs[1]
-
-
 def test_too_few_blocks_stay_in_one_process(instance, monkeypatch, capsys):
     # 150 rows in 19-row blocks: block 0, then 7 blocks, fewer than the 8 a worker needs.
     d, base = instance
