@@ -19,8 +19,8 @@ import numpy as np
 from . import ensemble, fileio, hashing, procs, risk, synth
 from . import taxonomy as tx
 from .cli import integer, real
-from .errors import (DimensionMismatch, DuplicateMethod, InputError, KTooLarge, LengthMismatch,
-                     NonFiniteValue, ZeroDenominator)
+from .errors import (DataError, DimensionMismatch, DuplicateMethod, InputError, KTooLarge,
+                     LengthMismatch, NonFiniteValue, ZeroDenominator)
 from .metrics import EvalReport, eval_report
 from .scores import (
     LOGITS,
@@ -189,36 +189,43 @@ def load_method_inputs(args, methods: list[str]) -> MethodInputs:
     return MethodInputs(t, fine, uppers, columns)
 
 
-def run_methods(methods: list[str], inputs: MethodInputs, start: int = 0, stop: int | None = None):
+def run_methods(methods: list[str], inputs: MethodInputs, start: int = 0, stop: int | None = None,
+                step: int | None = None):
     """Yield ``(method, ranked)`` in row order for each block of rows ``[start, stop)`` and method.
 
     ``ranked`` is a ScoreMatrix that ``top_k`` ranks: probabilities for
     score-ranked methods, negated expected costs (logits, see
-    ``risk.crm_rerank``) for cost-ranked ones. A block holds about
-    ``scores.BLOCK_ENTRIES`` fine entries. Each file's block is read once,
-    and each level source in ``inputs.uppers`` is combined once per block and
-    shared by its methods, so memory holds one block of each, never a whole matrix.
+    ``risk.crm_rerank``) for cost-ranked ones. A block holds ``step`` rows, by default
+    about ``scores.BLOCK_ENTRIES`` fine entries. Each file's block is read once, and
+    each level source in ``inputs.uppers`` is combined once per block and shared by its
+    methods, so memory holds one block of each, never a whole matrix. A faulty block runs
+    again in halves, yielding nothing, down to its first faulty row, whose fault is raised
+    (files fine, coarse, levels, then products in method order): checks are row-local.
     """
     t, n = inputs.taxonomy, inputs.fine.n_rows if stop is None else stop
-    step = block_rows(len(inputs.fine.class_names))
+    step = step or block_rows(len(inputs.fine.class_names))
     for lo in range(start, n, step):
-        blocks = inputs.read(lo, min(lo + step, n))
-        fine = blocks[inputs.fine]
-        for source, uppers in inputs.uppers.items():
-            try:
+        try:
+            blocks = inputs.read(lo, min(lo + step, n))
+            fine = blocks[inputs.fine]
+            for source, uppers in inputs.uppers.items():
                 if source is None:
                     probs = fine
                 elif source == "self":
                     probs = ensemble.hie_self(fine, tx.parent_index_map(t), t.n_coarse)
                 else:
                     probs = ensemble.hie_combine(fine, [(blocks[r], amap) for r, amap in uppers])
-            except ZeroDenominator as e:  # the fault is the product's: name each file in it
+                for m in methods:
+                    if METHODS[m][0] == source:
+                        yield m, probs if METHODS[m][1] == "score" else risk.crm_rerank(probs, t)
+        except (InputError, DataError) as e:
+            if step > 1:  # the half that holds the first faulty row raises in here
+                for _ in run_methods(methods, inputs, lo, min(lo + step, n), -(-step // 2)):
+                    pass
+            elif isinstance(e, ZeroDenominator):  # a product's fault: name each file in it
                 e.args = (", ".join(r.path for r in [inputs.fine] + [r for r, _ in uppers])
                           + f": {e}",)
-                raise
-            for m in methods:
-                if METHODS[m][0] == source:
-                    yield m, probs if METHODS[m][1] == "score" else risk.crm_rerank(probs, t)
+            raise
 
 
 def _config_echo(args, ks) -> dict:

@@ -319,9 +319,10 @@ class ScoreReader:
 
     def _read_binary(self, start: int, stop: int) -> np.ndarray:
         values = np.empty((stop - start, len(self.class_names)), dtype="<f8")
-        offset = _HEADER.size + start * values[0].nbytes
-        if os.preadv(self._file.fileno(), [values], offset) != values.nbytes:
-            raise ParseError(f"{self.path}: payload ended before row {stop}")
+        row_bytes = values[0].nbytes
+        got = os.preadv(self._file.fileno(), [values], _HEADER.size + start * row_bytes)
+        if got != values.nbytes:  # named by the first row the file no longer holds
+            raise ParseError(f"{self.path}: payload ended before row {start + got // row_bytes}")
         check_finite(values, start)
         return values.astype(np.float64, copy=False)
 
@@ -408,8 +409,8 @@ class ScoreReader:
 
         Errors name rows and columns of the file. Values are checked here, once.
         A block is checked one kind of fault at a time (a text block's UTF-8
-        first), so where a row fault is found the rows are read again one at a
-        time, and the first faulty row's fault is the one raised.
+        first), so the fault raised is the first faulty row's only in a one-row
+        block; ``commands.run_methods`` halves a faulty block down to one.
         """
         if not 0 <= start < stop <= self.n_rows:
             raise ValueError(f"rows [{start}, {stop}) outside [0, {self.n_rows})")
@@ -419,14 +420,8 @@ class ScoreReader:
                 validate_probabilities(m, FILE_TOL)
         except OSError as e:
             raise ParseError(f"cannot read {self.path}: {e}") from e
-        except (ParseError, ColumnMismatch, NonFiniteValue, NegativeEntry, RowSumViolation) as e:
-            # A '.hies' payload that ends short is no row's fault.
-            if stop - start > 1 and not (isinstance(e, ParseError)
-                                         and self._read_rows == self._read_binary):
-                for row in range(start, stop):
-                    self.read(row, row + 1)
-            if not isinstance(e, (ParseError, ColumnMismatch)):
-                e.args = (f"{self.path}: {e}",)  # type and row/column attributes stay
+        except (NonFiniteValue, NegativeEntry, RowSumViolation) as e:
+            e.args = (f"{self.path}: {e}",)  # type and row/column attributes stay
             raise
         return m
 

@@ -11,9 +11,10 @@ exactly what the reference does, starting the processes its block count
 calls for, and the reference must be what whole matrices give: the combine
 kernels as first written (``conftest``), ``crm_rerank``, stable argsorts and
 LCA heights from parent walks. ``eval --preds`` on each method's ``infer``
-predictions must give ``compare``'s top-1 counts. The same draws with
-faults in one file must give the one line that the file's first faulty row
-predicts, and no output file.
+predictions must give ``compare``'s top-1 counts. The same draws, up to 70
+rows, with faults in up to three files must give the one line of the first
+faulty row (within it, files fine, coarse, levels, then each product in
+method order), and no output file.
 
 Tier-1 runs the same examples every time; ``HIEVAL_ORACLE_DEEP=1`` runs ten
 times as many, drawn afresh.
@@ -149,9 +150,9 @@ class Case:
 
 
 @st.composite
-def cases(draw):
+def cases(draw, max_rows=40):
     t = draw(st.one_of(taxonomies(), leveled_taxonomies()))
-    n = draw(st.integers(1, 40))
+    n = draw(st.integers(1, max_rows))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     depths = []
     if t.is_leveled():
@@ -417,22 +418,24 @@ NO_MASS = ("once negative entries count as 0, no fine-times-coarse product reach
            "inputs carry no usable probability mass")
 
 
-def host(draw, case: Case, fault: str):
-    """The score file that will hold ``fault``, given the suffix or kind the fault needs
-    before any file is written."""
+def hosts(draw, case: Case, fault: str) -> list:
+    """The score files that will hold faults, the first of them ``fault``, given the suffix or
+    kind that fault needs before any file is written: up to three files for a row fault, up to
+    two upper files for rows with no mass."""
     if fault == "labels":
-        return None
-    if fault == "no-mass":  # an upper file with a column to empty and one to keep
+        return []
+    if fault == "no-mass":  # upper files with a column to empty and one to keep
         wide = [s for s in case.scores[1:] if s.values.shape[1] > 1]
         assume(wide)
-        return draw(st.sampled_from(wide))
+        return draw(st.permutations(wide))[:min(draw(st.sampled_from([2, 1])), case.n)]
     s = draw(st.sampled_from(case.scores))
     if fault == "short" or ROW_FAULTS[fault] == ".csv":
         s.suffix = ".hies" if fault == "short" else ".csv"
     elif ROW_FAULTS[fault] == PROBABILITIES and s.kind == LOGITS:
         e = np.exp(s.values - s.values.max(axis=1, keepdims=True))
         s.kind, s.values, case.kind_flag = PROBABILITIES, e / e.sum(axis=1, keepdims=True), None
-    return s
+    others = [f for f in case.scores if f is not s and fault != "short"]
+    return [s, *draw(st.permutations(others))[:draw(st.sampled_from([1, 2, 0]))]]
 
 
 def row_fault(draw, s: Score, values: np.ndarray, r: int, kind: str) -> str:
@@ -476,76 +479,94 @@ def row_fault(draw, s: Score, values: np.ndarray, r: int, kind: str) -> str:
     return f"RowSumViolation: {s.path}: row {r} sums to {float(row[None].sum(axis=1)[0])!r}, expected 1"
 
 
-def inject(draw, case: Case, fault: str, s) -> dict:
-    """Put ``fault`` in ``s`` (or the labels), first in row order; the exit code and line each
-    command must give, by command.
+def inject(draw, case: Case, fault: str, faulty: list) -> dict:
+    """Put faults in the files ``faulty`` (or the labels); the exit code and line each command
+    must give, by command.
 
-    Row faults of any kind the file can hold may follow in later rows. A row with no combined
-    mass, a labels fault and a '.hies' payload cut short are each the only fault.
+    Each file gets row faults in one to three rows: ``fault`` in the first file's first, then
+    any kind the file can hold. The first faulty row's line is reported, of the first of its
+    files in ``case.scores`` order. For no mass, each file gives one row no mass. A labels
+    fault and a '.hies' payload cut short are each the only fault.
     """
     t, n = case.t, case.n
-    rows = sorted(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)))
+
+    def rows(size=None):  # one to three distinct rows, or ``size``, in order
+        return sorted(draw(st.lists(st.integers(0, n - 1), min_size=size or 1, max_size=size or 3,
+                                    unique=True)))
+
     if fault in ROW_FAULTS:
-        values = file_values(s)
-        kinds = [k for k, needs in ROW_FAULTS.items() if needs in ("any", s.suffix, s.kind)]
-        lines = [row_fault(draw, s, values, r, draw(st.sampled_from(kinds)) if r > rows[0]
-                           else fault) for r in rows]
-        write_score(s, values)
-        return dict.fromkeys(["infer", "eval", "compare"], (2, lines[0]))
+        lines = []  # (row, file position, line)
+        for s in faulty:
+            values = file_values(s)
+            kinds = [k for k, needs in ROW_FAULTS.items() if needs in ("any", s.suffix, s.kind)]
+            for r in rows():
+                kind = draw(st.sampled_from(kinds)) if lines else fault
+                lines.append((r, case.scores.index(s), row_fault(draw, s, values, r, kind)))
+            write_score(s, values)
+        return dict.fromkeys(["infer", "eval", "compare"], (2, min(lines)[2]))
     if fault == "labels":  # eval and compare read them, infer does not
-        path, names = case.dir / "labels.txt", [t.leaf_names()[i] for i in case.labels]
-        for r in rows:
+        path, names, bad = case.dir / "labels.txt", [t.leaf_names()[i] for i in case.labels], rows()
+        for r in bad:
             names[r] = draw(st.sampled_from([*(set(t.names) - set(t.leaf_names())), "nope"]))
         path.write_text("".join(f"{name}\n" for name in names))
-        line = f"UnknownLeaf: {path}:{rows[0] + 1}: {names[rows[0]]!r} is not a leaf class"
+        line = f"UnknownLeaf: {path}:{bad[0] + 1}: {names[bad[0]]!r} is not a leaf class"
         return dict.fromkeys(["eval", "compare"], (2, line))
     if fault == "short":
+        [s] = faulty
         size = 14 + 8 * s.values.size
         cut = draw(st.integers(1, 8 * s.values.size))
         os.truncate(s.path, size - cut)
         line = f"ParseError: {s.path}: payload is {size - cut} bytes, expected {size}"
         return dict.fromkeys(["infer", "eval", "compare"], (2, line))
-    # No mass: fine row r is one-hot at leaf a, upper file s gives a's ancestor nothing,
-    # and every other upper file is uniform in that row.
-    r, a = rows[0], draw(st.integers(0, t.n_leaves - 1))
-    col = (parent_index_map(t) if s.flag == "coarse" else ancestor_index_map(t, s.level))[a]
+    # No mass: in row r, the fine file is one-hot at leaf a, the upper file s drawn for r gives
+    # a's ancestor nothing, and every other upper file is uniform.
+    dead = dict(zip(rows(len(faulty)), faulty))  # the files come in a drawn order
+    for r, s in dead.items():
+        a = draw(st.integers(0, t.n_leaves - 1))
+        col = (parent_index_map(t) if s.flag == "coarse" else ancestor_index_map(t, s.level))[a]
+        for f in case.scores:
+            row = f.values[r]
+            if f is case.fine:
+                row[:] = -1000.0 if f.kind == LOGITS else 0.0
+                row[a] = 0.0 if f.kind == LOGITS else 1.0
+            elif f is s:
+                row[:] = 0.0 if f.kind == LOGITS else 1.0 / (row.size - 1)
+                row[col] = -1000.0 if f.kind == LOGITS else 0.0
+            else:
+                row[:] = uniform(f.kind, row.size)
     for f in case.scores:
-        row = f.values[r]
-        if f is case.fine:
-            row[:] = -1000.0 if f.kind == LOGITS else 0.0
-            row[a] = 0.0 if f.kind == LOGITS else 1.0
-        elif f is s:
-            row[:] = 0.0 if f.kind == LOGITS else 1.0 / (row.size - 1)
-            row[col] = -1000.0 if f.kind == LOGITS else 0.0
-        else:
-            row[:] = uniform(f.kind, row.size)
         rewrite(f)
     sources = case.sources()
-    dying = [m for m, (source, _) in METHODS.items() if any(f is s for f in sources.get(source, []))]
-    case.infer_method, case.eval_method = draw(st.sampled_from(dying)), draw(st.sampled_from(dying))
-    if not set(case.methods) & set(dying):
-        case.methods.append(draw(st.sampled_from(dying)))
+    dying = {s: [m for m, (source, _) in METHODS.items()
+                 if any(f is s for f in sources.get(source, []))] for s in faulty}
+    for s in faulty:  # compare takes a product of each emptied file
+        if not set(case.methods) & set(dying[s]):
+            case.methods.append(draw(st.sampled_from(dying[s])))
+    either = st.sampled_from(sorted({m for ms in dying.values() for m in ms}))
+    case.infer_method, case.eval_method = draw(either), draw(either)
 
-    def no_mass(methods):  # the first method whose product takes s names its files
-        source = next(METHODS[m][0] for m in methods if m in dying)
-        paths = ", ".join(f.path for f in [case.fine, *sources[source]])
-        return 3, f"ZeroDenominator: {paths}: row {r}: {NO_MASS}"
+    def no_mass(methods):  # the first dead row a product takes, named by the first such product
+        for r, s in sorted(dead.items()):
+            source = next((METHODS[m][0] for m in methods if m in dying[s]), None)
+            if source:
+                paths = ", ".join(f.path for f in [case.fine, *sources[source]])
+                return 3, f"ZeroDenominator: {paths}: row {r}: {NO_MASS}"
 
     return {"infer": no_mass([case.infer_method]), "eval": no_mass([case.eval_method]),
             "compare": no_mass(case.methods)}
 
 
 @pytest.mark.parametrize("fault", [*ROW_FAULTS, "labels", "short", "no-mass"])
-@oracle(3)
-@given(cases(), st.data(), CONFIGS)
+@oracle(6)
+@given(cases(70), st.data(), CONFIGS)
 def test_a_fault_in_one_file_gives_one_line_and_no_file_in_every_configuration(fault, case, data,
                                                                                configs):
-    s = host(data.draw, case, fault)
+    faulty = hosts(data.draw, case, fault)
     with tempfile.TemporaryDirectory() as tmp:
         case.dir = Path(tmp)
         write_inputs(case)
         with_mass_in_every_row(case)
-        expect = inject(data.draw, case, fault, s)
+        expect = inject(data.draw, case, fault, faulty)
         out, n_cols = case.dir / "out", case.t.n_leaves
         argvs = [argv for argv in commands(case, out) if argv[0] in expect]
         reference, _ = outcomes(argvs, out, case.n, 1, n_cols)

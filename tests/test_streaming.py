@@ -376,17 +376,23 @@ def test_a_failing_infer_leaves_no_file_behind(probability_inputs, monkeypatch, 
     assert sorted(os.listdir(d)) == before
 
 
-def test_the_first_fault_in_row_order_is_reported(probability_inputs, monkeypatch, capsys):
-    # The fine file is read first in every block, but the coarse file's fault
-    # comes in an earlier block, so it is the one reported.
+def test_a_faulty_block_is_halved_down_to_its_first_faulty_row(probability_inputs, monkeypatch,
+                                                               capsys):
+    # One 64-row block with a NaN in row 63: each halving reads two halves at most, where a
+    # rerun row by row would read the fine file 65 times.
     d, fine, coarse, write = probability_inputs
-    use_block_rows(monkeypatch, 7, 4)
-    base = write(with_row(fine, 45, [np.nan, 0.1, 0.35, 0.15]), with_row(coarse, 12, [2.0, -1.0]))
+    base = write(with_row(np.tile(fine[:1], (64, 1)), 63, [0.4, np.nan, 0.35, 0.15]),
+                 np.tile(coarse[:1], (64, 1)))
+    (d / "labels.txt").write_text("bus\n" * 64)
+    use_block_rows(monkeypatch, 64, 4)
+    reads, read = [], fileio.ScoreReader.read
+    monkeypatch.setattr(fileio.ScoreReader, "read",
+                        lambda reader, *rows: reads.append(reader.path) or read(reader, *rows))
     assert run(["eval", *base, "--labels", str(d / "labels.txt"), "--method", "hie",
                 "--k", "1"]) == 2
-    assert capsys.readouterr().err.startswith(
-        f"NegativeEntry: {d}/coarse.csv: negative entry at row 12, column 1"
-    )
+    assert capsys.readouterr().err == (
+        f"NonFiniteValue: {d}/fine.csv: non-finite value at row 63, column 1\n")
+    assert reads.count(str(d / "fine.csv")) <= 2 * 6 + 2
 
 
 # Row 1's fault, then in row 2 a kind that a block checks first.
