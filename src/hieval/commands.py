@@ -319,13 +319,12 @@ _RANGES_PER_PROCESS, _MAX_RANGES = 32, 1024
 
 
 def _in_workers(work, inputs: MethodInputs, workers: int) -> list:
-    """``work(start, stop)`` for block 0, then each row range after it; the results in row order.
+    """``work(start, stop)`` for each row range; the results in row order.
 
-    Block 0 runs first, so that the workers forked after it inherit its caches.
     A range is as many consecutive blocks as keep the ranges to
     ``_RANGES_PER_PROCESS`` a process and ``_MAX_RANGES`` in all. This process
-    (its first range before any fork) and up to ``workers - 1`` workers
-    (``procs.Child``), one per 8 blocks after block 0, take the ranges in order
+    (which takes the first range before any fork) and up to ``workers - 1`` workers
+    (``procs.Child``), one per 8 blocks after the first, take the ranges in order
     from a pipe of their indices, so a process that gets less CPU time takes
     fewer; a worker reads through the readers it inherits, which read by
     position. A process stops at its first error and empties the queue; a
@@ -335,13 +334,12 @@ def _in_workers(work, inputs: MethodInputs, workers: int) -> list:
     """
     n = inputs.fine.n_rows
     step = block_rows(len(inputs.fine.class_names))
-    left = -(-n // step) - 1  # blocks after block 0
-    n_procs = min(workers, 1 + left // 8)
-    span = step * (-(-left // min(_MAX_RANGES, _RANGES_PER_PROCESS * n_procs)) or 1)
-    ranges = [(0, min(step, n))] + [(lo, min(n, lo + span)) for lo in range(step, n, span)]
-    done = {0: work(*ranges[0])}
+    blocks = -(-n // step)
+    n_procs = min(workers, 1 + (blocks - 1) // 8)
+    span = step * -(-blocks // min(_MAX_RANGES, _RANGES_PER_PROCESS * n_procs))
+    ranges = [(lo, min(n, lo + span)) for lo in range(0, n, span)]
     queue, fill = os.pipe()
-    os.write(fill, np.arange(1, len(ranges), dtype="<u4").tobytes())
+    os.write(fill, np.arange(len(ranges), dtype="<u4").tobytes())
     os.close(fill)
 
     def take(first=b""):
@@ -364,8 +362,7 @@ def _in_workers(work, inputs: MethodInputs, workers: int) -> list:
             if not child.pid:  # no process can start: those running take every range left
                 break
             children.append(child)
-        mine, fault = take(first)
-        done.update(mine)
+        done, fault = take(first)
         if fault and fault[0] == len(done):  # this process ran every range before it
             raise fault[1]
         for child in children:

@@ -28,6 +28,7 @@ import contextlib
 import json
 import math
 import os
+import stat
 import struct
 from operator import itemgetter
 from typing import Sequence
@@ -112,8 +113,13 @@ def _atomic_file(path: str, staged: list | None = None):
     """A new binary file that replaces ``path`` when ``renamed_together``'s
     block for ``staged`` ends, or, without ``staged``, when this block does.
 
-    An OSError becomes InputError naming ``path``.
+    An OSError becomes InputError naming ``path``, and so does, before any temp
+    file is made, a ``path`` that is neither a regular file nor a directory (a
+    FIFO, a device, or a link to one), which the rename would replace.
     """
+    with contextlib.suppress(OSError):  # nothing there yet; a directory fails at the rename
+        if stat.S_IFMT(os.stat(path).st_mode) not in (stat.S_IFREG, stat.S_IFDIR):
+            raise InputError(f"cannot write {path}: not a regular file, which writing replaces")
     # A unique temp name beside the target keeps concurrent writers apart and
     # the final rename on one file system.
     tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
@@ -432,9 +438,9 @@ def save_scores(fill, path: str, staged: list | None = None) -> None:
 
     Text blocks must come in row order. Each '.hies' block goes to its own rows
     (``first_row``), so they may come in any order, and processes that ``fill``
-    forks after its first block may write theirs; the header is written once
-    ``fill`` returns. A '.hies' file and its '.names.json' sidecar are renamed
-    together: when ``staged``'s block ends, or, without ``staged``, when this call does.
+    forks may write theirs; the header is written once ``fill`` returns. A '.hies'
+    file and its '.names.json' sidecar are renamed together: when ``staged``'s
+    block ends, or, without ``staged``, when this call does.
     """
     binary, first = path.endswith(".hies"), None
     with _staging(staged) as staged, _atomic_file(path, staged) as f:

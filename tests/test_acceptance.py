@@ -370,7 +370,7 @@ def _run_cli_pipeline(workdir, threads: str, one_cpu: bool) -> dict[str, bytes]:
         return proc.stdout
 
     stdouts = []
-    # 64 leaves give 1024-row blocks: block 0 and 9 more, enough for 2 processes.
+    # 64 leaves give 1024-row blocks: 10 blocks, enough for 2 processes.
     cli("synth", "--branching", "8,8", "--noise", "0.5,2.0",
         "--n-samples", "10240", "--seed", "11", "--out-dir", "inst")
     cli("infer", "--hierarchy", "inst/hierarchy.json", "--fine", "inst/fine.hies",

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pstats
+import stat
 import struct
 import subprocess
 import sys
@@ -348,6 +349,39 @@ def test_eval_unwritable_out_exits_2_and_leaves_no_temp_file(workspace, capsys, 
     assert code == 2
     assert f"InputError: cannot write {out}: " in capsys.readouterr().err
     assert sorted(os.listdir(workspace)) == before
+
+
+@pytest.mark.parametrize("output", ["compare --out", "infer --preds-out", "infer sidecar",
+                                    "eval --out link", "synth --out-dir file"])
+def test_an_output_path_that_is_a_fifo_is_refused_in_one_line_and_stays_one(workspace, capsys,
+                                                                           output):
+    # Writing renames a temp file over its path, which would put a regular file where the
+    # FIFO (or, through a link, the device) was.
+    hierarchy, fine, coarse, labels = paths(workspace, "hierarchy.json", "fine.csv", "coarse.csv",
+                                            "labels.txt")
+    inputs = ["--hierarchy", hierarchy, "--fine", fine, "--coarse", coarse]
+    scored = [*inputs, "--labels", labels, "--k", "1"]
+    out = workspace / "out"
+    out.mkdir()
+    fifo = out / {"infer sidecar": "s.hies.names.json", "synth --out-dir file": "labels.txt"}.get(
+        output, "fifo")
+    os.mkfifo(fifo)
+    target = out / "link.json" if output == "eval --out link" else fifo
+    if target != fifo:
+        target.symlink_to(fifo)
+    argv = {"compare --out": ["compare", *scored, "--methods", "argmax,hie", "--out", str(fifo)],
+            "infer --preds-out": ["infer", *inputs, "--method", "hie", "--out", str(out / "s.csv"),
+                                  "--preds-out", str(fifo)],
+            "infer sidecar": ["infer", *inputs, "--method", "hie", "--out", str(out / "s.hies")],
+            "eval --out link": ["eval", *scored, "--method", "hie", "--out", str(target)],
+            "synth --out-dir file": ["synth", "--branching", "2,2", "--noise", "1,1",
+                                     "--n-samples", "3", "--out-dir", str(out)]}[output]
+    before = sorted(os.listdir(out))
+    assert run(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"InputError: cannot write {target}: not a regular file, which writing replaces\n")
+    assert sorted(os.listdir(out)) == before  # no temp file, and nothing written beside it
+    assert stat.S_ISFIFO(os.stat(target).st_mode) and target.is_symlink() == (target != fifo)
 
 
 @pytest.mark.parametrize("levels, message", [

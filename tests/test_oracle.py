@@ -343,7 +343,7 @@ def outcomes(argvs: list, out: Path, block: int, workers: int, n_cols: int):
 def processes(case: Case, command: str, block: int, workers: int) -> list:
     """What a run that succeeds starts: eval and compare spawn a hasher where more than one
     process may run, and every command but a text infer forks a worker per 8 blocks after
-    block 0, up to ``workers`` processes in all."""
+    the first, up to ``workers`` processes in all."""
     forked = min(workers, 1 + (-(-case.n // block) - 1) // 8) - 1
     return (["spawn"] * (command != "infer" and workers > 1)
             + ["fork"] * forked * (command != "infer" or case.out_suffix == ".hies"))

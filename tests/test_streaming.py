@@ -8,7 +8,6 @@ import gc
 import hashlib
 import json
 import os
-import struct
 import subprocess
 import sys
 import tracemalloc
@@ -208,41 +207,6 @@ def with_row(values: np.ndarray, row: int, new_row) -> np.ndarray:
     return values
 
 
-# Each fault sits in row 41, in the sixth 7-row block, and is reported as if
-# the file had been read whole: the same message, naming the file and its row,
-# and the same exit code.
-LATE_FAULTS = {
-    "non-finite": (
-        lambda f, c: (with_row(f, 41, [0.4, 0.1, np.inf, 0.15]), c), 2,
-        "NonFiniteValue: {d}/fine.csv: non-finite value at row 41, column 2",
-    ),
-    "negative": (
-        lambda f, c: (f, with_row(c, 41, [1.5, -0.5])), 2,
-        "NegativeEntry: {d}/coarse.csv: negative entry at row 41, column 1",
-    ),
-    "row-sum": (
-        lambda f, c: (with_row(f, 41, [0.5, 0.1, 0.35, 0.15]), c), 2,
-        "RowSumViolation: {d}/fine.csv: row 41 sums to 1.0999999999999999, expected 1",
-    ),
-    "zero-mass": (  # all fine mass on a rose, no coarse mass on flowers
-        lambda f, c: (with_row(f, 41, [1.0, 0.0, 0.0, 0.0]), with_row(c, 41, [0.0, 1.0])), 3,
-        "ZeroDenominator: {d}/fine.csv, {d}/coarse.csv: row 41: once negative entries count as 0, "
-        "no fine-times-coarse product reaches 1e-300",
-    ),
-}
-
-
-@pytest.mark.parametrize("fault", list(LATE_FAULTS))
-def test_a_fault_in_a_late_block_names_the_file_row(probability_inputs, monkeypatch, capsys, fault):
-    d, fine, coarse, write = probability_inputs
-    make, code, message = LATE_FAULTS[fault]
-    use_block_rows(monkeypatch, 7, 4)
-    base = write(*make(fine, coarse))
-    assert run(["eval", *base, "--labels", str(d / "labels.txt"), "--method", "hie",
-                "--k", "1"]) == code
-    assert capsys.readouterr().err.startswith(message.format(d=d))
-
-
 def test_a_dead_cascade_row_names_the_fine_file_and_each_level_file(probability_inputs,
                                                                     monkeypatch, capsys):
     # Row 41's fine mass is all on a rose, and level 1 gives flowers none.
@@ -314,27 +278,6 @@ def test_a_synth_whose_rename_fails_leaves_no_new_file(tmp_path, capsys):
     assert through_the_entry_point([*args, "--seed", "2"]) == (2, err)
     assert files() == before
     assert not os.listdir(tmp_path / "level_d1.hies")
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
-def test_a_non_finite_value_in_a_late_binary_block_names_the_file_row(
-    probability_inputs, monkeypatch, capsys, bad
-):
-    # Row 41 (in the sixth 7-row block) has two bad entries; the first is named.
-    d, fine, coarse, write = probability_inputs
-    base = write(fine, coarse)
-    # A ScoreMatrix cannot hold the fault, so the binary file is written by hand.
-    logits = with_row(np.log(fine), 41, [0.0, 0.0, bad, bad])
-    path = d / "fine.hies"
-    path.write_bytes(struct.pack("<4sBBII", b"HIES", 1, 0, *logits.shape)
-                     + logits.astype("<f8").tobytes())
-    (d / "fine.hies.names.json").write_text(json.dumps({"class_names": SEVEN_NODE_LEAVES}))
-    base[base.index("--fine") + 1] = str(path)
-    use_block_rows(monkeypatch, 7, 4)
-    assert run(["eval", *base, "--labels", str(d / "labels.txt"), "--k", "1"]) == 2
-    assert capsys.readouterr().err == (
-        f"NonFiniteValue: {path}: non-finite value at row 41, column 2\n"
-    )
 
 
 @pytest.mark.parametrize("labels, code, message", [

@@ -1,8 +1,8 @@
 """Worker processes behind eval, compare and infer.
 
-Block 0 runs in the calling process; the caller and its forked workers
-then take the blocks after it in ranges of consecutive blocks, each the
-next range left in one shared queue, and infer's processes write their
+The calling process and its forked workers take the blocks in ranges of
+consecutive blocks, each the next range left in one shared queue (the
+caller takes the first before any fork), and infer's processes write their
 rows of a '.hies' file by position. Outputs, the fault reported and its
 exit code must not depend on the number of processes, and no process may
 outlive a command (conftest checks that after every test).
@@ -24,14 +24,14 @@ import pytest
 
 from conftest import (SEVEN_NODE_PARENTS, SEVEN_NODE_LEAVES, count_forks, entry_point_env,
                       fail_call, read_scores, save_matrix, use_block_rows)
-from hieval import procs
+from hieval import commands, procs
 from hieval.cli import run
 from hieval.commands import METHODS, _in_workers
 from hieval.errors import NonFiniteValue
 from hieval.fileio import ScoreReader, load_hierarchy
 from hieval.scores import LOGITS, PROBABILITIES, ScoreMatrix
 
-# In 7-row blocks: block 0, then 21 blocks, enough for 3 processes (one per 8 blocks).
+# In 7-row blocks: 22 blocks, enough for 3 processes (one per 8 blocks after the first).
 N_ROWS = 150
 
 
@@ -52,7 +52,7 @@ def instance(tmp_path_factory):
 
 
 def test_too_few_blocks_stay_in_one_process(instance, monkeypatch, capsys):
-    # 150 rows in 19-row blocks: block 0, then 7 blocks, fewer than the 8 a worker needs.
+    # 150 rows in 19-row blocks: 8 blocks, 7 after the first, fewer than the 8 a worker needs.
     d, base = instance
     use_block_rows(monkeypatch, 19, 36)
     forks = count_forks(monkeypatch)
@@ -231,8 +231,8 @@ def _usable_cpus() -> int:
 def _poisoned_instance(tmp_path) -> tuple:
     """(hierarchy, fine, coarse) paths of a 1024-leaf instance with a dead row 400 and a NaN at 500.
 
-    1024 leaves give 64-row blocks; 640 rows give block 0 and 9 more, so
-    `python -m hieval` on 2 CPUs shares blocks 1-9 between itself and a worker.
+    1024 leaves give 64-row blocks; 640 rows give 10 blocks, so
+    `python -m hieval` on 2 CPUs shares them between itself and a worker.
     """
     assert run(["synth", "--branching", "16,64", "--noise", "0.5,1.0", "--n-samples", "640",
                 "--seed", "4", "--out-dir", str(tmp_path)]) == 0
@@ -299,49 +299,56 @@ def one_row_blocks(monkeypatch, n_rows: int):
     return SimpleNamespace(fine=SimpleNamespace(n_rows=n_rows, class_names=("c",)))
 
 
-# Block 0 and 16 more: enough for 3 processes (one per 8 blocks after block 0).
+# 17 blocks: enough for 3 processes (one per 8 blocks after the first).
 N_BLOCKS = 17
 
 
 @pytest.fixture
 def held_until_taken():
-    """``held_until_taken(work, n_workers)``: ``work``, except that range 1, which this
+    """``held_until_taken(work, n_workers)``: ``work``, except that range 0, which this
     process takes before any fork, waits until ``n_workers`` workers have each taken a
-    range, and each range in a worker waits for range 1, so every worker runs one."""
-    fds = []
+    range, and each range in a worker waits for range 0, so every worker runs one. A
+    worker waits 30 s at most, then raises, and the test fails instead of hanging."""
+    late, lateness = os.pipe()
+    fds = [late, lateness]
 
     def hold(work, n_workers: int):
         taken, take = os.pipe()
         go, release = os.pipe()
         fds.extend([taken, take, go, release])
-        caller = os.getpid()
+        caller, deadline = os.getpid(), time.monotonic() + 30
 
         def held(start, stop):
             if os.getpid() != caller:
                 os.write(take, b"x")
-                os.read(go, 1)
-            elif start == 1:
-                seen, deadline = 0, time.monotonic() + 30
+                if not select.select([go], [], [], max(0.0, deadline - time.monotonic()))[0]:
+                    os.write(lateness, b"x")
+                    raise TimeoutError(f"range {start} waited 30 s for range 0")
+            elif start == 0:
+                seen = 0
                 os.set_blocking(taken, False)
                 while seen < n_workers and time.monotonic() < deadline:
                     with contextlib.suppress(BlockingIOError):
                         seen += len(os.read(taken, n_workers))
                     time.sleep(0.001)
-                os.write(release, b"x" * 1024)  # for every range after these too
+                os.write(release, b"x")  # never read, so every later range passes too
             return work(start, stop)
 
         return held
 
     yield hold
+    waited = select.select([late], [], [], 0)[0]
     for fd in fds:
         os.close(fd)
+    assert not waited, "a worker waited 30 s for range 0, which this process never ran"
 
 
 def test_results_come_back_in_range_order_from_other_processes(monkeypatch, held_until_taken):
     inputs = one_row_blocks(monkeypatch, N_BLOCKS)
     results = _in_workers(held_until_taken(lambda a, b: (a, b, os.getpid()), 2), inputs, 3)
     assert [r[:2] for r in results] == [(i, i + 1) for i in range(N_BLOCKS)]
-    assert results[0][2] == results[1][2] == os.getpid()  # block 0, then range 1 before any fork
+    assert results[0][2] == os.getpid()  # range 0, taken before any fork
+    assert os.getpid() not in (results[1][2], results[2][2])  # the workers took 1 and 2
     assert len({r[2] for r in results}) == 3
 
 
@@ -355,17 +362,17 @@ def test_every_range_is_run_once_whatever_the_processes(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", fork_and_let_the_worker_start)
-    inputs = one_row_blocks(monkeypatch, 33)  # 32 ranges after block 0 at 1 process
+    inputs = one_row_blocks(monkeypatch, 32)  # 32 one-row ranges at 1 process
     for workers in (1, 2, 3):
         results = _in_workers(lambda a, b: (a, os.getpid()), inputs, workers)
-        assert [r[0] for r in results] == list(range(33))
-        assert results[0][1] == results[1][1] == os.getpid()  # taken before any fork
+        assert [r[0] for r in results] == list(range(32))
+        assert results[0][1] == os.getpid()  # taken before any fork
 
 
 def test_a_range_that_fails_in_a_worker_runs_again_here_and_its_error_is_raised_here(
     monkeypatch, held_until_taken
 ):
-    # The workers take ranges 2 and 3, and range 3 fails wherever it runs.
+    # The workers take ranges 1 and 2, and range 2 fails wherever it runs.
     caller, ran, (theirs, mark) = os.getpid(), [], os.pipe()
 
     def work(start, stop):
@@ -373,7 +380,7 @@ def test_a_range_that_fails_in_a_worker_runs_again_here_and_its_error_is_raised_
             ran.append(start)
         else:
             os.write(mark, bytes([start]))
-        if start == 3:
+        if start == 2:
             e = NonFiniteValue(start, 1)
             e.args = (f"some.hies: {e}",)
             raise e
@@ -383,37 +390,37 @@ def test_a_range_that_fails_in_a_worker_runs_again_here_and_its_error_is_raised_
         with pytest.raises(NonFiniteValue) as exc:
             _in_workers(held_until_taken(work, 2), one_row_blocks(monkeypatch, N_BLOCKS), 3)
         os.set_blocking(theirs, False)
-        assert 3 in os.read(theirs, N_BLOCKS)
+        assert 2 in os.read(theirs, N_BLOCKS)
     finally:
         os.close(theirs)
         os.close(mark)
-    assert (str(exc.value), exc.value.row) == ("some.hies: non-finite value at row 3, column 1", 3)
-    # This process runs ranges above 3 while it can take them, then range 3 again.
-    assert ran[:2] == [0, 1] and ran[-1] == 3
-    assert ran[2:-1] == sorted(ran[2:-1]) and all(i > 3 for i in ran[2:-1])
+    assert (str(exc.value), exc.value.row) == ("some.hies: non-finite value at row 2, column 1", 2)
+    # This process runs ranges above 2 while it can take them, then range 2 again.
+    assert ran[0] == 0 and ran[-1] == 2
+    assert ran[1:-1] == sorted(ran[1:-1]) and all(i > 2 for i in ran[1:-1])
 
 
 def test_the_first_failing_range_wins_over_a_later_one_here(monkeypatch, held_until_taken):
     def work(start, stop):
-        if start in (2, 3):  # the workers' ranges; this process then takes range 4
+        if start in (1, 2):  # the workers' ranges; this process then takes range 3
             time.sleep(0.3)
-        if start in (2, 4):
+        if start in (1, 3):
             raise ValueError(start)
         return start
 
     with pytest.raises(ValueError) as exc:
         _in_workers(held_until_taken(work, 2), one_row_blocks(monkeypatch, N_BLOCKS), 3)
-    assert exc.value.args == (2,)
+    assert exc.value.args == (1,)
 
 
 @pytest.mark.parametrize("failing, first, last", [((), None, 16), ((10,), 10, 10),
-                                                  ((3, 10), 3, 10)],
+                                                  ((2, 10), 2, 10)],
                          ids=["no-fault", "fault-above", "fault-in-a-lost-range"])
 def test_the_ranges_of_a_worker_that_ends_without_a_result_run_here(monkeypatch, held_until_taken,
                                                                     failing, first, last):
-    # The workers take ranges 2 and 3 and end, as when the OOM killer ends them; this
-    # process takes ranges 4 to `last` (its first fault or the last range), then runs
-    # 2 and 3 in row order, and the first fault in row order is raised.
+    # The workers take ranges 1 and 2 and end, as when the OOM killer ends them; this
+    # process takes ranges 3 to `last` (its first fault or the last range), then runs
+    # 1 and 2 in row order, and the first fault in row order is raised.
     caller, ran = os.getpid(), []
 
     def work(start, stop):
@@ -431,7 +438,7 @@ def test_the_ranges_of_a_worker_that_ends_without_a_result_run_here(monkeypatch,
         with pytest.raises(ValueError) as exc:
             _in_workers(held_until_taken(work, 2), inputs, 3)
         assert exc.value.args == (first,)
-    assert ran == [0, 1, *range(4, last + 1), 2, 3]
+    assert ran == [0, *range(3, last + 1), 1, 2]
 
 
 def test_the_ranges_of_a_worker_whose_results_cannot_be_pickled_run_here(monkeypatch,
@@ -456,17 +463,16 @@ def test_the_ranges_of_a_worker_whose_results_cannot_be_pickled_run_here(monkeyp
     inputs = one_row_blocks(monkeypatch, N_BLOCKS)
     assert _in_workers(held_until_taken(work, 2), inputs, 3) == list(range(N_BLOCKS))
     assert exits == [1, 1]
-    assert ran[:2] == [0, 1] and sorted(ran) == list(range(N_BLOCKS))  # each range once
-    mine, theirs = ran[2:ran.index(2)], ran[ran.index(2):]
-    assert mine == sorted(mine) and all(i > 3 for i in mine) and theirs == sorted(theirs)
+    assert ran[0] == 0 and sorted(ran) == list(range(N_BLOCKS))  # each range once
+    mine, theirs = ran[1:ran.index(1)], ran[ran.index(1):]
+    assert mine == sorted(mine) and all(i > 2 for i in mine) and theirs == sorted(theirs)
 
 
 def test_an_error_here_kills_and_reaps_every_worker(monkeypatch, held_until_taken):
     def work(start, stop):
-        if start == 1:
+        if start == 0:
             raise KeyError("here")
-        if start:
-            time.sleep(60)
+        time.sleep(60)
 
     begun = time.perf_counter()
     with pytest.raises(KeyError):
@@ -507,8 +513,8 @@ def test_a_text_reader_rewinds_to_an_earlier_row(instance):
                                      ["infer", "--method", "cascade"]], ids=lambda c: c[0])
 def test_workers_read_the_file_checked_when_its_path_is_replaced(instance, tmp_path, monkeypatch,
                                                                  capsys, command):
-    # After block 0, the fine file's path names a file of other values; the workers,
-    # which read through the readers they inherit, still read the file checked.
+    # Once the inputs are open, the fine file's path names a file of other values; the
+    # workers, which read through the readers they inherit, still read the file checked.
     d, base = instance
     fine = tmp_path / "fine.hies"
     for name in ("fine.hies", "fine.hies.names.json"):
@@ -520,13 +526,16 @@ def test_workers_read_the_file_checked_when_its_path_is_replaced(instance, tmp_p
         argv = argv[:-4]  # no --labels, no --k
     use_block_rows(monkeypatch, 7, 36)
     caller, read, (marked, mark), waited = os.getpid(), ScoreReader.read, os.pipe(), []
+    in_workers = commands._in_workers
 
-    def replaced_after_block_0(reader, start, stop):
+    def replaced_once_open(work, inputs, workers):
+        os.replace(tmp_path / "o.hies", fine)
+        return in_workers(work, inputs, workers)
+
+    def marking(reader, start, stop):
         if os.getpid() != caller:
             os.write(mark, b"x")
-        elif start == 0 and reader.path == str(fine):
-            os.replace(tmp_path / "o.hies", fine)
-        elif start >= 14 and not waited:  # past range 1, wait until a worker has read a block
+        elif start >= 14 and not waited:  # past two ranges, wait until a worker has read a block
             waited.append(select.select([marked], [], [], 10))
         return read(reader, start, stop)
 
@@ -534,7 +543,8 @@ def test_workers_read_the_file_checked_when_its_path_is_replaced(instance, tmp_p
     try:
         for workers in (1, 3):
             if workers > 1:
-                monkeypatch.setattr(ScoreReader, "read", replaced_after_block_0)
+                monkeypatch.setattr(ScoreReader, "read", marking)
+                monkeypatch.setattr(commands, "_in_workers", replaced_once_open)
             out = tmp_path / str(workers)
             out.mkdir()
             # compare's table only: its hasher reads the path, at a time of its own
@@ -552,7 +562,7 @@ def test_workers_read_the_file_checked_when_its_path_is_replaced(instance, tmp_p
 @pytest.mark.parametrize("cut", [0, 4], ids=["at-a-line-end", "inside-a-line"])
 def test_a_text_file_cut_short_after_it_was_checked_is_one_fault(probability_inputs, tmp_path,
                                                                  monkeypatch, capsys, cut):
-    # Rows 0-899 stay whole, and `cut` bytes of row 900; the file is cut before block 0 is read.
+    # Rows 0-899 stay whole, and `cut` bytes of row 900; the file is cut before any row is read.
     base = probability_inputs({})
     fine, row = tmp_path / "fine.csv", b"0.4,0.1,0.35,0.15\n"
     header = b"# kind: probabilities\nrose,tulip,bus,car\n"
