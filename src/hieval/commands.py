@@ -19,8 +19,7 @@ import numpy as np
 from . import ensemble, fileio, hashing, procs, risk, synth
 from . import taxonomy as tx
 from .cli import integer, real
-from .errors import (DataError, DimensionMismatch, DuplicateMethod, InputError, KTooLarge,
-                     LengthMismatch, NonFiniteValue, ZeroDenominator)
+from .errors import DataError, InputError
 from .metrics import EvalReport, eval_report
 from .scores import (
     LOGITS,
@@ -28,6 +27,7 @@ from .scores import (
     ScoreMatrix,
     as_probabilities,
     block_rows,
+    check_finite,
     top_k,
 )
 
@@ -81,7 +81,7 @@ def check_methods(methods: list[str]) -> None:
     seen = set()
     for m in methods:
         if m in seen:
-            raise DuplicateMethod(f"method {m!r} listed twice")
+            raise InputError(f"method {m!r} listed twice")
         seen.add(m)
         if m not in METHODS:
             raise InputError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
@@ -156,10 +156,9 @@ def load_method_inputs(args, methods: list[str]) -> MethodInputs:
                 reader = stack.enter_context(fileio.ScoreReader(path, kind))
                 try:
                     columns[reader] = fileio.column_order(reader.class_names, t, level)
-                except InputError as e:  # DuplicateClass, UnknownClass or MissingClass
+                except InputError as e:  # a duplicate, unknown or missing class
                     what = f"depth-{level}" if isinstance(level, int) else level
-                    e.args = (f"{path}: {e} ({flag} takes the {what} classes)",)
-                    raise
+                    raise InputError(f"{path}: {e} ({flag} takes the {what} classes)") from e
                 return reader
 
         fine = open_checked(getattr(args, "fine", None), "leaf", "--fine")
@@ -177,14 +176,14 @@ def load_method_inputs(args, methods: list[str]) -> MethodInputs:
             elif source == "levels":
                 if not levels:
                     raise InputError(f"method {method} requires at least one --level depth=path")
-                # ancestor_index_map raises NonLeveledTree for unleveled trees
+                # ancestor_index_map raises DataError for unleveled trees
                 uppers[source] = [(r, tx.ancestor_index_map(t, d)) for d, r in levels]
             else:
                 uppers[source] = []
         for reader, flag in [(coarse, "--coarse")] + [(r, f"--level {d}") for d, r in levels]:
             if reader is not None and reader.n_rows != fine.n_rows:
-                raise DimensionMismatch(f"{reader.path}: {flag} has {reader.n_rows} samples, "
-                                        f"--fine has {fine.n_rows}")
+                raise DataError(f"{reader.path}: {flag} has {reader.n_rows} samples, "
+                                f"--fine has {fine.n_rows}")
         stack.pop_all()
     return MethodInputs(t, fine, uppers, columns)
 
@@ -214,17 +213,19 @@ def run_methods(methods: list[str], inputs: MethodInputs, start: int = 0, stop: 
                 elif source == "self":
                     probs = ensemble.hie_self(fine, tx.parent_index_map(t), t.n_coarse)
                 else:
-                    probs = ensemble.hie_combine(fine, [(blocks[r], amap) for r, amap in uppers])
+                    factors = [(blocks[r], amap) for r, amap in uppers]
+                    try:
+                        probs = ensemble.hie_combine(fine, factors)
+                    except DataError as e:  # a row with no mass: name each file in the product
+                        files = [inputs.fine] + [r for r, _ in uppers]
+                        raise DataError(f"{', '.join(r.path for r in files)}: {e}") from e
                 for m in methods:
                     if METHODS[m][0] == source:
                         yield m, probs if METHODS[m][1] == "score" else risk.crm_rerank(probs, t)
-        except (InputError, DataError) as e:
+        except (InputError, DataError):
             if step > 1:  # the half that holds the first faulty row raises in here
                 for _ in run_methods(methods, inputs, lo, min(lo + step, n), -(-step // 2)):
                     pass
-            elif isinstance(e, ZeroDenominator):  # a product's fault: name each file in it
-                e.args = (", ".join(r.path for r in [inputs.fine] + [r for r, _ in uppers])
-                          + f": {e}",)
             raise
 
 
@@ -284,6 +285,8 @@ def cmd_infer(args, out) -> int:
     taken = [args.out, fileio._names_sidecar(args.out)] if binary else [args.out]
     if os.path.abspath(preds_path) in map(os.path.abspath, taken):
         raise InputError(f"--preds-out {preds_path} would overwrite what --out {args.out} writes")
+    given = [f"--out {args.out}", f"--out {args.out}'s class-name sidecar"]
+    fileio.check_outputs(args, {**dict(zip(taken, given)), preds_path: f"--preds-out {preds_path}"})
     with load_method_inputs(args, [method]) as inputs, fileio.renamed_together() as staged:
         caller, written = os.getpid(), 0  # rows whose predictions are written
 
@@ -394,9 +397,9 @@ def _evaluate(args, methods: list[str], ks) -> list[EvalReport]:
         t, n = inputs.taxonomy, inputs.fine.n_rows
         gt = fileio.load_labels(args.labels, t)
         if gt.size != n:
-            raise LengthMismatch(f"{n} predictions vs {gt.size} labels")
+            raise DataError(f"{n} predictions vs {gt.size} labels")
         if k > t.n_leaves:
-            raise KTooLarge(f"--k {k} is above the {t.n_leaves} leaves of {args.hierarchy}")
+            raise DataError(f"--k {k} is above the {t.n_leaves} leaves of {args.hierarchy}")
 
         def tally(start, stop):
             part = {}
@@ -417,12 +420,14 @@ def cmd_eval(args, out) -> int:
     if args.method:
         check_methods([args.method])
     ks = parse_ks(args.k)
+    if args.out:
+        fileio.check_outputs(args, {args.out: f"--out {args.out}"})
     if getattr(args, "preds", None):
         for flag in ("fine", "coarse", "level", "kind"):  # a predictions file is read alone
             if getattr(args, flag, None) is not None:
                 raise InputError(f"--preds takes no --{flag}")
         if max(ks) > 1:
-            raise KTooLarge(
+            raise DataError(
                 f"k={max(ks)} needs a ranking, but predictions file {args.preds} "
                 "ranks one class per row, so only k=1 applies"
             )
@@ -444,6 +449,8 @@ def cmd_compare(args, out) -> int:
     ks = parse_ks(args.k)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     check_methods(methods)
+    if args.out:
+        fileio.check_outputs(args, {args.out: f"--out {args.out}"})
     reports = _evaluate(args, methods, ks)
     print(summary_header(ks), file=out)
     for r in reports:
@@ -484,11 +491,14 @@ def cmd_synth(args, out) -> int:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as e:
         raise InputError(f"cannot create --out-dir {args.out_dir!r}: {e.strerror or e}") from e
+    paths = {"hierarchy": "hierarchy.json", "labels": "labels.txt", "fine": "fine.hies"}
+    paths.update((f"level{d}", f"level_d{d}.hies") for d in range(1, cfg.n_levels))
+    written = [os.path.join(args.out_dir, name) for name in [*paths.values(), "manifest.json"]]
+    written += [fileio._names_sidecar(p) for p in written if p.endswith(".hies")]
+    fileio.check_outputs(args, dict.fromkeys(written, f"--out-dir {args.out_dir}"))
     t = synth.gen_taxonomy(cfg)
     labels, levels = synth.gen_instance(cfg, t)
 
-    paths = {"hierarchy": "hierarchy.json", "labels": "labels.txt", "fine": "fine.hies"}
-    paths.update((f"level{d}", f"level_d{d}.hies") for d in range(1, cfg.n_levels))
     manifest = {
         "branching": list(cfg.branching),
         "noise": list(cfg.noise),
@@ -510,11 +520,13 @@ def cmd_synth(args, out) -> int:
         for depth, blocks in enumerate(levels, start=1):
             name = paths["fine"] if depth == cfg.n_levels else paths[f"level{depth}"]
             path = os.path.join(args.out_dir, name)
-            try:
-                fileio.save_scores(_passing(blocks), path, staged)
-            except NonFiniteValue as e:  # a huge noise scale can overflow
-                e.args = (f"{path}: {e}",)
-                raise
+
+            def fill(write):  # called before the loop moves on
+                for block in blocks:  # a huge noise scale can overflow
+                    check_finite(block.values, block.first_row, f"{path}: ")
+                    write(block)
+
+            fileio.save_scores(fill, path, staged)
         fileio.write_json(manifest, os.path.join(args.out_dir, "manifest.json"), staged)
     print(f"wrote synthetic instance to {args.out_dir}", file=out)
     return 0

@@ -21,20 +21,24 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, KindConflict, ZeroDenominator
+from .errors import DataError, InputError
 from .scores import PROBABILITIES, ScoreMatrix
 
 # Below this, per-row products are recomputed in log space so that underflow
 # in long cascades cannot silently drop probability mass.
 UNDERFLOW_LIMIT = 1e-300
 
+# The fault of a row whose products all fall under UNDERFLOW_LIMIT.
+NO_MASS = ("once negative entries count as 0, no fine-times-coarse product reaches 1e-300; "
+           "inputs carry no usable probability mass")
+
 
 def _as_col_map(pmap, n_fine: int, n_upper: int, what: str) -> np.ndarray:
     m = np.asarray(pmap, dtype=np.int64)
     if m.ndim != 1 or m.shape[0] != n_fine:
-        raise DimensionMismatch(f"{what} has length {m.shape}, expected ({n_fine},)")
+        raise DataError(f"{what} has length {m.shape}, expected ({n_fine},)")
     if m.size and (m.min() < 0 or m.max() >= n_upper):
-        raise DimensionMismatch(
+        raise DataError(
             f"{what} entries must lie in [0, {n_upper}); got range "
             f"[{int(m.min())}, {int(m.max())}]"
         )
@@ -43,7 +47,7 @@ def _as_col_map(pmap, n_fine: int, n_upper: int, what: str) -> np.ndarray:
 
 def _require_probabilities(m: ScoreMatrix, what: str) -> None:
     if m.kind != PROBABILITIES:
-        raise KindConflict(f"{what} must hold probabilities, got kind {m.kind!r}")
+        raise InputError(f"{what} must hold probabilities, got kind {m.kind!r}")
 
 
 def _product_normalize(fine: np.ndarray, factors: list[tuple[np.ndarray, np.ndarray]],
@@ -53,7 +57,7 @@ def _product_normalize(fine: np.ndarray, factors: list[tuple[np.ndarray, np.ndar
     Rows where any product dips under UNDERFLOW_LIMIT are redone by summing
     logs and exponentiating around the row maximum, each entry clamped at 0
     (files may hold entries down to -FILE_TOL); rows with no mass at all
-    raise ZeroDenominator, naming the row counted from ``first_row``.
+    raise DataError, naming the row counted from ``first_row``.
     """
     # fine * f0 * f1 * ... in that order; u = f0 * fine first is the same bits.
     u = np.take(*factors[0], axis=1)
@@ -63,7 +67,7 @@ def _product_normalize(fine: np.ndarray, factors: list[tuple[np.ndarray, np.ndar
     low = u < UNDERFLOW_LIMIT
     dead = low.all(axis=1)
     if dead.any():
-        raise ZeroDenominator(first_row + int(np.argmax(dead)))
+        raise DataError(f"row {first_row + int(np.argmax(dead))}: {NO_MASS}")
     u /= u.sum(axis=1, keepdims=True)
     redo = low.any(axis=1)
     if redo.any():
@@ -74,7 +78,8 @@ def _product_normalize(fine: np.ndarray, factors: list[tuple[np.ndarray, np.ndar
         peak = logs.max(axis=1, keepdims=True)
         dead = np.isneginf(peak[:, 0])
         if dead.any():
-            raise ZeroDenominator(first_row + int(np.flatnonzero(redo)[np.argmax(dead)]))
+            row = first_row + int(np.flatnonzero(redo)[np.argmax(dead)])
+            raise DataError(f"row {row}: {NO_MASS}")
         w = np.exp(logs - peak)  # peak is finite, so a -inf log gives exactly 0.0
         u[redo] = w / w.sum(axis=1, keepdims=True)
     return u
@@ -94,7 +99,7 @@ def hie_combine(fine: ScoreMatrix,
     for i, (matrix, amap) in enumerate(uppers):
         _require_probabilities(matrix, f"upper level {i}")
         if matrix.n_samples != fine.n_samples:
-            raise DimensionMismatch(
+            raise DataError(
                 f"upper level {i} has {matrix.n_samples} samples, fine has {fine.n_samples}"
             )
         col_map = _as_col_map(amap, fine.n_classes, matrix.n_classes, f"level {i} ancestor map")

@@ -35,22 +35,10 @@ from typing import Sequence
 
 import numpy as np
 
+from . import hashing
 from . import taxonomy as tx
 from .cli import real
-from .errors import (
-    ColumnMismatch,
-    DuplicateClass,
-    EmptyInput,
-    InputError,
-    KindConflict,
-    MissingClass,
-    NegativeEntry,
-    NonFiniteValue,
-    ParseError,
-    RowSumViolation,
-    UnknownClass,
-    UnknownLeaf,
-)
+from .errors import InputError
 from .hashing import sha256_digest  # noqa: F401  (the benchmark tracer's target for hashing)
 from .metrics import EvalReport
 from .scores import (FILE_TOL, LOGITS, PROBABILITIES, ScoreMatrix, check_finite,
@@ -108,18 +96,44 @@ def _staging(staged: list | None):
     return renamed_together() if staged is None else contextlib.nullcontext(staged)
 
 
+def check_outputs(args, outputs: dict[str, str]) -> None:
+    """Refuse, before any row is read, an output that writing would wrongly replace.
+
+    ``outputs`` maps each path a command writes to how the command line gives
+    it. Each existing one must be a regular file or a directory, where the
+    rename fails: a FIFO, a device, or a link to one would be replaced by a
+    file. Nor may it be, by ``(st_dev, st_ino)``, an input of ``args`` or a
+    score input's class-name sidecar, whatever the spelling of either path.
+    """
+    inputs = {}  # (st_dev, st_ino) of each input there is, and how it is given
+    for path, role in hashing.given_roles(args).items():
+        given = hashing.flag(role, path)
+        named = {path: given}
+        if role not in ("hierarchy", "labels", "preds"):
+            named[_names_sidecar(path)] = f"{given}'s class-name sidecar"
+        for p, name in named.items():
+            with contextlib.suppress(OSError):
+                st = os.stat(p)
+                inputs.setdefault((st.st_dev, st.st_ino), name)
+    for path, name in outputs.items():
+        try:
+            st = os.stat(path)
+        except OSError:  # nothing there yet, or a fault the write names
+            continue
+        if stat.S_IFMT(st.st_mode) not in (stat.S_IFREG, stat.S_IFDIR):
+            raise InputError(f"cannot write {path}: not a regular file, which writing replaces")
+        if (st.st_dev, st.st_ino) in inputs:
+            raise InputError(f"{name} would overwrite the input {inputs[st.st_dev, st.st_ino]}")
+
+
 @contextlib.contextmanager
 def _atomic_file(path: str, staged: list | None = None):
     """A new binary file that replaces ``path`` when ``renamed_together``'s
     block for ``staged`` ends, or, without ``staged``, when this block does.
 
-    An OSError becomes InputError naming ``path``, and so does, before any temp
-    file is made, a ``path`` that is neither a regular file nor a directory (a
-    FIFO, a device, or a link to one), which the rename would replace.
+    An OSError becomes InputError naming ``path``. Commands first refuse what
+    the rename must not replace (:func:`check_outputs`).
     """
-    with contextlib.suppress(OSError):  # nothing there yet; a directory fails at the rename
-        if stat.S_IFMT(os.stat(path).st_mode) not in (stat.S_IFREG, stat.S_IFDIR):
-            raise InputError(f"cannot write {path}: not a regular file, which writing replaces")
     # A unique temp name beside the target keeps concurrent writers apart and
     # the final rename on one file system.
     tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
@@ -149,7 +163,7 @@ def _read_bytes(path: str) -> bytes:
         with open(path, "rb") as f:
             return f.read()
     except OSError as e:
-        raise ParseError(f"cannot read {path}: {e}") from e
+        raise InputError(f"cannot read {path}: {e}") from e
 
 
 def write_json(doc: dict, path: str, staged: list | None = None) -> None:
@@ -169,7 +183,7 @@ def load_hierarchy(path: str) -> tx.Taxonomy:
     try:
         return tx.build_taxonomy(parents, leaf_order, coarse_order)
     except InputError as e:
-        raise type(e)(f"{path}: {e}") from e
+        raise InputError(f"{path}: {e}") from e
 
 
 def _read_hierarchy(path: str):
@@ -181,9 +195,9 @@ def _read_hierarchy(path: str):
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         line = getattr(e, "lineno", "?")
         col = getattr(e, "colno", "?")
-        raise ParseError(f"{path}:{line}:{col}: {getattr(e, 'msg', e)}") from e
+        raise InputError(f"{path}:{line}:{col}: {getattr(e, 'msg', e)}") from e
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
-        raise ParseError(f"{path}: expected an object with a 'nodes' list")
+        raise InputError(f"{path}: expected an object with a 'nodes' list")
     nodes = doc["nodes"]
 
     # Checked in bulk; JSON values have exact types, so the type sets say what
@@ -203,7 +217,7 @@ def _read_hierarchy(path: str):
         _raise_node_fault(path, nodes)
     for key in ("leaf_order", "coarse_order"):
         if key in doc and not (isinstance(doc[key], list) and {*map(type, doc[key])} <= {str}):
-            raise ParseError(f"{path}: {key} must be a list of names")
+            raise InputError(f"{path}: {key} must be a list of names")
     return parents, doc.get("leaf_order"), doc.get("coarse_order")
 
 
@@ -211,14 +225,14 @@ def _raise_node_fault(path: str, nodes: list) -> None:
     names: set[str] = set()
     for i, node in enumerate(nodes):
         if not isinstance(node, dict) or "name" not in node or "parent" not in node:
-            raise ParseError(f"{path}: nodes[{i}] must have 'name' and 'parent'")
+            raise InputError(f"{path}: nodes[{i}] must have 'name' and 'parent'")
         name, parent = node["name"], node["parent"]
         if not isinstance(name, str) or not name or _lone_surrogate(name):
-            raise ParseError(f"{path}: nodes[{i}] has an invalid name {name!r}")
+            raise InputError(f"{path}: nodes[{i}] has an invalid name {name!r}")
         if name in names:
-            raise ParseError(f"{path}: duplicate node name {name!r}")
+            raise InputError(f"{path}: duplicate node name {name!r}")
         if parent is not None and (not isinstance(parent, str) or not parent):
-            raise ParseError(f"{path}: nodes[{i}] has an invalid parent {parent!r}")
+            raise InputError(f"{path}: nodes[{i}] has an invalid parent {parent!r}")
         names.add(name)
 
 
@@ -257,7 +271,7 @@ class ScoreReader:
     matrix it returns adopts, decoding only the text rows it returns; it reads
     by position and moves no cursor, so a forked process reads through the
     reader it inherits. ``declared_kind`` cross-checks the file's own kind
-    marker (KindConflict on disagreement) and supplies it for plain text files
+    marker (InputError on disagreement) and supplies it for plain text files
     without one. Close the reader, or use it as a context manager.
     """
 
@@ -266,7 +280,7 @@ class ScoreReader:
         try:
             self._file = open(path, "rb")
         except OSError as e:
-            raise ParseError(f"cannot read {path}: {e}") from e
+            raise InputError(f"cannot read {path}: {e}") from e
         try:
             if self._file.read(4) == BINARY_MAGIC:
                 self._open_binary(declared_kind)
@@ -275,7 +289,7 @@ class ScoreReader:
         except BaseException as e:
             self._file.close()
             if isinstance(e, OSError):
-                raise ParseError(f"cannot read {path}: {e}") from e
+                raise InputError(f"cannot read {path}: {e}") from e
             raise
 
     def close(self) -> None:
@@ -292,34 +306,34 @@ class ScoreReader:
         f.seek(0)
         head = f.read(_HEADER.size)
         if len(head) < _HEADER.size:
-            raise ParseError(f"{path}: truncated binary header")
+            raise InputError(f"{path}: truncated binary header")
         _, version, kind_byte, rows, cols = _HEADER.unpack(head)
         if version != BINARY_VERSION:
-            raise ParseError(f"{path}: unsupported format version {version}")
+            raise InputError(f"{path}: unsupported format version {version}")
         if kind_byte not in _BYTE_KIND:
-            raise ParseError(f"{path}: unknown kind byte {kind_byte}")
+            raise InputError(f"{path}: unknown kind byte {kind_byte}")
         kind = _BYTE_KIND[kind_byte]
         if declared_kind is not None and declared_kind != kind:
-            raise KindConflict(f"{path}: file says {kind}, caller declared {declared_kind}")
+            raise InputError(f"{path}: file says {kind}, caller declared {declared_kind}")
         size = os.fstat(f.fileno()).st_size
         expected_len = _HEADER.size + rows * cols * 8
         if size != expected_len:
-            raise ParseError(f"{path}: payload is {size} bytes, expected {expected_len}")
+            raise InputError(f"{path}: payload is {size} bytes, expected {expected_len}")
         sidecar = _names_sidecar(path)
         if not os.path.exists(sidecar):
-            raise ParseError(f"{path}: class-name sidecar {sidecar} not found")
+            raise InputError(f"{path}: class-name sidecar {sidecar} not found")
         try:
             class_names = json.loads(_read_bytes(sidecar).decode("utf-8"))["class_names"]
         except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as e:
-            raise ParseError(f"{sidecar}: invalid names sidecar: {e}") from e
+            raise InputError(f"{sidecar}: invalid names sidecar: {e}") from e
         if not isinstance(class_names, list) or len(class_names) != cols:
             count = len(class_names) if isinstance(class_names, list) else "no list of"
-            raise ColumnMismatch(f"{sidecar}: {count} class names for {cols} columns")
+            raise InputError(f"{sidecar}: {count} class names for {cols} columns")
         if not {*map(type, class_names)} <= {str} or "" in class_names:
             bad = next(c for c in class_names if type(c) is not str or not c)
-            raise ParseError(f"{sidecar}: invalid names sidecar: class name {bad!r}")
+            raise InputError(f"{sidecar}: invalid names sidecar: class name {bad!r}")
         if rows < 1 or cols < 1:
-            raise EmptyInput(f"{path}: score matrix has shape {(rows, cols)}")
+            raise InputError(f"{path}: score matrix has shape {(rows, cols)}")
         self.kind, self.class_names, self.n_rows = kind, tuple(class_names), rows
         self._read_rows = self._read_binary
 
@@ -328,8 +342,8 @@ class ScoreReader:
         row_bytes = values[0].nbytes
         got = os.preadv(self._file.fileno(), [values], _HEADER.size + start * row_bytes)
         if got != values.nbytes:  # named by the first row the file no longer holds
-            raise ParseError(f"{self.path}: payload ended before row {start + got // row_bytes}")
-        check_finite(values, start)
+            raise InputError(f"{self.path}: payload ended before row {start + got // row_bytes}")
+        check_finite(values, start, f"{self.path}: ")
         return values.astype(np.float64, copy=False)
 
     def _open_text(self, declared_kind) -> None:
@@ -356,14 +370,14 @@ class ScoreReader:
             if stripped.startswith("kind:"):
                 file_kind = stripped.split(":", 1)[1].strip()
                 if file_kind not in (LOGITS, PROBABILITIES):
-                    raise ParseError(f"{path}:{i + 1}: unknown kind {file_kind!r}")
+                    raise InputError(f"{path}:{i + 1}: unknown kind {file_kind!r}")
         if declared_kind is not None and file_kind is not None and declared_kind != file_kind:
-            raise KindConflict(f"{path}: file says {file_kind}, caller declared {declared_kind}")
+            raise InputError(f"{path}: file says {file_kind}, caller declared {declared_kind}")
         if n_lines - body_start < 2:
-            raise EmptyInput(f"{path}: need a header row and at least one data row")
+            raise InputError(f"{path}: need a header row and at least one data row")
         class_names = [c.strip() for c in line.split(",")]
         if any(not c for c in class_names):
-            raise ParseError(f"{path}:{body_start + 1}: empty class name in header")
+            raise InputError(f"{path}:{body_start + 1}: empty class name in header")
         self.kind = declared_kind or file_kind or PROBABILITIES
         self.class_names, self.n_rows = tuple(class_names), n_lines - body_start - 1
         self._body_start, self._read_rows = body_start, self._read_text
@@ -378,7 +392,7 @@ class ScoreReader:
             try:
                 lines[k] = line.decode("utf-8")
             except UnicodeDecodeError as e:
-                raise ParseError(f"{self.path}:{i + k + 1}: not valid UTF-8: {e}") from e
+                raise InputError(f"{self.path}:{i + k + 1}: not valid UTF-8: {e}") from e
         return lines + [""] * (j - i - len(lines))
 
     def _read_text(self, start: int, stop: int) -> np.ndarray:
@@ -387,7 +401,7 @@ class ScoreReader:
         for r, line in enumerate(self._lines(first + start, first + stop), start):
             fields = line.split(",")
             if len(fields) != n_cols:
-                raise ColumnMismatch(f"{self._where(r)}: {len(fields)} fields, header has {n_cols}")
+                raise InputError(f"{self._where(r)}: {len(fields)} fields, header has {n_cols}")
             try:
                 row = [*map(real, fields)]
             except ValueError:
@@ -401,14 +415,14 @@ class ScoreReader:
         return f"{self.path}:{self._body_start + row + 2}"
 
     def _raise_token_fault(self, row: int, fields: list[str]) -> None:
-        """The row's first bad token: ParseError if it is no number, else NonFiniteValue."""
+        """The row's first bad token: no number, or not finite."""
         for c, token in enumerate(fields):
             try:
                 v = real(token)
             except ValueError:
-                raise ParseError(f"{self._where(row)}: not a number: {token.strip()!r}") from None
+                raise InputError(f"{self._where(row)}: not a number: {token.strip()!r}") from None
             if not math.isfinite(v):
-                raise NonFiniteValue(row, c)
+                raise InputError(f"{self.path}: non-finite value at row {row}, column {c}")
 
     def read(self, start: int, stop: int) -> ScoreMatrix:
         """Rows ``[start, stop)``: finite values, and probability rows validated within FILE_TOL.
@@ -422,13 +436,10 @@ class ScoreReader:
             raise ValueError(f"rows [{start}, {stop}) outside [0, {self.n_rows})")
         try:
             m = ScoreMatrix._adopt(self._read_rows(start, stop), self.kind, self.class_names, start)
-            if m.kind == PROBABILITIES:
-                validate_probabilities(m, FILE_TOL)
         except OSError as e:
-            raise ParseError(f"cannot read {self.path}: {e}") from e
-        except (NonFiniteValue, NegativeEntry, RowSumViolation) as e:
-            e.args = (f"{self.path}: {e}",)  # type and row/column attributes stay
-            raise
+            raise InputError(f"cannot read {self.path}: {e}") from e
+        if m.kind == PROBABILITIES:
+            validate_probabilities(m, FILE_TOL, f"{self.path}: ")
         return m
 
 
@@ -463,7 +474,7 @@ def save_scores(fill, path: str, staged: list | None = None) -> None:
 
         fill(write)
         if first is None:
-            raise EmptyInput(f"{path}: no rows to write")
+            raise InputError(f"{path}: no rows to write")
         if binary:
             fd, cols = f.fileno(), first.n_classes
             rows = (os.fstat(fd).st_size - _HEADER.size) // (8 * cols)
@@ -488,8 +499,8 @@ def column_order(names: Sequence[str], t: tx.Taxonomy, level) -> tuple[np.ndarra
 
     ``level`` is "leaf", "coarse", or an integer depth. ``np.take(values, perm,
     axis=1)`` puts a block's columns into the canonical order; ``perm`` is None
-    when they are in it already. Raises DuplicateClass, UnknownClass or
-    MissingClass, so a file's columns are bound once, before any row is read.
+    when they are in it already. Raises InputError on a duplicate, unknown or
+    missing class, so a file's columns are bound once, before any row is read.
     """
     if level == "leaf":
         canonical = t.leaf_names()
@@ -498,22 +509,22 @@ def column_order(names: Sequence[str], t: tx.Taxonomy, level) -> tuple[np.ndarra
     elif isinstance(level, int):
         canonical = tuple(t.names[i] for i in tx.level_order(t, level))
     else:
-        raise ParseError(f"unknown level selector {level!r}")
+        raise InputError(f"unknown level selector {level!r}")
     got = tuple(names)
     if got == canonical:
         return None, canonical
     seen: set[str] = set()
     for name in got:
         if name in seen:
-            raise DuplicateClass(f"duplicate column {name!r}")
+            raise InputError(f"duplicate column {name!r}")
         seen.add(name)
     canonical_set = set(canonical)
     for name in got:
         if name not in canonical_set:
-            raise UnknownClass(f"column {name!r} is not a class at this level")
+            raise InputError(f"column {name!r} is not a class at this level")
     for name in canonical:
         if name not in seen:
-            raise MissingClass(f"class {name!r} has no column")
+            raise InputError(f"class {name!r} has no column")
     col = {name: i for i, name in enumerate(got)}
     return np.array([col[name] for name in canonical], dtype=np.intp), canonical
 
@@ -525,19 +536,19 @@ def load_labels(path: str, t: tx.Taxonomy) -> np.ndarray:
     try:
         text = _read_bytes(path).decode("utf-8").removeprefix("\ufeff")  # a byte-order mark is no label
     except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: not valid UTF-8: {e}") from e
+        raise InputError(f"{path}: not valid UTF-8: {e}") from e
     if "\r\n" in text:
-        raise ParseError(f"{path}: CRLF line endings; labels must be LF-terminated")
+        raise InputError(f"{path}: CRLF line endings; labels must be LF-terminated")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
-        raise EmptyInput(f"{path}: no labels")
+        raise InputError(f"{path}: no labels")
     pos = {t.names[leaf]: i for i, leaf in enumerate(t.leaf_order)}
     out = np.empty(len(lines), dtype=np.int64)
     for i, name in enumerate(lines):
         if name not in pos:
-            raise UnknownLeaf(path, name, i + 1)
+            raise InputError(f"{path}:{i + 1}: {name!r} is not a leaf class")
         out[i] = pos[name]
     return out
 

@@ -17,11 +17,11 @@ import os
 import stat
 import sys
 
-from .errors import InputError, ParseError
+from .errors import InputError
 
 
 def sha256_digest(path: str) -> str:
-    """``"sha256:<hex>"`` of the file's bytes; ParseError if it cannot be read."""
+    """``"sha256:<hex>"`` of the file's bytes; InputError if it cannot be read."""
     import hashlib  # loads OpenSSL, which only hashing needs
 
     h = hashlib.sha256()
@@ -30,7 +30,7 @@ def sha256_digest(path: str) -> str:
             for chunk in iter(lambda: f.read(1 << 16), b""):
                 h.update(chunk)
     except OSError as e:
-        raise ParseError(f"cannot read {path}: {e}") from e
+        raise InputError(f"cannot read {path}: {e}") from e
     return "sha256:" + h.hexdigest()
 
 
@@ -43,14 +43,19 @@ def input_roles(args, levels) -> list[tuple[str, str]]:
     return [(role, path) for role, path in roles if path]
 
 
-def _given_roles(args) -> dict[str, str]:
+def given_roles(args) -> dict[str, str]:
     """Each distinct input path and the first role it is given in. ``--level``
     entries are taken as given, before ``commands.parse_levels`` checks them."""
-    levels = [entry.partition("=")[::2] for entry in args.level or []]
+    levels = [entry.partition("=")[::2] for entry in getattr(args, "level", None) or []]
     roles: dict[str, str] = {}
     for role, path in input_roles(args, levels):
         roles.setdefault(path, role)
     return roles
+
+
+def flag(role: str, path: str) -> str:
+    """How the command line gives ``path`` in ``role``: ``--fine PATH``, ``--level D=PATH``."""
+    return f"--level {role[5:]}={path}" if role.startswith("level") else f"--{role} {path}"
 
 
 def check_regular(args) -> None:
@@ -60,24 +65,23 @@ def check_regular(args) -> None:
     other would see none. Each distinct path is stat'ed once, before any process
     reads it; a path that cannot be stat'ed is left for its reader to name.
     """
-    for path, role in _given_roles(args).items():
+    for path, role in given_roles(args).items():
         try:
             mode = os.stat(path).st_mode
         except OSError:
             continue
         if not stat.S_ISREG(mode):
-            given = f"--level {role[5:]}={path}" if role.startswith("level") else f"--{role} {path}"
-            raise InputError(f"{given} is not a regular file; {args.command} "
+            raise InputError(f"{flag(role, path)} is not a regular file; {args.command} "
                              "reads each input twice, to hash it and to use it")
 
 
 def digests(args, hasher=None) -> dict[str, str]:
     """Each distinct input path's digest: as ``hasher``, a ``procs.Child`` on :func:`hasher_argv`,
     sent them where it sent one ``sha256:<hex>`` line per path; else hashed here, raising
-    the first unreadable path's ParseError."""
+    the first unreadable path's InputError."""
     import re  # argparse has loaded it here; the hasher, which imports this module, need not
 
-    paths = list(_given_roles(args))
+    paths = list(given_roles(args))
     try:
         sent = hasher.result() if hasher else b""
     except EOFError:  # it did not start, failed or sent nothing
@@ -97,4 +101,4 @@ def hasher_argv(args) -> list:
     writes no bytecode, each distinct input path as bytes in :func:`digests`' order."""
     parent = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     return [sys.executable, "-I", "-S", *["-B"] * sys.dont_write_bytecode, "-c", _STUB,
-            *map(os.fsencode, [parent, *_given_roles(args)])]
+            *map(os.fsencode, [parent, *given_roles(args)])]

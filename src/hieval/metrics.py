@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import taxonomy as tx
-from .errors import EmptyInput, InvalidIndex, KTooLarge, LengthMismatch
+from .errors import DataError, InputError
 # Rankings come from ``scores.top_k``; perfbench's tracer checks that it
 # wraps this binding too, so the name stays bound here.
 from .scores import top_k  # noqa: F401
@@ -79,25 +79,25 @@ def eval_report(
 
     ``ranking`` holds leaf columns, best first, with at least max(ks) columns
     per row, e.g. ``scores.top_k(combined, max(ks))``; ``gt`` holds one leaf
-    column per row. Call it once per block of rows and add the reports.
+    column per row. Entries are not range-checked: ``top_k`` and
+    ``fileio.load_labels`` give only leaf columns. Call it once per block of
+    rows and add the reports.
     """
     ks = [int(k) for k in ks]
     if not ks:
-        raise EmptyInput("no k values requested")
+        raise InputError("no k values requested")
     ranking, gt = np.asarray(ranking, dtype=np.int64), np.asarray(gt, dtype=np.int64)
     if ranking.ndim != 2 or gt.ndim != 1:
-        raise LengthMismatch(f"need a 2-d ranking and 1-d labels, got {ranking.shape}, {gt.shape}")
+        raise DataError(f"need a 2-d ranking and 1-d labels, got {ranking.shape}, {gt.shape}")
     n = gt.size
     if ranking.shape[0] != n:
-        raise LengthMismatch(f"{ranking.shape[0]} predictions vs {n} labels")
+        raise DataError(f"{ranking.shape[0]} predictions vs {n} labels")
     if n == 0:
-        raise EmptyInput("no samples")
+        raise InputError("no samples")
     for k in ks:
         if not 1 <= k <= ranking.shape[1]:
-            raise KTooLarge(f"k={k} outside [1, {ranking.shape[1]}]")
+            raise DataError(f"k={k} outside [1, {ranking.shape[1]}]")
     ranking = ranking[:, :max(ks)]
-    if min(ranking.min(), gt.min()) < 0 or max(ranking.max(), gt.max()) >= t.n_leaves:
-        raise InvalidIndex(f"ranking and label entries must lie in [0, {t.n_leaves})")
     h = tx.lca_heights(t, ranking, gt[:, None])
     return EvalReport(
         method=method,

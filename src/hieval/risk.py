@@ -26,7 +26,7 @@ import numpy as np
 
 from . import scores
 from . import taxonomy as tx
-from .errors import DimensionMismatch, KindConflict
+from .errors import DataError, InputError
 from .scores import LOGITS, PROBABILITIES, ScoreMatrix
 
 
@@ -105,9 +105,9 @@ def _tree_expected_costs(p: np.ndarray, t: tx.Taxonomy) -> np.ndarray:
 def crm_rerank(probs: ScoreMatrix, t: tx.Taxonomy) -> ScoreMatrix:
     """Each leaf's negated expected LCA-height cost under ``probs``, as logits: higher is better."""
     if probs.kind != PROBABILITIES:
-        raise KindConflict(f"expected probabilities, got kind {probs.kind!r}")
+        raise InputError(f"expected probabilities, got kind {probs.kind!r}")
     if probs.n_classes != t.n_leaves:
-        raise DimensionMismatch(f"{probs.n_classes} classes for {t.n_leaves} leaves")
+        raise DataError(f"{probs.n_classes} classes for {t.n_leaves} leaves")
     risks = _tree_expected_costs(probs.values, t)
     np.negative(risks, out=risks)
     return ScoreMatrix._adopt(risks, LOGITS, probs.class_names, probs.first_row)

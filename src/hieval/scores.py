@@ -6,15 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyInput,
-    KindConflict,
-    KTooLarge,
-    NegativeEntry,
-    NonFiniteValue,
-    RowSumViolation,
-)
+from .errors import DataError, InputError
 
 LOGITS = "logits"
 PROBABILITIES = "probabilities"
@@ -34,12 +26,13 @@ def block_rows(n_cols: int) -> int:
     return max(1, BLOCK_ENTRIES // n_cols)
 
 
-def check_finite(values: np.ndarray, first_row: int) -> None:
-    """Raise NonFiniteValue naming the first NaN or infinity, counting rows from ``first_row``."""
+def check_finite(values: np.ndarray, first_row: int, where: str = "") -> None:
+    """Raise InputError naming the first NaN or infinity, counting rows from ``first_row``;
+    ``where`` (a file's path and ": ") starts the message."""
     finite = np.isfinite(values)
     if not finite.all():
         r, c = np.argwhere(~finite)[0]
-        raise NonFiniteValue(first_row + int(r), int(c))
+        raise InputError(f"{where}non-finite value at row {first_row + int(r)}, column {int(c)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,17 +55,17 @@ class ScoreMatrix:
 
     def __post_init__(self):
         if self.kind not in (LOGITS, PROBABILITIES):
-            raise KindConflict(f"unknown score kind {self.kind!r}")
+            raise InputError(f"unknown score kind {self.kind!r}")
         # C order: row sums (softmax, combining) then run the same way whatever
         # layout the caller built, e.g. the column-permuted copy alignment makes.
         arr = np.array(self.values, dtype=np.float64, order="C", copy=True)
         if arr.ndim != 2:
-            raise DimensionMismatch(f"expected a 2-d array, got shape {arr.shape}")
+            raise DataError(f"expected a 2-d array, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise EmptyInput(f"score matrix has shape {arr.shape}")
+            raise InputError(f"score matrix has shape {arr.shape}")
         names = tuple(self.class_names)
         if len(names) != arr.shape[1]:
-            raise DimensionMismatch(
+            raise DataError(
                 f"{len(names)} class names for {arr.shape[1]} columns"
             )
         check_finite(arr, self.first_row)
@@ -106,7 +99,7 @@ def softmax_rows(m: ScoreMatrix, *, _in_place: bool = False) -> ScoreMatrix:
     ``_in_place`` overwrites ``m``'s buffer instead, for a block no caller can see.
     """
     if m.kind != LOGITS:
-        raise KindConflict(f"softmax_rows expects logits, got {m.kind}")
+        raise InputError(f"softmax_rows expects logits, got {m.kind}")
     v = m.values
     e = v if _in_place else np.empty_like(v)
     e.setflags(write=True)  # an adopted buffer is read-only
@@ -131,7 +124,7 @@ def top_k(m: ScoreMatrix, k: int) -> np.ndarray:
     values = m.values
     n, n_cols = values.shape
     if not 1 <= k <= n_cols:
-        raise KTooLarge(f"k={k} outside [1, {n_cols}]")
+        raise DataError(f"k={k} outside [1, {n_cols}]")
     if k == 1:
         # argmax returns the first index among equal maxima.
         return values.argmax(axis=1)[:, None]
@@ -146,26 +139,27 @@ def top_k(m: ScoreMatrix, k: int) -> np.ndarray:
     return top
 
 
-def validate_probabilities(m: ScoreMatrix, tol: float) -> None:
+def validate_probabilities(m: ScoreMatrix, tol: float, where: str = "") -> None:
     """Check that every row is a probability vector within ``tol``.
 
-    Raises NegativeEntry or RowSumViolation naming the first offending row.
+    Raises InputError naming the first offending row (and column, for a
+    negative entry); ``where`` (a file's path and ": ") starts the message.
     """
     neg = m.values < -tol
     if neg.any():
         r, c = np.argwhere(neg)[0]
-        raise NegativeEntry(m.first_row + int(r), int(c))
+        raise InputError(f"{where}negative entry at row {m.first_row + int(r)}, column {int(c)}")
     sums = m.values.sum(axis=1)
     off = np.abs(sums - 1.0) > tol
     if off.any():
         r = int(np.argmax(off))
-        raise RowSumViolation(m.first_row + r, float(sums[r]))
+        raise InputError(f"{where}row {m.first_row + r} sums to {float(sums[r])!r}, expected 1")
     # With non-negative entries and unit row sums this can only trip when a
     # large entry is balanced by many slightly negative ones under big n.
     high = m.values > 1.0 + tol
     if high.any():
         r = int(np.argwhere(high)[0][0])
-        raise RowSumViolation(m.first_row + r, float(sums[r]))
+        raise InputError(f"{where}row {m.first_row + r} sums to {float(sums[r])!r}, expected 1")
 
 
 def as_probabilities(m: ScoreMatrix, *, _in_place: bool = False) -> ScoreMatrix:

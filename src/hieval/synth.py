@@ -19,7 +19,7 @@ import numpy as np
 
 from . import taxonomy as tx
 from .errors import InputError
-from .scores import LOGITS, ScoreMatrix, block_rows, check_finite
+from .scores import LOGITS, ScoreMatrix, block_rows
 
 MARGIN = 1.0
 RNG_ALGORITHM = "pcg64"
@@ -85,7 +85,8 @@ def gen_instance(cfg: SynthConfig, t: tx.Taxonomy):
     ``scores.block_rows(width)`` rows per ScoreMatrix, columns in the
     taxonomy's canonical order. A block is drawn only when it is read, so
     memory holds one block, not a matrix; all draws share one stream, so read
-    the levels in order, each to its end.
+    the levels in order, each to its end. A huge noise scale can overflow to
+    infinity; ``hieval synth`` refuses such a block, naming its file.
     """
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     labels = rng.integers(0, cfg.n_leaves, size=cfg.n_samples)
@@ -99,7 +100,6 @@ def gen_instance(cfg: SynthConfig, t: tx.Taxonomy):
             # Row blocks of one normal draw are the same bits as the whole draw.
             logits = rng.normal(0.0, cfg.noise[depth - 1], size=(rows, len(names)))
             logits[np.arange(rows), amap[labels[start:start + rows]]] += MARGIN
-            check_finite(logits, start)  # a huge noise scale can overflow
             yield ScoreMatrix._adopt(logits, LOGITS, names, start)
 
     return labels, (level(depth) for depth in range(1, cfg.n_levels + 1))

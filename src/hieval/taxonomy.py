@@ -21,15 +21,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    CycleDetected,
-    DepthOutOfRange,
-    EmptyInput,
-    MultipleRoots,
-    NonLeveledTree,
-    OrderMismatch,
-    ParseError,
-)
+from .errors import DataError, InputError
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,28 +79,28 @@ def build_taxonomy(
     The one place a hierarchy's tree is checked. The root's parent is None.
     Orderings default to lexicographic; explicit overrides must be
     permutations of the actual leaf set and parent-of-leaf set. Raises
-    EmptyInput (an empty or non-string name or parent, or no edge),
-    MultipleRoots, ParseError (a parent that is no node), CycleDetected or
-    OrderMismatch, each naming the offending node(s).
+    InputError on an empty or non-string name or parent, more than one root, a
+    parent that is no node, no edge, a cycle or an order that is no
+    permutation, each naming the offending node(s).
     """
     for name, parent in parents.items():
         if not (isinstance(name, str) and name and (parent is None or isinstance(parent, str) and parent)):
-            raise EmptyInput(f"node {name!r} with parent {parent!r} has an empty or non-string name")
+            raise InputError(f"node {name!r} with parent {parent!r} has an empty or non-string name")
     roots = [name for name, parent in parents.items() if parent is None]
     if len(roots) > 1:
-        raise MultipleRoots("multiple null-parent nodes: " + ", ".join(map(repr, sorted(roots))))
+        raise InputError("multiple null-parent nodes: " + ", ".join(map(repr, sorted(roots))))
     undeclared = sorted({*parents.values()}.difference(parents, [None]))
     if undeclared:
-        raise ParseError(
+        raise InputError(
             "parent names never declared as nodes: " + ", ".join(map(repr, undeclared))
         )
     if len(parents) < 2:
-        raise EmptyInput(f"{len(parents)} node(s); a hierarchy needs a root and a node below it")
+        raise InputError(f"{len(parents)} node(s); a hierarchy needs a root and a node below it")
 
     # Files list nodes in name order, and sorting a sorted run is one pass.
     all_names = sorted(parents)
     if not roots:
-        raise CycleDetected(
+        raise InputError(
             "every node has a parent; cycle through: "
             + ", ".join(map(repr, _find_cycle(parents, all_names[0])))
         )
@@ -132,7 +124,7 @@ def build_taxonomy(
     for node in order[1:]:
         depth[node] = depth[parent[node]] + 1
     if len(order) < n:
-        raise CycleDetected(
+        raise InputError(
             "nodes unreachable from the root (cycle): "
             + ", ".join(repr(all_names[i]) for i in range(n) if depth[i] < 0)
         )
@@ -187,7 +179,7 @@ def _resolve_order(requested, canonical, all_names, ids, label) -> tuple[int, ..
         extra = [x for x in got if not (isinstance(x, str) and x in want_set)]
         missing = sorted(want_set.difference(known))
         repeated = sorted({x for x, y in zip(known, known[1:]) if x == y})
-        raise OrderMismatch(
+        raise InputError(
             f"{label} is not a permutation of the node set"
             + (f"; unexpected: {extra}" if extra else "")
             + (f"; missing: {missing}" if missing else "")
@@ -282,9 +274,8 @@ def level_order(t: Taxonomy, d: int) -> tuple[int, ...]:
     Matches ``leaf_order`` / ``coarse_order`` when the tree is leveled and
     ``d`` addresses those levels, so explicit ordering overrides carry through
     to depth-indexed lookups; other depths order lexicographically by name.
+    ``d`` must lie in ``[0, t.max_depth]``, as every ``--level`` depth is checked to.
     """
-    if not 0 <= d <= t.max_depth:
-        raise DepthOutOfRange(f"depth {d} outside [0, {t.max_depth}]")
     if t.is_leveled():
         leaf_depth = t.depth[t.leaf_order[0]]
         if d == leaf_depth:
@@ -298,14 +289,14 @@ def level_order(t: Taxonomy, d: int) -> tuple[int, ...]:
 def ancestor_index_map(t: Taxonomy, d: int) -> np.ndarray:
     """For each leaf column, the column of its depth-``d`` ancestor in ``level_order``.
 
-    Requires all leaves at equal depth; raises NonLeveledTree otherwise.
+    Requires all leaves at equal depth; raises DataError otherwise.
     Cached per depth, read-only.
     """
 
     def build():
         if not t.is_leveled():
             depths = sorted({t.depth[n] for n in t.leaf_order})
-            raise NonLeveledTree(f"leaves sit at depths {depths}; cascading by depth is undefined")
+            raise DataError(f"leaves sit at depths {depths}; cascading by depth is undefined")
         return _positions(t, level_order(t, d))[ancestor_table(t)[:, d]]
 
     return cached(t, ("ancestor_index_map", d), build)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import strategies as st
 
 from hieval import cli, scores
-from hieval.errors import ZeroDenominator
+from hieval.errors import DataError
 from hieval.fileio import ScoreReader, save_scores
 from hieval.scores import ScoreMatrix
 from hieval.synth import gen_instance, gen_taxonomy
@@ -200,16 +200,20 @@ def add_at_marginals(values: np.ndarray, pmap, n_coarse: int) -> np.ndarray:
     return out
 
 
+NO_MASS = ("once negative entries count as 0, no fine-times-coarse product reaches 1e-300; "
+           "inputs carry no usable probability mass")
+
+
 def copy_product(fine: np.ndarray, factors, limit: float = 1e-300) -> np.ndarray:
-    """Renormalised fine * gathered factors, ZeroDenominator as the package raises
-    it; the log-space redo weighs a negative entry (as FILE_TOL allows) as 0."""
+    """Renormalised fine * gathered factors, DataError "row <r>: NO_MASS" as the package
+    raises it; the log-space redo weighs a negative entry (as FILE_TOL allows) as 0."""
     u = fine.copy()
     for values, col_map in factors:
         u *= values[:, col_map]
     low = u < limit
     dead = low.all(axis=1)
     if dead.any():
-        raise ZeroDenominator(int(np.argmax(dead)))
+        raise DataError(f"row {int(np.argmax(dead))}: {NO_MASS}")
     u /= u.sum(axis=1, keepdims=True)
     redo = low.any(axis=1)
     if redo.any():
@@ -219,7 +223,7 @@ def copy_product(fine: np.ndarray, factors, limit: float = 1e-300) -> np.ndarray
                 logs += np.log(values[redo][:, col_map].clip(min=0.0))
         for row, row_logs in zip(np.flatnonzero(redo), logs):
             if np.isneginf(row_logs).all():
-                raise ZeroDenominator(int(row))
+                raise DataError(f"row {int(row)}: {NO_MASS}")
         peak = logs.max(axis=1, keepdims=True)
         w = np.where(np.isneginf(logs), 0.0, np.exp(logs - peak))
         u[redo] = w / w.sum(axis=1, keepdims=True)

@@ -70,20 +70,40 @@ def test_validate_cycle(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code = run(["validate", "--hierarchy", str(path)])
     assert code == 2
-    assert "CycleDetected" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"InputError: {path}: nodes unreachable from the root (cycle): 'a', 'b'\n")
 
 
-# One fault each, injected into a saved hierarchy document; added names start
-# with "+", which no drawn tree uses.
+def _hang_the_root_on_a_cycle(doc):
+    doc["nodes"] += [{"name": "+a", "parent": "+b"}, {"name": "+b", "parent": "+a"}]
+    next(n for n in doc["nodes"] if n["parent"] is None)["parent"] = "+a"
+
+
+# One fault each, injected into a saved hierarchy document, and its line after "{path}: ";
+# "{root}", "{last}", "{n}" and "{leaf}" are the root's name, the last node's name, the node
+# count and the last name in leaf_order, before the fault. Added names start with "+", which sorts before every drawn name.
 HIERARCHY_FAULTS = {
-    "second-root": ("MultipleRoots", lambda doc: doc["nodes"].append({"name": "+r", "parent": None})),
-    "cycle-beside-root": ("CycleDetected", lambda doc: doc["nodes"].extend(
-        [{"name": "+a", "parent": "+b"}, {"name": "+b", "parent": "+a"}])),
-    "undeclared-parent": ("ParseError", lambda doc: doc["nodes"].append({"name": "+x", "parent": "+y"})),
-    "repeated-name": ("ParseError", lambda doc: doc["nodes"].append(dict(doc["nodes"][-1]))),
-    "order-missing-a-leaf": ("OrderMismatch", lambda doc: doc["leaf_order"].pop()),
-    "lone-root": ("EmptyInput", lambda doc: doc.update(
-        nodes=[n for n in doc["nodes"] if n["parent"] is None], leaf_order=[], coarse_order=[])),
+    "second-root": ("multiple null-parent nodes: '+r', {root!r}",
+                    lambda doc: doc["nodes"].append({"name": "+r", "parent": None})),
+    "cycle-beside-root": ("nodes unreachable from the root (cycle): '+a', '+b'",
+                          lambda doc: doc["nodes"].extend(
+                              [{"name": "+a", "parent": "+b"}, {"name": "+b", "parent": "+a"}])),
+    "cycle-through-root": ("every node has a parent; cycle through: '+a', '+b'",
+                           _hang_the_root_on_a_cycle),
+    "undeclared-parent": ("parent names never declared as nodes: '+y'",
+                          lambda doc: doc["nodes"].append({"name": "+x", "parent": "+y"})),
+    "repeated-name": ("duplicate node name {last!r}",
+                      lambda doc: doc["nodes"].append(dict(doc["nodes"][-1]))),
+    "order-missing-a-leaf": ("leaf_order is not a permutation of the node set; missing: [{leaf!r}]",
+                             lambda doc: doc["leaf_order"].pop()),
+    "lone-root": ("1 node(s); a hierarchy needs a root and a node below it",
+                  lambda doc: doc.update(nodes=[n for n in doc["nodes"] if n["parent"] is None],
+                                         leaf_order=[], coarse_order=[])),
+    "no-nodes-list": ("expected an object with a 'nodes' list", lambda doc: doc.update(nodes={})),
+    "node-without-parent": ("nodes[{n}] must have 'name' and 'parent'",
+                            lambda doc: doc["nodes"].append({"name": "+x"})),
+    "invalid-parent": ("nodes[{n}] has an invalid parent 7",
+                       lambda doc: doc["nodes"].append({"name": "+x", "parent": 7})),
 }
 
 
@@ -91,7 +111,7 @@ HIERARCHY_FAULTS = {
 @settings(max_examples=15, deadline=None)
 @given(taxonomies())
 def test_validate_names_the_file_of_each_fault_in_one_line(fault, t):
-    error, inject = HIERARCHY_FAULTS[fault]
+    line, inject = HIERARCHY_FAULTS[fault]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "h.json")
         save_hierarchy(t, path)
@@ -100,14 +120,15 @@ def test_validate_names_the_file_of_each_fault_in_one_line(fault, t):
             t.names, t.parent, t.leaf_order, t.coarse_order)
         with open(path) as f:
             doc = json.load(f)
+        known = {"root": t.names[t.root], "last": doc["nodes"][-1]["name"],
+                 "n": len(doc["nodes"]), "leaf": doc["leaf_order"][-1]}
         inject(doc)
         with open(path, "w") as f:
             json.dump(doc, f)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             assert run(["validate", "--hierarchy", path]) == 2
-    assert err.getvalue().startswith(f"{error}: {path}: ")
-    assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    assert err.getvalue() == f"InputError: {path}: {line.format(**known)}\n"
 
 
 def test_a_node_name_that_no_utf8_file_holds_is_refused_in_one_line(workspace, capsys):
@@ -121,7 +142,7 @@ def test_a_node_name_that_no_utf8_file_holds_is_refused_in_one_line(workspace, c
     hierarchy.write_text(json.dumps({"nodes": nodes, "leaf_order": leaves}))
     save_matrix(ScoreMatrix(np.full((1, 4), 0.25), PROBABILITIES, leaves), str(fine))
     i = [*parents].index(bad)
-    message = f"ParseError: {hierarchy}: nodes[{i}] has an invalid name {bad!r}\n"
+    message = f"InputError: {hierarchy}: nodes[{i}] has an invalid name {bad!r}\n"
     assert run(["validate", "--hierarchy", str(hierarchy)]) == 2
     assert capsys.readouterr().err == message
     out.mkdir()
@@ -303,7 +324,7 @@ def test_eval_k_too_large(workspace, capsys, method):
     code = run(["eval", "--hierarchy", hierarchy, "--fine", fine,
                 "--labels", labels, "--method", method, "--k", "2000"])
     assert code == 3
-    assert "KTooLarge" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"DataError: --k 2000 is above the 4 leaves of {hierarchy}\n"
 
 
 def test_eval_refuses_a_k_above_the_leaf_count_before_any_row(workspace, capsys):
@@ -312,7 +333,7 @@ def test_eval_refuses_a_k_above_the_leaf_count_before_any_row(workspace, capsys)
     hierarchy, fine, labels = paths(workspace, "hierarchy.json", "fine.csv", "labels.txt")
     code = run(["eval", "--hierarchy", hierarchy, "--fine", fine, "--labels", labels])
     assert code == 3
-    assert capsys.readouterr().err == f"KTooLarge: --k 20 is above the 4 leaves of {hierarchy}\n"
+    assert capsys.readouterr().err == f"DataError: --k 20 is above the 4 leaves of {hierarchy}\n"
 
 
 def test_eval_length_mismatch(workspace, capsys):
@@ -322,7 +343,7 @@ def test_eval_length_mismatch(workspace, capsys):
     code = run(["eval", "--hierarchy", hierarchy, "--fine", str(two_rows),
                 "--labels", labels, "--k", "1"])
     assert code == 3
-    assert "LengthMismatch: 2 predictions vs 1 labels\n" in capsys.readouterr().err
+    assert "DataError: 2 predictions vs 1 labels\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("content, message", [
@@ -335,7 +356,7 @@ def test_eval_rejects_unreadable_labels(workspace, capsys, content, message):
     code = run(["eval", "--hierarchy", hierarchy, "--fine", fine, "--labels", labels, "--k", "1"])
     assert code == 2
     err = capsys.readouterr().err
-    assert f"ParseError: {labels}: {message}" in err
+    assert f"InputError: {labels}: {message}" in err
 
 
 @pytest.mark.parametrize("target", ["missing/report.json", "a_directory"])
@@ -384,6 +405,47 @@ def test_an_output_path_that_is_a_fifo_is_refused_in_one_line_and_stays_one(work
     assert stat.S_ISFIFO(os.stat(target).st_mode) and target.is_symlink() == (target != fifo)
 
 
+# (argv, the output as the line gives it, the input as the line gives it); "{ws}" is the
+# workspace, which is also the working directory. eval and compare read the labels too.
+@pytest.mark.parametrize("argv, output, given", [
+    (["eval", "--fine", "{ws}/fine.csv", "--out", "{ws}/labels.txt"],
+     "--out {ws}/labels.txt", "--labels {ws}/labels.txt"),
+    (["eval", "--fine", "{ws}/fine.csv", "--out", "./hierarchy.json"],
+     "--out ./hierarchy.json", "--hierarchy {ws}/hierarchy.json"),
+    (["eval", "--preds", "{ws}/preds.txt", "--out", "preds.txt"],
+     "--out preds.txt", "--preds {ws}/preds.txt"),
+    (["compare", "--fine", "{ws}/fine.csv", "--level", "1={ws}/coarse.csv", "--methods", "cascade",
+      "--out", "{ws}/coarse.csv"], "--out {ws}/coarse.csv", "--level 1={ws}/coarse.csv"),
+    (["compare", "--fine", "{ws}/f.hies", "--methods", "argmax", "--out", "{ws}/f.hies.names.json"],
+     "--out {ws}/f.hies.names.json", "--fine {ws}/f.hies's class-name sidecar"),
+    (["infer", "--fine", "{ws}/f.hies", "--out", "{ws}/f.hies"],
+     "--out {ws}/f.hies", "--fine {ws}/f.hies"),
+    (["infer", "--fine", "{ws}/fine.csv", "--coarse", "{ws}/c.hies.names.json", "--method", "hie",
+      "--out", "{ws}/c.hies"],
+     "--out {ws}/c.hies's class-name sidecar", "--coarse {ws}/c.hies.names.json"),
+    (["infer", "--fine", "{ws}/fine.csv", "--coarse", "{ws}/coarse.csv", "--method", "hie",
+      "--out", "{ws}/s.csv", "--preds-out", "{ws}/coarse.csv"],
+     "--preds-out {ws}/coarse.csv", "--coarse {ws}/coarse.csv"),
+], ids=["eval-labels", "eval-hierarchy-relative", "eval-preds", "compare-level",
+        "compare-input-sidecar", "infer-fine", "infer-output-sidecar", "infer-preds-out"])
+def test_an_output_that_names_an_input_is_refused_before_any_row(workspace, capsys, monkeypatch,
+                                                                  argv, output, given):
+    # Writing would replace the input: refused in one line, whatever the spelling of its path.
+    save_matrix(ScoreMatrix([[0.4, 0.1, 0.35, 0.15]], PROBABILITIES, SEVEN_NODE_LEAVES),
+                workspace / "f.hies")
+    (workspace / "c.hies.names.json").write_bytes((workspace / "coarse.csv").read_bytes())
+    (workspace / "preds.txt").write_text("bus\n")
+    monkeypatch.chdir(workspace)
+    argv = [argv[0], "--hierarchy", "{ws}/hierarchy.json", *argv[1:]]
+    if argv[0] != "infer":
+        argv += ["--labels", "{ws}/labels.txt", "--k", "1"]
+    before = {p.name: p.read_bytes() for p in workspace.iterdir()}
+    assert run([arg.format(ws=workspace) for arg in argv]) == 2
+    assert capsys.readouterr() == (
+        "", f"InputError: {output} would overwrite the input {given}\n".format(ws=workspace))
+    assert {p.name: p.read_bytes() for p in workspace.iterdir()} == before
+
+
 @pytest.mark.parametrize("levels, message", [
     (["1=coarse.csv", "1=coarse.csv"], "--level depth 1 given twice"),
     (["2=fine.csv"], "--level depth 2 is the leaf depth"),
@@ -417,7 +479,7 @@ def test_eval_predictions_file_allows_only_k1(workspace, capsys):
                 "--labels", labels, "--k", "1,2"])
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("KTooLarge: k=2")
+    assert err.startswith("DataError: k=2")
     assert f"predictions file {preds} ranks one class per row" in err
     assert "only k=1 applies" in err
 
@@ -448,14 +510,14 @@ def test_text_inputs_with_a_byte_order_mark_at_byte_0_give_their_twins_results(w
 # naming the file and the level the flag expected.
 @pytest.mark.parametrize("flags, header, message", [
     (["--fine", "{bad}"], "flower,vehicle",
-     "UnknownClass: {bad}: column 'flower' is not a class at this level "
+     "InputError: {bad}: column 'flower' is not a class at this level "
      "(--fine takes the leaf classes)"),
     (["--fine", "{bad}"], "rose,tulip,bus,bus",
-     "DuplicateClass: {bad}: duplicate column 'bus' (--fine takes the leaf classes)"),
+     "InputError: {bad}: duplicate column 'bus' (--fine takes the leaf classes)"),
     (["--fine", "{fine}", "--coarse", "{bad}"], "flower",
-     "MissingClass: {bad}: class 'vehicle' has no column (--coarse takes the coarse classes)"),
+     "InputError: {bad}: class 'vehicle' has no column (--coarse takes the coarse classes)"),
     (["--fine", "{fine}", "--level", "1={bad}"], "rose,tulip,bus,car",
-     "UnknownClass: {bad}: column 'rose' is not a class at this level "
+     "InputError: {bad}: column 'rose' is not a class at this level "
      "(--level 1 takes the depth-1 classes)"),
 ], ids=["fine-unknown", "fine-duplicate", "coarse-missing", "level-unknown"])
 def test_a_column_fault_names_the_file_and_the_expected_level(workspace, capsys, flags, header,
@@ -472,13 +534,13 @@ def test_a_column_fault_names_the_file_and_the_expected_level(workspace, capsys,
 # Row faults in the coarse file; the binary case is caught by the check of
 # each block read rather than by the text parser.
 @pytest.mark.parametrize("row, suffix, message", [
-    ("0.2,nan", ".csv", "NonFiniteValue: {path}: non-finite value at row 0, column 1"),
-    ("0.2,nan", ".hies", "NonFiniteValue: {path}: non-finite value at row 0, column 1"),
-    ("1.2,-0.2", ".csv", "NegativeEntry: {path}: negative entry at row 0, column 1"),
-    ("0.3,0.8", ".csv", "RowSumViolation: {path}: row 0 sums to 1.1"),
+    ("0.2,nan", ".csv", "InputError: {path}: non-finite value at row 0, column 1"),
+    ("0.2,nan", ".hies", "InputError: {path}: non-finite value at row 0, column 1"),
+    ("1.2,-0.2", ".csv", "InputError: {path}: negative entry at row 0, column 1"),
+    ("0.3,0.8", ".csv", "InputError: {path}: row 0 sums to 1.1"),
     # float() also takes PEP 515 separators ("0.2_5" is 0.25) and other scripts' digits.
-    ("0.2_5,0.75", ".csv", "ParseError: {path}:3: not a number: '0.2_5'"),
-    ("٠.٢,0.8", ".csv", "ParseError: {path}:3: not a number: '٠.٢'"),
+    ("0.2_5,0.75", ".csv", "InputError: {path}:3: not a number: '0.2_5'"),
+    ("٠.٢,0.8", ".csv", "InputError: {path}:3: not a number: '٠.٢'"),
 ], ids=["non-finite-text", "non-finite-binary", "negative", "row-sum", "separator", "non-ascii"])
 def test_a_coarse_row_fault_names_the_coarse_file(workspace, capsys, row, suffix, message):
     path = workspace / f"bad_coarse{suffix}"
@@ -508,7 +570,7 @@ def test_a_sidecar_class_name_that_is_no_string_exits_2(workspace, capsys, name)
                 "--labels", labels, "--method", "hie", "--k", "1"])
     assert code == 2
     assert capsys.readouterr().err == (
-        f"ParseError: {sidecar}: invalid names sidecar: class name {name!r}\n")
+        f"InputError: {sidecar}: invalid names sidecar: class name {name!r}\n")
 
 
 # ----------------------------------------------------------------- compare
@@ -537,7 +599,7 @@ def test_compare_duplicate_method(workspace, capsys):
     code = run(["compare", "--hierarchy", hierarchy, "--fine", fine, "--labels", labels,
                 "--methods", "argmax,argmax"])
     assert code == 2
-    assert "DuplicateMethod" in capsys.readouterr().err
+    assert capsys.readouterr().err == "InputError: method 'argmax' listed twice\n"
 
 
 @pytest.mark.parametrize("command", [["eval", "--method", "hie"], ["compare", "--methods", "hie"]])
@@ -702,8 +764,8 @@ def test_cascade_requires_level_files(tmp_path, workspace, capsys):
 # method's own files in method order, then the coarse row count, then each level's.
 REQUIRES = {m: f"InputError: method {m} requires {flag}" for m, flag in [
     ("argmax", "--fine"), ("hie", "--coarse"), ("cascade", "at least one --level depth=path")]}
-SHORT_COARSE = "DimensionMismatch: {ws}/coarse40.csv: --coarse has 40 samples, --fine has 50"
-SHORT_LEVEL = "DimensionMismatch: {ws}/coarse40.csv: --level 1 has 40 samples, --fine has 50"
+SHORT_COARSE = "DataError: {ws}/coarse40.csv: --coarse has 40 samples, --fine has 50"
+SHORT_LEVEL = "DataError: {ws}/coarse40.csv: --level 1 has 40 samples, --fine has 50"
 
 
 @pytest.mark.parametrize("methods, files, line, code", [
@@ -749,11 +811,11 @@ def test_a_hies_file_with_no_rows_or_no_columns_is_named(workspace, capsys, comm
             "--method", "hie"]
     argv += ["--out", str(workspace / "s.hies")] if command == "infer" else ["--labels", labels]
     assert run(argv) == 2
-    assert capsys.readouterr() == ("", f"EmptyInput: {coarse}: score matrix has shape {shape}\n")
+    assert capsys.readouterr() == ("", f"InputError: {coarse}: score matrix has shape {shape}\n")
 
 
-def _hies(kind_byte: int, rows: int, cols: int) -> bytes:
-    return struct.pack("<4sBBII", b"HIES", 1, kind_byte, rows, cols) + bytes(8 * rows * cols)
+def _hies(kind_byte: int, rows: int, cols: int, version: int = 1) -> bytes:
+    return struct.pack("<4sBBII", b"HIES", version, kind_byte, rows, cols) + bytes(8 * rows * cols)
 
 
 LEAF_NAMES = json.dumps({"class_names": SEVEN_NODE_LEAVES})
@@ -767,23 +829,30 @@ ROW = "0.4,0.1,0.35,0.15\n"
 # (files written into the workspace, argv, the one stderr line); "{ws}" is the workspace.
 @pytest.mark.parametrize("files, argv, line", [
     ({"f.hies": b"HIES\x01"}, [*INFER, "{ws}/f.hies"],
-     "ParseError: {ws}/f.hies: truncated binary header"),
+     "InputError: {ws}/f.hies: truncated binary header"),
+    ({"f.hies": _hies(1, 1, 4, version=2), "f.hies.names.json": LEAF_NAMES},
+     [*INFER, "{ws}/f.hies"], "InputError: {ws}/f.hies: unsupported format version 2"),
+    ({"f.hies": _hies(1, 1, 4)}, [*INFER, "{ws}/f.hies"],
+     "InputError: {ws}/f.hies: class-name sidecar {ws}/f.hies.names.json not found"),
     ({"f.hies": _hies(7, 1, 4), "f.hies.names.json": LEAF_NAMES}, [*INFER, "{ws}/f.hies"],
-     "ParseError: {ws}/f.hies: unknown kind byte 7"),
+     "InputError: {ws}/f.hies: unknown kind byte 7"),
     ({"f.hies": _hies(0, 1, 4), "f.hies.names.json": LEAF_NAMES},
      [*INFER, "{ws}/f.hies", "--kind", "probs"],
-     "KindConflict: {ws}/f.hies: file says logits, caller declared probabilities"),
+     "InputError: {ws}/f.hies: file says logits, caller declared probabilities"),
     ({"f.hies": _hies(1, 1, 6), "f.hies.names.json": json.dumps({"class_names": ["c0"]})},
-     [*INFER, "{ws}/f.hies"], "ColumnMismatch: {ws}/f.hies.names.json: 1 class names for 6 columns"),
+     [*INFER, "{ws}/f.hies"], "InputError: {ws}/f.hies.names.json: 1 class names for 6 columns"),
     ({"f.hies": _hies(1, 1, 4), "f.hies.names.json": json.dumps(SEVEN_NODE_LEAVES)},
-     [*INFER, "{ws}/f.hies"], "ParseError: {ws}/f.hies.names.json: invalid names sidecar: "
+     [*INFER, "{ws}/f.hies"], "InputError: {ws}/f.hies.names.json: invalid names sidecar: "
                               "list indices must be integers or slices, not str"),
     ({"f.hies": _hies(1, 0, 6), "f.hies.names.json": SIX_NAMES}, [*INFER, "{ws}/f.hies"],
-     "EmptyInput: {ws}/f.hies: score matrix has shape (0, 6)"),
+     "InputError: {ws}/f.hies: score matrix has shape (0, 6)"),
     ({"f.csv": "# kind: weird\nrose,tulip,bus,car\n" + ROW}, [*INFER, "{ws}/f.csv"],
-     "ParseError: {ws}/f.csv:1: unknown kind 'weird'"),
+     "InputError: {ws}/f.csv:1: unknown kind 'weird'"),
+    ({"f.csv": "# kind: logits\nrose,tulip,bus,car\n" + ROW},
+     [*INFER, "{ws}/f.csv", "--kind", "probs"],
+     "InputError: {ws}/f.csv: file says logits, caller declared probabilities"),
     ({"f.csv": "rose,,bus,car\n" + ROW}, [*INFER, "{ws}/f.csv"],
-     "ParseError: {ws}/f.csv:1: empty class name in header"),
+     "InputError: {ws}/f.csv:1: empty class name in header"),
     ({}, [*COMPARE, "--methods", "argmax", "--k", "0"],
      "InputError: --k values must be positive integers, got '0'"),
     ({}, [*COMPARE, "--methods", ",", "--k", "1"], "InputError: --methods must list at least one method"),
@@ -791,9 +860,9 @@ ROW = "0.4,0.1,0.35,0.15\n"
      "InputError: --level expects depth=path, got '1'"),
     ({}, ["synth", "--branching", "0,2", "--noise", "1,1", "--n-samples", "4", "--out-dir",
           "{ws}/inst"], "InputError: branching factors must be positive: (0, 2)"),
-], ids=["truncated-header", "kind-byte", "kind-conflict", "sidecar-count", "sidecar-list",
-        "no-rows", "text-kind", "text-empty-name", "k-zero", "no-methods", "level-no-path",
-        "branching-zero"])
+], ids=["truncated-header", "version", "no-sidecar", "kind-byte", "kind-conflict",
+        "sidecar-count", "sidecar-list", "no-rows", "text-kind", "text-kind-conflict",
+        "text-empty-name", "k-zero", "no-methods", "level-no-path", "branching-zero"])
 def test_an_input_fault_exits_2_in_one_line_and_writes_nothing(workspace, capsys, files, argv,
                                                                line):
     for name, content in files.items():
@@ -816,7 +885,7 @@ def test_a_short_level_file_is_named_by_its_path_and_depth(tmp_path, capsys, ord
             "--kind", "logits", "--method", "cascade", "--out", str(tmp_path / "s.hies")]
     capsys.readouterr()
     assert run(argv + [arg for d in order for arg in ("--level", level[d])]) == 3
-    assert capsys.readouterr().err == (f"DimensionMismatch: {short}/level_d2.hies: --level 2 has "
+    assert capsys.readouterr().err == (f"DataError: {short}/level_d2.hies: --level 2 has "
                                        "40 samples, --fine has 50\n")
     assert not (tmp_path / "s.hies").exists()
 
@@ -866,7 +935,7 @@ def test_cascading_an_unleveled_tree_exits_3_before_any_row(unleveled, capsys, c
                 "--level", f"1={unleveled / 'level1.csv'}"]) == 3
     std = capsys.readouterr()
     assert (std.out, std.err) == (
-        "", "NonLeveledTree: leaves sit at depths [1, 2]; cascading by depth is undefined\n")
+        "", "DataError: leaves sit at depths [1, 2]; cascading by depth is undefined\n")
     assert not (unleveled / "out.hies").exists()
 
 
@@ -1100,7 +1169,7 @@ def test_profiler_output_is_written_before_the_exit(workspace):
                            "validate", "--hierarchy", "absent.json"],
                           cwd=workspace, env=_child_env(), capture_output=True, text=True)
     assert done.returncode == 2
-    assert done.stderr.startswith("ParseError: cannot read absent.json")
+    assert done.stderr.startswith("InputError: cannot read absent.json")
     assert pstats.Stats(str(profile)).total_calls > 0
 
 

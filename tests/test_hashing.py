@@ -189,9 +189,9 @@ def test_any_input_name_reaches_the_hasher_unchanged(inputs, tmp_path, monkeypat
 
 @pytest.mark.parametrize("poison, first", [
     ({"fine_row": "0.4,nan,0.35,0.15"},
-     "NonFiniteValue: {d}/fine.csv: non-finite value at row 59, column 1"),
-    ({"label": "nope"}, "UnknownLeaf: {d}/labels.txt:60: 'nope' is not a leaf class"),
-    (None, "ParseError: cannot read {d}/fine.csv: [Errno 2] No such file or directory: "),
+     "InputError: {d}/fine.csv: non-finite value at row 59, column 1"),
+    ({"label": "nope"}, "InputError: {d}/labels.txt:60: 'nope' is not a leaf class"),
+    (None, "InputError: cannot read {d}/fine.csv: [Errno 2] No such file or directory: "),
 ], ids=["nan-row", "unknown-label", "unreadable-fine"])
 def test_a_fault_before_the_echo_is_the_same_with_a_hasher(inputs, tmp_path, monkeypatch, capsys,
                                                           poison, first):
@@ -335,7 +335,7 @@ def test_an_unreadable_input_prints_only_the_callers_fault(inputs, tmp_path, mon
     assert forks == ["spawn"]
     fine = tmp_path / "fine.csv"
     assert capfd.readouterr().err == (
-        f"ParseError: cannot read {fine}: [Errno 2] No such file or directory: '{fine}'\n")
+        f"InputError: cannot read {fine}: [Errno 2] No such file or directory: '{fine}'\n")
 
 
 @pytest.mark.parametrize("fault", [False, True], ids=["no-fault", "nan-row"])

@@ -11,7 +11,8 @@ exactly what the reference does, starting the processes its block count
 calls for, and the reference must be what whole matrices give: the combine
 kernels as first written (``conftest``), ``crm_rerank``, stable argsorts and
 LCA heights from parent walks. ``eval --preds`` on each method's ``infer``
-predictions must give ``compare``'s top-1 counts. The same draws, up to 70
+predictions must give ``compare``'s top-1 counts, and both must write the
+same at the drawn configuration with the most blocks. The same draws, up to 70
 rows, with faults in up to three files must give the one line of the first
 faulty row (within it, files fine, coarse, levels, then each product in
 method order), and no output file.
@@ -36,11 +37,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (add_at_marginals, copy_product, count_forks, dense_lca_heights, read_scores,
-                      save_matrix, taxonomies, use_block_rows)
+from conftest import (NO_MASS, add_at_marginals, copy_product, count_forks, dense_lca_heights,
+                      read_scores, save_matrix, taxonomies, use_block_rows)
 from hieval.cli import run
 from hieval.commands import METHODS, summary_header, summary_row
-from hieval.errors import ZeroDenominator
+from hieval.errors import DataError
 from hieval.fileio import (column_order, save_hierarchy, write_labels, write_report,
                            write_report_list)
 from hieval.metrics import EvalReport
@@ -255,7 +256,7 @@ def probabilities(case: Case, s: Score, level) -> ScoreMatrix:
 
 
 def ranked_whole(case: Case) -> dict:
-    """Each method's ranked scores from whole matrices; ZeroDenominator where a row has no mass."""
+    """Each method's ranked scores from whole matrices; DataError where a row has no mass."""
     t = case.t
     fine = probabilities(case, case.fine, "leaf")
     pmap = parent_index_map(t)
@@ -281,9 +282,10 @@ def with_mass_in_every_row(case: Case) -> dict:
     while True:
         try:
             return ranked_whole(case)
-        except ZeroDenominator as e:
+        except DataError as e:  # "row <r>: ..."
+            row = int(str(e).partition(":")[0].removeprefix("row "))
             for s in case.scores[1:]:
-                s.values[e.row] = uniform(s.kind, s.values.shape[1])
+                s.values[row] = uniform(s.kind, s.values.shape[1])
                 rewrite(s)
 
 
@@ -398,6 +400,13 @@ def test_every_configuration_writes_what_whole_matrices_give(case, configs):
                    "--out", str(every / f"{m}.json")] for m in case.methods]
         (got, files), _ = outcomes(argvs, every, case.n, 1, n_cols)
         assert [code for code, _, _ in got] == [0] * len(argvs)
+        # Again at the drawn configuration with the most blocks, so that cascade and crm
+        # infer to '.hies' fork workers too where the rows allow it.
+        block, workers = min(configs)
+        again, started = outcomes(argvs, every, block, workers, n_cols)
+        assert again == (got, files), (block, workers)
+        n = len(case.methods)
+        assert started == [processes(case, "infer", block, workers)] * n + [["spawn"]] * n
         table = {r["method"]: r for r in json.loads(reference[1]["table.json"])["reports"]}
         for m in case.methods:
             assert files_whole(case, ranked[m], lib / f"{m}{case.out_suffix}") == {
@@ -414,8 +423,6 @@ def test_every_configuration_writes_what_whole_matrices_give(case, configs):
 ROW_FAULTS = {"non-finite": "any", "token": ".csv", "fields": ".csv", "utf-8": ".csv",
               "negative": PROBABILITIES, "sum": PROBABILITIES, "above": PROBABILITIES}
 TOKENS = ["x", "", "1_0", "0x1", "1e"]
-NO_MASS = ("once negative entries count as 0, no fine-times-coarse product reaches 1e-300; "
-           "inputs carry no usable probability mass")
 
 
 def hosts(draw, case: Case, fault: str) -> list:
@@ -464,19 +471,19 @@ def row_fault(draw, s: Score, values: np.ndarray, r: int, kind: str) -> str:
         line = line[:at] + b"\xff" + line[at:]
     s.lines[r] = line
     if kind == "non-finite":
-        return f"NonFiniteValue: {s.path}: non-finite value at row {r}, column {c}"
+        return f"InputError: {s.path}: non-finite value at row {r}, column {c}"
     if kind == "token":
-        return f"ParseError: {where}: not a number: {tokens[c].strip()!r}"
+        return f"InputError: {where}: not a number: {tokens[c].strip()!r}"
     if kind == "fields":
-        return f"ColumnMismatch: {where}: {len(tokens)} fields, header has {m}"
+        return f"InputError: {where}: {len(tokens)} fields, header has {m}"
     if kind == "utf-8":
         try:
             line.decode("utf-8")
         except UnicodeDecodeError as e:
-            return f"ParseError: {where}: not valid UTF-8: {e}"
+            return f"InputError: {where}: not valid UTF-8: {e}"
     if kind == "negative":
-        return f"NegativeEntry: {s.path}: negative entry at row {r}, column {c}"
-    return f"RowSumViolation: {s.path}: row {r} sums to {float(row[None].sum(axis=1)[0])!r}, expected 1"
+        return f"InputError: {s.path}: negative entry at row {r}, column {c}"
+    return f"InputError: {s.path}: row {r} sums to {float(row[None].sum(axis=1)[0])!r}, expected 1"
 
 
 def inject(draw, case: Case, fault: str, faulty: list) -> dict:
@@ -509,14 +516,14 @@ def inject(draw, case: Case, fault: str, faulty: list) -> dict:
         for r in bad:
             names[r] = draw(st.sampled_from([*(set(t.names) - set(t.leaf_names())), "nope"]))
         path.write_text("".join(f"{name}\n" for name in names))
-        line = f"UnknownLeaf: {path}:{bad[0] + 1}: {names[bad[0]]!r} is not a leaf class"
+        line = f"InputError: {path}:{bad[0] + 1}: {names[bad[0]]!r} is not a leaf class"
         return dict.fromkeys(["eval", "compare"], (2, line))
     if fault == "short":
         [s] = faulty
         size = 14 + 8 * s.values.size
         cut = draw(st.integers(1, 8 * s.values.size))
         os.truncate(s.path, size - cut)
-        line = f"ParseError: {s.path}: payload is {size - cut} bytes, expected {size}"
+        line = f"InputError: {s.path}: payload is {size - cut} bytes, expected {size}"
         return dict.fromkeys(["infer", "eval", "compare"], (2, line))
     # No mass: in row r, the fine file is one-hot at leaf a, the upper file s drawn for r gives
     # a's ancestor nothing, and every other upper file is uniform.
@@ -550,7 +557,7 @@ def inject(draw, case: Case, fault: str, faulty: list) -> dict:
             source = next((METHODS[m][0] for m in methods if m in dying[s]), None)
             if source:
                 paths = ", ".join(f.path for f in [case.fine, *sources[source]])
-                return 3, f"ZeroDenominator: {paths}: row {r}: {NO_MASS}"
+                return 3, f"DataError: {paths}: row {r}: {NO_MASS}"
 
     return {"infer": no_mass([case.infer_method]), "eval": no_mass([case.eval_method]),
             "compare": no_mass(case.methods)}

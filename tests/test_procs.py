@@ -18,7 +18,7 @@ import pytest
 
 import hieval
 from conftest import fail_call
-from hieval.errors import NonFiniteValue, ParseError
+from hieval.errors import InputError
 from hieval.procs import Child
 
 
@@ -62,7 +62,8 @@ def raising(error: Exception):
     return fail
 
 
-@pytest.mark.parametrize("fn", [raising(NonFiniteValue(7, 0)), raising(ParseError("cannot read x")),
+@pytest.mark.parametrize("fn", [raising(UnicodeDecodeError("utf-8", b"\xff", 0, 1, "bad byte")),
+                                raising(InputError("cannot read x")),
                                 lambda: pickle.dumps([1, lambda: 2])],
                          ids=["raises-non-message-init", "raises-message-init", "unpicklable-value"])
 def test_a_child_without_a_value_to_send_sends_nothing(fn):

@@ -27,7 +27,7 @@ from conftest import (SEVEN_NODE_PARENTS, SEVEN_NODE_LEAVES, count_forks, entry_
 from hieval import commands, procs
 from hieval.cli import run
 from hieval.commands import METHODS, _in_workers
-from hieval.errors import NonFiniteValue
+from hieval.errors import InputError
 from hieval.fileio import ScoreReader, load_hierarchy
 from hieval.scores import LOGITS, PROBABILITIES, ScoreMatrix
 
@@ -258,9 +258,9 @@ def test_a_fault_in_a_worker_prints_one_line_through_the_entry_point(tmp_path, c
     base = ["--hierarchy", str(hierarchy), "--fine", str(fine), "--coarse",
             str(coarse), "--kind", "logits", "--labels", str(tmp_path / "labels.txt")]
     cases = [(["eval", "--method", "hie", "--k", "1"], 3,
-              f"ZeroDenominator: {fine}, {coarse}: row 400"),
+              f"DataError: {fine}, {coarse}: row 400"),
              (["compare", "--methods", "argmax,crm", "--k", "1,5"], 2,
-              f"NonFiniteValue: {fine}: non-finite value at row 500, column 7")]
+              f"InputError: {fine}: non-finite value at row 500, column 7")]
     for argv, code, first in cases:
         assert run([*argv, *base]) == code
         serial = capsys.readouterr()
@@ -281,7 +281,7 @@ def test_an_infer_fault_in_a_worker_leaves_no_output_through_the_entry_point(tmp
     capsys.readouterr()
     assert run(argv) == 3
     serial = capsys.readouterr()
-    assert serial.err.startswith(f"ZeroDenominator: {fine}, {coarse}: row 400: ")
+    assert serial.err.startswith(f"DataError: {fine}, {coarse}: row 400: ")
     assert serial.err.count("\n") == 1
     done = subprocess.run([sys.executable, "-m", "hieval", *argv], env=entry_point_env(),
                           capture_output=True, text=True)
@@ -381,20 +381,18 @@ def test_a_range_that_fails_in_a_worker_runs_again_here_and_its_error_is_raised_
         else:
             os.write(mark, bytes([start]))
         if start == 2:
-            e = NonFiniteValue(start, 1)
-            e.args = (f"some.hies: {e}",)
-            raise e
+            raise InputError(f"some.hies: non-finite value at row {start}, column 1")
         return start
 
     try:
-        with pytest.raises(NonFiniteValue) as exc:
+        with pytest.raises(InputError) as exc:
             _in_workers(held_until_taken(work, 2), one_row_blocks(monkeypatch, N_BLOCKS), 3)
         os.set_blocking(theirs, False)
         assert 2 in os.read(theirs, N_BLOCKS)
     finally:
         os.close(theirs)
         os.close(mark)
-    assert (str(exc.value), exc.value.row) == ("some.hies: non-finite value at row 2, column 1", 2)
+    assert str(exc.value) == "some.hies: non-finite value at row 2, column 1"
     # This process runs ranges above 2 while it can take them, then range 2 again.
     assert ran[0] == 0 and ran[-1] == 2
     assert ran[1:-1] == sorted(ran[1:-1]) and all(i > 2 for i in ran[1:-1])
@@ -577,7 +575,7 @@ def test_a_text_file_cut_short_after_it_was_checked_is_one_fault(probability_inp
     monkeypatch.setattr(ScoreReader, "read", cut_short)
     assert run(["infer", *base[:2], "--fine", str(fine), "--out", str(tmp_path / "s.hies")]) == 2
     fields = 2 if cut else 1  # "0.4," is 2 fields, and "" one
-    assert capsys.readouterr().err == f"ColumnMismatch: {fine}:903: {fields} fields, header has 4\n"
+    assert capsys.readouterr().err == f"InputError: {fine}:903: {fields} fields, header has 4\n"
     assert not (tmp_path / "s.hies").exists()
 
 
@@ -598,7 +596,7 @@ def test_a_hies_file_cut_short_after_it_was_checked_is_one_fault(probability_inp
 
     monkeypatch.setattr(ScoreReader, "read", cut_short)
     assert run(["infer", *base[:2], "--fine", str(fine), "--out", str(tmp_path / "s.hies")]) == 2
-    assert capsys.readouterr() == ("", f"ParseError: {fine}: payload ended before row 900\n")
+    assert capsys.readouterr() == ("", f"InputError: {fine}: payload ended before row 900\n")
     assert not (tmp_path / "s.hies").exists()
 
 
@@ -621,7 +619,7 @@ def test_a_text_row_that_stops_being_utf8_after_it_was_checked_exits_2(probabili
 
     monkeypatch.setattr(ScoreReader, "read", spoiled)
     assert run(["infer", *base[:2], "--fine", str(fine), "--out", str(tmp_path / "s.hies")]) == 2
-    assert capsys.readouterr().err == (f"ParseError: {fine}:903: not valid UTF-8: 'utf-8' codec "
+    assert capsys.readouterr().err == (f"InputError: {fine}:903: not valid UTF-8: 'utf-8' codec "
                                        "can't decode byte 0xff in position 1: invalid start byte\n")
     assert not (tmp_path / "s.hies").exists()
 
@@ -641,7 +639,7 @@ def test_a_text_row_that_is_not_utf8_past_block_0_prints_one_line_through_the_en
                      + b"0\xff4,0.1,0.35,0.15\n" + row * 49_999)
     argv = ["eval", "--hierarchy", str(tmp_path / "hierarchy.json"), "--fine", str(fine),
             "--labels", str(tmp_path / "labels.txt"), "--method", "argmax", "--k", "1"]
-    line = (f"ParseError: {fine}:50003: not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+    line = (f"InputError: {fine}:50003: not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
             "in position 1: invalid start byte\n")
     assert run(argv) == 2
     assert capsys.readouterr() == ("", line)
