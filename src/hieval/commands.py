@@ -125,7 +125,7 @@ class MethodInputs:
         for reader, (perm, names) in self.columns.items():
             m = reader.read(start, stop)
             if perm is not None:  # np.take's copy is C-ordered, unlike m.values[:, perm]
-                m = ScoreMatrix._adopt(np.take(m.values, perm, axis=1), m.kind, names, start)
+                m = ScoreMatrix(np.take(m.values, perm, axis=1), m.kind, names, start)
             # Validated as read; no caller sees the block, so softmax it in place.
             blocks[reader] = as_probabilities(m, _in_place=True)
         return blocks
@@ -434,6 +434,8 @@ def cmd_eval(args, out) -> int:
         t = fileio.load_hierarchy(args.hierarchy)
         gt = fileio.load_labels(args.labels, t)
         pred = fileio.load_labels(args.preds, t)
+        if pred.size != gt.size:
+            raise DataError(f"{pred.size} predictions vs {gt.size} labels")
         method = args.method or "preds"
         report = replace(eval_report(pred.reshape(-1, 1), gt, t, ks, method),
                          config={"method": method, **_config_echo(args, ks)})

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, InputError
+from .errors import DataError
 from .scores import PROBABILITIES, ScoreMatrix
 
 # Below this, per-row products are recomputed in log space so that underflow
@@ -31,23 +31,6 @@ UNDERFLOW_LIMIT = 1e-300
 # The fault of a row whose products all fall under UNDERFLOW_LIMIT.
 NO_MASS = ("once negative entries count as 0, no fine-times-coarse product reaches 1e-300; "
            "inputs carry no usable probability mass")
-
-
-def _as_col_map(pmap, n_fine: int, n_upper: int, what: str) -> np.ndarray:
-    m = np.asarray(pmap, dtype=np.int64)
-    if m.ndim != 1 or m.shape[0] != n_fine:
-        raise DataError(f"{what} has length {m.shape}, expected ({n_fine},)")
-    if m.size and (m.min() < 0 or m.max() >= n_upper):
-        raise DataError(
-            f"{what} entries must lie in [0, {n_upper}); got range "
-            f"[{int(m.min())}, {int(m.max())}]"
-        )
-    return m
-
-
-def _require_probabilities(m: ScoreMatrix, what: str) -> None:
-    if m.kind != PROBABILITIES:
-        raise InputError(f"{what} must hold probabilities, got kind {m.kind!r}")
 
 
 def _product_normalize(fine: np.ndarray, factors: list[tuple[np.ndarray, np.ndarray]],
@@ -92,22 +75,16 @@ def hie_combine(fine: ScoreMatrix,
     ``uppers`` pairs each upper-level matrix with a map from fine columns to
     its columns: ``[(coarse, taxonomy.parent_index_map(t))]`` for plain HiE,
     one ``taxonomy.ancestor_index_map(t, d)`` per depth for a cascade. Column
-    order of the result matches ``fine``; an empty list returns ``fine``.
+    order of the result matches ``fine``; an empty list returns ``fine``. Every
+    matrix holds probabilities for the same rows, and every map's entries are
+    columns of its matrix, as ``commands.load_method_inputs`` binds them: none
+    of that is checked here.
     """
-    _require_probabilities(fine, "fine scores")
-    factors = []
-    for i, (matrix, amap) in enumerate(uppers):
-        _require_probabilities(matrix, f"upper level {i}")
-        if matrix.n_samples != fine.n_samples:
-            raise DataError(
-                f"upper level {i} has {matrix.n_samples} samples, fine has {fine.n_samples}"
-            )
-        col_map = _as_col_map(amap, fine.n_classes, matrix.n_classes, f"level {i} ancestor map")
-        factors.append((matrix.values, col_map))
-    if not factors:
+    if not uppers:
         return fine
+    factors = [(matrix.values, amap) for matrix, amap in uppers]
     values = _product_normalize(fine.values, factors, fine.first_row)
-    return ScoreMatrix._adopt(values, PROBABILITIES, fine.class_names, fine.first_row)
+    return ScoreMatrix(values, PROBABILITIES, fine.class_names, fine.first_row)
 
 
 @functools.lru_cache(maxsize=8)
@@ -119,13 +96,12 @@ def marginalize_to_parents(fine: ScoreMatrix, pmap, n_coarse: int) -> ScoreMatri
     """Sum fine probabilities within each parent group, in ``np.add.at`` order.
 
     One ``np.bincount`` over bins ``row * n_coarse + pmap[i]`` adds members to 0.0 by column
-    (all -0.0 sums to 0.0); ``pmap`` is range-checked, so no bin spills into the next row.
+    (all -0.0 sums to 0.0). ``pmap``'s entries must lie in ``[0, n_coarse)``, as
+    ``taxonomy.parent_index_map``'s do, or a bin would spill into the next row.
     """
-    _require_probabilities(fine, "fine scores")
-    col_map = _as_col_map(pmap, fine.n_classes, n_coarse, "parent index map")
-    bins = (np.arange(fine.n_samples)[:, None] * n_coarse + col_map).ravel()
+    bins = (np.arange(fine.n_samples)[:, None] * n_coarse + pmap).ravel()
     sums = np.bincount(bins, fine.values.ravel(), fine.n_samples * n_coarse).reshape(-1, n_coarse)
-    return ScoreMatrix._adopt(sums, PROBABILITIES, _group_names(n_coarse), fine.first_row)
+    return ScoreMatrix(sums, PROBABILITIES, _group_names(n_coarse), fine.first_row)
 
 
 def hie_self(fine: ScoreMatrix, pmap, n_coarse: int) -> ScoreMatrix:

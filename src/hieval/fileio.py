@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import codecs
 import contextlib
+import errno
 import json
 import math
 import os
@@ -97,13 +98,14 @@ def _staging(staged: list | None):
 
 
 def check_outputs(args, outputs: dict[str, str]) -> None:
-    """Refuse, before any row is read, an output that writing would wrongly replace.
+    """Refuse, before any row is read, an output that writing cannot or would wrongly replace.
 
     ``outputs`` maps each path a command writes to how the command line gives
-    it. Each existing one must be a regular file or a directory, where the
-    rename fails: a FIFO, a device, or a link to one would be replaced by a
-    file. Nor may it be, by ``(st_dev, st_ino)``, an input of ``args`` or a
-    score input's class-name sidecar, whatever the spelling of either path.
+    it. An existing one must not be a directory, which no rename replaces (a
+    link to a directory is replaced), and must otherwise be a regular file: a
+    FIFO, a device, or a link to one would be replaced by a file. Nor may it
+    be, by ``(st_dev, st_ino)``, an input of ``args`` or a score input's
+    class-name sidecar, whatever the spelling of either path.
     """
     inputs = {}  # (st_dev, st_ino) of each input there is, and how it is given
     for path, role in hashing.given_roles(args).items():
@@ -117,9 +119,11 @@ def check_outputs(args, outputs: dict[str, str]) -> None:
                 inputs.setdefault((st.st_dev, st.st_ino), name)
     for path, name in outputs.items():
         try:
-            st = os.stat(path)
+            st, own = os.stat(path), os.lstat(path)
         except OSError:  # nothing there yet, or a fault the write names
             continue
+        if stat.S_ISDIR(own.st_mode):
+            raise InputError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
         if stat.S_IFMT(st.st_mode) not in (stat.S_IFREG, stat.S_IFDIR):
             raise InputError(f"cannot write {path}: not a regular file, which writing replaces")
         if (st.st_dev, st.st_ino) in inputs:
@@ -268,7 +272,7 @@ class ScoreReader:
     Opening reads no payload: a text file is scanned once for where each line
     starts (8 B a line), and only its comment and header lines are decoded.
     :meth:`read` then reads any range of rows into a fresh array, which the
-    matrix it returns adopts, decoding only the text rows it returns; it reads
+    matrix it returns takes, decoding only the text rows it returns; it reads
     by position and moves no cursor, so a forked process reads through the
     reader it inherits. ``declared_kind`` cross-checks the file's own kind
     marker (InputError on disagreement) and supplies it for plain text files
@@ -344,7 +348,7 @@ class ScoreReader:
         if got != values.nbytes:  # named by the first row the file no longer holds
             raise InputError(f"{self.path}: payload ended before row {start + got // row_bytes}")
         check_finite(values, start, f"{self.path}: ")
-        return values.astype(np.float64, copy=False)
+        return values
 
     def _open_text(self, declared_kind) -> None:
         path, f = self.path, self._file
@@ -427,15 +431,14 @@ class ScoreReader:
     def read(self, start: int, stop: int) -> ScoreMatrix:
         """Rows ``[start, stop)``: finite values, and probability rows validated within FILE_TOL.
 
-        Errors name rows and columns of the file. Values are checked here, once.
+        ``0 <= start < stop <= n_rows``, as the block loops give; the range is not
+        checked. Errors name rows and columns of the file. Values are checked here, once.
         A block is checked one kind of fault at a time (a text block's UTF-8
         first), so the fault raised is the first faulty row's only in a one-row
         block; ``commands.run_methods`` halves a faulty block down to one.
         """
-        if not 0 <= start < stop <= self.n_rows:
-            raise ValueError(f"rows [{start}, {stop}) outside [0, {self.n_rows})")
         try:
-            m = ScoreMatrix._adopt(self._read_rows(start, stop), self.kind, self.class_names, start)
+            m = ScoreMatrix(self._read_rows(start, stop), self.kind, self.class_names, start)
         except OSError as e:
             raise InputError(f"cannot read {self.path}: {e}") from e
         if m.kind == PROBABILITIES:

@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import taxonomy as tx
-from .errors import DataError, InputError
 # Rankings come from ``scores.top_k``; perfbench's tracer checks that it
 # wraps this binding too, so the name stays bound here.
 from .scores import top_k  # noqa: F401
@@ -77,31 +76,20 @@ def eval_report(
 ) -> EvalReport:
     """Counts for top-1 accuracy, mistake severity and distance@k for every k in ``ks``.
 
-    ``ranking`` holds leaf columns, best first, with at least max(ks) columns
-    per row, e.g. ``scores.top_k(combined, max(ks))``; ``gt`` holds one leaf
-    column per row. Entries are not range-checked: ``top_k`` and
-    ``fileio.load_labels`` give only leaf columns. Call it once per block of
-    rows and add the reports.
+    ``ranking`` holds leaf columns, best first, one row per entry of ``gt``
+    and at least max(ks) columns, e.g. ``scores.top_k(combined, max(ks))``;
+    ``gt`` holds one leaf column per row, and ``ks`` at least one k. None of
+    that is checked here: ``commands.parse_ks``, ``top_k`` and
+    ``fileio.load_labels`` give only such values, and the commands check the
+    row counts and max(ks). Call it once per block of rows and add the reports.
     """
     ks = [int(k) for k in ks]
-    if not ks:
-        raise InputError("no k values requested")
     ranking, gt = np.asarray(ranking, dtype=np.int64), np.asarray(gt, dtype=np.int64)
-    if ranking.ndim != 2 or gt.ndim != 1:
-        raise DataError(f"need a 2-d ranking and 1-d labels, got {ranking.shape}, {gt.shape}")
-    n = gt.size
-    if ranking.shape[0] != n:
-        raise DataError(f"{ranking.shape[0]} predictions vs {n} labels")
-    if n == 0:
-        raise InputError("no samples")
-    for k in ks:
-        if not 1 <= k <= ranking.shape[1]:
-            raise DataError(f"k={k} outside [1, {ranking.shape[1]}]")
     ranking = ranking[:, :max(ks)]
     h = tx.lca_heights(t, ranking, gt[:, None])
     return EvalReport(
         method=method,
-        n_samples=n,
+        n_samples=gt.size,
         n_mistakes=int((ranking[:, 0] != gt).sum()),
         severity_sum=int(h[:, 0].sum()),
         hd_sums={k: int(h[:, :k].sum()) for k in ks},

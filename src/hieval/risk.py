@@ -26,8 +26,7 @@ import numpy as np
 
 from . import scores
 from . import taxonomy as tx
-from .errors import DataError, InputError
-from .scores import LOGITS, PROBABILITIES, ScoreMatrix
+from .scores import LOGITS, ScoreMatrix
 
 
 @dataclass(frozen=True)
@@ -103,11 +102,10 @@ def _tree_expected_costs(p: np.ndarray, t: tx.Taxonomy) -> np.ndarray:
 
 
 def crm_rerank(probs: ScoreMatrix, t: tx.Taxonomy) -> ScoreMatrix:
-    """Each leaf's negated expected LCA-height cost under ``probs``, as logits: higher is better."""
-    if probs.kind != PROBABILITIES:
-        raise InputError(f"expected probabilities, got kind {probs.kind!r}")
-    if probs.n_classes != t.n_leaves:
-        raise DataError(f"{probs.n_classes} classes for {t.n_leaves} leaves")
+    """Each leaf's negated expected LCA-height cost under ``probs``, as logits: higher is better.
+
+    ``probs`` holds probabilities over ``t``'s leaves in leaf order; that is not checked here.
+    """
     risks = _tree_expected_costs(probs.values, t)
     np.negative(risks, out=risks)
-    return ScoreMatrix._adopt(risks, LOGITS, probs.class_names, probs.first_row)
+    return ScoreMatrix(risks, LOGITS, probs.class_names, probs.first_row)

@@ -40,12 +40,13 @@ class ScoreMatrix:
     """An n_samples x n_classes block of 64-bit scores at one hierarchy level.
 
     ``kind`` says whether values are raw logits or probabilities;
-    ``class_names`` binds columns to taxonomy nodes. Values are stored
-    read-only, C-contiguous and finite. ``first_row`` is the row of the whole
-    score set where this block starts, so that errors name rows of the file.
-    The constructor copies and checks the caller's array; ``_adopt`` takes an
-    array the package has just allocated as it is, checking its layout only,
-    since ``fileio.ScoreReader`` checks values where they enter.
+    ``class_names`` binds columns to taxonomy nodes. ``first_row`` is the row
+    of the whole score set where this block starts, so that errors name rows
+    of the file. Values are stored C-ordered and read-only: a C-ordered
+    float64 array is taken as it is, not copied, and any other is copied
+    into one. The constructor checks layout only, that values are 2-d and
+    as wide as the names; ``fileio.ScoreReader`` checks values where they
+    enter, and the functions that take a matrix do not check it again.
     """
 
     values: np.ndarray
@@ -54,35 +55,15 @@ class ScoreMatrix:
     first_row: int = 0
 
     def __post_init__(self):
-        if self.kind not in (LOGITS, PROBABILITIES):
-            raise InputError(f"unknown score kind {self.kind!r}")
         # C order: row sums (softmax, combining) then run the same way whatever
         # layout the caller built, e.g. the column-permuted copy alignment makes.
-        arr = np.array(self.values, dtype=np.float64, order="C", copy=True)
-        if arr.ndim != 2:
-            raise DataError(f"expected a 2-d array, got shape {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise InputError(f"score matrix has shape {arr.shape}")
+        values = np.ascontiguousarray(self.values, dtype=np.float64)
         names = tuple(self.class_names)
-        if len(names) != arr.shape[1]:
-            raise DataError(
-                f"{len(names)} class names for {arr.shape[1]} columns"
-            )
-        check_finite(arr, self.first_row)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "class_names", names)
-
-    @classmethod
-    def _adopt(cls, values: np.ndarray, kind: str, class_names: tuple, first_row: int = 0):
-        """Wrap ``values`` without a copy; it becomes read-only. See the class docstring."""
-        if not (values.ndim == 2 and values.dtype == np.float64 and values.flags.c_contiguous
-                and values.shape[1] == len(class_names)):
-            raise ValueError(f"cannot adopt a {values.dtype} array of shape {values.shape}")
+        if values.ndim != 2 or values.shape[1] != len(names):
+            raise DataError(f"{len(names)} class names for an array of shape {values.shape}")
         values.setflags(write=False)
-        m = object.__new__(cls)
-        m.__dict__.update(values=values, kind=kind, class_names=class_names, first_row=first_row)
-        return m
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "class_names", names)
 
     @property
     def n_samples(self) -> int:
@@ -98,15 +79,13 @@ def softmax_rows(m: ScoreMatrix, *, _in_place: bool = False) -> ScoreMatrix:
 
     ``_in_place`` overwrites ``m``'s buffer instead, for a block no caller can see.
     """
-    if m.kind != LOGITS:
-        raise InputError(f"softmax_rows expects logits, got {m.kind}")
     v = m.values
     e = v if _in_place else np.empty_like(v)
-    e.setflags(write=True)  # an adopted buffer is read-only
+    e.setflags(write=True)  # a matrix's buffer is read-only
     np.subtract(v, v.max(axis=1, keepdims=True), out=e)
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
-    return ScoreMatrix._adopt(e, PROBABILITIES, m.class_names, m.first_row)
+    return ScoreMatrix(e, PROBABILITIES, m.class_names, m.first_row)
 
 
 def top_k(m: ScoreMatrix, k: int) -> np.ndarray:
@@ -119,12 +98,11 @@ def top_k(m: ScoreMatrix, k: int) -> np.ndarray:
     at position ``n_cols - k - 1`` and the k largest after it, and a stable
     sort of those k candidates alone orders them. A tie straddles the
     boundary exactly when the (k+1)-th value equals the smallest candidate;
-    such rows fall back to the full stable sort.
+    such rows fall back to the full stable sort. ``k`` must lie in
+    ``[1, m.n_classes]``; the commands check it against the leaf count.
     """
     values = m.values
     n, n_cols = values.shape
-    if not 1 <= k <= n_cols:
-        raise DataError(f"k={k} outside [1, {n_cols}]")
     if k == 1:
         # argmax returns the first index among equal maxima.
         return values.argmax(axis=1)[:, None]

@@ -100,6 +100,6 @@ def gen_instance(cfg: SynthConfig, t: tx.Taxonomy):
             # Row blocks of one normal draw are the same bits as the whole draw.
             logits = rng.normal(0.0, cfg.noise[depth - 1], size=(rows, len(names)))
             logits[np.arange(rows), amap[labels[start:start + rows]]] += MARGIN
-            yield ScoreMatrix._adopt(logits, LOGITS, names, start)
+            yield ScoreMatrix(logits, LOGITS, names, start)
 
     return labels, (level(depth) for depth in range(1, cfg.n_levels + 1))

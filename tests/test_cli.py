@@ -1,5 +1,6 @@
 import contextlib
 import ctypes
+import errno
 import io
 import json
 import os
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 
 from conftest import (SEVEN_NODE_PARENTS, SEVEN_NODE_LEAVES, dense_expected_costs, read_scores,
                       save_matrix, taxonomies)
-from hieval import cli, synth, taxonomy
+from hieval import cli, fileio, synth, taxonomy
 from hieval.cli import run
 from hieval.commands import METHODS
 from hieval.ensemble import hie_combine, hie_self
@@ -223,9 +224,8 @@ def test_unknown_method_names_the_valid_ones(workspace, capsys, command):
     assert ", ".join(METHODS) in err
 
 
-# The predictions file is written before the scores file is renamed into
-# place, so a failing write of either (or of the '.names.json' sidecar)
-# leaves neither behind.
+# A failing write of either output (or of the '.names.json' sidecar) leaves
+# neither behind; a directory in an output's place is refused before any row.
 @pytest.mark.parametrize("fault, suffix", [
     (fault, suffix)
     for fault in ["preds-is-a-directory", "preds-dir-missing", "out-is-a-directory"]
@@ -405,6 +405,76 @@ def test_an_output_path_that_is_a_fifo_is_refused_in_one_line_and_stays_one(work
     assert stat.S_ISFIFO(os.stat(target).st_mode) and target.is_symlink() == (target != fifo)
 
 
+@pytest.mark.parametrize("output", ["infer --out", "infer sidecar", "infer --preds-out",
+                                    "eval --out", "compare --out", "synth --out-dir file"])
+def test_an_output_path_that_is_a_directory_is_refused_before_any_input_is_read(
+        workspace, capsys, monkeypatch, output):
+    # No rename replaces a directory: the run would fail at its end, after every row.
+    hierarchy, fine, coarse, labels = paths(workspace, "hierarchy.json", "fine.csv", "coarse.csv",
+                                            "labels.txt")
+    inputs = ["--hierarchy", hierarchy, "--fine", fine, "--coarse", coarse]
+    scored = [*inputs, "--labels", labels, "--k", "1"]
+    out = workspace / "out"
+    directory = out / {"infer --out": "s.csv", "infer sidecar": "s.hies.names.json",
+                       "synth --out-dir file": "fine.hies"}.get(output, "dir")
+    directory.mkdir(parents=True)
+    argv = {"infer --out": ["infer", *inputs, "--method", "hie", "--out", str(directory)],
+            "infer sidecar": ["infer", *inputs, "--method", "hie", "--out", str(out / "s.hies")],
+            "infer --preds-out": ["infer", *inputs, "--method", "hie", "--out", str(out / "s.csv"),
+                                  "--preds-out", str(directory)],
+            "eval --out": ["eval", *scored, "--method", "hie", "--out", str(directory)],
+            "compare --out": ["compare", *scored, "--methods", "argmax,hie", "--out",
+                              str(directory)],
+            "synth --out-dir file": ["synth", "--branching", "2,2", "--noise", "1,1",
+                                     "--n-samples", "3", "--out-dir", str(out)]}[output]
+    read = []
+    for module, name in [(fileio, "load_hierarchy"), (fileio, "ScoreReader"),
+                         (synth, "gen_taxonomy")]:
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: read.append(name))
+    before = sorted(os.listdir(out))
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"InputError: cannot write {directory}: Is a directory\n")
+    assert read == []
+    assert sorted(os.listdir(out)) == before and os.listdir(directory) == []
+
+
+def test_an_output_path_that_links_to_a_directory_replaces_the_link(workspace, capsys):
+    hierarchy, fine, labels = paths(workspace, "hierarchy.json", "fine.csv", "labels.txt")
+    (workspace / "dir").mkdir()
+    (workspace / "report.json").symlink_to("dir")
+    assert run(["eval", "--hierarchy", hierarchy, "--fine", fine, "--labels", labels, "--k", "1",
+                "--out", str(workspace / "report.json")]) == 0
+    capsys.readouterr()
+    assert json.loads((workspace / "report.json").read_text())["n_samples"] == 1
+    assert not (workspace / "report.json").is_symlink() and os.listdir(workspace / "dir") == []
+
+
+@pytest.mark.parametrize("existing", ["scores", "predictions"])
+def test_a_failing_rename_puts_back_what_the_run_replaced(workspace, capsys, monkeypatch,
+                                                           existing):
+    # The scores file is renamed into place first and the predictions second, whose rename
+    # fails: the output renamed before it is removed, or, where it replaced a file, put back.
+    out, preds = workspace / "s.csv", workspace / "p.txt"
+    (out if existing == "scores" else preds).write_text("old\n")
+    before = {p.name: p.read_bytes() for p in workspace.iterdir()}
+    replace, renames = os.replace, []
+
+    def second_fails(src, dst):
+        renames.append(dst)
+        if len(renames) == 2:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", second_fails)
+    hierarchy, fine, coarse = paths(workspace, "hierarchy.json", "fine.csv", "coarse.csv")
+    code = run(["infer", "--hierarchy", hierarchy, "--fine", fine, "--coarse", coarse,
+                "--method", "hie", "--out", str(out), "--preds-out", str(preds)])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"InputError: cannot write {preds}: Input/output error\n")
+    assert renames[:2] == [str(out), str(preds)]
+    assert {p.name: p.read_bytes() for p in workspace.iterdir()} == before  # no temp file or link
+
+
 # (argv, the output as the line gives it, the input as the line gives it); "{ws}" is the
 # workspace, which is also the working directory. eval and compare read the labels too.
 @pytest.mark.parametrize("argv, output, given", [
@@ -469,6 +539,15 @@ def test_eval_existing_predictions(workspace, capsys):
                 "--labels", labels, "--k", "1"])
     assert code == 0
     assert capsys.readouterr().out.startswith("preds\t0.000000")
+
+
+def test_eval_predictions_against_a_different_label_count_exit_3(workspace, capsys):
+    (workspace / "preds.txt").write_text("bus\n" * 30)
+    (workspace / "labels.txt").write_text("car\n" * 29)
+    hierarchy, preds, labels = paths(workspace, "hierarchy.json", "preds.txt", "labels.txt")
+    code = run(["eval", "--hierarchy", hierarchy, "--preds", preds, "--labels", labels, "--k", "1"])
+    assert code == 3
+    assert capsys.readouterr() == ("", "DataError: 30 predictions vs 29 labels\n")
 
 
 def test_eval_predictions_file_allows_only_k1(workspace, capsys):
@@ -1290,7 +1369,7 @@ def _first_cpu_only():
 
 def test_an_infer_in_workers_whose_sidecar_path_is_a_directory_leaves_no_output(
         workers_instance, tmp_path):
-    # Every output lands by one rule: a rename that fails removes the files renamed before it.
+    # Refused before any row is read, in every process count.
     sidecar = tmp_path / "scores.hies.names.json"
     sidecar.mkdir()
     done = subprocess.run([sys.executable, "-m", "hieval", "infer",

@@ -332,8 +332,6 @@ def test_row_range_errors_name_file_rows_and_lines(tmp_path):
             reader.read(32, 33)
         with pytest.raises(InputError, match="row 33, column 0") as exc:
             reader.read(33, 34)
-        with pytest.raises(ValueError):
-            reader.read(30, 35)
     # Row faults name the file.
     assert str(exc.value) == f"{path}: negative entry at row 33, column 0"
     # Within a row, the first bad token is named, be it not finite or no number.

@@ -411,6 +411,8 @@ def test_every_configuration_writes_what_whole_matrices_give(case, configs):
         for m in case.methods:
             assert files_whole(case, ranked[m], lib / f"{m}{case.out_suffix}") == {
                 name: b for name, b in files.items() if name.startswith(f"{m}{case.out_suffix}")}
+            if case.out_suffix == ".hies":  # the kind byte: logits for negated costs
+                assert files[f"{m}.hies"][5] == (METHODS[m][1] == "score"), m
             preds, compared = json.loads(files[f"{m}.json"]), table[m]
             for key in ("n_samples", "n_mistakes", "top1_accuracy", "avg_mistake_severity"):
                 assert preds[key] == compared[key], (m, key)

@@ -1,7 +1,6 @@
 import tracemalloc
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +8,6 @@ from conftest import (dense_expected_costs, dense_lca_heights, random_prob_rows,
                       taxonomies, tied_matrix_and_k)
 from hieval import scores
 from hieval.ensemble import hie_combine
-from hieval.errors import DataError, InputError
 from hieval.risk import _tree_expected_costs, crm_rerank
 from hieval.scores import LOGITS, PROBABILITIES, ScoreMatrix, top_k
 from hieval.synth import SynthConfig, gen_taxonomy
@@ -70,13 +68,6 @@ def test_risks_are_non_decreasing_and_orders_are_permutations(flower_vehicle):
     assert (np.diff(sorted_risks(ranking), axis=1) >= 0).all()
     for row in order(ranking):
         assert sorted(row.tolist()) == [0, 1, 2, 3]
-
-
-def test_taxonomy_shape_and_kind_errors(flower_vehicle):
-    with pytest.raises(DataError, match=r"^2 classes for 4 leaves$"):
-        crm_rerank(probs([0.5, 0.5], names=("a", "b")), flower_vehicle)
-    with pytest.raises(InputError, match=r"^expected probabilities, got kind 'logits'$"):
-        crm_rerank(ScoreMatrix([[1.0] * 4], LOGITS, LEAVES), flower_vehicle)
 
 
 # ------------------------------------------------------- tree risk kernel

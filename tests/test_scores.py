@@ -34,12 +34,6 @@ def probs(rows):
 # ------------------------------------------------------------- construction
 
 
-def test_matrix_rejects_non_finite():
-    with pytest.raises(InputError) as exc:
-        probs([[0.5, np.nan]])
-    assert str(exc.value) == "non-finite value at row 0, column 1"
-
-
 def test_matrix_is_immutable():
     m = probs([[0.5, 0.5]])
     with pytest.raises(ValueError):
@@ -47,11 +41,25 @@ def test_matrix_is_immutable():
 
 
 def test_matrix_copies_the_callers_array():
+    # An array that is not C-ordered float64 is copied into one.
+    for arr in (np.array([[1, 2], [3, 4]]), np.asfortranarray([[1.0, 2.0], [3.0, 4.0]]),
+                np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)):
+        m = ScoreMatrix(arr, LOGITS, ("a", "b"))
+        arr[0, 0] = 99
+        assert m.values.tolist() == [[1.0, 2.0], [3.0, 4.0]] and m.values.dtype == np.float64
+        assert not np.shares_memory(arr, m.values) and arr.flags.writeable
+
+
+def test_matrix_takes_a_c_ordered_float64_array_read_only():
     arr = np.array([[1.0, 2.0], [3.0, 4.0]])
     m = ScoreMatrix(arr, LOGITS, ("a", "b"))
-    arr[0, 0] = 99.0
-    assert m.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-    assert not np.shares_memory(arr, m.values)
+    assert m.values is arr and not arr.flags.writeable
+
+
+def test_matrix_checks_its_layout_only():
+    for values, names in [(np.ones(2), ("a", "b")), (np.ones((1, 2)), ("a",))]:
+        with pytest.raises(DataError, match=r"class names for an array of shape"):
+            ScoreMatrix(values, LOGITS, names)
 
 
 def test_matrix_stores_a_column_slice_c_ordered():
@@ -70,11 +78,6 @@ def test_softmax_leaves_the_callers_matrix_alone(softmax):
     assert not m.values.flags.writeable
     assert out.kind == PROBABILITIES and not np.shares_memory(out.values, m.values)
     assert not out.values.flags.writeable and out.values.flags.c_contiguous
-
-
-def test_matrix_rejects_bad_kind():
-    with pytest.raises(InputError):
-        ScoreMatrix(np.ones((1, 2)), "scores", ("a", "b"))
 
 
 # ------------------------------------------------------------------ softmax
@@ -103,11 +106,9 @@ def test_softmax_against_high_precision_oracle():
     np.testing.assert_allclose(out.values[0], expected, rtol=1e-12)
 
 
-def test_softmax_preserves_names_and_rejects_probabilities():
+def test_softmax_preserves_names():
     m = ScoreMatrix([[1.0, 2.0]], LOGITS, ("x", "y"))
     assert softmax_rows(m).class_names == ("x", "y")
-    with pytest.raises(InputError):
-        softmax_rows(softmax_rows(m))
 
 
 @settings(max_examples=80, deadline=None)
@@ -139,14 +140,6 @@ def test_top_k_full_is_permutation():
     full = top_k(m, 7)
     for row in full:
         assert sorted(row.tolist()) == list(range(7))
-
-
-def test_top_k_k_out_of_range():
-    m = probs([[0.5, 0.5]])
-    with pytest.raises(DataError):
-        top_k(m, 3)
-    with pytest.raises(DataError):
-        top_k(m, 0)
 
 
 def test_top_k_ranks_logits_by_descending_value():
@@ -205,13 +198,6 @@ EDGE_ROWS = {
 def test_top_k_edges_match_the_full_stable_sort(rows, k):
     for m in (probs(rows), logits(rows)):
         assert top_k(m, k).tolist() == _stable_oracle(m, k).tolist()
-
-
-def test_rank_rows_k_out_of_range():
-    m = logits(np.zeros((2, 3)))
-    for k in (0, 4):
-        with pytest.raises(DataError, match=f"k={k} outside \\[1, 3\\]"):
-            top_k(m, k)
 
 
 def test_argmax_agrees_with_linear_scan():

@@ -61,30 +61,6 @@ def test_too_few_blocks_stay_in_one_process(instance, monkeypatch, capsys):
     assert forks == ["spawn"]  # the run may use 4 processes, so it hashes in one
 
 
-@pytest.mark.parametrize("method", ["cascade", "crm"])
-def test_infer_bytes_do_not_depend_on_the_worker_count(instance, tmp_path, monkeypatch, capsys,
-                                                       method):
-    # crm writes negated costs, so its file carries the logits kind byte.
-    d, base = instance
-    infer = ["infer", *base[:-4], "--method", method]
-    forks = count_forks(monkeypatch)
-    outputs = set()
-    for block, workers in [(b, w) for b in (1, 7, N_ROWS) for w in (1, 2, 3)]:
-        use_block_rows(monkeypatch, block, 36)
-        forks.clear()
-        out = tmp_path / f"{block}-{workers}"
-        out.mkdir()
-        assert run([*infer, "--out", str(out / "s.hies")], workers=workers) == 0
-        assert forks == ["fork"] * (0 if block == N_ROWS else workers - 1)  # and no hasher
-        outputs.add(tuple((out / name).read_bytes()
-                          for name in ["s.hies", "s.hies.names.json", "s.hies.preds.txt"]))
-        assert sorted(os.listdir(out)) == ["s.hies", "s.hies.names.json", "s.hies.preds.txt"]
-    assert len(outputs) == 1
-    [(scores, _, _)] = outputs
-    assert scores[5] == (0 if method == "crm" else 1)  # the kind byte: logits, probabilities
-    capsys.readouterr()
-
-
 def test_infer_writes_text_scores_in_one_process(instance, tmp_path, monkeypatch, capsys):
     d, base = instance
     use_block_rows(monkeypatch, 7, 36)
